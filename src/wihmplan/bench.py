@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptedPlanError, InvalidInputError
+from .errors import CorruptedPlanError, InfeasibleActionError, InvalidInputError
 from .geometry import ObjectModel
 from .planner import CostConfig, Plan, plan as run_planner
 from .transition import (
@@ -77,7 +77,7 @@ def simulate(plan_: Plan, obj: ObjectModel, s0: GraspState,
             applied = replace(action, magnitude=magnitude)
         try:
             state = transition(state, applied, obj)
-        except Exception:
+        except InfeasibleActionError:
             if noise is None:
                 raise
             return SimulationResult(state, trace, i, failed=True, failure_step=i)

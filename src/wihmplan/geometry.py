@@ -1,7 +1,7 @@
 """Convex-polygon primitives, prismatic object models, and surface unfolding.
 
-All values are immutable after construction and safe to share across
-concurrent planner instances; every operation here is a pure function.
+Every operation here is a pure function, and values are immutable after
+construction apart from ``ObjectModel.scratch`` (see there).
 Units are meters and radians throughout.
 """
 
@@ -195,11 +195,6 @@ def convex_intersection(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2 
         return None
 
 
-def intersection_area(a: ConvexPolygon2, b: ConvexPolygon2) -> float:
-    inter = convex_intersection(a, b)
-    return 0.0 if inter is None else polygon_area(inter)
-
-
 @dataclass(frozen=True)
 class RigidTransform3:
     """Proper rigid transform: x -> rotation @ x + translation."""
@@ -305,9 +300,10 @@ class SharedEdge:
 class ObjectModel:
     """Convex right prism: faces, adjacency, and parallel (graspable) face pairs.
 
-    The model itself is immutable; `scratch` holds internal memo tables for
-    derived quantities (orientation bases, containment verdicts) that are
-    pure functions of the model, so concurrent readers at worst recompute.
+    The model itself is immutable.  `scratch` is the transition module's
+    grasp-mode table: one entry per grasp mode (support, left and right face)
+    reached, built on first use, so it never holds more than faces**2 entries.
+    It is filled without a lock.
     """
 
     name: str

@@ -10,7 +10,6 @@ left and right finger values.
 from __future__ import annotations
 
 import math
-import threading
 
 from .errors import InvalidInputError
 from .geometry import ConvexPolygon2, ObjectModel, UnfoldedMap, points_to_polygon_distance, unfold
@@ -20,8 +19,7 @@ from .transition import ContactRegion, GoalRegion, GraspState
 class HeuristicCache:
     """Memoizes unfolded maps per base face and unfolded goal images.
 
-    Reads dominate; misses populate under a lock so each key is computed
-    exactly once even with concurrent callers.
+    Built per search and used by one caller; it is not thread-safe.
     """
 
     def __init__(self, obj: ObjectModel, goals: list[GoalRegion]) -> None:
@@ -32,18 +30,12 @@ class HeuristicCache:
         self._maps: dict[int, UnfoldedMap] = {}
         self._goal_images: dict[tuple[int, int], ConvexPolygon2] = {}
         self._finger_memo: dict[tuple, float] = {}
-        self._lock = threading.Lock()
 
     def unfolded_map(self, base_face: int) -> UnfoldedMap:
         cached = self._maps.get(base_face)
-        if cached is not None:
-            return cached
-        with self._lock:
-            cached = self._maps.get(base_face)
-            if cached is None:
-                cached = unfold(self.obj, base_face)
-                self._maps[base_face] = cached
-            return cached
+        if cached is None:
+            cached = self._maps[base_face] = unfold(self.obj, base_face)
+        return cached
 
     def goal_image(self, base_face: int, goal_index: int) -> ConvexPolygon2:
         key = (base_face, goal_index)
@@ -52,9 +44,9 @@ class HeuristicCache:
             return cached
         umap = self.unfolded_map(base_face)
         goal = self.goals[goal_index]
-        image = ConvexPolygon2(umap.to_plane(goal.face, goal.polygon.vertices))
-        with self._lock:
-            return self._goal_images.setdefault(key, image)
+        image = self._goal_images[key] = ConvexPolygon2(
+            umap.to_plane(goal.face, goal.polygon.vertices))
+        return image
 
 
 def corner_sum(region: ContactRegion, goal_index: int, cache: HeuristicCache) -> float:

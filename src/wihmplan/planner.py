@@ -129,8 +129,10 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
     h0 = total_heuristic(s0, cache)
     root = SearchNode(s0, 0.0, h0)
     counter = 0
-    open_heap: list[tuple[float, int, SearchNode]] = [(lam * h0, counter, root)]
-    best_g: dict[tuple, float] = {state_key(s0): 0.0}
+    root_key = state_key(s0)
+    # Entries carry the state's key, computed once when the state is generated.
+    open_heap: list[tuple[float, int, tuple, SearchNode]] = [(lam * h0, counter, root_key, root)]
+    best_g: dict[tuple, float] = {root_key: 0.0}
     closed: set[tuple] = set()
 
     best_effort: SearchNode = root
@@ -139,8 +141,7 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
     goal_node: SearchNode | None = None
 
     while open_heap:
-        f, _, node = heapq.heappop(open_heap)
-        key = state_key(node.state)
+        f, _, key, node = heapq.heappop(open_heap)
         if key in closed:
             continue
         if node.h <= cost.goal_tolerance:
@@ -172,7 +173,7 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
             if child_f < f - 1e-12:
                 log.debug("inconsistent heuristic: f dropped %.3e -> %.3e", f, child_f)
             counter += 1
-            heapq.heappush(open_heap, (child_f, counter, SearchNode(
+            heapq.heappush(open_heap, (child_f, counter, child_key, SearchNode(
                 child_state, child_g, child_h, parent=node, incoming=act)))
 
     chosen = goal_node if goal_node is not None else best_effort

@@ -20,6 +20,20 @@ face pair, with the world-fixed finger pads re-expressed in the new faces'
 frames.  A pivot tips the object over a support-face edge parallel to the
 squeeze axis: contact centers stay put on their faces while the pad
 orientation rotates in-face by the tipping angle.
+
+A grasp mode is the triple (support face, left face, right face).  The
+object pose, the slide and shift axes, the grasp width, and where a rotation
+or pivot takes the gripped faces depend on the mode alone.  The mode table
+(``_Mode``, one entry per mode in ``ObjectModel.scratch``, built on first use)
+holds them, so each primitive is a few float operations on the pad centres
+and orientations.  Search (``successors``) and replay (``transition``) run the
+same per-mode kernels; only search applies the ResolutionConfig limits.
+
+A pad fits on its face when its centre lies inside the face shrunk by the
+rotated pad, with half-planes computed once per face, orientation and pad
+size.  These round differently from testing the pad's corners, by a few ulps
+of the face coordinates, so a centre margin within ``_GUARD`` of the
+``-FEAS_TOL`` threshold is decided by the corner test: the verdicts agree.
 """
 
 from __future__ import annotations
@@ -27,6 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,7 +63,7 @@ from .geometry import (
 _WORLD_DOWN = np.array([0.0, 0.0, -1.0])
 _WORLD_UP = np.array([0.0, 0.0, 1.0])
 _LEFT_NORMAL = np.array([-1.0, 0.0, 0.0])  # world direction of the left face's outward normal
-_WORLD_Y = np.array([0.0, 1.0, 0.0])
+_GUARD = 1e-12  # far above the rounding error of face coordinates up to about 1e3 m
 
 
 class ActionKind(enum.IntEnum):
@@ -157,16 +172,12 @@ class GraspState:
                 f"contact faces {self.left.face}/{self.right.face} do not form pair {pair}")
         if self.support_face in pair:
             raise InvalidStateError("support face cannot be a gripped face")
-        n_s = obj.face(self.support_face).outward_normal
-        n_l = obj.face(self.left.face).outward_normal
-        if abs(float(n_s @ n_l)) > FEAS_TOL:
-            raise InvalidStateError(
-                "support face must be perpendicular to the gripped faces")
-        ctx = world_context(self, obj)
-        if np.max(np.abs(ctx.left_axes[0] - self.horizontal_axis)) > FEAS_TOL:
+        horiz = _face_axes(_object_rotation(obj, self.support_face, self.left.face), obj,
+                           self.left.face)[0]
+        if np.max(np.abs(horiz - self.horizontal_axis)) > FEAS_TOL:
             raise InvalidStateError("horizontal_axis is inconsistent with the support face")
         for region in (self.left, self.right):
-            if not _contained(obj, region, tol=FEAS_TOL):
+            if not _corners_inside(obj, region):
                 raise InvalidStateError(
                     f"contact rectangle leaves face {region.face}")
 
@@ -185,12 +196,11 @@ class GraspState:
         except InvalidModelError as exc:
             raise InvalidStateError(str(exc)) from exc
         rot = _object_rotation(obj, support_face, left_face)
-        axes_l = _face_axes(rot, obj, left_face)
-        axes_r = _face_axes(rot, obj, right_face)
+        h_l, h_r = (_face_axes(rot, obj, face)[0] for face in (left_face, right_face))
         if left_orientation is None:
-            left_orientation = math.atan2(axes_l[0][1], axes_l[0][0])
+            left_orientation = math.atan2(h_l[1], h_l[0])
         if right_orientation is None:
-            right_orientation = math.atan2(axes_r[0][1], axes_r[0][0])
+            right_orientation = math.atan2(h_r[1], h_r[0])
         state = cls(
             left=ContactRegion(left_face, np.asarray(left_center, float),
                                float(left_orientation), pad_width, pad_height),
@@ -198,7 +208,7 @@ class GraspState:
                                 float(right_orientation), pad_width, pad_height),
             grasp_pair=pair_idx,
             support_face=support_face,
-            horizontal_axis=axes_l[0],
+            horizontal_axis=h_l,
         )
         state.validate(obj)
         return state
@@ -269,8 +279,7 @@ def derive_resolutions(obj: ObjectModel, base: ResolutionConfig) -> ResolutionCo
 # ---------------------------------------------------------------------------
 # World-frame derivation
 
-@dataclass(frozen=True)
-class WorldContext:
+class WorldContext(NamedTuple):
     """World-frame quantities implied by a state's support/grasp alignment."""
 
     rotation: np.ndarray      # object -> world rotation
@@ -311,19 +320,6 @@ def _object_rotation(obj: ObjectModel, support_face: int, left_face: int) -> np.
     return _BASIS_WORLD @ basis_obj.T
 
 
-def _pose(obj: ObjectModel, support_face: int, left_face: int) -> tuple[np.ndarray, float]:
-    """Object->world rotation and z-offset, memoized per (support, left) pair."""
-    key = ("pose", support_face, left_face)
-    hit = obj.scratch.get(key)
-    if hit is None:
-        rot = _object_rotation(obj, support_face, left_face)
-        rot.setflags(write=False)
-        tz = -float(rot[2] @ obj.face(support_face).frame.translation)
-        hit = (rot, tz)
-        obj.scratch[key] = hit
-    return hit
-
-
 def _face_axes(rot: np.ndarray, obj: ObjectModel, face_id: int) -> tuple[np.ndarray, np.ndarray]:
     rw = rot @ obj.face(face_id).frame.rotation
     horiz = rw[1, :2]  # row y of rw == world-y expressed along the face u/v axes
@@ -335,183 +331,88 @@ def _face_axes(rot: np.ndarray, obj: ObjectModel, face_id: int) -> tuple[np.ndar
     return horiz, up
 
 
-def _axes_cached(obj: ObjectModel, support_face: int, left_face: int,
-                 face_id: int) -> tuple[np.ndarray, np.ndarray]:
-    key = ("axes", support_face, left_face, face_id)
-    hit = obj.scratch.get(key)
-    if hit is None:
-        rot, _ = _pose(obj, support_face, left_face)
-        hit = _face_axes(rot, obj, face_id)
-        obj.scratch[key] = hit
-    return hit
+class PivotEdgeInfo(NamedTuple):
+    """The forward pivot available in a state: tipping angle, landing face,
+    and a world point on the support edge being tipped over."""
+
+    angle: float  # signed world rotation about +x that lays the new face flat
+    new_support: int
+    edge_point_world: np.ndarray
 
 
-def _lift_center(obj: ObjectModel, region: ContactRegion) -> np.ndarray:
-    frame = obj.face(region.face).frame
-    return (frame.rotation[:, 0] * region.center[0]
-            + frame.rotation[:, 1] * region.center[1]
-            + frame.translation)
+class _Rotation(NamedTuple):
+    """One in-hand rotation of a mode by one angle, and where it takes each face."""
+
+    action: Action
+    pair: int
+    rz: np.ndarray
+    fingers: tuple  # per finger: (new face, rot_new @ R_new, rot @ t_new + z offset, rot @ R_old)
+    horizontal: np.ndarray
+    width: float   # grasp width of the target pair
+    extent: float  # world-y extent of the new left face
 
 
-def world_context(s: GraspState, obj: ObjectModel) -> WorldContext:
-    rot, tz = _pose(obj, s.support_face, s.left.face)
-    p_l = rot @ _lift_center(obj, s.left)
-    p_r = rot @ _lift_center(obj, s.right)
-    p_l[2] += tz
-    p_r[2] += tz
-    return WorldContext(
-        rotation=rot,
-        z_offset=tz,
-        left_axes=_axes_cached(obj, s.support_face, s.left.face, s.left.face),
-        right_axes=_axes_cached(obj, s.support_face, s.left.face, s.right.face),
-        left_center_world=p_l,
-        right_center_world=p_r,
-        grasp_width=_pair_width_cached(obj, s.grasp_pair),
-    )
+class _Pivot(NamedTuple):
+    """The mode's pivot and the world rotations of the gripped faces around it."""
+
+    edge: PivotEdgeInfo
+    action: Action
+    rot_new: np.ndarray
+    tz_new: float
+    fingers: tuple  # per finger: (rot @ R_face, rot_new @ R_face)
+    horizontal: np.ndarray
 
 
-def _pair_width_cached(obj: ObjectModel, pair_index: int) -> float:
-    key = ("width", pair_index)
-    hit = obj.scratch.get(key)
-    if hit is None:
-        hit = obj.pair_width(pair_index)
-        obj.scratch[key] = hit
-    return hit
+class _Mode:
+    """Everything the primitives need that depends on the grasp mode alone: pose,
+    per-finger (horizontal, up) face axes (``dirs``: as floats), grasp width, rotations,
+    pivot, and containment half-planes by (face, pad orientation, pad width, pad height)."""
+
+    __slots__ = ("faces", "rot", "tz", "axes", "dirs", "width", "rotations", "pivot", "shrunk")
+
+    def __init__(self, obj: ObjectModel, support_face: int, left_face: int, right_face: int):
+        try:
+            pair = obj.pair_of_faces(left_face, right_face)
+        except InvalidModelError as exc:
+            raise InvalidStateError(str(exc)) from exc
+        self.faces = (support_face, left_face, right_face)
+        self.rot = rot = _object_rotation(obj, support_face, left_face)
+        rot.setflags(write=False)
+        self.tz = tz = -float(rot[2] @ obj.face(support_face).frame.translation)
+        self.axes = (_face_axes(rot, obj, left_face), _face_axes(rot, obj, right_face))
+        self.dirs = tuple((tuple(h.tolist()), tuple(u.tolist())) for h, u in self.axes)
+        self.width = obj.pair_width(pair)
+        self.rotations: dict[ActionKind, _Rotation | None] = {}
+        for kind in (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW):
+            angle = _rotation_angle(obj, rot, left_face, ccw=(kind == ActionKind.ROTATE_CCW))
+            self.rotations[kind] = None if angle is None else _rotation(obj, self, kind, angle)
+        self.pivot = None
+        edge = _pivot_edge(obj, rot, tz, support_face)
+        if edge is not None:
+            rot_new = _rot_x3(edge.angle) @ rot
+            support_pt = rot_new @ obj.face(edge.new_support).frame.translation
+            fingers = tuple((rot @ obj.face(f).frame.rotation, rot_new @ obj.face(f).frame.rotation)
+                            for f in (left_face, right_face))
+            self.pivot = _Pivot(edge, Action(ActionKind.PIVOT, abs(edge.angle),
+                                             arc_radius=self.width / 2.0),
+                                rot_new, -float(support_pt @ _WORLD_UP), fingers,
+                                _face_axes(rot_new, obj, left_face)[0])
+        self.shrunk: dict[tuple, tuple[tuple[float, float, float], ...]] = {}
 
 
-def _region_key(region: ContactRegion) -> tuple:
-    return (region.face, round(region.center[0] * 1e9), round(region.center[1] * 1e9),
-            round(region.orientation * 1e9), region.pad_width, region.pad_height)
+def _mode(obj: ObjectModel, support_face: int, left_face: int, right_face: int) -> _Mode:
+    """The mode's table entry, built on first use."""
+    key = (support_face, left_face, right_face)
+    m = obj.scratch.get(key)
+    if m is None:
+        m = obj.scratch[key] = _Mode(obj, *key)
+    return m
 
 
-def _contained(obj: ObjectModel, region: ContactRegion, tol: float = FEAS_TOL) -> bool:
-    key = ("contained", tol, *_region_key(region))
-    hit = obj.scratch.get(key)
-    if hit is None:
-        normals, offsets = obj.face(region.face).polygon.halfplanes()
-        margins = region.corners() @ normals.T - offsets
-        hit = bool(np.all(margins >= -tol))
-        obj.scratch[key] = hit
-    return hit
-
-
-def _clearance_ok(obj: ObjectModel, rot: np.ndarray, tz: float, region: ContactRegion,
-                  clearance: float) -> bool:
-    if clearance <= 0.0:
-        return True  # a convex body on its support plane has no point below z = 0
-    face = obj.face(region.face)
-    corners3 = face.to_object(region.corners())
-    z = (corners3 @ rot.T)[:, 2] + tz
-    return bool(np.all(z >= clearance - FEAS_TOL))
-
-
-# ---------------------------------------------------------------------------
-# Action generation and transitions
-
-def successors(s: GraspState, obj: ObjectModel,
-               cfg: ResolutionConfig) -> list[tuple[Action, GraspState]]:
-    """All feasible (action, resulting state) pairs, in canonical kind order.
-
-    The search relies on this order for deterministic tie-breaking.
-    """
-    out: list[tuple[Action, GraspState]] = []
-    ctx = world_context(s, obj)
-    for kind in (ActionKind.SLIDE_LEFT_UP, ActionKind.SLIDE_LEFT_DOWN,
-                 ActionKind.SLIDE_RIGHT_UP, ActionKind.SLIDE_RIGHT_DOWN):
-        action = Action(kind, cfg.slide_step)
-        nxt = _try_slide(s, action, obj, ctx)
-        if nxt is not None:
-            out.append((action, nxt))
-    for kind in (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW):
-        found = _find_rotation(obj, s.support_face, s.left.face,
-                               ccw=(kind == ActionKind.ROTATE_CCW))
-        if found is None:
-            continue
-        magnitude, _ = found
-        action = Action(kind, magnitude, arc_radius=ctx.grasp_width / 2.0)
-        nxt = _checked_rotation(s, action, obj, ctx, cfg)
-        if nxt is not None:
-            out.append((action, nxt))
-    for kind in (ActionKind.MOVE_CONTACT_UP, ActionKind.MOVE_CONTACT_DOWN):
-        action = Action(kind, cfg.z_step)
-        nxt = _try_move(s, action, obj, ctx, cfg)
-        if nxt is not None:
-            out.append((action, nxt))
-    pivot = find_pivot_edge(s, obj)
-    if pivot is not None:
-        action = Action(ActionKind.PIVOT, abs(pivot.angle), arc_radius=ctx.grasp_width / 2.0)
-        nxt = _try_pivot(s, action, obj, ctx, cfg)
-        if nxt is not None:
-            out.append((action, nxt))
-    return out
-
-
-def valid_actions(s: GraspState, obj: ObjectModel, cfg: ResolutionConfig) -> list[Action]:
-    """All primitives whose feasibility predicates pass in state s."""
-    return [action for action, _ in successors(s, obj, cfg)]
-
-
-def transition(s: GraspState, a: Action, obj: ObjectModel) -> GraspState:
-    """Apply one primitive; raises InfeasibleActionError if preconditions fail."""
-    ctx = world_context(s, obj)
-    kind = a.kind
-    if kind in (ActionKind.SLIDE_LEFT_UP, ActionKind.SLIDE_LEFT_DOWN,
-                ActionKind.SLIDE_RIGHT_UP, ActionKind.SLIDE_RIGHT_DOWN):
-        nxt = _try_slide(s, a, obj, ctx)
-    elif kind in (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW):
-        nxt = _apply_rotation(s, a, obj, ctx)
-    elif kind in (ActionKind.MOVE_CONTACT_UP, ActionKind.MOVE_CONTACT_DOWN):
-        nxt = _try_move(s, a, obj, ctx, None)
-    elif kind == ActionKind.PIVOT:
-        nxt = _try_pivot(s, a, obj, ctx, None)
-    else:  # pragma: no cover - exhaustive enum
-        raise InfeasibleActionError(f"unknown action kind {kind}")
-    if nxt is None:
-        raise InfeasibleActionError(f"{kind.name} (magnitude {a.magnitude:g}) is infeasible here")
-    return nxt
-
-
-def _with_center(region: ContactRegion, center: np.ndarray) -> ContactRegion:
-    return ContactRegion(region.face, center, region.orientation,
-                         region.pad_width, region.pad_height)
-
-
-def _try_slide(s: GraspState, a: Action, obj: ObjectModel, ctx: WorldContext) -> GraspState | None:
-    sign = 1.0 if a.kind in (ActionKind.SLIDE_LEFT_UP, ActionKind.SLIDE_RIGHT_UP) else -1.0
-    left_finger = a.kind in (ActionKind.SLIDE_LEFT_UP, ActionKind.SLIDE_LEFT_DOWN)
-    region = s.left if left_finger else s.right
-    axis = ctx.left_axes[0] if left_finger else ctx.right_axes[0]
-    moved = _with_center(region, region.center + sign * a.magnitude * axis)
-    if not _contained(obj, moved):
-        return None
-    if left_finger:
-        return GraspState(moved, s.right, s.grasp_pair, s.support_face, s.horizontal_axis)
-    return GraspState(s.left, moved, s.grasp_pair, s.support_face, s.horizontal_axis)
-
-
-def _try_move(s: GraspState, a: Action, obj: ObjectModel, ctx: WorldContext,
-              cfg: ResolutionConfig | None) -> GraspState | None:
-    sign = 1.0 if a.kind == ActionKind.MOVE_CONTACT_UP else -1.0
-    new_left = _with_center(s.left, s.left.center + sign * a.magnitude * ctx.left_axes[1])
-    new_right = _with_center(s.right, s.right.center + sign * a.magnitude * ctx.right_axes[1])
-    clearance = cfg.table_clearance if cfg is not None else 0.0
-    for region in (new_left, new_right):
-        if not _contained(obj, region):
-            return None
-        if not _clearance_ok(obj, ctx.rotation, ctx.z_offset, region, clearance):
-            return None
-    return GraspState(new_left, new_right, s.grasp_pair, s.support_face, s.horizontal_axis)
-
-
-def _find_rotation(obj: ObjectModel, support_face: int, left_face: int,
-                   ccw: bool) -> tuple[float, int] | None:
+def _rotation_angle(obj: ObjectModel, rot: np.ndarray, left_face: int, ccw: bool) -> float | None:
     """Smallest spin about vertical that lands the pads on another pair."""
-    key = ("rotation-candidate", support_face, left_face, ccw)
-    if key in obj.scratch:
-        return obj.scratch[key]
-    rot, _ = _pose(obj, support_face, left_face)
-    best: tuple[float, int] | None = None
-    for pair_idx, pair in enumerate(obj.parallel_pairs):
+    best: float | None = None
+    for pair in obj.parallel_pairs:
         for candidate_left in pair:
             if candidate_left == left_face:
                 continue
@@ -531,38 +432,17 @@ def _find_rotation(obj: ObjectModel, support_face: int, left_face: int,
                 phi = -phi  # compare magnitudes
             if phi <= FEAS_TOL or phi > math.pi + FEAS_TOL:
                 continue
-            if best is None or phi < best[0] - GEOM_TOL:
-                best = (phi, pair_idx)
-    obj.scratch[key] = best
+            if best is None or phi < best - GEOM_TOL:
+                best = phi
     return best
 
 
-def _checked_rotation(s: GraspState, a: Action, obj: ObjectModel, ctx: WorldContext,
-                      cfg: ResolutionConfig) -> GraspState | None:
-    nxt = _apply_rotation(s, a, obj, ctx)
-    if nxt is None:
-        return None
-    width = _pair_width_cached(obj, nxt.grasp_pair)
-    if not (cfg.min_grasp_width - FEAS_TOL <= width <= cfg.max_grasp_width + FEAS_TOL):
-        return None
-    # Length-to-width limit: too-elongated grips cannot generate the spin moment.
-    sigma = -1.0 if a.kind == ActionKind.ROTATE_CCW else 1.0
-    rot_new = _rot_z3(sigma * a.magnitude) @ ctx.rotation
-    face = obj.face(nxt.left.face)
-    verts_y = (rot_new @ face.to_object(face.polygon.vertices).T)[1]
-    extent = float(verts_y.max() - verts_y.min())
-    if extent / width > cfg.max_length_width_ratio + FEAS_TOL:
-        return None
-    return nxt
-
-
-def _apply_rotation(s: GraspState, a: Action, obj: ObjectModel,
-                    ctx: WorldContext) -> GraspState | None:
-    sigma = -1.0 if a.kind == ActionKind.ROTATE_CCW else 1.0
-    phi = sigma * a.magnitude
-    rz = _rot_z3(phi)
-    rot_new = rz @ ctx.rotation
-
+def _rotation(obj: ObjectModel, m: _Mode, kind: ActionKind, magnitude: float) -> _Rotation | None:
+    """The rotation of mode m by magnitude, or None if it lands on no grippable pair."""
+    support_face, left_face, right_face = m.faces
+    sigma = -1.0 if kind == ActionKind.ROTATE_CCW else 1.0
+    rz = _rot_z3(sigma * magnitude)
+    rot_new = rz @ m.rot
     target = None
     for pair_idx, pair in enumerate(obj.parallel_pairs):
         for candidate_left in pair:
@@ -573,66 +453,30 @@ def _apply_rotation(s: GraspState, a: Action, obj: ObjectModel,
     if target is None:
         return None
     pair_idx, new_left_face, new_right_face = target
-    if s.support_face in (new_left_face, new_right_face):
+    if support_face in (new_left_face, new_right_face):
         return None
-
-    centroid = (ctx.left_center_world + ctx.right_center_world) / 2.0
-    offset = np.array([0.0, 0.0, ctx.z_offset])
-
-    def transport(region: ContactRegion, new_face_id: int,
-                  pad_world: np.ndarray) -> ContactRegion | None:
-        face_old = obj.face(region.face)
-        face_new = obj.face(new_face_id)
-        rot_face_new = rot_new @ face_new.frame.rotation
-        t_new = rz @ (ctx.rotation @ face_new.frame.translation + offset - centroid) + centroid
-        local3 = rot_face_new.T @ (pad_world - t_new)
-        # The pad keeps its world (y, z); the face u/v axes have no world-x
-        # component, so the face-plane coordinates ignore the pad's x.
-        center = local3[:2]
-        pad_dir_world = (ctx.rotation @ face_old.frame.rotation) @ np.array(
-            [math.cos(region.orientation), math.sin(region.orientation), 0.0])
-        e = rot_face_new.T @ pad_dir_world
-        theta = math.atan2(e[1], e[0])
-        moved = ContactRegion(new_face_id, center, theta, region.pad_width, region.pad_height)
-        return moved if _contained(obj, moved) else None
-
-    new_left = transport(s.left, new_left_face, ctx.left_center_world)
-    new_right = transport(s.right, new_right_face, ctx.right_center_world)
-    if new_left is None or new_right is None:
-        return None
-    horiz = _face_axes(rot_new, obj, new_left_face)[0]
-    return GraspState(left=new_left, right=new_right, grasp_pair=pair_idx,
-                      support_face=s.support_face, horizontal_axis=horiz)
+    offset = np.array([0.0, 0.0, m.tz])
+    fingers = []
+    for old, new in ((left_face, new_left_face), (right_face, new_right_face)):
+        frame_new = obj.face(new).frame
+        fingers.append((new, rot_new @ frame_new.rotation, m.rot @ frame_new.translation + offset,
+                        m.rot @ obj.face(old).frame.rotation))
+    face = obj.face(new_left_face)
+    verts_y = (rot_new @ face.to_object(face.polygon.vertices).T)[1]
+    return _Rotation(Action(kind, magnitude, arc_radius=m.width / 2.0), pair_idx, rz,
+                     tuple(fingers), _face_axes(rot_new, obj, new_left_face)[0],
+                     obj.pair_width(pair_idx), float(verts_y.max() - verts_y.min()))
 
 
-@dataclass(frozen=True)
-class PivotEdgeInfo:
-    """The forward pivot available in a state: tipping angle, landing face,
-    and a world point on the support edge being tipped over."""
-
-    angle: float  # signed world rotation about +x that lays the new face flat
-    new_support: int
-    edge_point_world: np.ndarray
-
-
-def find_pivot_edge(s: GraspState, obj: ObjectModel) -> PivotEdgeInfo | None:
-    """Locate the support edge parallel to the squeeze axis on the +y side.
-
-    Tipping is only defined over such an edge: the grasp axis must coincide
-    with the rotation axis so the gripped faces stay vertical.
-    """
-    key = ("pivot-edge", s.support_face, s.left.face)
-    if key in obj.scratch:
-        return obj.scratch[key]
-    rot, tz = _pose(obj, s.support_face, s.left.face)
-    support = obj.face(s.support_face)
+def _pivot_edge(obj: ObjectModel, rot: np.ndarray, tz: float,
+                support_face: int) -> PivotEdgeInfo | None:
+    support = obj.face(support_face)
     rot_support = rot @ support.frame.rotation
     t_support = rot @ support.frame.translation + np.array([0.0, 0.0, tz])
     centroid_w = rot_support[:, :2] @ support.polygon.centroid + t_support
-    info = None
-    for neighbor in obj.neighbors(s.support_face):
-        edge = obj.shared_edge(s.support_face, neighbor)
-        pts = edge.endpoints_in(s.support_face)
+    for neighbor in obj.neighbors(support_face):
+        edge = obj.shared_edge(support_face, neighbor)
+        pts = edge.endpoints_in(support_face)
         d_w = rot_support[:, :2] @ (pts[1] - pts[0])
         d_w /= math.sqrt(float(d_w @ d_w))
         if abs(d_w[1]) > FEAS_TOL or abs(d_w[2]) > FEAS_TOL:
@@ -645,44 +489,204 @@ def find_pivot_edge(s: GraspState, obj: ObjectModel) -> PivotEdgeInfo | None:
             n_new_w[1] * _WORLD_DOWN[2] - n_new_w[2] * _WORLD_DOWN[1],
             float(n_new_w[1:] @ _WORLD_DOWN[1:]),
         )
-        info = PivotEdgeInfo(chi, neighbor, mid_w)
-        break
-    obj.scratch[key] = info
-    return info
+        return PivotEdgeInfo(chi, neighbor, mid_w)
+    return None
 
 
-def _try_pivot(s: GraspState, a: Action, obj: ObjectModel, ctx: WorldContext,
-               cfg: ResolutionConfig | None) -> GraspState | None:
-    found = find_pivot_edge(s, obj)
-    if found is None:
-        return None
-    chi, new_support = found.angle, found.new_support
-    if abs(abs(chi) - a.magnitude) > FEAS_TOL:
-        return None
-    rot_new = _rot_x3(chi) @ ctx.rotation
+def find_pivot_edge(s: GraspState, obj: ObjectModel) -> PivotEdgeInfo | None:
+    """Locate the support edge parallel to the squeeze axis on the +y side.
 
-    def rotate_in_face(region: ContactRegion) -> ContactRegion | None:
-        face = obj.face(region.face)
-        pad_dir_world = (ctx.rotation @ face.frame.rotation) @ np.array(
-            [math.cos(region.orientation), math.sin(region.orientation), 0.0])
-        e = (rot_new @ face.frame.rotation).T @ pad_dir_world
-        moved = ContactRegion(region.face, region.center, math.atan2(e[1], e[0]),
-                              region.pad_width, region.pad_height)
-        return moved if _contained(obj, moved) else None
+    Tipping is only defined over such an edge: the grasp axis must coincide
+    with the rotation axis so the gripped faces stay vertical.
+    """
+    pivot = _mode(obj, s.support_face, s.left.face, s.right.face).pivot
+    return None if pivot is None else pivot.edge
 
-    new_left = rotate_in_face(s.left)
-    new_right = rotate_in_face(s.right)
-    if new_left is None or new_right is None:
-        return None
-    support_pt = rot_new @ obj.face(new_support).frame.translation
-    tz_new = -float(support_pt @ _WORLD_UP)
-    clearance = cfg.table_clearance if cfg is not None else 0.0
-    for region in (new_left, new_right):
-        if not _clearance_ok(obj, rot_new, tz_new, region, clearance):
+
+def _world_center(obj: ObjectModel, m: _Mode, region: ContactRegion) -> np.ndarray:
+    frame = obj.face(region.face).frame
+    p = m.rot @ (frame.rotation[:, 0] * region.center[0] + frame.rotation[:, 1] * region.center[1]
+                 + frame.translation)
+    p[2] += m.tz
+    return p
+
+
+def world_context(s: GraspState, obj: ObjectModel) -> WorldContext:
+    m = _mode(obj, s.support_face, s.left.face, s.right.face)
+    return WorldContext(
+        rotation=m.rot,
+        z_offset=m.tz,
+        left_axes=m.axes[0],
+        right_axes=m.axes[1],
+        left_center_world=_world_center(obj, m, s.left),
+        right_center_world=_world_center(obj, m, s.right),
+        grasp_width=m.width,
+    )
+
+
+def _corners_inside(obj: ObjectModel, region: ContactRegion) -> bool:
+    normals, offsets = obj.face(region.face).polygon.halfplanes()
+    margins = region.corners() @ normals.T - offsets
+    return bool(np.all(margins >= -FEAS_TOL))
+
+
+def _shrunk_face(obj: ObjectModel, face_id: int, theta: float, pad_width: float,
+                 pad_height: float) -> tuple[tuple[float, float, float], ...]:
+    """Half-planes (n_u, n_v, b) holding the centres of pads that fit within FEAS_TOL."""
+    normals, offsets = obj.face(face_id).polygon.halfplanes()
+    reach = (ContactRegion(face_id, np.zeros(2), theta, pad_width, pad_height).corners()
+             @ normals.T).min(axis=0)
+    return tuple((n_u, n_v, b - r - FEAS_TOL) for (n_u, n_v), b, r in
+                 zip(normals.tolist(), offsets.tolist(), reach.tolist()))
+
+
+def _place(obj: ObjectModel, m: _Mode, face_id: int, x: float, y: float, theta: float,
+           pad: ContactRegion) -> ContactRegion | None:
+    """The pad moved to centre (x, y), orientation theta on a face; None if it leaves it."""
+    key = (face_id, theta, pad.pad_width, pad.pad_height)
+    planes = m.shrunk.get(key)
+    if planes is None:
+        planes = m.shrunk[key] = _shrunk_face(obj, *key)
+    close = False
+    for n_u, n_v, b in planes:
+        margin = n_u * x + n_v * y - b
+        if margin < -_GUARD:
             return None
-    horiz = _face_axes(rot_new, obj, new_left.face)[0]
-    return GraspState(left=new_left, right=new_right, grasp_pair=s.grasp_pair,
-                      support_face=new_support, horizontal_axis=horiz)
+        close = close or margin <= _GUARD
+    region = ContactRegion(face_id, np.array([x, y]), theta, pad.pad_width, pad.pad_height)
+    return None if close and not _corners_inside(obj, region) else region
+
+
+def _clearance_ok(obj: ObjectModel, rot: np.ndarray, tz: float, region: ContactRegion,
+                  clearance: float) -> bool:
+    if clearance <= 0.0:
+        return True  # a convex body on its support plane has no point below z = 0
+    face = obj.face(region.face)
+    corners3 = face.to_object(region.corners())
+    z = (corners3 @ rot.T)[:, 2] + tz
+    return bool(np.all(z >= clearance - FEAS_TOL))
+
+
+# ---------------------------------------------------------------------------
+# Action generation and transitions
+
+# kind -> (fingers that move, face axis: 0 horizontal / 1 up, sign)
+_TRANSLATIONS = {
+    ActionKind.SLIDE_LEFT_UP: ((0,), 0, 1.0), ActionKind.SLIDE_LEFT_DOWN: ((0,), 0, -1.0),
+    ActionKind.SLIDE_RIGHT_UP: ((1,), 0, 1.0), ActionKind.SLIDE_RIGHT_DOWN: ((1,), 0, -1.0),
+    ActionKind.MOVE_CONTACT_UP: ((0, 1), 1, 1.0), ActionKind.MOVE_CONTACT_DOWN: ((0, 1), 1, -1.0),
+}
+_SLIDES = tuple(_TRANSLATIONS)[:4]
+_MOVES = tuple(_TRANSLATIONS)[4:]
+
+
+def successors(s: GraspState, obj: ObjectModel,
+               cfg: ResolutionConfig) -> list[tuple[Action, GraspState]]:
+    """All feasible (action, resulting state) pairs, in canonical kind order.
+
+    The search relies on this order for deterministic tie-breaking.
+    """
+    out: list[tuple[Action, GraspState]] = []
+    m = _mode(obj, s.support_face, s.left.face, s.right.face)
+    for kind in _SLIDES:  # a slide keeps the pad's height: no clearance test
+        nxt = _translate(obj, s, m, kind, cfg.slide_step, 0.0)
+        if nxt is not None:
+            out.append((Action(kind, cfg.slide_step), nxt))
+    for rt in m.rotations.values():
+        nxt = None if rt is None else _rotate(obj, s, m, rt, cfg)
+        if nxt is not None:
+            out.append((rt.action, nxt))
+    for kind in _MOVES:
+        nxt = _translate(obj, s, m, kind, cfg.z_step, cfg.table_clearance)
+        if nxt is not None:
+            out.append((Action(kind, cfg.z_step), nxt))
+    if m.pivot is not None:
+        nxt = _pivot(obj, s, m, m.pivot.action.magnitude, cfg.table_clearance)
+        if nxt is not None:
+            out.append((m.pivot.action, nxt))
+    return out
+
+
+def valid_actions(s: GraspState, obj: ObjectModel, cfg: ResolutionConfig) -> list[Action]:
+    """All primitives whose feasibility predicates pass in state s."""
+    return [action for action, _ in successors(s, obj, cfg)]
+
+
+def transition(s: GraspState, a: Action, obj: ObjectModel) -> GraspState:
+    """Apply one primitive (no ResolutionConfig limits); raises InfeasibleActionError."""
+    m = _mode(obj, s.support_face, s.left.face, s.right.face)
+    kind = a.kind
+    if kind in _TRANSLATIONS:
+        nxt = _translate(obj, s, m, kind, a.magnitude, 0.0)
+    elif kind in (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW):
+        rt = m.rotations[kind]
+        if rt is None or rt.action.magnitude != a.magnitude:
+            rt = _rotation(obj, m, kind, a.magnitude)
+        nxt = None if rt is None else _rotate(obj, s, m, rt, None)
+    else:
+        nxt = _pivot(obj, s, m, a.magnitude, 0.0)
+    if nxt is None:
+        raise InfeasibleActionError(f"{kind.name} (magnitude {a.magnitude:g}) is infeasible here")
+    return nxt
+
+
+def _translate(obj: ObjectModel, s: GraspState, m: _Mode, kind: ActionKind, magnitude: float,
+               clearance: float) -> GraspState | None:
+    fingers, axis, sign = _TRANSLATIONS[kind]
+    step = sign * magnitude
+    pads = [s.left, s.right]
+    for i in fingers:
+        pad = pads[i]
+        (d_u, d_v), (x, y) = m.dirs[i][axis], pad.center.tolist()
+        pads[i] = _place(obj, m, pad.face, x + step * d_u, y + step * d_v, pad.orientation, pad)
+        if pads[i] is None or not _clearance_ok(obj, m.rot, m.tz, pads[i], clearance):
+            return None
+    return GraspState(pads[0], pads[1], s.grasp_pair, s.support_face, s.horizontal_axis)
+
+
+def _turn(rot_face_old: np.ndarray, rot_face_new: np.ndarray, theta: float) -> float:
+    """A pad's orientation on its face after the face's world rotation changes."""
+    pad_dir_world = rot_face_old @ np.array([math.cos(theta), math.sin(theta), 0.0])
+    e = rot_face_new.T @ pad_dir_world
+    return math.atan2(e[1], e[0])
+
+
+def _rotate(obj: ObjectModel, s: GraspState, m: _Mode, rt: _Rotation,
+            cfg: ResolutionConfig | None) -> GraspState | None:
+    if cfg is not None:
+        if not (cfg.min_grasp_width - FEAS_TOL <= rt.width <= cfg.max_grasp_width + FEAS_TOL):
+            return None
+        # Length-to-width limit: too-elongated grips cannot generate the spin moment.
+        if rt.extent / rt.width > cfg.max_length_width_ratio + FEAS_TOL:
+            return None
+    pads_world = (_world_center(obj, m, s.left), _world_center(obj, m, s.right))
+    centroid = (pads_world[0] + pads_world[1]) / 2.0
+    pads = []
+    for region, pad_world, (face_id, rot_face_new, t_face, rot_face_old) in zip(
+            (s.left, s.right), pads_world, rt.fingers):
+        t_new = rt.rz @ (t_face - centroid) + centroid
+        # The pad keeps its world (y, z); the face u/v axes have no world-x
+        # component, so the face-plane coordinates ignore the pad's x.
+        x, y, _ = (rot_face_new.T @ (pad_world - t_new)).tolist()
+        pads.append(_place(obj, m, face_id, x, y,
+                           _turn(rot_face_old, rot_face_new, region.orientation), region))
+        if pads[-1] is None:
+            return None
+    return GraspState(pads[0], pads[1], rt.pair, s.support_face, rt.horizontal)
+
+
+def _pivot(obj: ObjectModel, s: GraspState, m: _Mode, magnitude: float,
+           clearance: float) -> GraspState | None:
+    pv = m.pivot
+    if pv is None or abs(abs(pv.edge.angle) - magnitude) > FEAS_TOL:
+        return None
+    pads = [_place(obj, m, region.face, *region.center.tolist(),
+                   _turn(rot_face_old, rot_face_new, region.orientation), region)
+            for region, (rot_face_old, rot_face_new) in zip((s.left, s.right), pv.fingers)]
+    if not all(pad is not None and _clearance_ok(obj, pv.rot_new, pv.tz_new, pad, clearance)
+               for pad in pads):
+        return None
+    return GraspState(pads[0], pads[1], s.grasp_pair, pv.edge.new_support, pv.horizontal)
 
 
 # ---------------------------------------------------------------------------
@@ -742,18 +746,12 @@ def state_key(s: GraspState, quantum: float = 1e-7) -> tuple:
     Action steps are orders of magnitude larger than the quantum, so equal
     states collide and distinct lattice points never do.
     """
-    def q(x: float) -> int:
-        return int(round(x / quantum))
-
-    def angle_key(theta: float) -> int:
-        twopi = 2.0 * math.pi
-        r = theta % twopi
+    twopi = 2.0 * math.pi
+    key = [s.grasp_pair, s.support_face, s.left.face]
+    for region in (s.left, s.right):
+        x, y = region.center.tolist()
+        r = region.orientation % twopi
         if twopi - r < 5e-8:
             r = 0.0
-        return q(r)
-
-    return (
-        s.grasp_pair, s.support_face, s.left.face,
-        q(s.left.center[0]), q(s.left.center[1]), angle_key(s.left.orientation),
-        q(s.right.center[0]), q(s.right.center[1]), angle_key(s.right.orientation),
-    )
+        key += (round(x / quantum), round(y / quantum), round(r / quantum))
+    return tuple(key)

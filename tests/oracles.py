@@ -97,6 +97,18 @@ def hull_clip_area(pa: np.ndarray, pb: np.ndarray) -> float:
     return float(hull.volume)  # 2D hull "volume" is area
 
 
+def pad_corners_inside(obj: ObjectModel, region: ContactRegion, tol: float = 1e-6) -> bool:
+    """Whether all 4 pad corners lie within tol of the face's half-planes.
+
+    The exception to this module's rule of separate routes: it keeps the
+    corner-by-half-plane arithmetic of the library's original containment
+    test, so verdicts can be compared even for pads within ulps of tol.
+    """
+    normals, offsets = obj.face(region.face).polygon.halfplanes()
+    margins = region.corners() @ normals.T - offsets
+    return bool(np.all(margins >= -tol))
+
+
 # ---------------------------------------------------------------------------
 # Surface distance
 

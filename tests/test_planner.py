@@ -18,7 +18,24 @@ from wihmplan.transition import (
     state_key,
 )
 
+from conftest import load_task
 from oracles import enumerate_state_graph, optimal_cost_to_goals
+
+UP, CW, CCW = "MOVE_CONTACT_UP", "ROTATE_CW", "ROTATE_CCW"
+# Fixture task -> (expansions, action kinds, total action cost) of its plan.
+# rc_t2_rotate and sq_t3_caps, the slow two, are pinned by the benchmark's tests.
+PINNED_PLANS = {
+    "sq_t1_shift": (368, [UP] * 14, 0.14),
+    "sq_t2_rotate": (436, [UP, CW, UP, UP], 0.1242477796076938),
+    "rc_t1_shift": (64, [UP] * 8, 0.08),
+    "rl_t1_shift": (1248, ["SLIDE_LEFT_DOWN", "SLIDE_RIGHT_DOWN"] * 2 + [UP] * 14, 0.16),
+    "rl_t2_rotate": (1924, [UP] * 8 + [CW], 0.1742477796076938),
+    "ht_t1_shift": (122, [UP] * 12, 0.12),
+    "ht_t2_rotate": (506, [UP] * 8 + [CCW], 0.16162097139053988),
+    "rs_t1_shift": (79, [UP] * 8, 0.08),
+    "rs_t2_rotate": (200, [UP] * 5 + [CW, UP, UP], 0.1171238898038469),
+    "hs_t1_rotate": (215, [UP, CW, UP, UP, UP], 0.1216209713905397),
+}
 
 
 def small_instance(kind="slide"):
@@ -235,3 +252,15 @@ class TestOptimality:
         for key, st in states.items():
             remaining = dist.get(key, math.inf)
             assert lam * total_heuristic(st, cache) <= remaining + 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_PLANS))
+def test_fixture_plan_is_pinned(suite_entries, name):
+    obj, start, goals, resolution, cost = load_task(
+        next(e for e in suite_entries if e["name"] == name))
+    p = plan(obj, start, goals, resolution, cost)
+    expansions, kinds, total = PINNED_PLANS[name]
+    assert p.status == "exact-goal"
+    assert p.expansions == expansions
+    assert [a.kind.name for a in p.actions] == kinds
+    assert p.total_action_cost == pytest.approx(total, abs=1e-12)

@@ -1,14 +1,21 @@
 from __future__ import annotations
 
+import functools
+import importlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wihmplan as w
+from wihmplan import io as io_mod
+from wihmplan.geometry import FEAS_TOL
 from wihmplan.transition import (
     Action,
     ActionKind,
+    ContactRegion,
     GoalRegion,
     GraspState,
     ResolutionConfig,
@@ -23,8 +30,11 @@ from wihmplan.transition import (
     world_context,
 )
 
-from conftest import random_feasible_state
-from oracles import oracle_pivot, oracle_rotate
+from conftest import FIXTURES, OBJECT_FILES, load_task, random_feasible_state
+from oracles import oracle_pivot, oracle_rotate, pad_corners_inside
+
+# The module, not the `transition` function the package exports under its name.
+transition_mod = importlib.import_module("wihmplan.transition")
 
 
 def centered_state(obj, pad=0.02):
@@ -373,6 +383,127 @@ class TestStateValidation:
         with pytest.raises(w.InvalidStateError):
             GraspState.create(square_prism, 0, 2, 4, (0.2, 0.02), (0.02, 0.02),
                               0.02, 0.02)
+
+
+@functools.cache
+def _containment_objects() -> list[w.ObjectModel]:
+    """Fresh models, so the drawn pads do not fill the shared fixtures' mode tables."""
+    return [io_mod.load_object(FIXTURES / name) for name in OBJECT_FILES]
+
+
+def _some_mode(obj):
+    """A mode table entry of obj: its containment cache serves every face."""
+    left, right = obj.parallel_pairs[0]
+    return transition_mod._mode(obj, obj.lateral_count, left, right)
+
+
+def _threshold_pad(face, theta, width, height, edge, along, nudges) -> ContactRegion:
+    """A pad centred where one corner sits FEAS_TOL outside a face edge, then
+    moved by a few ulps per coordinate (nudges: signed ulp counts)."""
+    normals, _ = face.polygon.halfplanes()
+    verts = face.polygon.vertices
+    on_edge = verts[edge] + along * (verts[(edge + 1) % len(verts)] - verts[edge])
+    reach = float((ContactRegion(face.id, np.zeros(2), theta, width, height).corners()
+                   @ normals[edge]).min())
+    center = on_edge + (-FEAS_TOL - reach) * normals[edge]
+    for i, nudge in enumerate(nudges):
+        for _ in range(abs(nudge)):
+            center[i] = np.nextafter(center[i], math.copysign(1.0, nudge))
+    return ContactRegion(face.id, center, theta, width, height)
+
+
+def _place_matches_oracle(obj, pad: ContactRegion) -> bool:
+    x, y = pad.center.tolist()
+    placed = transition_mod._place(obj, _some_mode(obj), pad.face, x, y, pad.orientation, pad)
+    if placed is not None:
+        assert placed.center.tolist() == [x, y]
+    return (placed is not None) == pad_corners_inside(obj, pad)
+
+
+@st.composite
+def _pads(draw):
+    """A pad on a fixture face, half of them centred within ulps of the
+    -FEAS_TOL containment threshold of one face edge."""
+    obj = draw(st.sampled_from(_containment_objects()))
+    face = obj.faces[draw(st.integers(0, len(obj.faces) - 1))]
+    theta = draw(st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2,
+                                            math.pi / 3, -2 * math.pi / 3]),
+                           st.floats(-math.pi, math.pi)))
+    width = draw(st.floats(0.002, 0.03))
+    height = draw(st.floats(0.002, 0.03))
+    if draw(st.booleans()):
+        verts = face.polygon.vertices
+        lo, hi = verts.min(axis=0) - width, verts.max(axis=0) + width
+        center = np.array([draw(st.floats(lo[i], hi[i])) for i in range(2)])
+        return obj, ContactRegion(face.id, center, theta, width, height)
+    edge = draw(st.integers(0, len(face.polygon) - 1))
+    nudges = (draw(st.integers(-4, 4)), draw(st.integers(-4, 4)))
+    return obj, _threshold_pad(face, theta, width, height, edge, draw(st.floats(0.0, 1.0)),
+                               nudges)
+
+
+class TestModeTable:
+    @settings(max_examples=400, deadline=None)
+    @given(_pads())
+    def test_containment_matches_corner_oracle(self, drawn):
+        assert _place_matches_oracle(*drawn)
+
+    def test_threshold_pads_match_corner_oracle(self, monkeypatch):
+        # Near the threshold the centre test alone disagrees with the corners
+        # about 1% of the time; the guard band must send those to the corner test.
+        rng = np.random.default_rng(11)
+        real = transition_mod._corners_inside
+        corner_calls = []
+        monkeypatch.setattr(transition_mod, "_corners_inside",
+                            lambda *args: corner_calls.append(args) or real(*args))
+        verdicts = set()
+        for _ in range(2000):
+            obj = _containment_objects()[int(rng.integers(len(OBJECT_FILES)))]
+            face = obj.faces[int(rng.integers(len(obj.faces)))]
+            theta = float(rng.choice([0.0, math.pi / 2, math.pi / 3,
+                                      rng.uniform(-math.pi, math.pi)]))
+            width, height = rng.uniform(0.002, 0.03, size=2).tolist()
+            pad = _threshold_pad(face, theta, width, height, int(rng.integers(len(face.polygon))),
+                                 float(rng.random()), rng.integers(-4, 5, size=2).tolist())
+            assert _place_matches_oracle(obj, pad)
+            verdicts.add(pad_corners_inside(obj, pad))
+        assert verdicts == {True, False}
+        assert len(corner_calls) > 1000
+
+    def test_replay_matches_search_bit_for_bit(self, suite_entries):
+        rng = np.random.default_rng(7)
+        for entry in suite_entries:
+            obj, start, _, resolution, _ = load_task(entry)
+            replay_obj = io_mod.load_object(FIXTURES / entry["object"])  # its own mode table
+            state = start
+            for _ in range(25):
+                options = successors(state, obj, resolution)
+                for action, child in options:
+                    assert _state_bits(transition(state, action, replay_obj)) == \
+                        _state_bits(child), (entry["name"], action)
+                state = options[int(rng.integers(len(options)))][1]
+
+    def test_mode_table_holds_one_entry_per_mode(self, suite_entries):
+        entry = next(e for e in suite_entries if e["name"] == "sq_t3_caps")
+        obj, start, _, resolution, _ = load_task(entry)
+        frontier, seen, modes = [start], {state_key(start)}, set()
+        while frontier and len(seen) < 3000:
+            state = frontier.pop()
+            modes.add((state.support_face, state.left.face, state.right.face))
+            for _, child in successors(state, obj, resolution):
+                if state_key(child) not in seen:
+                    seen.add(state_key(child))
+                    frontier.append(child)
+        assert len(modes) > 1
+        assert set(obj.scratch) == modes
+
+
+def _state_bits(s: GraspState) -> tuple:
+    floats = [*s.horizontal_axis.tolist()]
+    for r in (s.left, s.right):
+        floats += [*r.center.tolist(), r.orientation, r.pad_width, r.pad_height]
+    return (s.grasp_pair, s.support_face, s.left.face, s.right.face,
+            [float(v).hex() for v in floats])
 
 
 def _angle_close(a: float, b: float, tol: float) -> bool:
