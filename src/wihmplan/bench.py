@@ -101,11 +101,6 @@ class TaskSpec:
     goals: list[GoalRegion]
     resolution: ResolutionConfig
     cost: CostConfig
-    trials: int = 1
-
-    def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise InvalidInputError(f"task {self.name}: trial count must be >= 1")
 
 
 @dataclass
@@ -149,8 +144,11 @@ def _aggregate(rows: list[TaskResult]) -> dict[str, float]:
         "tasks": float(n),
         "solved_fraction": sum(1.0 for r in rows if r.status == "exact-goal") / n,
         "mean_overlap": math.fsum(r.mean_overlap() for r in rows) / n,
+        "mean_overlap_left": math.fsum(r.overlap_left for r in rows) / n,
+        "mean_overlap_right": math.fsum(r.overlap_right for r in rows) / n,
         "mean_planning_time_s": math.fsum(r.planning_time_s for r in rows) / n,
         "mean_plan_length": math.fsum(float(r.plan_length) for r in rows) / n,
+        "mean_execution_steps": math.fsum(float(r.execution_steps) for r in rows) / n,
         "mean_objective": math.fsum(r.objective for r in rows) / n,
     }
 
@@ -259,9 +257,9 @@ def _aggregate_record(kind: str, name: str, agg: dict[str, float]) -> dict:
         "status": f"solved={agg['solved_fraction']:.3f}",
         "planning_time_s": agg["mean_planning_time_s"],
         "plan_length": agg["mean_plan_length"],
-        "execution_steps": agg["mean_plan_length"],
-        "overlap_left": agg["mean_overlap"],
-        "overlap_right": agg["mean_overlap"],
+        "execution_steps": agg["mean_execution_steps"],
+        "overlap_left": agg["mean_overlap_left"],
+        "overlap_right": agg["mean_overlap_right"],
         "outside_area": float("nan"),
         "objective": agg["mean_objective"],
     }

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -17,9 +16,9 @@ from . import bench as bench_mod
 from . import io as io_mod
 from .errors import WihmplanError
 from .geometry import unfold
-from .kinematics import PivotChain, RigidTransform3, Waypoint, ee_to_pivot, full_pivot_trajectory
+from .kinematics import plan_waypoints
 from .planner import plan as run_planner
-from .transition import ActionKind, derive_resolutions, find_pivot_edge, world_context
+from .transition import derive_resolutions
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -127,7 +126,7 @@ def _load_suite(path: str) -> tuple[list[bench_mod.TaskSpec], dict]:
         goals = io_mod.load_goals(base / entry["goals"], obj)
         tasks.append(bench_mod.TaskSpec(
             name=entry["name"], obj=obj, start=start, goals=goals,
-            resolution=resolution, cost=cost, trials=int(entry.get("trials", 1))))
+            resolution=resolution, cost=cost))
     return tasks, data.get("thresholds", {})
 
 
@@ -163,42 +162,6 @@ def _cmd_trajectory(args) -> int:
     waypoints = plan_waypoints(plan_, obj, chain, steps_per_stage=args.steps)
     io_mod.write_trajectory_csv(waypoints, args.out)
     return EXIT_OK
-
-
-def plan_waypoints(plan_, obj, chain: PivotChain, steps_per_stage: int = 25) -> list[Waypoint]:
-    """Concatenated end-effector waypoints for every pivot/shift in a plan.
-
-    Slides and in-hand rotations are finger-internal and emit no arm motion.
-    The pose chain starts at the identity and stays continuous across
-    actions.
-    """
-    from .kinematics import contact_shift_displacement
-
-    current = RigidTransform3.identity()
-    out: list[Waypoint] = [Waypoint(0, current)]
-    for action, state in zip(plan_.actions, plan_.states[:-1]):
-        if action.kind in (ActionKind.MOVE_CONTACT_UP, ActionKind.MOVE_CONTACT_DOWN):
-            direction = "up" if action.kind == ActionKind.MOVE_CONTACT_UP else "down"
-            delta = contact_shift_displacement(direction, action.magnitude)
-            current = RigidTransform3(current.rotation, current.translation + delta)
-            out.append(Waypoint(len(out), current))
-        elif action.kind == ActionKind.PIVOT:
-            info = find_pivot_edge(state, obj)
-            if info is None:
-                raise WihmplanError("plan contains a pivot that is infeasible in its state")
-            ctx = world_context(state, obj)
-            d4 = math.hypot(ctx.left_center_world[1] - info.edge_point_world[1],
-                            ctx.left_center_world[2] - info.edge_point_world[2])
-            pivot_chain = PivotChain(
-                d1=chain.d1, theta_finger=chain.theta_finger, d2=chain.d2,
-                d3=chain.d3, d4=d4, theta_contact=chain.theta_contact,
-                theta_pivot=action.magnitude)
-            anchor = current @ ee_to_pivot(pivot_chain)
-            for wp in full_pivot_trajectory(pivot_chain, action.magnitude,
-                                            steps_per_stage, world_pivot=anchor)[1:]:
-                out.append(Waypoint(len(out), wp.pose))
-            current = out[-1].pose
-    return out
 
 
 def _cmd_unfold(args) -> int:

@@ -1,8 +1,9 @@
 """Convex-polygon primitives, prismatic object models, and surface unfolding.
 
 Every operation here is a pure function, and values are immutable after
-construction apart from ``ObjectModel.scratch`` (see there).
-Units are meters and radians throughout.
+construction apart from two caches: ``ObjectModel.scratch`` (see there) and
+each ``ConvexPolygon2``'s plain-float half-plane and edge tables, filled on
+its first distance query.  Units are meters and radians throughout.
 """
 
 from __future__ import annotations
@@ -19,6 +20,10 @@ from .errors import InvalidGeometryError, InvalidModelError, UngraspableObjectEr
 # centimeter scale) vs. user-facing feasibility decisions.
 GEOM_TOL = 1e-9
 FEAS_TOL = 1e-6
+# Half-width of the band around a containment threshold inside which a margin
+# computed on Python floats is not trusted to round like the library's matrix
+# product: far above the rounding error of coordinates up to about 1e3 m.
+_GUARD = 1e-12
 
 _DEDUPE_TOL = 1e-12
 _COLLINEAR_TOL = 1e-12
@@ -33,10 +38,13 @@ class ConvexPolygon2:
     """Convex polygon stored counterclockwise with collinear vertices removed.
 
     Construction canonicalizes the vertex list (orientation, duplicate and
-    collinear removal) and rejects non-convex or degenerate input.
+    collinear removal) and rejects non-convex or degenerate input.  The first
+    distance query fills ``_tables``: the half-planes ``(n0, n1, off)`` and
+    the edges ``(sx, sy, dx, dy, len2)`` as Python floats, so polygons that
+    are only clipped or tested for containment never build them.
     """
 
-    __slots__ = ("vertices", "_normals", "_offsets", "_seg_starts", "_seg_dirs", "_seg_len2")
+    __slots__ = ("vertices", "_normals", "_offsets", "_tables")
 
     def __init__(self, vertices) -> None:
         pts = np.asarray(vertices, dtype=float)
@@ -67,9 +75,7 @@ class ConvexPolygon2:
         self._offsets = np.einsum("ij,ij->i", normals, pts)
         self._normals.setflags(write=False)
         self._offsets.setflags(write=False)
-        self._seg_starts = pts
-        self._seg_dirs = edges
-        self._seg_len2 = np.einsum("ij,ij->i", edges, edges)
+        self._tables = None
 
     def __repr__(self) -> str:
         return f"ConvexPolygon2({self.vertices.tolist()})"
@@ -90,6 +96,18 @@ class ConvexPolygon2:
     def halfplanes(self) -> tuple[np.ndarray, np.ndarray]:
         """Inward unit normals and offsets: inside iff N @ p - b >= 0."""
         return self._normals, self._offsets
+
+    def _float_tables(self) -> tuple[list, list]:
+        if self._tables is None:
+            starts = self.vertices
+            dirs = np.roll(starts, -1, axis=0) - starts
+            len2 = np.einsum("ij,ij->i", dirs, dirs)
+            planes = [(n0, n1, off) for (n0, n1), off in
+                      zip(self._normals.tolist(), self._offsets.tolist())]
+            edges = [(sx, sy, dx, dy, d2) for (sx, sy), (dx, dy), d2 in
+                     zip(starts.tolist(), dirs.tolist(), len2.tolist())]
+            self._tables = (planes, edges)
+        return self._tables
 
     @property
     def centroid(self) -> np.ndarray:
@@ -148,18 +166,60 @@ def point_to_polygon_distance(c, p: ConvexPolygon2) -> float:
 
 
 def points_to_polygon_distance(pts, p: ConvexPolygon2) -> np.ndarray:
-    """Distances from each of m query points to the polygon (0 when inside)."""
+    """Distances from each of m query points to the polygon (0 when inside).
+
+    Works on Python floats: for 4 pad corners and a few edges, numpy's
+    per-call overhead costs more than the arithmetic.  The distances are bit
+    for bit those of the numpy array form (kept as the test reference): per
+    edge ``t = clamp((r . d) / |d|^2, 0, 1)`` and ``|r - t d|^2`` in the same
+    order, then the minimum and one square root.  ``einsum`` and elementwise
+    ufuncs fuse no multiply-adds, so plain floats round the same way.  The
+    inside test is the exception: ``contains_points`` forms its margins with
+    a BLAS matrix product, which does fuse multiply-adds, and rounds
+    differently for one point than for four.  A point's verdict depends only
+    on its smallest margin, so when any point's smallest margin lies within
+    ``_GUARD`` of ``-GEOM_TOL`` or is not finite, the verdicts for the whole
+    array come from ``contains_points`` on that same array.
+    """
     pts = np.asarray(pts, dtype=float)
-    margins = pts @ p._normals.T - p._offsets          # (m, k)
-    inside = np.all(margins >= -GEOM_TOL, axis=1)
-    rel = pts[:, None, :] - p._seg_starts[None, :, :]  # (m, k, 2)
-    t = np.einsum("mkj,kj->mk", rel, p._seg_dirs) / p._seg_len2
-    np.clip(t, 0.0, 1.0, out=t)
-    diff = rel - t[:, :, None] * p._seg_dirs[None, :, :]
-    d2 = np.einsum("mkj,mkj->mk", diff, diff)
-    out = np.sqrt(d2.min(axis=1))
-    out[inside] = 0.0
-    return out
+    planes, edges = p._float_tables()
+    rows = pts.tolist()
+    inside = []
+    for x, y in rows:
+        low = math.inf
+        for n0, n1, off in planes:
+            margin = n0 * x + n1 * y - off
+            if margin < low:
+                low = margin
+        # A NaN margin comes only from a non-finite coordinate, which leaves
+        # every other margin infinite or NaN too, so low is then infinite.
+        if not _GUARD < abs(low + GEOM_TOL) < math.inf:
+            inside = p.contains_points(pts, GEOM_TOL).tolist()
+            break
+        inside.append(low >= -GEOM_TOL)
+    out = []
+    for (x, y), is_inside in zip(rows, inside):
+        if is_inside:
+            out.append(0.0)
+            continue
+        best = math.inf
+        for sx, sy, dx, dy, len2 in edges:
+            rx = x - sx
+            ry = y - sy
+            t = (rx * dx + ry * dy) / len2
+            if t < 0.0:
+                t = 0.0
+            elif t > 1.0:
+                t = 1.0
+            ex = rx - t * dx
+            ey = ry - t * dy
+            d2 = ex * ex + ey * ey
+            if not d2 >= best:  # a NaN propagates, as in numpy's min
+                best = d2
+                if d2 != d2:
+                    break
+        out.append(math.sqrt(best))
+    return np.array(out, dtype=float)
 
 
 def convex_intersection(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2 | None:

@@ -61,9 +61,8 @@ def finger_heuristic(region: ContactRegion, cache: HeuristicCache) -> float:
     Values repeat heavily across the search lattice (slides move one finger
     at a time), so results are memoized per quantized region.
     """
-    if not cache.goals:
-        raise InvalidInputError("goal set must be non-empty")
-    key = (region.face, round(region.center[0] * 1e9), round(region.center[1] * 1e9),
+    x, y = region.center.tolist()
+    key = (region.face, round(x * 1e9), round(y * 1e9),
            round(region.orientation * 1e9), region.pad_width, region.pad_height)
     hit = cache._finger_memo.get(key)
     if hit is not None:

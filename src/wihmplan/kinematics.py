@@ -1,4 +1,5 @@
-"""Forward kinematics of the arm-gripper-object chain and pivot trajectories.
+"""Forward kinematics of the arm-gripper-object chain, pivot trajectories, and
+the end-effector waypoints of a whole plan.
 
 The chain models the grip and the table contact as virtual revolute joints:
 end-effector -> palm (fixed mount offset) -> finger -> finger/object contact
@@ -19,8 +20,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, WihmplanError
 from .geometry import RigidTransform3
+from .transition import ActionKind, find_pivot_edge, world_context
 
 _MOUNT_ANGLE = 3.0 * math.pi / 4.0  # fixed palm yaw relative to the arm flange
 
@@ -175,6 +177,40 @@ def contact_shift_displacement(direction: str, dz: float) -> np.ndarray:
     if direction == "down":
         return np.array([0.0, 0.0, -dz])
     raise InvalidInputError(f"direction must be 'up' or 'down', got {direction!r}")
+
+
+def plan_waypoints(plan_, obj, chain: PivotChain, steps_per_stage: int = 25) -> list[Waypoint]:
+    """Concatenated end-effector waypoints for every pivot/shift in a plan.
+
+    Slides and in-hand rotations are finger-internal and emit no arm motion.
+    The pose chain starts at the identity and stays continuous across
+    actions.
+    """
+    current = RigidTransform3.identity()
+    out: list[Waypoint] = [Waypoint(0, current)]
+    for action, state in zip(plan_.actions, plan_.states[:-1]):
+        if action.kind in (ActionKind.MOVE_CONTACT_UP, ActionKind.MOVE_CONTACT_DOWN):
+            direction = "up" if action.kind == ActionKind.MOVE_CONTACT_UP else "down"
+            delta = contact_shift_displacement(direction, action.magnitude)
+            current = RigidTransform3(current.rotation, current.translation + delta)
+            out.append(Waypoint(len(out), current))
+        elif action.kind == ActionKind.PIVOT:
+            info = find_pivot_edge(state, obj)
+            if info is None:
+                raise WihmplanError("plan contains a pivot that is infeasible in its state")
+            ctx = world_context(state, obj)
+            d4 = math.hypot(ctx.left_center_world[1] - info.edge_point_world[1],
+                            ctx.left_center_world[2] - info.edge_point_world[2])
+            pivot_chain = PivotChain(
+                d1=chain.d1, theta_finger=chain.theta_finger, d2=chain.d2,
+                d3=chain.d3, d4=d4, theta_contact=chain.theta_contact,
+                theta_pivot=action.magnitude)
+            anchor = current @ ee_to_pivot(pivot_chain)
+            for wp in full_pivot_trajectory(pivot_chain, action.magnitude,
+                                            steps_per_stage, world_pivot=anchor)[1:]:
+                out.append(Waypoint(len(out), wp.pose))
+            current = out[-1].pose
+    return out
 
 
 def rotation_to_quaternion(rot: np.ndarray) -> tuple[float, float, float, float]:

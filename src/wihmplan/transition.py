@@ -52,6 +52,7 @@ from .errors import (
     InvalidStateError,
 )
 from .geometry import (
+    _GUARD,
     FEAS_TOL,
     GEOM_TOL,
     ConvexPolygon2,
@@ -63,7 +64,6 @@ from .geometry import (
 _WORLD_DOWN = np.array([0.0, 0.0, -1.0])
 _WORLD_UP = np.array([0.0, 0.0, 1.0])
 _LEFT_NORMAL = np.array([-1.0, 0.0, 0.0])  # world direction of the left face's outward normal
-_GUARD = 1e-12  # far above the rounding error of face coordinates up to about 1e3 m
 
 
 class ActionKind(enum.IntEnum):

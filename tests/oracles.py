@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from wihmplan.geometry import ObjectModel
+from wihmplan.geometry import GEOM_TOL, ConvexPolygon2, ObjectModel
 from wihmplan.transition import ContactRegion, GraspState
 
 WORLD_DOWN = np.array([0.0, 0.0, -1.0])
@@ -60,6 +60,31 @@ def point_polygon_distance(p, vertices) -> float:
     if point_in_convex(p, v):
         return 0.0
     return min(point_segment_distance(p, v[i], v[(i + 1) % len(v)]) for i in range(len(v)))
+
+
+def array_points_to_polygon_distance(pts, poly: ConvexPolygon2) -> np.ndarray:
+    """The library's point-to-polygon distance in its original array form.
+
+    Like ``pad_corners_inside``, an exception to this module's rule of
+    separate routes: the library now loops over Python floats, and this is
+    the reference whose bytes it must reproduce, its ``pts @ normals.T``
+    inside test included.
+    """
+    pts = np.asarray(pts, dtype=float)
+    normals, offsets = poly.halfplanes()
+    margins = pts @ normals.T - offsets          # (m, k)
+    inside = np.all(margins >= -GEOM_TOL, axis=1)
+    starts = poly.vertices
+    dirs = np.roll(starts, -1, axis=0) - starts
+    len2 = np.einsum("ij,ij->i", dirs, dirs)
+    rel = pts[:, None, :] - starts[None, :, :]  # (m, k, 2)
+    t = np.einsum("mkj,kj->mk", rel, dirs) / len2
+    np.clip(t, 0.0, 1.0, out=t)
+    diff = rel - t[:, :, None] * dirs[None, :, :]
+    d2 = np.einsum("mkj,mkj->mk", diff, diff)
+    out = np.sqrt(d2.min(axis=1))
+    out[inside] = 0.0
+    return out
 
 
 def _segment_intersections(a0, a1, b0, b1):

@@ -9,6 +9,7 @@ import wihmplan as w
 from wihmplan.bench import (
     BenchReport,
     NoiseModel,
+    TaskResult,
     TaskSpec,
     emit_report,
     noise_robustness,
@@ -138,6 +139,26 @@ class TestRunBenchmark:
 
 
 class TestEmitReport:
+    def test_aggregate_rows_keep_per_finger_and_executed_columns(self):
+        def row(name, obj, left, right, length, executed):
+            return TaskResult(task=name, object_name=obj, status="exact-goal",
+                              planning_time_s=0.1, plan_length=length,
+                              execution_steps=executed, overlap_left=left,
+                              overlap_right=right, outside_area=0.0, objective=1.0)
+
+        report = BenchReport(rows=[row("a", "box", 1.0, 0.5, 6, 6),
+                                   row("b", "box", 0.75, 0.25, 4, 1),
+                                   row("c", "hex", 0.5, 0.0, 2, 2)])
+        report.recompute_aggregates()
+        records = {(r["kind"], r["object"]): r for r in report_records(report)}
+        box = records[("object_mean", "box")]
+        assert (box["overlap_left"], box["overlap_right"]) == (0.875, 0.375)
+        assert (box["plan_length"], box["execution_steps"]) == (5.0, 3.5)
+        overall = records[("overall_mean", "*")]
+        assert (overall["overlap_left"], overall["overlap_right"]) == (0.75, 0.25)
+        assert (overall["plan_length"], overall["execution_steps"]) == (4.0, 3.0)
+        assert report.overall["mean_overlap"] == 0.5
+
     def test_csv_and_json_identical_content(self, tmp_path, solved_task):
         obj, start, goals, resolution, cost, _ = solved_task
         task = TaskSpec(name="t", obj=obj, start=start, goals=goals,

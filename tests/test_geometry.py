@@ -1,23 +1,30 @@
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wihmplan as w
+from wihmplan import io as io_mod
 from wihmplan.geometry import (
+    GEOM_TOL,
     ConvexPolygon2,
     RigidTransform3,
     build_prism,
     convex_intersection,
     point_to_polygon_distance,
+    points_to_polygon_distance,
     polygon_area,
     unfold,
 )
+from wihmplan.heuristic import HeuristicCache
 
-from conftest import random_convex_polygon
-from oracles import fan_area, geodesic_across_edge, hull_clip_area
+from conftest import FIXTURES, load_task, random_convex_polygon
+from oracles import array_points_to_polygon_distance, fan_area, geodesic_across_edge, hull_clip_area
 
 UNIT_SQUARE = ConvexPolygon2([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -84,6 +91,92 @@ class TestPointDistance:
             dp = point_to_polygon_distance(p, poly)
             dq = point_to_polygon_distance(q, poly)
             assert abs(dp - dq) <= np.linalg.norm(p - q) + 1e-9
+
+
+@functools.cache
+def _goal_images() -> tuple[ConvexPolygon2, ...]:
+    """Every fixture goal unfolded onto every face of its object, as the heuristic sees it."""
+    images = []
+    for entry in io_mod.read_json(FIXTURES / "suite.json")["tasks"]:
+        obj, _, goals, _, _ = load_task(entry)
+        cache = HeuristicCache(obj, goals)
+        images += [cache.goal_image(face.id, m) for face in obj.faces for m in range(len(goals))]
+    return tuple(images)
+
+
+@st.composite
+def _polygon_and_pad(draw):
+    """A fixture goal image or a random convex polygon, and the 4 corners of a
+    pad anywhere from inside it to a polygon's span outside."""
+    if draw(st.booleans()):
+        poly = draw(st.sampled_from(_goal_images()))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        poly = random_convex_polygon(rng, scale=draw(st.sampled_from([0.01, 0.1, 1.0])))
+    lo, hi = poly.vertices.min(axis=0), poly.vertices.max(axis=0)
+    span = float((hi - lo).max())
+    center = np.array([draw(st.floats(lo[i] - span, hi[i] + span)) for i in range(2)])
+    pad = w.ContactRegion(0, center, draw(st.floats(-math.pi, math.pi)),
+                          draw(st.floats(0.01, 0.5)) * span, draw(st.floats(0.01, 0.5)) * span)
+    return poly, pad.corners()
+
+
+def _threshold_points(rng, poly: ConvexPolygon2, edge: int, count: int) -> np.ndarray:
+    """Points GEOM_TOL outside one edge, each coordinate then moved a few ulps."""
+    normals, _ = poly.halfplanes()
+    start, end = poly.vertices[edge], poly.vertices[(edge + 1) % len(poly)]
+    pts = []
+    for along, nudges in zip(rng.random(count), rng.integers(-4, 5, size=(count, 2))):
+        p = start + along * (end - start) - GEOM_TOL * normals[edge]
+        for i, nudge in enumerate(nudges.tolist()):
+            for _ in range(abs(nudge)):
+                p[i] = np.nextafter(p[i], math.copysign(math.inf, nudge))
+        pts.append(p)
+    return np.array(pts)
+
+
+class TestFloatKernel:
+    """points_to_polygon_distance against its array form, byte for byte."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_polygon_and_pad())
+    def test_pad_corners_match_reference(self, drawn):
+        poly, corners = drawn
+        assert points_to_polygon_distance(corners, poly).tobytes() == \
+            array_points_to_polygon_distance(corners, poly).tobytes()
+
+    def test_threshold_points_match_reference(self, monkeypatch):
+        # Without the guard band, 20 of these 3,552 points get the other
+        # verdict than the matrix product gives; the band must send every
+        # array to contains_points.
+        rng = np.random.default_rng(5)
+        real = ConvexPolygon2.contains_points
+        fallbacks = []
+        monkeypatch.setattr(ConvexPolygon2, "contains_points",
+                            lambda self, *args: fallbacks.append(self) or real(self, *args))
+        polygons = list(_goal_images()) + [random_convex_polygon(rng, scale=scale)
+                                           for scale in (0.01, 0.1, 1.0) for _ in range(20)]
+        calls = inside = 0
+        for poly in polygons:
+            for edge in range(len(poly)):
+                pts = _threshold_points(rng, poly, edge, 4)
+                want = array_points_to_polygon_distance(pts, poly)
+                assert points_to_polygon_distance(pts, poly).tobytes() == want.tobytes()
+                calls += 1
+                inside += int(np.count_nonzero(want == 0.0))
+        assert len(fallbacks) == calls
+        assert 0 < inside < 4 * calls
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_points_match_reference(self):
+        nan, inf = math.nan, math.inf
+        pts = np.array([[nan, 0.5], [0.5, nan], [inf, 0.5], [-inf, 0.5], [0.5, inf],
+                        [inf, -inf], [inf, inf], [0.5, 0.5], [2.0, 0.5]])
+        rng = np.random.default_rng(3)
+        for poly in (UNIT_SQUARE, random_convex_polygon(rng), _goal_images()[0]):
+            for rows in (pts, pts[[0, 7]], pts[[2, 8]], pts[[4]]):
+                np.testing.assert_array_equal(points_to_polygon_distance(rows, poly),
+                                              array_points_to_polygon_distance(rows, poly))
 
 
 class TestClipping:
