@@ -6,17 +6,12 @@ within-hand primitives (finger slides, in-hand rotations, support-assisted
 contact shifts, pivots), generates the end-effector trajectories pivots
 need, and evaluates plans in a deterministic simulator against goal-overlap
 metrics.
+
+The package namespace holds what the quickstart in the README uses, the
+geometry helpers, and every error class; everything else is imported from
+its own module (``wihmplan.transition``, ``wihmplan.bench``, ...).
 """
 
-from .bench import (
-    BenchReport,
-    NoiseModel,
-    TaskSpec,
-    emit_report,
-    noise_robustness,
-    run_benchmark,
-    simulate,
-)
 from .errors import (
     CorruptedPlanError,
     InfeasibleActionError,
@@ -30,39 +25,21 @@ from .errors import (
 )
 from .geometry import (
     ConvexPolygon2,
-    Face,
     ObjectModel,
-    RigidTransform3,
-    UnfoldedMap,
     build_prism,
     convex_intersection,
     point_to_polygon_distance,
     polygon_area,
     unfold,
 )
-from .heuristic import HeuristicCache, corner_sum, finger_heuristic, total_heuristic
-from .kinematics import (
-    DHRow,
-    PivotChain,
-    Waypoint,
-    chain_forward,
-    contact_shift_displacement,
-    dh_transform,
-    full_pivot_trajectory,
-    pivot_trajectory,
-)
-from .planner import Action, CostConfig, Plan, action_cost, evaluate, plan
+from .planner import CostConfig, Plan, plan
 from .transition import (
-    ActionKind,
     ContactRegion,
     GoalRegion,
     GraspState,
     ResolutionConfig,
     derive_resolutions,
     overlap_ratio,
-    region_outside_goal,
-    transition,
-    valid_actions,
 )
 
 __version__ = "0.1.0"

@@ -18,25 +18,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptedPlanError, InfeasibleActionError, InvalidInputError
+from .errors import InfeasibleActionError, InvalidInputError
 from .geometry import ObjectModel
-from .planner import CostConfig, Plan, plan as run_planner
+from .planner import CostConfig, Plan, check_replay, plan as run_planner
 from .transition import (
-    ActionKind,
+    _TRANSLATIONS,
     GoalRegion,
     GraspState,
     ResolutionConfig,
     derive_resolutions,
     overlap_ratio,
     region_outside_goal,
-    state_key,
     transition,
-)
-
-_TRANSLATIONAL = (
-    ActionKind.SLIDE_LEFT_UP, ActionKind.SLIDE_LEFT_DOWN,
-    ActionKind.SLIDE_RIGHT_UP, ActionKind.SLIDE_RIGHT_DOWN,
-    ActionKind.MOVE_CONTACT_UP, ActionKind.MOVE_CONTACT_DOWN,
 )
 
 
@@ -69,7 +62,7 @@ def simulate(plan_: Plan, obj: ObjectModel, s0: GraspState,
     trace = [state]
     for i, action in enumerate(plan_.actions):
         applied = action
-        if rng is not None and action.kind in _TRANSLATIONAL:
+        if rng is not None and action.kind in _TRANSLATIONS:
             delta = float(rng.uniform(-noise.eta, noise.eta))
             magnitude = action.magnitude + delta
             if magnitude <= 0.0:
@@ -83,11 +76,7 @@ def simulate(plan_: Plan, obj: ObjectModel, s0: GraspState,
             return SimulationResult(state, trace, i, failed=True, failure_step=i)
         trace.append(state)
     if noise is None:
-        if len(trace) != len(plan_.states):
-            raise CorruptedPlanError("replay produced a different number of states")
-        for got, recorded in zip(trace, plan_.states):
-            if state_key(got) != state_key(recorded):
-                raise CorruptedPlanError("noiseless replay diverged from the recorded states")
+        check_replay(trace, plan_.states)
     return SimulationResult(state, trace, len(plan_.actions), failed=False)
 
 

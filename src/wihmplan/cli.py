@@ -14,10 +14,10 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import io as io_mod
-from .errors import WihmplanError
-from .geometry import unfold
+from .errors import InvalidStateError, WihmplanError
+from .geometry import ObjectModel, unfold
 from .kinematics import plan_waypoints
-from .planner import plan as run_planner
+from .planner import Plan, plan as run_planner
 from .transition import derive_resolutions
 
 EXIT_OK = 0
@@ -93,7 +93,7 @@ def _cmd_simulate(args) -> int:
     resolution, _ = io_mod.load_configs(args.config)
     resolution = derive_resolutions(obj, resolution)
     start = io_mod.load_state(args.start, obj, resolution)
-    plan_ = io_mod.load_plan(args.plan)
+    plan_ = _load_plan(args.plan, obj)
     if args.noise is None:
         result = bench_mod.simulate(plan_, obj, start)
         payload = {
@@ -108,6 +108,17 @@ def _cmd_simulate(args) -> int:
         payload["mode"] = "noise"
     io_mod.dump_json(payload, args.out)
     return EXIT_OK
+
+
+def _load_plan(path: str, obj: ObjectModel) -> Plan:
+    """The plan at path, with every recorded state checked against the object."""
+    plan_ = io_mod.load_plan(path)
+    for i, state in enumerate(plan_.states):
+        try:
+            state.validate(obj)
+        except InvalidStateError as exc:
+            raise InvalidStateError(f"{path}: state {i}: {exc}") from exc
+    return plan_
 
 
 def _load_suite(path: str) -> tuple[list[bench_mod.TaskSpec], dict]:
@@ -158,7 +169,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_trajectory(args) -> int:
     obj = io_mod.load_object(args.object)
     chain = io_mod.load_chain(args.chain)
-    plan_ = io_mod.load_plan(args.plan)
+    plan_ = _load_plan(args.plan, obj)
     waypoints = plan_waypoints(plan_, obj, chain, steps_per_stage=args.steps)
     io_mod.write_trajectory_csv(waypoints, args.out)
     return EXIT_OK

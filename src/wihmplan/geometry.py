@@ -1,9 +1,10 @@
 """Convex-polygon primitives, prismatic object models, and surface unfolding.
 
 Every operation here is a pure function, and values are immutable after
-construction apart from two caches: ``ObjectModel.scratch`` (see there) and
-each ``ConvexPolygon2``'s plain-float half-plane and edge tables, filled on
-its first distance query.  Units are meters and radians throughout.
+construction apart from caches: ``ObjectModel.scratch`` and
+``ObjectModel.unfolded`` (see there), and each ``ConvexPolygon2``'s
+plain-float half-plane and edge tables, filled on its first distance query.
+Units are meters and radians throughout.
 """
 
 from __future__ import annotations
@@ -363,7 +364,8 @@ class ObjectModel:
     The model itself is immutable.  `scratch` is the transition module's
     grasp-mode table: one entry per grasp mode (support, left and right face)
     reached, built on first use, so it never holds more than faces**2 entries.
-    It is filled without a lock.
+    `unfolded` holds the heuristic's unfolded map per base face, at most one
+    per face.  Both are filled without a lock.
     """
 
     name: str
@@ -374,6 +376,7 @@ class ObjectModel:
     height: float
     lateral_count: int
     scratch: dict = field(default_factory=dict, repr=False, compare=False)
+    unfolded: dict = field(default_factory=dict, repr=False, compare=False)
 
     def face(self, face_id: int) -> Face:
         return self.faces[face_id]

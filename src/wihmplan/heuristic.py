@@ -17,9 +17,11 @@ from .transition import ContactRegion, GoalRegion, GraspState
 
 
 class HeuristicCache:
-    """Memoizes unfolded maps per base face and unfolded goal images.
+    """Memoizes unfolded goal images and finger values for one goal set.
 
-    Built per search and used by one caller; it is not thread-safe.
+    Built per search and used by one caller; it is not thread-safe.  The
+    unfolded maps depend on the object alone, so they live on the model
+    (``ObjectModel.unfolded``) and every search on it shares them.
     """
 
     def __init__(self, obj: ObjectModel, goals: list[GoalRegion]) -> None:
@@ -27,14 +29,14 @@ class HeuristicCache:
             raise InvalidInputError("goal set must be non-empty")
         self.obj = obj
         self.goals = list(goals)
-        self._maps: dict[int, UnfoldedMap] = {}
         self._goal_images: dict[tuple[int, int], ConvexPolygon2] = {}
         self._finger_memo: dict[tuple, float] = {}
 
     def unfolded_map(self, base_face: int) -> UnfoldedMap:
-        cached = self._maps.get(base_face)
+        maps = self.obj.unfolded
+        cached = maps.get(base_face)
         if cached is None:
-            cached = self._maps[base_face] = unfold(self.obj, base_face)
+            cached = maps[base_face] = unfold(self.obj, base_face)
         return cached
 
     def goal_image(self, base_face: int, goal_index: int) -> ConvexPolygon2:

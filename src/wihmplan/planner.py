@@ -196,6 +196,16 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
                 tradeoff_weight=w, expansions=expansions)
 
 
+def check_replay(replayed: list[GraspState], recorded: list[GraspState]) -> None:
+    """Raise CorruptedPlanError unless a noiseless replay gave the recorded states."""
+    if len(replayed) != len(recorded):
+        raise CorruptedPlanError(
+            f"replay produced {len(replayed)} states, the plan records {len(recorded)}")
+    for got, want in zip(replayed, recorded):
+        if state_key(got) != state_key(want):
+            raise CorruptedPlanError("noiseless replay diverged from the recorded states")
+
+
 def evaluate(plan_: Plan, goals: list[GoalRegion], obj: ObjectModel) -> float:
     """Recompute the objective from a replay; raises if the plan is stale."""
     state = plan_.states[0]
@@ -203,8 +213,6 @@ def evaluate(plan_: Plan, goals: list[GoalRegion], obj: ObjectModel) -> float:
     for act in plan_.actions:
         state = transition(state, act, obj)
         replayed.append(state)
-    for got, recorded in zip(replayed, plan_.states):
-        if state_key(got) != state_key(recorded):
-            raise CorruptedPlanError("replaying the plan diverged from its recorded states")
+    check_replay(replayed, plan_.states)
     outside = region_outside_goal(replayed[-1], goals)
     return outside + plan_.tradeoff_weight * math.fsum(plan_.step_costs)

@@ -26,8 +26,12 @@ object pose, the slide and shift axes, the grasp width, and where a rotation
 or pivot takes the gripped faces depend on the mode alone.  The mode table
 (``_Mode``, one entry per mode in ``ObjectModel.scratch``, built on first use)
 holds them, so each primitive is a few float operations on the pad centres
-and orientations.  Search (``successors``) and replay (``transition``) run the
-same per-mode kernels; only search applies the ResolutionConfig limits.
+and orientations.  Search (``successors``) and replay (``transition``) call the
+same per-mode kernels with the same arguments.  A rotation or pivot turns by
+the angle its mode's geometry fixes: replay rejects a magnitude more than
+``FEAS_TOL`` away from it.  Search is stricter than replay in one place, the
+filter in ``successors`` that drops rotations onto a pair outside the
+ResolutionConfig grip-width and length/width limits.
 
 A pad fits on its face when its centre lies inside the face shrunk by the
 rotated pad, with half-planes computed once per face, orientation and pad
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -166,6 +170,8 @@ class GraspState:
             raise InvalidStateError("horizontal_axis must be unit length")
 
     def validate(self, obj: ObjectModel) -> None:
+        if not 0 <= self.grasp_pair < len(obj.parallel_pairs):
+            raise InvalidStateError(f"grasp pair {self.grasp_pair} does not exist")
         pair = obj.parallel_pairs[self.grasp_pair]
         if {self.left.face, self.right.face} != set(pair):
             raise InvalidStateError(
@@ -224,56 +230,34 @@ class GoalRegion:
 
 @dataclass(frozen=True)
 class ResolutionConfig:
-    """Step sizes and parametric feasibility limits for the action space."""
+    """Translational step sizes, the search's grip limits, and the pad size.
+
+    Rotation and pivot angles are not settings: the object's geometry fixes
+    them, per grasp mode.
+    """
 
     slide_step: float = 0.005
     z_step: float = 0.005
-    rotation_step: float = 0.0  # filled by derive_resolutions
-    pivot_step: float = 0.0     # filled by derive_resolutions
     min_grasp_width: float = 0.005
     max_grasp_width: float = 0.15
     max_length_width_ratio: float = 3.0
     pad_width: float = 0.02
     pad_height: float = 0.02
-    table_clearance: float = 0.0
 
     def validate(self) -> None:
-        for name in ("slide_step", "z_step", "rotation_step", "pivot_step",
-                     "min_grasp_width", "max_grasp_width", "max_length_width_ratio",
-                     "pad_width", "pad_height"):
-            if getattr(self, name) <= 0.0:
+        for name, value in vars(self).items():
+            if value <= 0.0:
                 raise InvalidInputError(f"resolution parameter {name} must be positive")
-        if self.table_clearance < 0.0:
-            raise InvalidInputError("table_clearance must be non-negative")
 
 
 def derive_resolutions(obj: ObjectModel, base: ResolutionConfig) -> ResolutionConfig:
-    """Fill the geometry-derived angular steps for an object.
+    """The config to plan on the object with: ``base``, once validated.
 
-    The in-hand rotation step is the angular spacing between consecutive
-    parallel lateral pairs of the cross-section; the pivot step is the
-    exterior angle at a lateral/end-cap edge (pi/2 for right prisms).
+    Nothing in it depends on the object; the rotation and pivot angles come
+    from the mode table.
     """
-    angles = []
-    for i, j in obj.parallel_pairs:
-        if i >= obj.lateral_count or j >= obj.lateral_count:
-            continue  # cap pair has no cross-section direction
-        n = obj.face(i).outward_normal
-        ang = math.atan2(n[1], n[0]) % math.pi
-        angles.append(ang)
-    angles.sort()
-    if len(angles) <= 1:
-        rotation_step = math.pi
-    else:
-        gaps = [angles[k + 1] - angles[k] for k in range(len(angles) - 1)]
-        gaps.append(math.pi - angles[-1] + angles[0])
-        rotation_step = min(g for g in gaps if g > GEOM_TOL)
-    n_lat = obj.face(0).outward_normal
-    n_cap = obj.face(obj.lateral_count).outward_normal
-    pivot_step = math.acos(max(-1.0, min(1.0, float(n_lat @ n_cap))))
-    cfg = replace(base, rotation_step=rotation_step, pivot_step=pivot_step)
-    cfg.validate()
-    return cfg
+    base.validate()
+    return base
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +296,8 @@ _BASIS_WORLD = np.column_stack([_LEFT_NORMAL, _cross3(_WORLD_DOWN, _LEFT_NORMAL)
 
 
 def _object_rotation(obj: ObjectModel, support_face: int, left_face: int) -> np.ndarray:
+    if not 0 <= support_face < len(obj.faces):
+        raise InvalidStateError(f"support face {support_face} does not exist")
     n_s = obj.face(support_face).outward_normal
     n_l = obj.face(left_face).outward_normal
     if abs(float(n_s @ n_l)) > FEAS_TOL:
@@ -341,7 +327,7 @@ class PivotEdgeInfo(NamedTuple):
 
 
 class _Rotation(NamedTuple):
-    """One in-hand rotation of a mode by one angle, and where it takes each face."""
+    """A mode's in-hand rotation onto the next pair, and where it takes each face."""
 
     action: Action
     pair: int
@@ -357,8 +343,6 @@ class _Pivot(NamedTuple):
 
     edge: PivotEdgeInfo
     action: Action
-    rot_new: np.ndarray
-    tz_new: float
     fingers: tuple  # per finger: (rot @ R_face, rot_new @ R_face)
     horizontal: np.ndarray
 
@@ -382,21 +366,17 @@ class _Mode:
         self.axes = (_face_axes(rot, obj, left_face), _face_axes(rot, obj, right_face))
         self.dirs = tuple((tuple(h.tolist()), tuple(u.tolist())) for h, u in self.axes)
         self.width = obj.pair_width(pair)
-        self.rotations: dict[ActionKind, _Rotation | None] = {}
-        for kind in (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW):
-            angle = _rotation_angle(obj, rot, left_face, ccw=(kind == ActionKind.ROTATE_CCW))
-            self.rotations[kind] = None if angle is None else _rotation(obj, self, kind, angle)
+        self.rotations = {kind: _rotation(obj, self, kind)
+                          for kind in (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW)}
         self.pivot = None
         edge = _pivot_edge(obj, rot, tz, support_face)
         if edge is not None:
             rot_new = _rot_x3(edge.angle) @ rot
-            support_pt = rot_new @ obj.face(edge.new_support).frame.translation
             fingers = tuple((rot @ obj.face(f).frame.rotation, rot_new @ obj.face(f).frame.rotation)
                             for f in (left_face, right_face))
             self.pivot = _Pivot(edge, Action(ActionKind.PIVOT, abs(edge.angle),
                                              arc_radius=self.width / 2.0),
-                                rot_new, -float(support_pt @ _WORLD_UP), fingers,
-                                _face_axes(rot_new, obj, left_face)[0])
+                                fingers, _face_axes(rot_new, obj, left_face)[0])
         self.shrunk: dict[tuple, tuple[tuple[float, float, float], ...]] = {}
 
 
@@ -409,14 +389,17 @@ def _mode(obj: ObjectModel, support_face: int, left_face: int, right_face: int) 
     return m
 
 
-def _rotation_angle(obj: ObjectModel, rot: np.ndarray, left_face: int, ccw: bool) -> float | None:
-    """Smallest spin about vertical that lands the pads on another pair."""
-    best: float | None = None
-    for pair in obj.parallel_pairs:
-        for candidate_left in pair:
+def _rotation(obj: ObjectModel, m: _Mode, kind: ActionKind) -> _Rotation | None:
+    """The smallest spin of mode m about vertical that lands the pads on another
+    pair, or None if none does."""
+    _, left_face, right_face = m.faces
+    ccw = kind == ActionKind.ROTATE_CCW
+    best = None  # (angle, pair index, new left face, new right face)
+    for pair_idx, pair in enumerate(obj.parallel_pairs):
+        for k, candidate_left in enumerate(pair):
             if candidate_left == left_face:
                 continue
-            n_w = rot @ obj.face(candidate_left).outward_normal
+            n_w = m.rot @ obj.face(candidate_left).outward_normal
             if abs(float(n_w @ _WORLD_UP)) > FEAS_TOL:
                 continue  # spinning about vertical keeps normals' z; must already be horizontal
             phi = math.atan2(
@@ -432,29 +415,13 @@ def _rotation_angle(obj: ObjectModel, rot: np.ndarray, left_face: int, ccw: bool
                 phi = -phi  # compare magnitudes
             if phi <= FEAS_TOL or phi > math.pi + FEAS_TOL:
                 continue
-            if best is None or phi < best - GEOM_TOL:
-                best = phi
-    return best
-
-
-def _rotation(obj: ObjectModel, m: _Mode, kind: ActionKind, magnitude: float) -> _Rotation | None:
-    """The rotation of mode m by magnitude, or None if it lands on no grippable pair."""
-    support_face, left_face, right_face = m.faces
-    sigma = -1.0 if kind == ActionKind.ROTATE_CCW else 1.0
-    rz = _rot_z3(sigma * magnitude)
+            if best is None or phi < best[0] - GEOM_TOL:
+                best = (phi, pair_idx, candidate_left, pair[1 - k])
+    if best is None:
+        return None
+    magnitude, pair_idx, new_left_face, new_right_face = best
+    rz = _rot_z3(-magnitude if ccw else magnitude)
     rot_new = rz @ m.rot
-    target = None
-    for pair_idx, pair in enumerate(obj.parallel_pairs):
-        for candidate_left in pair:
-            n_w = rot_new @ obj.face(candidate_left).outward_normal
-            if np.max(np.abs(n_w - _LEFT_NORMAL)) <= FEAS_TOL:
-                other = pair[0] if pair[1] == candidate_left else pair[1]
-                target = (pair_idx, candidate_left, other)
-    if target is None:
-        return None
-    pair_idx, new_left_face, new_right_face = target
-    if support_face in (new_left_face, new_right_face):
-        return None
     offset = np.array([0.0, 0.0, m.tz])
     fingers = []
     for old, new in ((left_face, new_left_face), (right_face, new_right_face)):
@@ -557,16 +524,6 @@ def _place(obj: ObjectModel, m: _Mode, face_id: int, x: float, y: float, theta: 
     return None if close and not _corners_inside(obj, region) else region
 
 
-def _clearance_ok(obj: ObjectModel, rot: np.ndarray, tz: float, region: ContactRegion,
-                  clearance: float) -> bool:
-    if clearance <= 0.0:
-        return True  # a convex body on its support plane has no point below z = 0
-    face = obj.face(region.face)
-    corners3 = face.to_object(region.corners())
-    z = (corners3 @ rot.T)[:, 2] + tz
-    return bool(np.all(z >= clearance - FEAS_TOL))
-
-
 # ---------------------------------------------------------------------------
 # Action generation and transitions
 
@@ -588,20 +545,27 @@ def successors(s: GraspState, obj: ObjectModel,
     """
     out: list[tuple[Action, GraspState]] = []
     m = _mode(obj, s.support_face, s.left.face, s.right.face)
-    for kind in _SLIDES:  # a slide keeps the pad's height: no clearance test
-        nxt = _translate(obj, s, m, kind, cfg.slide_step, 0.0)
+    for kind in _SLIDES:
+        nxt = _translate(obj, s, m, kind, cfg.slide_step)
         if nxt is not None:
             out.append((Action(kind, cfg.slide_step), nxt))
+    # The one place search is stricter than replay, which has no config: it
+    # rotates only onto a pair within the grip-width limits whose new left face
+    # is short enough for that width (a too-elongated grip cannot generate the
+    # spin moment).
     for rt in m.rotations.values():
-        nxt = None if rt is None else _rotate(obj, s, m, rt, cfg)
-        if nxt is not None:
-            out.append((rt.action, nxt))
+        if (rt is not None
+                and cfg.min_grasp_width - FEAS_TOL <= rt.width <= cfg.max_grasp_width + FEAS_TOL
+                and rt.extent / rt.width <= cfg.max_length_width_ratio + FEAS_TOL):
+            nxt = _rotate(obj, s, m, rt)
+            if nxt is not None:
+                out.append((rt.action, nxt))
     for kind in _MOVES:
-        nxt = _translate(obj, s, m, kind, cfg.z_step, cfg.table_clearance)
+        nxt = _translate(obj, s, m, kind, cfg.z_step)
         if nxt is not None:
             out.append((Action(kind, cfg.z_step), nxt))
     if m.pivot is not None:
-        nxt = _pivot(obj, s, m, m.pivot.action.magnitude, cfg.table_clearance)
+        nxt = _pivot(obj, s, m, m.pivot)
         if nxt is not None:
             out.append((m.pivot.action, nxt))
     return out
@@ -613,25 +577,27 @@ def valid_actions(s: GraspState, obj: ObjectModel, cfg: ResolutionConfig) -> lis
 
 
 def transition(s: GraspState, a: Action, obj: ObjectModel) -> GraspState:
-    """Apply one primitive (no ResolutionConfig limits); raises InfeasibleActionError."""
+    """Apply one primitive; raises InfeasibleActionError.
+
+    A rotation or pivot must turn by its mode's angle, within FEAS_TOL.  No
+    ResolutionConfig limit applies (see ``successors``).
+    """
     m = _mode(obj, s.support_face, s.left.face, s.right.face)
     kind = a.kind
     if kind in _TRANSLATIONS:
-        nxt = _translate(obj, s, m, kind, a.magnitude, 0.0)
-    elif kind in (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW):
-        rt = m.rotations[kind]
-        if rt is None or rt.action.magnitude != a.magnitude:
-            rt = _rotation(obj, m, kind, a.magnitude)
-        nxt = None if rt is None else _rotate(obj, s, m, rt, None)
+        nxt = _translate(obj, s, m, kind, a.magnitude)
     else:
-        nxt = _pivot(obj, s, m, a.magnitude, 0.0)
+        pivot = kind == ActionKind.PIVOT
+        turn, kernel = (m.pivot, _pivot) if pivot else (m.rotations[kind], _rotate)
+        fits = turn is not None and abs(turn.action.magnitude - a.magnitude) <= FEAS_TOL
+        nxt = kernel(obj, s, m, turn) if fits else None
     if nxt is None:
         raise InfeasibleActionError(f"{kind.name} (magnitude {a.magnitude:g}) is infeasible here")
     return nxt
 
 
-def _translate(obj: ObjectModel, s: GraspState, m: _Mode, kind: ActionKind, magnitude: float,
-               clearance: float) -> GraspState | None:
+def _translate(obj: ObjectModel, s: GraspState, m: _Mode, kind: ActionKind,
+               magnitude: float) -> GraspState | None:
     fingers, axis, sign = _TRANSLATIONS[kind]
     step = sign * magnitude
     pads = [s.left, s.right]
@@ -639,7 +605,7 @@ def _translate(obj: ObjectModel, s: GraspState, m: _Mode, kind: ActionKind, magn
         pad = pads[i]
         (d_u, d_v), (x, y) = m.dirs[i][axis], pad.center.tolist()
         pads[i] = _place(obj, m, pad.face, x + step * d_u, y + step * d_v, pad.orientation, pad)
-        if pads[i] is None or not _clearance_ok(obj, m.rot, m.tz, pads[i], clearance):
+        if pads[i] is None:
             return None
     return GraspState(pads[0], pads[1], s.grasp_pair, s.support_face, s.horizontal_axis)
 
@@ -651,14 +617,7 @@ def _turn(rot_face_old: np.ndarray, rot_face_new: np.ndarray, theta: float) -> f
     return math.atan2(e[1], e[0])
 
 
-def _rotate(obj: ObjectModel, s: GraspState, m: _Mode, rt: _Rotation,
-            cfg: ResolutionConfig | None) -> GraspState | None:
-    if cfg is not None:
-        if not (cfg.min_grasp_width - FEAS_TOL <= rt.width <= cfg.max_grasp_width + FEAS_TOL):
-            return None
-        # Length-to-width limit: too-elongated grips cannot generate the spin moment.
-        if rt.extent / rt.width > cfg.max_length_width_ratio + FEAS_TOL:
-            return None
+def _rotate(obj: ObjectModel, s: GraspState, m: _Mode, rt: _Rotation) -> GraspState | None:
     pads_world = (_world_center(obj, m, s.left), _world_center(obj, m, s.right))
     centroid = (pads_world[0] + pads_world[1]) / 2.0
     pads = []
@@ -675,16 +634,11 @@ def _rotate(obj: ObjectModel, s: GraspState, m: _Mode, rt: _Rotation,
     return GraspState(pads[0], pads[1], rt.pair, s.support_face, rt.horizontal)
 
 
-def _pivot(obj: ObjectModel, s: GraspState, m: _Mode, magnitude: float,
-           clearance: float) -> GraspState | None:
-    pv = m.pivot
-    if pv is None or abs(abs(pv.edge.angle) - magnitude) > FEAS_TOL:
-        return None
+def _pivot(obj: ObjectModel, s: GraspState, m: _Mode, pv: _Pivot) -> GraspState | None:
     pads = [_place(obj, m, region.face, *region.center.tolist(),
                    _turn(rot_face_old, rot_face_new, region.orientation), region)
             for region, (rot_face_old, rot_face_new) in zip((s.left, s.right), pv.fingers)]
-    if not all(pad is not None and _clearance_ok(obj, pv.rot_new, pv.tz_new, pad, clearance)
-               for pad in pads):
+    if pads[0] is None or pads[1] is None:
         return None
     return GraspState(pads[0], pads[1], s.grasp_pair, pv.edge.new_support, pv.horizontal)
 
@@ -740,7 +694,10 @@ def overlap_ratio(s: GraspState, goals: list[GoalRegion]) -> tuple[float, float]
     return out[0], out[1]
 
 
-def state_key(s: GraspState, quantum: float = 1e-7) -> tuple:
+_KEY_QUANTUM = 1e-7  # state_key's lattice spacing (m, rad)
+
+
+def state_key(s: GraspState) -> tuple:
     """Hashable lattice key for duplicate detection in search.
 
     Action steps are orders of magnitude larger than the quantum, so equal
@@ -753,5 +710,5 @@ def state_key(s: GraspState, quantum: float = 1e-7) -> tuple:
         r = region.orientation % twopi
         if twopi - r < 5e-8:
             r = 0.0
-        key += (round(x / quantum), round(y / quantum), round(r / quantum))
+        key += (round(x / _KEY_QUANTUM), round(y / _KEY_QUANTUM), round(r / _KEY_QUANTUM))
     return tuple(key)

@@ -167,6 +167,31 @@ class TestTrajectoryCommand:
         assert lines[0] == "step,x,y,z,qw,qx,qy,qz"
         assert len(lines) > 10  # pivot stages expand into many waypoints
 
+    def test_state_naming_a_missing_face_is_an_input_error(self, workdir, caplog):
+        shutil.copy(FIXTURES / "sq_t3_caps_start.json", workdir / "start.json")
+        shutil.copy(FIXTURES / "sq_t3_caps_goals.json", workdir / "goals.json")
+        plan_path = workdir / "plan.json"
+        assert run_cli("plan", "--object", str(workdir / "square_prism.json"),
+                       "--goals", str(workdir / "goals.json"),
+                       "--start", str(workdir / "start.json"),
+                       "--out", str(plan_path)) == 0
+        data = json.loads(plan_path.read_text())
+        step = [a["kind"] for a in data["actions"]].index("PIVOT")
+        data["states"][step]["support_face"] = 99
+        plan_path.write_text(json.dumps(data))
+        code = run_cli("trajectory", "--plan", str(plan_path),
+                       "--object", str(workdir / "square_prism.json"),
+                       "--chain", str(workdir / "chain.json"),
+                       "--out", str(workdir / "traj.csv"))
+        assert code == 2
+        assert any(f"state {step}" in rec.message and "99" in rec.message
+                   for rec in caplog.records)
+        code = run_cli("simulate", "--plan", str(plan_path),
+                       "--object", str(workdir / "square_prism.json"),
+                       "--start", str(workdir / "start.json"),
+                       "--out", str(workdir / "sim.json"))
+        assert code == 2
+
 
 class TestUnfoldCommand:
     def test_svg_written(self, workdir):

@@ -179,6 +179,17 @@ class TestCacheBehavior:
             assert np.allclose(placement.rot, fresh.placements[fid].rot, atol=1e-12)
             assert np.allclose(placement.trans, fresh.placements[fid].trans, atol=1e-12)
 
+    def test_unfolded_maps_live_on_the_model(self):
+        obj = w.build_prism(w.ConvexPolygon2([(0, 0), (0.04, 0), (0.04, 0.04), (0, 0.04)]),
+                            0.1)
+        first = HeuristicCache(obj, [GoalRegion(0, _inset_poly(obj, 0))])
+        second = HeuristicCache(obj, [GoalRegion(1, _inset_poly(obj, 1))])
+        assert first.unfolded_map(2) is second.unfolded_map(2)
+        for face in range(len(obj.faces)):
+            second.goal_image(face, 0)
+        assert sorted(obj.unfolded) == list(range(len(obj.faces)))
+        assert obj.scratch == {}
+
     def test_goal_images_are_memoized(self, square_prism):
         goals = [GoalRegion(0, _inset_poly(square_prism, 0))]
         cache = HeuristicCache(square_prism, goals)

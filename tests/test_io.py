@@ -106,6 +106,14 @@ class TestConfigLoader:
         with pytest.raises(w.InvalidInputError, match="warp_speed"):
             io_mod.load_configs(path)
 
+    @pytest.mark.parametrize("field", ["table_clearance", "rotation_step", "pivot_step"])
+    def test_deleted_fields_rejected(self, tmp_path, field):
+        # Removed settings: the geometry fixes both angles, and the clearance test was a no-op.
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"resolution": {field: 0.5}}))
+        with pytest.raises(w.InvalidInputError, match=f"unknown resolution field '{field}'"):
+            io_mod.load_configs(path)
+
     def test_partial_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"resolution": {"slide_step": 0.01},

@@ -172,6 +172,14 @@ class TestPlanBasics:
         with pytest.raises(w.CorruptedPlanError):
             evaluate(p, goals, obj)
 
+    def test_evaluate_rejects_missing_state(self):
+        obj, s0, goals, res, cost = small_instance("slide")
+        p = plan(obj, s0, goals, res, cost)
+        assert len(p.actions) >= 1
+        del p.states[-1]
+        with pytest.raises(w.CorruptedPlanError, match="states"):
+            evaluate(p, goals, obj)
+
 
 class TestPivotRequired:
     def test_cap_goal_needs_exactly_one_pivot(self):

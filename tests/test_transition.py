@@ -1,7 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
-import importlib
 import math
 
 import numpy as np
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import wihmplan as w
 from wihmplan import io as io_mod
+from wihmplan import transition as transition_mod
 from wihmplan.geometry import FEAS_TOL
 from wihmplan.transition import (
     Action,
@@ -33,9 +34,6 @@ from wihmplan.transition import (
 from conftest import FIXTURES, OBJECT_FILES, load_task, random_feasible_state
 from oracles import oracle_pivot, oracle_rotate, pad_corners_inside
 
-# The module, not the `transition` function the package exports under its name.
-transition_mod = importlib.import_module("wihmplan.transition")
-
 
 def centered_state(obj, pad=0.02):
     pair = obj.parallel_pairs[0]
@@ -48,19 +46,76 @@ def centered_state(obj, pad=0.02):
                              bbox_center(pair[0]), bbox_center(pair[1]), pad, pad)
 
 
+def mode_states(obj, pad=0.01):
+    """One centred state per grasp mode of obj that has room for the pads."""
+    states = []
+    for pair in obj.parallel_pairs:
+        for left, right in (pair, pair[::-1]):
+            for support in range(len(obj.faces)):
+                if support in pair:
+                    continue
+                centers = [(obj.faces[f].polygon.vertices.min(axis=0)
+                            + obj.faces[f].polygon.vertices.max(axis=0)) / 2.0
+                           for f in (left, right)]
+                try:
+                    states.append(GraspState.create(obj, left, right, support, *centers,
+                                                    pad, pad))
+                except w.InvalidStateError:
+                    continue  # support not perpendicular to the pair, or pads do not fit
+    return states
+
+
 class TestDeriveResolutions:
+    """Rotation and pivot angles come from the object's geometry, not the config."""
+
+    @staticmethod
+    def rotation_magnitudes(obj):
+        cfg = derive_resolutions(obj, ResolutionConfig())
+        assert cfg == ResolutionConfig()
+        return {a.kind: a.magnitude for a, _ in successors(centered_state(obj), obj, cfg)
+                if a.kind in (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW)}
+
     def test_square_rotation_step(self, square_prism):
-        cfg = derive_resolutions(square_prism, ResolutionConfig())
-        assert cfg.rotation_step == pytest.approx(math.pi / 2.0, abs=1e-12)
+        magnitudes = self.rotation_magnitudes(square_prism)
+        assert set(magnitudes) == {ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW}
+        for magnitude in magnitudes.values():
+            assert magnitude == pytest.approx(math.pi / 2.0, abs=1e-12)
 
     def test_hexagon_rotation_step(self, hex_prism):
-        cfg = derive_resolutions(hex_prism, ResolutionConfig())
-        assert cfg.rotation_step == pytest.approx(math.pi / 3.0, abs=1e-12)
+        magnitudes = self.rotation_magnitudes(hex_prism)
+        assert set(magnitudes) == {ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW}
+        for magnitude in magnitudes.values():
+            assert magnitude == pytest.approx(math.pi / 3.0, abs=1e-12)
 
     def test_right_prism_pivot_step(self, all_objects):
+        # A pivot tips the object by the angle between the support and landing
+        # faces' normals: pi/2 over an edge of a cap, on every prism that can
+        # pivot there; over a lateral edge, the cross-section's exterior angle.
+        cfg = ResolutionConfig()
         for obj in all_objects:
-            cfg = derive_resolutions(obj, ResolutionConfig())
-            assert cfg.pivot_step == pytest.approx(math.pi / 2.0, abs=1e-12)
+            caps = {obj.lateral_count, obj.lateral_count + 1}
+            tips = {}
+            for s in mode_states(obj):
+                info = find_pivot_edge(s, obj)
+                if info is None:
+                    continue
+                angle = abs(info.angle)
+                normals = (obj.face(s.support_face).outward_normal,
+                           obj.face(info.new_support).outward_normal)
+                assert angle == pytest.approx(math.acos(float(normals[0] @ normals[1])),
+                                              abs=1e-12)
+                over_cap = bool(caps & {s.support_face, info.new_support})
+                tips.setdefault(over_cap, set()).add(round(angle, 9))
+                pivots = [a for a, _ in successors(s, obj, cfg) if a.kind == ActionKind.PIVOT]
+                assert all(a.magnitude == angle for a in pivots)
+            if obj.lateral_count == 4:
+                assert tips == {True: {round(math.pi / 2.0, 9)}, False: {round(math.pi / 2.0, 9)}}
+            elif obj.name.startswith("hex"):
+                # No lateral pair is perpendicular to a cap edge: the only pivots
+                # tip from one lateral face to the next, gripping the caps.
+                assert tips == {False: {round(math.pi / 3.0, 9)}}
+            else:
+                assert tips[True] == {round(math.pi / 2.0, 9)}
 
 
 class TestValidActions:
@@ -192,6 +247,16 @@ class TestRotation:
         assert {child.grasp_pair for child in results.values()} == {0, 2}
         ccw = results[ActionKind.ROTATE_CCW]
         assert (ccw.left.face, ccw.right.face) == (2, 5)
+
+    def test_replay_rejects_a_magnitude_search_never_offers(self, suite_entries):
+        entry = next(e for e in suite_entries if e["name"] == "ht_t2_rotate")
+        obj, start, _, resolution, _ = load_task(entry)
+        offered = next(a for a, _ in successors(start, obj, resolution)
+                       if a.kind == ActionKind.ROTATE_CW)
+        assert offered.magnitude == pytest.approx(math.pi / 3.0, abs=1e-12)
+        transition(start, offered, obj)
+        with pytest.raises(w.InfeasibleActionError):
+            transition(start, dataclasses.replace(offered, magnitude=2.0 * math.pi / 3.0), obj)
 
     def test_rotation_cycle_restores_symmetric_state(self, square_prism, hex_prism):
         for obj in (square_prism, hex_prism):
@@ -383,6 +448,22 @@ class TestStateValidation:
         with pytest.raises(w.InvalidStateError):
             GraspState.create(square_prism, 0, 2, 4, (0.2, 0.02), (0.02, 0.02),
                               0.02, 0.02)
+
+    @pytest.mark.parametrize("field, value", [("support_face", 99), ("support_face", -1),
+                                              ("grasp_pair", 3), ("grasp_pair", -1)])
+    def test_out_of_range_ids_rejected(self, square_prism, field, value):
+        s = dataclasses.replace(centered_state(square_prism), **{field: value})
+        with pytest.raises(w.InvalidStateError, match="does not exist"):
+            s.validate(square_prism)
+
+    def test_create_rejects_a_missing_support_face(self, square_prism):
+        with pytest.raises(w.InvalidStateError, match="support face 99 does not exist"):
+            GraspState.create(square_prism, 0, 2, 99, (0.02, 0.02), (0.02, 0.02), 0.02, 0.02)
+
+
+def test_package_exposes_the_transition_module():
+    assert w.transition is transition_mod
+    assert callable(transition_mod.transition)
 
 
 @functools.cache
