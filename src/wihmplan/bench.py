@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InfeasibleActionError, InvalidInputError
+from .errors import CorruptedPlanError, InfeasibleActionError, InvalidInputError, WihmplanError
 from .geometry import ObjectModel
 from .planner import CostConfig, Plan, check_replay, plan as run_planner
 from .transition import (
@@ -29,6 +29,7 @@ from .transition import (
     derive_resolutions,
     overlap_ratio,
     region_outside_goal,
+    state_key,
     transition,
 )
 
@@ -166,14 +167,15 @@ def run_task(task: TaskSpec) -> tuple[TaskResult, Plan]:
 
 
 def run_benchmark(suite: list[TaskSpec]) -> BenchReport:
-    """Plan + noiseless-simulate every task; failures are recorded, not raised."""
+    """Plan + noiseless-simulate every task.  A task that raises a WihmplanError is
+    recorded as failed; any other exception is a bug and propagates."""
     if not suite:
         raise InvalidInputError("benchmark suite must be non-empty")
     rows = []
     for task in suite:
         try:
             row, _ = run_task(task)
-        except Exception as exc:  # noqa: BLE001 - a bad task must not sink the suite
+        except WihmplanError as exc:  # a bad task must not sink the suite
             row = TaskResult(task=task.name, object_name=task.obj.name,
                              status=f"failed: {type(exc).__name__}", planning_time_s=0.0,
                              plan_length=0, execution_steps=0, overlap_left=0.0,
@@ -187,9 +189,12 @@ def run_benchmark(suite: list[TaskSpec]) -> BenchReport:
 
 def noise_robustness(plan_: Plan, obj: ObjectModel, s0: GraspState,
                      eta: float, trials: int, seed: int = 0) -> dict:
-    """Failure statistics over seeded perturbed replays of one plan."""
+    """Failure statistics over seeded perturbed replays of one plan from s0,
+    which must be the plan's first state (as the noiseless replay checks)."""
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
+    if not plan_.states or state_key(s0) != state_key(plan_.states[0]):
+        raise CorruptedPlanError("the start state is not the plan's first state")
     failures = 0
     per_trial = []
     for t in range(trials):

@@ -285,11 +285,6 @@ class RigidTransform3:
         return cls(np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=float), translation)
 
     @classmethod
-    def rot_y(cls, angle: float, translation=(0.0, 0.0, 0.0)) -> RigidTransform3:
-        c, s = math.cos(angle), math.sin(angle)
-        return cls(np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=float), translation)
-
-    @classmethod
     def rot_z(cls, angle: float, translation=(0.0, 0.0, 0.0)) -> RigidTransform3:
         c, s = math.cos(angle), math.sin(angle)
         return cls(np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=float), translation)
@@ -351,10 +346,6 @@ class SharedEdge:
 
     def endpoints_in(self, face_id: int) -> np.ndarray:
         return self.endpoints[face_id]
-
-    def length(self) -> float:
-        pts = next(iter(self.endpoints.values()))
-        return float(np.linalg.norm(pts[1] - pts[0]))
 
 
 @dataclass(frozen=True, eq=False)

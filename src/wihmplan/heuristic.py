@@ -9,11 +9,9 @@ left and right finger values.
 
 from __future__ import annotations
 
-import math
-
 from .errors import InvalidInputError
 from .geometry import ConvexPolygon2, ObjectModel, UnfoldedMap, points_to_polygon_distance, unfold
-from .transition import ContactRegion, GoalRegion, GraspState
+from .transition import ContactRegion, GoalRegion, GraspState, region_cell
 
 
 class HeuristicCache:
@@ -61,21 +59,15 @@ def finger_heuristic(region: ContactRegion, cache: HeuristicCache) -> float:
     """Minimum corner sum over all goals for one finger.
 
     Values repeat heavily across the search lattice (slides move one finger
-    at a time), so results are memoized per quantized region.
+    at a time), so results are memoized per pad size and ``region_cell``, the
+    lattice cell that ``state_key`` dedups on.
     """
-    x, y = region.center.tolist()
-    key = (region.face, round(x * 1e9), round(y * 1e9),
-           round(region.orientation * 1e9), region.pad_width, region.pad_height)
+    key = region_cell(region) + (region.pad_width, region.pad_height)
     hit = cache._finger_memo.get(key)
-    if hit is not None:
-        return hit
-    corners = region.corners()
-    best = math.inf
-    for m in range(len(cache.goals)):
-        image = cache.goal_image(region.face, m)
-        best = min(best, float(points_to_polygon_distance(corners, image).sum()))
-    cache._finger_memo[key] = best
-    return best
+    if hit is None:
+        hit = cache._finger_memo[key] = min(
+            corner_sum(region, m, cache) for m in range(len(cache.goals)))
+    return hit
 
 
 def total_heuristic(s: GraspState, cache: HeuristicCache) -> float:

@@ -165,27 +165,27 @@ def state_to_dict(state: GraspState) -> dict:
         "right": region_to_dict(state.right),
         "grasp_pair": state.grasp_pair,
         "support_face": state.support_face,
-        "horizontal_axis": [float(state.horizontal_axis[0]), float(state.horizontal_axis[1])],
     }
 
 
-def region_from_dict(data: dict) -> ContactRegion:
+def region_from_dict(data: dict, where: str = "region") -> ContactRegion:
     return ContactRegion(
-        face=int(data["face"]),
-        center=np.array([float(v) for v in data["center"]]),
-        orientation=float(data["orientation"]),
-        pad_width=float(data["pad_width"]),
-        pad_height=float(data["pad_height"]),
+        face=int(_require(data, "face", where)),
+        center=np.array([float(v) for v in _require(data, "center", where)]),
+        orientation=float(_require(data, "orientation", where)),
+        pad_width=float(_require(data, "pad_width", where)),
+        pad_height=float(_require(data, "pad_height", where)),
     )
 
 
-def state_from_dict(data: dict) -> GraspState:
+def state_from_dict(data: dict, where: str = "state") -> GraspState:
+    """The state a dict records; ``where`` prefixes errors.  Plan files written
+    before states stopped storing ``horizontal_axis`` still carry it; it is ignored."""
     return GraspState(
-        left=region_from_dict(data["left"]),
-        right=region_from_dict(data["right"]),
-        grasp_pair=int(data["grasp_pair"]),
-        support_face=int(data["support_face"]),
-        horizontal_axis=np.array([float(v) for v in data["horizontal_axis"]]),
+        left=region_from_dict(_require(data, "left", where), f"{where} left"),
+        right=region_from_dict(_require(data, "right", where), f"{where} right"),
+        grasp_pair=int(_require(data, "grasp_pair", where)),
+        support_face=int(_require(data, "support_face", where)),
     )
 
 
@@ -197,10 +197,13 @@ def action_to_dict(action: Action) -> dict:
     }
 
 
-def action_from_dict(data: dict) -> Action:
+def action_from_dict(data: dict, where: str = "action") -> Action:
+    kind = str(_require(data, "kind", where))
+    if kind not in ActionKind.__members__:
+        raise InvalidInputError(f"{where}: field 'kind' = {kind!r} is not an action kind")
     return Action(
-        kind=ActionKind[str(data["kind"])],
-        magnitude=float(data["magnitude"]),
+        kind=ActionKind[kind],
+        magnitude=float(_require(data, "magnitude", where)),
         arc_radius=float(data.get("arc_radius", 0.0)),
     )
 
@@ -219,16 +222,18 @@ def plan_to_dict(plan_: Plan) -> dict:
     }
 
 
-def plan_from_dict(data: dict) -> Plan:
+def plan_from_dict(data: dict, where: str = "plan") -> Plan:
     return Plan(
-        actions=[action_from_dict(a) for a in data["actions"]],
-        states=[state_from_dict(s) for s in data["states"]],
-        step_costs=[float(c) for c in data["step_costs"]],
-        total_action_cost=float(data["total_action_cost"]),
-        terminal_outside_area=float(data["terminal_outside_area"]),
-        objective=float(data["objective"]),
-        status=str(data["status"]),
-        tradeoff_weight=float(data["tradeoff_weight"]),
+        actions=[action_from_dict(a, f"{where}: action {i}")
+                 for i, a in enumerate(_require(data, "actions", where))],
+        states=[state_from_dict(s, f"{where}: state {i}")
+                for i, s in enumerate(_require(data, "states", where))],
+        step_costs=[float(c) for c in _require(data, "step_costs", where)],
+        total_action_cost=float(_require(data, "total_action_cost", where)),
+        terminal_outside_area=float(_require(data, "terminal_outside_area", where)),
+        objective=float(_require(data, "objective", where)),
+        status=str(_require(data, "status", where)),
+        tradeoff_weight=float(_require(data, "tradeoff_weight", where)),
         expansions=int(data.get("expansions", 0)),
     )
 
@@ -238,7 +243,7 @@ def save_plan(plan_: Plan, path: str | Path) -> None:
 
 
 def load_plan(path: str | Path) -> Plan:
-    return plan_from_dict(read_json(path))
+    return plan_from_dict(read_json(path), str(path))
 
 
 # ---------------------------------------------------------------------------

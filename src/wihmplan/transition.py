@@ -151,23 +151,16 @@ class ContactRegion:
 
 @dataclass(frozen=True)
 class GraspState:
-    """Both finger contacts plus which faces are gripped and rested on."""
+    """Both finger contacts plus which faces are gripped and rested on.
+
+    The grasp mode (support and gripped faces) fixes the world-horizontal
+    direction on each face: ``world_context(s, obj).left_axes[0]``.
+    """
 
     left: ContactRegion
     right: ContactRegion
     grasp_pair: int
     support_face: int
-    horizontal_axis: np.ndarray  # world-horizontal direction in the left face frame
-
-    def __post_init__(self) -> None:
-        h = self.horizontal_axis
-        if not (isinstance(h, np.ndarray) and h.shape == (2,)):
-            h = np.asarray(h, dtype=float)
-            if h.shape != (2,):
-                raise InvalidStateError("horizontal_axis must be a 2-vector")
-            object.__setattr__(self, "horizontal_axis", h)
-        if abs(math.sqrt(float(h[0]) ** 2 + float(h[1]) ** 2) - 1.0) > FEAS_TOL:
-            raise InvalidStateError("horizontal_axis must be unit length")
 
     def validate(self, obj: ObjectModel) -> None:
         if not 0 <= self.grasp_pair < len(obj.parallel_pairs):
@@ -178,10 +171,7 @@ class GraspState:
                 f"contact faces {self.left.face}/{self.right.face} do not form pair {pair}")
         if self.support_face in pair:
             raise InvalidStateError("support face cannot be a gripped face")
-        horiz = _face_axes(_object_rotation(obj, self.support_face, self.left.face), obj,
-                           self.left.face)[0]
-        if np.max(np.abs(horiz - self.horizontal_axis)) > FEAS_TOL:
-            raise InvalidStateError("horizontal_axis is inconsistent with the support face")
+        _object_rotation(obj, self.support_face, self.left.face)  # support range, perpendicular
         for region in (self.left, self.right):
             if not _corners_inside(obj, region):
                 raise InvalidStateError(
@@ -192,7 +182,7 @@ class GraspState:
                left_center, right_center, pad_width: float, pad_height: float,
                left_orientation: float | None = None,
                right_orientation: float | None = None) -> GraspState:
-        """Build a state, deriving pad orientations/horizontal axis when omitted.
+        """Build a state, deriving pad orientations when omitted.
 
         The canonical pad orientation aligns the pad u-axis with the world
         horizontal direction.
@@ -214,7 +204,6 @@ class GraspState:
                                 float(right_orientation), pad_width, pad_height),
             grasp_pair=pair_idx,
             support_face=support_face,
-            horizontal_axis=h_l,
         )
         state.validate(obj)
         return state
@@ -333,7 +322,6 @@ class _Rotation(NamedTuple):
     pair: int
     rz: np.ndarray
     fingers: tuple  # per finger: (new face, rot_new @ R_new, rot @ t_new + z offset, rot @ R_old)
-    horizontal: np.ndarray
     width: float   # grasp width of the target pair
     extent: float  # world-y extent of the new left face
 
@@ -344,7 +332,6 @@ class _Pivot(NamedTuple):
     edge: PivotEdgeInfo
     action: Action
     fingers: tuple  # per finger: (rot @ R_face, rot_new @ R_face)
-    horizontal: np.ndarray
 
 
 class _Mode:
@@ -376,7 +363,7 @@ class _Mode:
                             for f in (left_face, right_face))
             self.pivot = _Pivot(edge, Action(ActionKind.PIVOT, abs(edge.angle),
                                              arc_radius=self.width / 2.0),
-                                fingers, _face_axes(rot_new, obj, left_face)[0])
+                                fingers)
         self.shrunk: dict[tuple, tuple[tuple[float, float, float], ...]] = {}
 
 
@@ -431,8 +418,7 @@ def _rotation(obj: ObjectModel, m: _Mode, kind: ActionKind) -> _Rotation | None:
     face = obj.face(new_left_face)
     verts_y = (rot_new @ face.to_object(face.polygon.vertices).T)[1]
     return _Rotation(Action(kind, magnitude, arc_radius=m.width / 2.0), pair_idx, rz,
-                     tuple(fingers), _face_axes(rot_new, obj, new_left_face)[0],
-                     obj.pair_width(pair_idx), float(verts_y.max() - verts_y.min()))
+                     tuple(fingers), obj.pair_width(pair_idx), float(verts_y.max() - verts_y.min()))
 
 
 def _pivot_edge(obj: ObjectModel, rot: np.ndarray, tz: float,
@@ -607,7 +593,7 @@ def _translate(obj: ObjectModel, s: GraspState, m: _Mode, kind: ActionKind,
         pads[i] = _place(obj, m, pad.face, x + step * d_u, y + step * d_v, pad.orientation, pad)
         if pads[i] is None:
             return None
-    return GraspState(pads[0], pads[1], s.grasp_pair, s.support_face, s.horizontal_axis)
+    return GraspState(pads[0], pads[1], s.grasp_pair, s.support_face)
 
 
 def _turn(rot_face_old: np.ndarray, rot_face_new: np.ndarray, theta: float) -> float:
@@ -631,7 +617,7 @@ def _rotate(obj: ObjectModel, s: GraspState, m: _Mode, rt: _Rotation) -> GraspSt
                            _turn(rot_face_old, rot_face_new, region.orientation), region))
         if pads[-1] is None:
             return None
-    return GraspState(pads[0], pads[1], rt.pair, s.support_face, rt.horizontal)
+    return GraspState(pads[0], pads[1], rt.pair, s.support_face)
 
 
 def _pivot(obj: ObjectModel, s: GraspState, m: _Mode, pv: _Pivot) -> GraspState | None:
@@ -640,7 +626,7 @@ def _pivot(obj: ObjectModel, s: GraspState, m: _Mode, pv: _Pivot) -> GraspState 
             for region, (rot_face_old, rot_face_new) in zip((s.left, s.right), pv.fingers)]
     if pads[0] is None or pads[1] is None:
         return None
-    return GraspState(pads[0], pads[1], s.grasp_pair, pv.edge.new_support, pv.horizontal)
+    return GraspState(pads[0], pads[1], s.grasp_pair, pv.edge.new_support)
 
 
 # ---------------------------------------------------------------------------
@@ -694,21 +680,26 @@ def overlap_ratio(s: GraspState, goals: list[GoalRegion]) -> tuple[float, float]
     return out[0], out[1]
 
 
-_KEY_QUANTUM = 1e-7  # state_key's lattice spacing (m, rad)
+_KEY_QUANTUM = 1e-7  # lattice spacing of region_cell (m, rad)
+_TWO_PI = 2.0 * math.pi
+
+
+def region_cell(region: ContactRegion) -> tuple:
+    """The pad's lattice cell: (face, x, y, orientation mod 2*pi), on _KEY_QUANTUM.
+
+    Action steps are orders of magnitude larger than the quantum, so equal
+    pads share a cell and distinct lattice points never do.  An orientation
+    within half a quantum below 2*pi wraps to 0.
+    """
+    x, y = region.center.tolist()
+    r = region.orientation % _TWO_PI
+    if _TWO_PI - r < 5e-8:
+        r = 0.0
+    return (region.face, round(x / _KEY_QUANTUM), round(y / _KEY_QUANTUM),
+            round(r / _KEY_QUANTUM))
 
 
 def state_key(s: GraspState) -> tuple:
-    """Hashable lattice key for duplicate detection in search.
-
-    Action steps are orders of magnitude larger than the quantum, so equal
-    states collide and distinct lattice points never do.
-    """
-    twopi = 2.0 * math.pi
-    key = [s.grasp_pair, s.support_face, s.left.face]
-    for region in (s.left, s.right):
-        x, y = region.center.tolist()
-        r = region.orientation % twopi
-        if twopi - r < 5e-8:
-            r = 0.0
-        key += (round(x / _KEY_QUANTUM), round(y / _KEY_QUANTUM), round(r / _KEY_QUANTUM))
-    return tuple(key)
+    """Hashable key for duplicate detection in search: the support face and
+    both pads' cells (the gripped faces fix the grasp pair)."""
+    return (s.support_face,) + region_cell(s.left) + region_cell(s.right)

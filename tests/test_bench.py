@@ -137,6 +137,30 @@ class TestRunBenchmark:
         assert len(report.rows) == 1
         assert report.rows[0].status in ("best-effort",) or report.rows[0].status.startswith("failed")
 
+    def test_package_error_recorded_as_failed(self, solved_task, monkeypatch):
+        obj, start, goals, resolution, cost, _ = solved_task
+
+        def stuck(*args):
+            raise w.InfeasibleActionError("no feasible action")
+
+        monkeypatch.setattr("wihmplan.bench.run_planner", stuck)
+        task = TaskSpec(name="stuck", obj=obj, start=start, goals=goals,
+                        resolution=resolution, cost=cost)
+        report = run_benchmark([task])
+        assert report.rows[0].status == "failed: InfeasibleActionError"
+
+    def test_other_exceptions_propagate(self, solved_task, monkeypatch):
+        obj, start, goals, resolution, cost, _ = solved_task
+
+        def broken(*args):
+            raise TypeError("a bug, not a bad task")
+
+        monkeypatch.setattr("wihmplan.bench.run_planner", broken)
+        task = TaskSpec(name="broken", obj=obj, start=start, goals=goals,
+                        resolution=resolution, cost=cost)
+        with pytest.raises(TypeError):
+            run_benchmark([task])
+
 
 class TestEmitReport:
     def test_aggregate_rows_keep_per_finger_and_executed_columns(self):

@@ -128,6 +128,25 @@ class TestSimulateCommand:
         assert data["trials"] == 50
         assert 0 <= data["failures"] <= 50
 
+    def test_noise_mode_rejects_a_start_off_the_plan(self, workdir, caplog):
+        plan_path = workdir / "plan.json"
+        assert run_cli("plan", "--object", str(workdir / "square_prism.json"),
+                       "--goals", str(workdir / "sq_t1_shift_goals.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"),
+                       "--out", str(plan_path)) == 0
+        start = json.loads((workdir / "sq_t1_shift_start.json").read_text())
+        start["left"]["center"][1] += 0.01
+        moved = workdir / "moved_start.json"
+        moved.write_text(json.dumps(start))
+        out = workdir / "noise.json"
+        code = run_cli("simulate", "--plan", str(plan_path),
+                       "--object", str(workdir / "square_prism.json"),
+                       "--start", str(moved), "--noise", "0.002", "--trials", "5",
+                       "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        assert any("first state" in rec.message for rec in caplog.records)
+
 
 class TestDeterminism:
     def test_plan_and_simulate_byte_identical(self, workdir):
@@ -191,6 +210,28 @@ class TestTrajectoryCommand:
                        "--start", str(workdir / "start.json"),
                        "--out", str(workdir / "sim.json"))
         assert code == 2
+
+
+    @pytest.mark.parametrize("corrupt, field", [
+        (lambda data: data["states"][0].pop("support_face"), "support_face"),
+        (lambda data: data["actions"][0].update(kind="TELEPORT"), "kind"),
+    ])
+    def test_malformed_plan_file_is_an_input_error(self, workdir, caplog, corrupt, field):
+        plan_path = workdir / "plan.json"
+        assert run_cli("plan", "--object", str(workdir / "square_prism.json"),
+                       "--goals", str(workdir / "sq_t1_shift_goals.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"),
+                       "--out", str(plan_path)) == 0
+        data = json.loads(plan_path.read_text())
+        corrupt(data)
+        plan_path.write_text(json.dumps(data))
+        code = run_cli("trajectory", "--plan", str(plan_path),
+                       "--object", str(workdir / "square_prism.json"),
+                       "--chain", str(workdir / "chain.json"),
+                       "--out", str(workdir / "traj.csv"))
+        assert code == 2
+        assert any(str(plan_path) in rec.message and f"'{field}'" in rec.message
+                   for rec in caplog.records)
 
 
 class TestUnfoldCommand:

@@ -7,7 +7,7 @@ import pytest
 
 import wihmplan as w
 from wihmplan.heuristic import HeuristicCache, corner_sum, finger_heuristic, total_heuristic
-from wihmplan.transition import ContactRegion, GoalRegion, GraspState
+from wihmplan.transition import ContactRegion, GoalRegion, GraspState, state_key
 
 from conftest import random_feasible_state
 from oracles import geodesic_across_edge, point_polygon_distance
@@ -95,6 +95,18 @@ class TestFingerHeuristic:
     def test_empty_goal_set_rejected(self, unit_cube):
         with pytest.raises(w.InvalidInputError):
             HeuristicCache(unit_cube, [])
+
+
+class TestLatticeCell:
+    def test_orientations_pi_and_minus_pi_share_key_and_memo_entry(self, square_prism):
+        cache = HeuristicCache(square_prism, [GoalRegion(0, _inset_poly(square_prism, 0))])
+        a, b = (GraspState.create(square_prism, 0, 2, 4, (0.02, 0.02), (0.02, 0.02), 0.02, 0.02,
+                                  left_orientation=theta) for theta in (math.pi, -math.pi))
+        assert state_key(a) == state_key(b)
+        h = finger_heuristic(a.left, cache)
+        assert len(cache._finger_memo) == 1
+        assert finger_heuristic(b.left, cache) == h
+        assert len(cache._finger_memo) == 1
 
 
 class TestTotalHeuristic:

@@ -2,13 +2,13 @@ from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 import wihmplan as w
 from wihmplan import io as io_mod
+from wihmplan.bench import simulate
 from wihmplan.planner import plan
-from wihmplan.transition import derive_resolutions, state_key
+from wihmplan.transition import derive_resolutions, state_key, world_context
 
 from conftest import FIXTURES, load_task
 
@@ -63,7 +63,8 @@ class TestStateRoundTrip:
         data = io_mod.state_to_dict(start)
         back = io_mod.state_from_dict(data)
         assert state_key(back) == state_key(start)
-        assert np.allclose(back.horizontal_axis, start.horizontal_axis)
+        assert "horizontal_axis" not in data
+        assert io_mod.state_to_dict(back) == data
 
     def test_plan_file_roundtrip(self, tmp_path, suite_entries):
         obj, start, goals, resolution, cost = load_task(suite_entries[0])
@@ -80,6 +81,23 @@ class TestStateRoundTrip:
         io_mod.save_plan(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_plan_file_with_horizontal_axis_loads_and_replays(self, tmp_path, sq_t1_plan):
+        obj, p = sq_t1_plan
+        path = tmp_path / "plan.json"
+        io_mod.save_plan(p, path)
+        data = json.loads(path.read_text())
+        assert all("horizontal_axis" not in s for s in data["states"])
+        # Older plan files also record each state's horizontal direction on its left face.
+        for s, state in zip(data["states"], p.states):
+            s["horizontal_axis"] = world_context(state, obj).left_axes[0].tolist()
+        old = tmp_path / "old_plan.json"
+        old.write_text(json.dumps(data))
+        loaded = io_mod.load_plan(old)
+        result = simulate(loaded, obj, loaded.states[0])
+        assert [state_key(s) for s in result.trace] == [state_key(s) for s in p.states]
+        io_mod.save_plan(loaded, tmp_path / "resaved.json")
+        assert (tmp_path / "resaved.json").read_bytes() == path.read_bytes()
+
     def test_orientation_defaults_to_canonical(self, tmp_path):
         obj = io_mod.load_object(FIXTURES / "square_prism.json")
         resolution = derive_resolutions(obj, w.ResolutionConfig())
@@ -92,6 +110,30 @@ class TestStateRoundTrip:
         explicit = w.GraspState.create(obj, 0, 2, 4, (0.02, 0.02), (0.02, 0.02),
                                        resolution.pad_width, resolution.pad_height)
         assert state_key(s) == state_key(explicit)
+
+
+@pytest.fixture(scope="module")
+def sq_t1_plan(suite_entries):
+    obj, start, goals, resolution, cost = load_task(suite_entries[0])
+    return obj, plan(obj, start, goals, resolution, cost)
+
+
+class TestMalformedPlanFile:
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda data: data.pop("objective"), "missing required field 'objective'"),
+        (lambda data: data["states"][1]["left"].pop("orientation"),
+         "state 1 left: missing required field 'orientation'"),
+        (lambda data: data["actions"][0].update(kind="TELEPORT"),
+         "action 0: field 'kind' = 'TELEPORT' is not an action kind"),
+    ])
+    def test_error_names_file_and_field(self, tmp_path, sq_t1_plan, corrupt, message):
+        data = io_mod.plan_to_dict(sq_t1_plan[1])
+        corrupt(data)
+        path = tmp_path / "plan.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(w.InvalidInputError) as err:
+            io_mod.load_plan(path)
+        assert str(err.value) == f"{path}: {message}"
 
 
 class TestConfigLoader:

@@ -16,6 +16,7 @@ from wihmplan.transition import (
     ResolutionConfig,
     derive_resolutions,
     state_key,
+    world_context,
 )
 
 from conftest import load_task
@@ -108,8 +109,7 @@ class TestPlanBasics:
         obj, s0, goals, res, cost = small_instance("slide")
         bad = GraspState(
             left=s0.left, right=s0.right, grasp_pair=s0.grasp_pair,
-            support_face=s0.left.face,  # support equals a gripped face
-            horizontal_axis=s0.horizontal_axis)
+            support_face=s0.left.face)  # support equals a gripped face
         with pytest.raises(w.InvalidStartError):
             plan(obj, bad, goals, res, cost)
 
@@ -130,7 +130,7 @@ class TestPlanBasics:
         res = derive_resolutions(obj, ResolutionConfig(
             slide_step=0.005, z_step=0.005, pad_width=0.01, pad_height=0.01))
         s0 = GraspState.create(obj, 0, 2, 4, (0.02, 0.02), (0.015, 0.02), 0.01, 0.01)
-        h = s0.horizontal_axis
+        h = world_context(s0, obj).left_axes[0]
         target_u = 0.02 + 2 * 0.005 * h[0]
         lo, hi = sorted([target_u - 0.006, target_u + 0.006])
         left_goal = GoalRegion(0, w.ConvexPolygon2(

@@ -128,7 +128,6 @@ class TestValidActions:
     def test_flush_contact_drops_slide_toward_edge(self, square_prism):
         cfg = derive_resolutions(square_prism, ResolutionConfig())
         s0 = centered_state(square_prism)
-        h = s0.horizontal_axis
         # park the left pad flush against the face edge it slides toward
         poly = square_prism.faces[s0.left.face].polygon
         step = Action(ActionKind.SLIDE_LEFT_UP, cfg.slide_step)
@@ -185,7 +184,8 @@ class TestSlides:
         act = Action(ActionKind.SLIDE_LEFT_UP, 0.01)
         nxt = transition(s, act, square_prism)
         assert np.allclose(nxt.left.center,
-                           s.left.center + 0.01 * s.horizontal_axis, atol=1e-15)
+                           s.left.center + 0.01 * world_context(s, square_prism).left_axes[0],
+                           atol=1e-15)
         assert np.allclose(nxt.right.center, s.right.center)
         assert nxt.support_face == s.support_face
         assert nxt.grasp_pair == s.grasp_pair
@@ -580,7 +580,7 @@ class TestModeTable:
 
 
 def _state_bits(s: GraspState) -> tuple:
-    floats = [*s.horizontal_axis.tolist()]
+    floats = []
     for r in (s.left, s.right):
         floats += [*r.center.tolist(), r.orientation, r.pad_width, r.pad_height]
     return (s.grasp_pair, s.support_face, s.left.face, s.right.face,
