@@ -26,7 +26,6 @@ from .transition import (
     GoalRegion,
     GraspState,
     ResolutionConfig,
-    derive_resolutions,
     overlap_ratio,
     region_outside_goal,
     state_key,
@@ -144,9 +143,8 @@ def _aggregate(rows: list[TaskResult]) -> dict[str, float]:
 
 
 def run_task(task: TaskSpec) -> tuple[TaskResult, Plan]:
-    resolution = derive_resolutions(task.obj, task.resolution)
     t0 = time.perf_counter()
-    plan_ = run_planner(task.obj, task.start, task.goals, resolution, task.cost)
+    plan_ = run_planner(task.obj, task.start, task.goals, task.resolution, task.cost)
     elapsed = time.perf_counter() - t0
     sim = simulate(plan_, task.obj, task.start)
     left, right = overlap_ratio(sim.final_state, task.goals)

@@ -18,7 +18,6 @@ from .errors import InvalidStateError, WihmplanError
 from .geometry import ObjectModel, unfold
 from .kinematics import plan_waypoints
 from .planner import Plan, plan as run_planner
-from .transition import derive_resolutions
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -78,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_plan(args) -> int:
     obj = io_mod.load_object(args.object)
     resolution, cost = io_mod.load_configs(args.config)
-    resolution = derive_resolutions(obj, resolution)
     goals = io_mod.load_goals(args.goals, obj)
     start = io_mod.load_state(args.start, obj, resolution)
     plan_ = run_planner(obj, start, goals, resolution, cost)
@@ -91,7 +89,6 @@ def _cmd_plan(args) -> int:
 def _cmd_simulate(args) -> int:
     obj = io_mod.load_object(args.object)
     resolution, _ = io_mod.load_configs(args.config)
-    resolution = derive_resolutions(obj, resolution)
     start = io_mod.load_state(args.start, obj, resolution)
     plan_ = _load_plan(args.plan, obj)
     if args.noise is None:
@@ -132,7 +129,6 @@ def _load_suite(path: str) -> tuple[list[bench_mod.TaskSpec], dict]:
         obj = io_mod.load_object(base / entry["object"])
         config_path = entry.get("config")
         resolution, cost = io_mod.load_configs(base / config_path if config_path else None)
-        resolution = derive_resolutions(obj, resolution)
         start = io_mod.load_state(base / entry["start"], obj, resolution)
         goals = io_mod.load_goals(base / entry["goals"], obj)
         tasks.append(bench_mod.TaskSpec(

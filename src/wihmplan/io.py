@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidGeometryError, InvalidInputError, WihmplanError
+from .errors import CorruptedPlanError, InvalidGeometryError, InvalidInputError, WihmplanError
 from .geometry import ConvexPolygon2, ObjectModel, UnfoldedMap, build_prism
 from .kinematics import PivotChain, Waypoint, rotation_to_quaternion
 from .planner import CostConfig, Plan
@@ -44,6 +45,28 @@ def _require(data: dict, field: str, path) -> object:
     return data[field]
 
 
+def _number(value, field: str, where, kind: type = float):
+    """A JSON number as a finite float, or as an int when kind is int.
+
+    Anything else (a string, a bool, null, a fraction for an int, NaN or an
+    infinity) raises InvalidInputError naming ``where`` and the field.
+    """
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value) or (kind is int and value != int(value))):
+        noun = "an integer" if kind is int else "a finite number"
+        raise InvalidInputError(f"{where}: field '{field}' must be {noun}, got {value!r}")
+    return kind(value)
+
+
+def _numbers(value, field: str, where, depth: int = 1) -> list:
+    """A JSON list of numbers (depth 1) or of number lists (depth 2), each read by _number."""
+    if not isinstance(value, list):
+        raise InvalidInputError(f"{where}: field '{field}' must be a list, got {value!r}")
+    if depth == 1:
+        return [_number(v, field, where) for v in value]
+    return [_numbers(v, field, where, depth - 1) for v in value]
+
+
 def dump_json(payload, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
@@ -57,10 +80,11 @@ def load_object(path: str | Path) -> ObjectModel:
     if units != "m":
         raise InvalidInputError(f"{path}: field 'units' must be 'm', got {units!r}")
     try:
-        cross_section = ConvexPolygon2(_require(data, "cross_section", path))
+        cross_section = ConvexPolygon2(
+            _numbers(_require(data, "cross_section", path), "cross_section", path, depth=2))
     except InvalidGeometryError as exc:
         raise InvalidInputError(f"{path}: field 'cross_section' invalid: {exc}")
-    height = float(_require(data, "height", path))
+    height = _number(_require(data, "height", path), "height", path)
     return build_prism(cross_section, height, name=name)
 
 
@@ -70,11 +94,13 @@ def load_goals(path: str | Path, obj: ObjectModel) -> list[GoalRegion]:
         raise InvalidInputError(f"{path}: expected a non-empty list of goal regions")
     goals = []
     for i, entry in enumerate(data):
-        face = int(_require(entry, "face", path))
+        where = f"{path}: goal {i}"
+        face = _number(_require(entry, "face", where), "face", where, int)
         if face < 0 or face >= len(obj.faces):
             raise InvalidInputError(f"{path}: goal {i} field 'face' = {face} does not exist")
         try:
-            poly = ConvexPolygon2(_require(entry, "polygon", path))
+            poly = ConvexPolygon2(_numbers(_require(entry, "polygon", where), "polygon", where,
+                                           depth=2))
         except InvalidGeometryError as exc:
             raise InvalidInputError(f"{path}: goal {i} field 'polygon' invalid: {exc}")
         for v in poly.vertices:
@@ -90,14 +116,18 @@ def load_state(path: str | Path, obj: ObjectModel, resolution: ResolutionConfig)
     sides = {}
     for side in ("left", "right"):
         entry = _require(data, side, path)
+        where = f"{path}: {side}"
+        orientation = entry.get("orientation")
         sides[side] = {
-            "face": int(_require(entry, "face", path)),
-            "center": [float(v) for v in _require(entry, "center", path)],
-            "orientation": entry.get("orientation"),
-            "pad_width": float(entry.get("pad_width", resolution.pad_width)),
-            "pad_height": float(entry.get("pad_height", resolution.pad_height)),
+            "face": _number(_require(entry, "face", where), "face", where, int),
+            "center": _numbers(_require(entry, "center", where), "center", where),
+            "orientation": None if orientation is None else _number(orientation, "orientation",
+                                                                    where),
+            "pad_width": _number(entry.get("pad_width", resolution.pad_width), "pad_width", where),
+            "pad_height": _number(entry.get("pad_height", resolution.pad_height), "pad_height",
+                                  where),
         }
-    support = int(_require(data, "support_face", path))
+    support = _number(_require(data, "support_face", path), "support_face", path, int)
     if sides["left"]["pad_width"] != sides["right"]["pad_width"] or \
             sides["left"]["pad_height"] != sides["right"]["pad_height"]:
         raise InvalidInputError(f"{path}: left/right pad dimensions must match")
@@ -118,31 +148,43 @@ def load_state(path: str | Path, obj: ObjectModel, resolution: ResolutionConfig)
         raise type(exc)(f"{path}: {exc}") from exc
 
 
+def _config(cls, data: dict, section: str, path):
+    """The config section as a validated cls.  A field whose default is an int is
+    read as an int, any other as a float; one whose default is None may be null."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    values = {}
+    for key, value in data.items():
+        if key not in defaults:
+            raise InvalidInputError(f"{path}: unknown {section} field '{key}'")
+        if not (value is None and defaults[key] is None):
+            kind = int if isinstance(defaults[key], int) else float
+            value = _number(value, key, f"{path}: {section}", kind)
+        values[key] = value
+    cfg = cls(**values)
+    try:
+        cfg.validate()
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from exc
+    return cfg
+
+
 def load_configs(path: str | Path | None) -> tuple[ResolutionConfig, CostConfig]:
+    """The resolution and cost configs a file overrides, each validated."""
     if path is None:
         return ResolutionConfig(), CostConfig()
     data = read_json(path)
-    res_fields = {f.name for f in dataclasses.fields(ResolutionConfig)}
-    cost_fields = {f.name for f in dataclasses.fields(CostConfig)}
-    res_data = data.get("resolution", {})
-    cost_data = data.get("cost", {})
-    for key in res_data:
-        if key not in res_fields:
-            raise InvalidInputError(f"{path}: unknown resolution field '{key}'")
-    for key in cost_data:
-        if key not in cost_fields:
-            raise InvalidInputError(f"{path}: unknown cost field '{key}'")
-    return ResolutionConfig(**res_data), CostConfig(**cost_data)
+    return (_config(ResolutionConfig, data.get("resolution", {}), "resolution", path),
+            _config(CostConfig, data.get("cost", {}), "cost", path))
 
 
 def load_chain(path: str | Path) -> PivotChain:
     data = read_json(path)
     kwargs = {}
     for name in ("d1", "theta_finger", "d2", "d3"):
-        kwargs[name] = float(_require(data, name, path))
+        kwargs[name] = _number(_require(data, name, path), name, path)
     # d4 (contact-to-edge distance) is normally derived from the plan state
     for name in ("d4", "theta_contact", "theta_pivot"):
-        kwargs[name] = float(data.get(name, 0.0))
+        kwargs[name] = _number(data.get(name, 0.0), name, path)
     return PivotChain(**kwargs)
 
 
@@ -170,11 +212,11 @@ def state_to_dict(state: GraspState) -> dict:
 
 def region_from_dict(data: dict, where: str = "region") -> ContactRegion:
     return ContactRegion(
-        face=int(_require(data, "face", where)),
-        center=np.array([float(v) for v in _require(data, "center", where)]),
-        orientation=float(_require(data, "orientation", where)),
-        pad_width=float(_require(data, "pad_width", where)),
-        pad_height=float(_require(data, "pad_height", where)),
+        face=_number(_require(data, "face", where), "face", where, int),
+        center=np.array(_numbers(_require(data, "center", where), "center", where)),
+        orientation=_number(_require(data, "orientation", where), "orientation", where),
+        pad_width=_number(_require(data, "pad_width", where), "pad_width", where),
+        pad_height=_number(_require(data, "pad_height", where), "pad_height", where),
     )
 
 
@@ -184,8 +226,8 @@ def state_from_dict(data: dict, where: str = "state") -> GraspState:
     return GraspState(
         left=region_from_dict(_require(data, "left", where), f"{where} left"),
         right=region_from_dict(_require(data, "right", where), f"{where} right"),
-        grasp_pair=int(_require(data, "grasp_pair", where)),
-        support_face=int(_require(data, "support_face", where)),
+        grasp_pair=_number(_require(data, "grasp_pair", where), "grasp_pair", where, int),
+        support_face=_number(_require(data, "support_face", where), "support_face", where, int),
     )
 
 
@@ -203,8 +245,8 @@ def action_from_dict(data: dict, where: str = "action") -> Action:
         raise InvalidInputError(f"{where}: field 'kind' = {kind!r} is not an action kind")
     return Action(
         kind=ActionKind[kind],
-        magnitude=float(_require(data, "magnitude", where)),
-        arc_radius=float(data.get("arc_radius", 0.0)),
+        magnitude=_number(_require(data, "magnitude", where), "magnitude", where),
+        arc_radius=_number(data.get("arc_radius", 0.0), "arc_radius", where),
     )
 
 
@@ -223,19 +265,31 @@ def plan_to_dict(plan_: Plan) -> dict:
 
 
 def plan_from_dict(data: dict, where: str = "plan") -> Plan:
-    return Plan(
+    """The plan a dict records; ``where`` prefixes errors.  A plan holds one more
+    state than actions and one step cost per action, or CorruptedPlanError."""
+    plan_ = Plan(
         actions=[action_from_dict(a, f"{where}: action {i}")
                  for i, a in enumerate(_require(data, "actions", where))],
         states=[state_from_dict(s, f"{where}: state {i}")
                 for i, s in enumerate(_require(data, "states", where))],
-        step_costs=[float(c) for c in _require(data, "step_costs", where)],
-        total_action_cost=float(_require(data, "total_action_cost", where)),
-        terminal_outside_area=float(_require(data, "terminal_outside_area", where)),
-        objective=float(_require(data, "objective", where)),
+        step_costs=_numbers(_require(data, "step_costs", where), "step_costs", where),
+        total_action_cost=_number(_require(data, "total_action_cost", where),
+                                  "total_action_cost", where),
+        terminal_outside_area=_number(_require(data, "terminal_outside_area", where),
+                                      "terminal_outside_area", where),
+        objective=_number(_require(data, "objective", where), "objective", where),
         status=str(_require(data, "status", where)),
-        tradeoff_weight=float(_require(data, "tradeoff_weight", where)),
-        expansions=int(data.get("expansions", 0)),
+        tradeoff_weight=_number(_require(data, "tradeoff_weight", where), "tradeoff_weight",
+                                where),
+        expansions=_number(data.get("expansions", 0), "expansions", where, int),
     )
+    n = len(plan_.actions)
+    for field, count, expected in (("states", len(plan_.states), n + 1),
+                                   ("step_costs", len(plan_.step_costs), n)):
+        if count != expected:
+            raise CorruptedPlanError(
+                f"{where}: field '{field}' holds {count} entries for {n} actions, not {expected}")
+    return plan_
 
 
 def save_plan(plan_: Plan, path: str | Path) -> None:

@@ -26,10 +26,14 @@ object pose, the slide and shift axes, the grasp width, and where a rotation
 or pivot takes the gripped faces depend on the mode alone.  The mode table
 (``_Mode``, one entry per mode in ``ObjectModel.scratch``, built on first use)
 holds them, so each primitive is a few float operations on the pad centres
-and orientations.  Search (``successors``) and replay (``transition``) call the
-same per-mode kernels with the same arguments.  A rotation or pivot turns by
-the angle its mode's geometry fixes: replay rejects a magnitude more than
-``FEAS_TOL`` away from it.  Search is stricter than replay in one place, the
+and orientations.  A turn is a rotation or a pivot: the object turns rigidly,
+so each pad's new centre is an affine map of the two old centres and its
+orientation shifts by a constant.  The table stores these maps as floats per
+mode (``_Turn``), and one kernel (``_turn``) applies them to both primitives.
+Search (``successors``) and replay (``transition``) call the same per-mode
+kernels with the same arguments.  A rotation or pivot turns by the angle its
+mode's geometry fixes: replay rejects a magnitude more than ``FEAS_TOL`` away
+from it.  Search is stricter than replay in one place, the
 filter in ``successors`` that drops rotations onto a pair outside the
 ResolutionConfig grip-width and length/width limits.
 
@@ -256,12 +260,10 @@ class WorldContext(NamedTuple):
     """World-frame quantities implied by a state's support/grasp alignment."""
 
     rotation: np.ndarray      # object -> world rotation
-    z_offset: float           # world z translation putting the support plane at z=0
     left_axes: tuple[np.ndarray, np.ndarray]   # (horizontal, up) in left face frame
     right_axes: tuple[np.ndarray, np.ndarray]
     left_center_world: np.ndarray
     right_center_world: np.ndarray
-    grasp_width: float
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -315,31 +317,40 @@ class PivotEdgeInfo(NamedTuple):
     edge_point_world: np.ndarray
 
 
-class _Rotation(NamedTuple):
-    """A mode's in-hand rotation onto the next pair, and where it takes each face."""
+class _Turn(NamedTuple):
+    """A rotation or pivot of one mode.  The object turns rigidly, so each pad's
+    new centre is affine in the old centres and its orientation shifts by a constant."""
 
     action: Action
-    pair: int
-    rz: np.ndarray
-    fingers: tuple  # per finger: (new face, rot_new @ R_new, rot @ t_new + z offset, rot @ R_old)
-    width: float   # grasp width of the target pair
-    extent: float  # world-y extent of the new left face
+    pair: int      # grasp pair after the turn
+    support: int   # support face after the turn
+    fingers: tuple  # per finger: (new face, x map, y map, angle shift),
+                    # each map a 5-tuple of coefficients over (x_l, y_l, x_r, y_r, 1)
+    width: float   # grasp width after the turn
+    extent: float  # world-y extent of the left face after the turn
 
 
-class _Pivot(NamedTuple):
-    """The mode's pivot and the world rotations of the gripped faces around it."""
-
-    edge: PivotEdgeInfo
-    action: Action
-    fingers: tuple  # per finger: (rot @ R_face, rot_new @ R_face)
+def _turn_entry(obj: ObjectModel, m: _Mode, action: Action, pair: int, support: int,
+                rot_new: np.ndarray, new_faces: tuple[int, int], centres) -> _Turn:
+    """The mode's turn onto object rotation rot_new; centres holds each finger's 2x5 centre map."""
+    fingers = []
+    for old, new, centre in zip(m.faces[1:], new_faces, centres):
+        e = (rot_new @ obj.face(new).frame.rotation).T @ m.rot @ obj.face(old).frame.rotation
+        fingers.append((new, tuple(centre[0].tolist()), tuple(centre[1].tolist()),
+                        math.atan2(e[1, 0], e[0, 0])))
+    face = obj.face(new_faces[0])
+    verts_y = (rot_new @ face.to_object(face.polygon.vertices).T)[1]
+    return _Turn(action, pair, support, tuple(fingers), obj.pair_width(pair),
+                 float(verts_y.max() - verts_y.min()))
 
 
 class _Mode:
     """Everything the primitives need that depends on the grasp mode alone: pose,
-    per-finger (horizontal, up) face axes (``dirs``: as floats), grasp width, rotations,
-    pivot, and containment half-planes by (face, pad orientation, pad width, pad height)."""
+    per-finger (horizontal, up) face axes (``dirs``: as floats), grasp width, turns
+    (rotations and pivot) by action kind, the pivot edge, and containment
+    half-planes by (face, pad orientation, pad width, pad height)."""
 
-    __slots__ = ("faces", "rot", "tz", "axes", "dirs", "width", "rotations", "pivot", "shrunk")
+    __slots__ = ("faces", "rot", "tz", "axes", "dirs", "width", "turns", "pivot_edge", "shrunk")
 
     def __init__(self, obj: ObjectModel, support_face: int, left_face: int, right_face: int):
         try:
@@ -353,17 +364,12 @@ class _Mode:
         self.axes = (_face_axes(rot, obj, left_face), _face_axes(rot, obj, right_face))
         self.dirs = tuple((tuple(h.tolist()), tuple(u.tolist())) for h, u in self.axes)
         self.width = obj.pair_width(pair)
-        self.rotations = {kind: _rotation(obj, self, kind)
-                          for kind in (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW)}
-        self.pivot = None
-        edge = _pivot_edge(obj, rot, tz, support_face)
-        if edge is not None:
-            rot_new = _rot_x3(edge.angle) @ rot
-            fingers = tuple((rot @ obj.face(f).frame.rotation, rot_new @ obj.face(f).frame.rotation)
-                            for f in (left_face, right_face))
-            self.pivot = _Pivot(edge, Action(ActionKind.PIVOT, abs(edge.angle),
-                                             arc_radius=self.width / 2.0),
-                                fingers)
+        self.turns = {kind: _rotation(obj, self, kind) for kind in _ROTATIONS}
+        self.pivot_edge = edge = _pivot_edge(obj, rot, tz, support_face)
+        self.turns[ActionKind.PIVOT] = None if edge is None else _turn_entry(
+            obj, self, Action(ActionKind.PIVOT, abs(edge.angle), arc_radius=self.width / 2.0),
+            pair, edge.new_support, _rot_x3(edge.angle) @ rot, (left_face, right_face),
+            (np.eye(4, 5)[:2], np.eye(4, 5)[2:]))  # the pads stay put on their faces
         self.shrunk: dict[tuple, tuple[tuple[float, float, float], ...]] = {}
 
 
@@ -376,10 +382,10 @@ def _mode(obj: ObjectModel, support_face: int, left_face: int, right_face: int) 
     return m
 
 
-def _rotation(obj: ObjectModel, m: _Mode, kind: ActionKind) -> _Rotation | None:
+def _rotation(obj: ObjectModel, m: _Mode, kind: ActionKind) -> _Turn | None:
     """The smallest spin of mode m about vertical that lands the pads on another
     pair, or None if none does."""
-    _, left_face, right_face = m.faces
+    support_face, left_face, right_face = m.faces
     ccw = kind == ActionKind.ROTATE_CCW
     best = None  # (angle, pair index, new left face, new right face)
     for pair_idx, pair in enumerate(obj.parallel_pairs):
@@ -406,19 +412,29 @@ def _rotation(obj: ObjectModel, m: _Mode, kind: ActionKind) -> _Rotation | None:
                 best = (phi, pair_idx, candidate_left, pair[1 - k])
     if best is None:
         return None
-    magnitude, pair_idx, new_left_face, new_right_face = best
+    magnitude, pair_idx, *new_faces = best
     rz = _rot_z3(-magnitude if ccw else magnitude)
     rot_new = rz @ m.rot
+    # The pads keep their world points while the object spins about their
+    # centroid: each pad's world point as a 3x5 map over (x_l, y_l, x_r, y_r, 1).
     offset = np.array([0.0, 0.0, m.tz])
-    fingers = []
-    for old, new in ((left_face, new_left_face), (right_face, new_right_face)):
-        frame_new = obj.face(new).frame
-        fingers.append((new, rot_new @ frame_new.rotation, m.rot @ frame_new.translation + offset,
-                        m.rot @ obj.face(old).frame.rotation))
-    face = obj.face(new_left_face)
-    verts_y = (rot_new @ face.to_object(face.polygon.vertices).T)[1]
-    return _Rotation(Action(kind, magnitude, arc_radius=m.width / 2.0), pair_idx, rz,
-                     tuple(fingers), obj.pair_width(pair_idx), float(verts_y.max() - verts_y.min()))
+    world = []
+    for i, face_id in enumerate((left_face, right_face)):
+        frame = obj.face(face_id).frame
+        p = np.zeros((3, 5))
+        p[:, 2 * i:2 * i + 2] = m.rot @ frame.rotation[:, :2]
+        p[:, 4] = m.rot @ frame.translation + offset
+        world.append(p)
+    centroid = (world[0] + world[1]) / 2.0
+    centres = []
+    for p, new in zip(world, new_faces):
+        frame = obj.face(new).frame
+        rel = p + rz @ centroid - centroid  # the pad less the spun face origin
+        rel[:, 4] -= rz @ (m.rot @ frame.translation + offset)
+        # Row 2, along the face normal, is the pad's world-x offset: it drops out.
+        centres.append(((rot_new @ frame.rotation).T @ rel)[:2])
+    return _turn_entry(obj, m, Action(kind, magnitude, arc_radius=m.width / 2.0), pair_idx,
+                       support_face, rot_new, tuple(new_faces), centres)
 
 
 def _pivot_edge(obj: ObjectModel, rot: np.ndarray, tz: float,
@@ -452,8 +468,7 @@ def find_pivot_edge(s: GraspState, obj: ObjectModel) -> PivotEdgeInfo | None:
     Tipping is only defined over such an edge: the grasp axis must coincide
     with the rotation axis so the gripped faces stay vertical.
     """
-    pivot = _mode(obj, s.support_face, s.left.face, s.right.face).pivot
-    return None if pivot is None else pivot.edge
+    return _mode(obj, s.support_face, s.left.face, s.right.face).pivot_edge
 
 
 def _world_center(obj: ObjectModel, m: _Mode, region: ContactRegion) -> np.ndarray:
@@ -468,12 +483,10 @@ def world_context(s: GraspState, obj: ObjectModel) -> WorldContext:
     m = _mode(obj, s.support_face, s.left.face, s.right.face)
     return WorldContext(
         rotation=m.rot,
-        z_offset=m.tz,
         left_axes=m.axes[0],
         right_axes=m.axes[1],
         left_center_world=_world_center(obj, m, s.left),
         right_center_world=_world_center(obj, m, s.right),
-        grasp_width=m.width,
     )
 
 
@@ -521,6 +534,8 @@ _TRANSLATIONS = {
 }
 _SLIDES = tuple(_TRANSLATIONS)[:4]
 _MOVES = tuple(_TRANSLATIONS)[4:]
+_ROTATIONS = (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW)
+_TWO_PI = 2.0 * math.pi
 
 
 def successors(s: GraspState, obj: ObjectModel,
@@ -539,27 +554,24 @@ def successors(s: GraspState, obj: ObjectModel,
     # rotates only onto a pair within the grip-width limits whose new left face
     # is short enough for that width (a too-elongated grip cannot generate the
     # spin moment).
-    for rt in m.rotations.values():
-        if (rt is not None
-                and cfg.min_grasp_width - FEAS_TOL <= rt.width <= cfg.max_grasp_width + FEAS_TOL
-                and rt.extent / rt.width <= cfg.max_length_width_ratio + FEAS_TOL):
-            nxt = _rotate(obj, s, m, rt)
+    for kind in _ROTATIONS:
+        t = m.turns[kind]
+        if (t is not None
+                and cfg.min_grasp_width - FEAS_TOL <= t.width <= cfg.max_grasp_width + FEAS_TOL
+                and t.extent / t.width <= cfg.max_length_width_ratio + FEAS_TOL):
+            nxt = _turn(obj, s, m, t)
             if nxt is not None:
-                out.append((rt.action, nxt))
+                out.append((t.action, nxt))
     for kind in _MOVES:
         nxt = _translate(obj, s, m, kind, cfg.z_step)
         if nxt is not None:
             out.append((Action(kind, cfg.z_step), nxt))
-    if m.pivot is not None:
-        nxt = _pivot(obj, s, m, m.pivot)
+    t = m.turns[ActionKind.PIVOT]
+    if t is not None:
+        nxt = _turn(obj, s, m, t)
         if nxt is not None:
-            out.append((m.pivot.action, nxt))
+            out.append((t.action, nxt))
     return out
-
-
-def valid_actions(s: GraspState, obj: ObjectModel, cfg: ResolutionConfig) -> list[Action]:
-    """All primitives whose feasibility predicates pass in state s."""
-    return [action for action, _ in successors(s, obj, cfg)]
 
 
 def transition(s: GraspState, a: Action, obj: ObjectModel) -> GraspState:
@@ -573,10 +585,9 @@ def transition(s: GraspState, a: Action, obj: ObjectModel) -> GraspState:
     if kind in _TRANSLATIONS:
         nxt = _translate(obj, s, m, kind, a.magnitude)
     else:
-        pivot = kind == ActionKind.PIVOT
-        turn, kernel = (m.pivot, _pivot) if pivot else (m.rotations[kind], _rotate)
-        fits = turn is not None and abs(turn.action.magnitude - a.magnitude) <= FEAS_TOL
-        nxt = kernel(obj, s, m, turn) if fits else None
+        t = m.turns[kind]
+        fits = t is not None and abs(t.action.magnitude - a.magnitude) <= FEAS_TOL
+        nxt = _turn(obj, s, m, t) if fits else None
     if nxt is None:
         raise InfeasibleActionError(f"{kind.name} (magnitude {a.magnitude:g}) is infeasible here")
     return nxt
@@ -596,37 +607,17 @@ def _translate(obj: ObjectModel, s: GraspState, m: _Mode, kind: ActionKind,
     return GraspState(pads[0], pads[1], s.grasp_pair, s.support_face)
 
 
-def _turn(rot_face_old: np.ndarray, rot_face_new: np.ndarray, theta: float) -> float:
-    """A pad's orientation on its face after the face's world rotation changes."""
-    pad_dir_world = rot_face_old @ np.array([math.cos(theta), math.sin(theta), 0.0])
-    e = rot_face_new.T @ pad_dir_world
-    return math.atan2(e[1], e[0])
-
-
-def _rotate(obj: ObjectModel, s: GraspState, m: _Mode, rt: _Rotation) -> GraspState | None:
-    pads_world = (_world_center(obj, m, s.left), _world_center(obj, m, s.right))
-    centroid = (pads_world[0] + pads_world[1]) / 2.0
+def _turn(obj: ObjectModel, s: GraspState, m: _Mode, t: _Turn) -> GraspState | None:
+    (xl, yl), (xr, yr) = s.left.center.tolist(), s.right.center.tolist()
     pads = []
-    for region, pad_world, (face_id, rot_face_new, t_face, rot_face_old) in zip(
-            (s.left, s.right), pads_world, rt.fingers):
-        t_new = rt.rz @ (t_face - centroid) + centroid
-        # The pad keeps its world (y, z); the face u/v axes have no world-x
-        # component, so the face-plane coordinates ignore the pad's x.
-        x, y, _ = (rot_face_new.T @ (pad_world - t_new)).tolist()
-        pads.append(_place(obj, m, face_id, x, y,
-                           _turn(rot_face_old, rot_face_new, region.orientation), region))
+    for region, (face_id, (a, b, c, d, e), (f, g, h, i, j), shift) in zip((s.left, s.right),
+                                                                           t.fingers):
+        pads.append(_place(obj, m, face_id, a * xl + b * yl + c * xr + d * yr + e,
+                           f * xl + g * yl + h * xr + i * yr + j,
+                           math.remainder(region.orientation + shift, _TWO_PI), region))
         if pads[-1] is None:
             return None
-    return GraspState(pads[0], pads[1], rt.pair, s.support_face)
-
-
-def _pivot(obj: ObjectModel, s: GraspState, m: _Mode, pv: _Pivot) -> GraspState | None:
-    pads = [_place(obj, m, region.face, *region.center.tolist(),
-                   _turn(rot_face_old, rot_face_new, region.orientation), region)
-            for region, (rot_face_old, rot_face_new) in zip((s.left, s.right), pv.fingers)]
-    if pads[0] is None or pads[1] is None:
-        return None
-    return GraspState(pads[0], pads[1], s.grasp_pair, pv.edge.new_support)
+    return GraspState(pads[0], pads[1], t.pair, t.support)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +672,6 @@ def overlap_ratio(s: GraspState, goals: list[GoalRegion]) -> tuple[float, float]
 
 
 _KEY_QUANTUM = 1e-7  # lattice spacing of region_cell (m, rad)
-_TWO_PI = 2.0 * math.pi
 
 
 def region_cell(region: ContactRegion) -> tuple:

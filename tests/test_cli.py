@@ -234,6 +234,40 @@ class TestTrajectoryCommand:
                    for rec in caplog.records)
 
 
+class TestMalformedInput:
+    @pytest.mark.parametrize("name, corrupt, field", [
+        ("plan.json", lambda data: data["actions"][0].update(magnitude="fast"), "magnitude"),
+        ("plan.json", lambda data: data.update(states=data["states"][:3]), "states"),
+        ("sq_t1_shift_goals.json", lambda data: data[0].update(face="a"), "face"),
+        ("config.json", lambda data: data["resolution"].update(slide_step="fast"), "slide_step"),
+        ("sq_t1_shift_start.json", lambda data: data["left"].update(orientation="up"),
+         "orientation"),
+    ])
+    def test_bad_field_exits_2_naming_file_and_field(self, workdir, caplog, name, corrupt, field):
+        (workdir / "config.json").write_text(json.dumps({"resolution": {"slide_step": 0.005}}))
+        inputs = ["--object", str(workdir / "square_prism.json"),
+                  "--goals", str(workdir / "sq_t1_shift_goals.json"),
+                  "--start", str(workdir / "sq_t1_shift_start.json"),
+                  "--config", str(workdir / "config.json")]
+        plan_path = workdir / "plan.json"
+        assert run_cli("plan", *inputs, "--out", str(plan_path)) == 0
+        assert len(json.loads(plan_path.read_text())["actions"]) > 3
+        path = workdir / name
+        data = json.loads(path.read_text())
+        corrupt(data)
+        path.write_text(json.dumps(data))
+        if name == "plan.json":
+            code = run_cli("trajectory", "--plan", str(plan_path),
+                           "--object", str(workdir / "square_prism.json"),
+                           "--chain", str(workdir / "chain.json"),
+                           "--out", str(workdir / "traj.csv"))
+        else:
+            code = run_cli("plan", *inputs, "--out", str(workdir / "replan.json"))
+        assert code == 2
+        assert any(str(path) in rec.message and f"'{field}'" in rec.message
+                   for rec in caplog.records)
+
+
 class TestUnfoldCommand:
     def test_svg_written(self, workdir):
         out = workdir / "layout.svg"

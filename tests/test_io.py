@@ -159,11 +159,12 @@ class TestConfigLoader:
     def test_partial_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"resolution": {"slide_step": 0.01},
-                                    "cost": {"node_budget": 1000}}))
+                                    "cost": {"node_budget": 1000.0, "slide_unit_cost": 0.004}}))
         resolution, cost = io_mod.load_configs(path)
         assert resolution.slide_step == 0.01
         assert resolution.z_step == 0.005
-        assert cost.node_budget == 1000
+        assert cost.node_budget == 1000 and isinstance(cost.node_budget, int)
+        assert cost.slide_unit_cost == 0.004
 
 
 class TestChainLoader:

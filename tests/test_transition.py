@@ -27,7 +27,6 @@ from wihmplan.transition import (
     state_key,
     successors,
     transition,
-    valid_actions,
     world_context,
 )
 
@@ -122,7 +121,7 @@ class TestValidActions:
     def test_centered_grasp_offers_all_nine(self, square_prism):
         cfg = derive_resolutions(square_prism, ResolutionConfig())
         s = centered_state(square_prism)
-        kinds = {a.kind for a in valid_actions(s, square_prism, cfg)}
+        kinds = {a.kind for a, _ in successors(s, square_prism, cfg)}
         assert kinds == set(ActionKind)
 
     def test_flush_contact_drops_slide_toward_edge(self, square_prism):
@@ -140,7 +139,7 @@ class TestValidActions:
             if nxt is None:
                 break
             s = nxt
-        kinds = {a.kind for a in valid_actions(s, square_prism, cfg)}
+        kinds = {a.kind for a, _ in successors(s, square_prism, cfg)}
         assert ActionKind.SLIDE_LEFT_UP not in kinds
         assert ActionKind.SLIDE_LEFT_DOWN in kinds
 
@@ -150,12 +149,12 @@ class TestValidActions:
         obj = w.build_prism(cs, 0.05, name="slab")
         cfg = derive_resolutions(obj, ResolutionConfig(max_grasp_width=0.10))
         s = centered_state(obj, pad=0.015)
-        kinds = {a.kind for a in valid_actions(s, obj, cfg)}
+        kinds = {a.kind for a, _ in successors(s, obj, cfg)}
         assert ActionKind.ROTATE_CW not in kinds
         assert ActionKind.ROTATE_CCW not in kinds
         wide = derive_resolutions(obj, ResolutionConfig(max_grasp_width=0.2,
                                                         max_length_width_ratio=10.0))
-        kinds_wide = {a.kind for a in valid_actions(s, obj, wide)}
+        kinds_wide = {a.kind for a, _ in successors(s, obj, wide)}
         assert ActionKind.ROTATE_CW in kinds_wide
 
     def test_ratio_constraint_blocks_rotation(self):
@@ -164,17 +163,17 @@ class TestValidActions:
         s = centered_state(obj, pad=0.01)
         tight = derive_resolutions(obj, ResolutionConfig(
             pad_width=0.01, pad_height=0.01, max_length_width_ratio=3.0))
-        kinds = {a.kind for a in valid_actions(s, obj, tight)}
+        kinds = {a.kind for a, _ in successors(s, obj, tight)}
         # gripping the 12 mm pair, the 80 mm faces are far too long to spin
         assert ActionKind.ROTATE_CW not in kinds
         loose = derive_resolutions(obj, ResolutionConfig(
             pad_width=0.01, pad_height=0.01, max_length_width_ratio=10.0))
-        assert ActionKind.ROTATE_CW in {a.kind for a in valid_actions(s, obj, loose)}
+        assert ActionKind.ROTATE_CW in {a.kind for a, _ in successors(s, obj, loose)}
 
     def test_hexagon_has_no_standing_pivot(self, hex_prism):
         cfg = derive_resolutions(hex_prism, ResolutionConfig())
         s = centered_state(hex_prism)
-        kinds = {a.kind for a in valid_actions(s, hex_prism, cfg)}
+        kinds = {a.kind for a, _ in successors(s, hex_prism, cfg)}
         assert ActionKind.PIVOT not in kinds
 
 
@@ -227,7 +226,7 @@ class TestMoves:
         for region, axes in ((s.left, ctx.left_axes), (s.right, ctx.right_axes)):
             frame = square_prism.face(region.face).frame.rotation
             world_dir = rot @ frame @ np.array([axes[1][0], axes[1][1], 0.0])
-            assert np.allclose(world_dir, [0, 0, 1], atol=1e-12)
+            assert np.allclose(world_dir, [0, 0, 1], rtol=0.0, atol=1e-12)
 
 
 class TestRotation:
@@ -266,7 +265,7 @@ class TestRotation:
             s = centered_state(obj)
             cur = s
             for _ in range(2 * lateral_pairs):
-                act = [a for a in valid_actions(cur, obj, cfg)
+                act = [a for a, _ in successors(cur, obj, cfg)
                        if a.kind == ActionKind.ROTATE_CCW][0]
                 cur = transition(cur, act, obj)
             assert cur.grasp_pair == s.grasp_pair
@@ -296,8 +295,8 @@ class TestPivot:
         assert nxt.support_face == info.new_support
         assert nxt.support_face != s.support_face
         assert nxt.grasp_pair == s.grasp_pair
-        assert np.allclose(nxt.left.center, s.left.center, atol=1e-12)
-        assert np.allclose(nxt.right.center, s.right.center, atol=1e-12)
+        assert np.allclose(nxt.left.center, s.left.center, rtol=0.0, atol=1e-12)
+        assert np.allclose(nxt.right.center, s.right.center, rtol=0.0, atol=1e-12)
 
     def test_pivot_preserves_area_and_dims(self, square_prism):
         s = centered_state(square_prism)
@@ -342,10 +341,10 @@ class TestOracleEquivalence:
                     (lf, lc, lo), (rf, rc, ro), pair_idx = expected
                     assert child.left.face == lf and child.right.face == rf
                     assert child.grasp_pair == pair_idx
-                    assert np.allclose(child.left.center, lc, atol=1e-6)
-                    assert np.allclose(child.right.center, rc, atol=1e-6)
-                    assert _angle_close(child.left.orientation, lo, 1e-6)
-                    assert _angle_close(child.right.orientation, ro, 1e-6)
+                    assert np.allclose(child.left.center, lc, rtol=0.0, atol=1e-12)
+                    assert np.allclose(child.right.center, rc, rtol=0.0, atol=1e-12)
+                    assert _angle_close(child.left.orientation, lo, 1e-12)
+                    assert _angle_close(child.right.orientation, ro, 1e-12)
                     checked += 1
         assert checked >= 100
 
@@ -363,10 +362,10 @@ class TestOracleEquivalence:
                     assert expected is not None
                     (lf, lc, lo), (rf, rc, ro), new_support = expected
                     assert child.support_face == new_support
-                    assert np.allclose(child.left.center, lc, atol=1e-6)
-                    assert np.allclose(child.right.center, rc, atol=1e-6)
-                    assert _angle_close(child.left.orientation, lo, 1e-6)
-                    assert _angle_close(child.right.orientation, ro, 1e-6)
+                    assert np.allclose(child.left.center, lc, rtol=0.0, atol=1e-12)
+                    assert np.allclose(child.right.center, rc, rtol=0.0, atol=1e-12)
+                    assert _angle_close(child.left.orientation, lo, 1e-12)
+                    assert _angle_close(child.right.orientation, ro, 1e-12)
                     checked += 1
         assert checked >= 50
 
