@@ -122,19 +122,19 @@ def _load_suite(path: str) -> tuple[list[bench_mod.TaskSpec], dict]:
     data = io_mod.read_json(path)
     base = Path(path).parent
     tasks = []
-    for i, entry in enumerate(data.get("tasks", [])):
-        for field in ("name", "object", "start", "goals"):
-            if field not in entry:
-                raise WihmplanError(f"{path}: task {i} missing field '{field}'")
-        obj = io_mod.load_object(base / entry["object"])
-        config_path = entry.get("config")
+    for i, entry in enumerate(io_mod.json_list(io_mod.json_field(data, "tasks", path, []),
+                                               "tasks", path)):
+        where = f"{path}: task {i}"
+        name, object_path, start_path, goals_path = (
+            io_mod.json_field(entry, key, where) for key in ("name", "object", "start", "goals"))
+        obj = io_mod.load_object(base / object_path)
+        config_path = io_mod.json_field(entry, "config", where, None)
         resolution, cost = io_mod.load_configs(base / config_path if config_path else None)
-        start = io_mod.load_state(base / entry["start"], obj, resolution)
-        goals = io_mod.load_goals(base / entry["goals"], obj)
+        start = io_mod.load_state(base / start_path, obj, resolution)
+        goals = io_mod.load_goals(base / goals_path, obj)
         tasks.append(bench_mod.TaskSpec(
-            name=entry["name"], obj=obj, start=start, goals=goals,
-            resolution=resolution, cost=cost))
-    return tasks, data.get("thresholds", {})
+            name=name, obj=obj, start=start, goals=goals, resolution=resolution, cost=cost))
+    return tasks, io_mod.json_field(data, "thresholds", path, {})
 
 
 def _cmd_benchmark(args) -> int:

@@ -39,10 +39,23 @@ def read_json(path: str | Path):
         raise InvalidInputError(f"{path}: malformed JSON ({exc})")
 
 
-def _require(data: dict, field: str, path) -> object:
-    if field not in data:
-        raise InvalidInputError(f"{path}: missing required field '{field}'")
-    return data[field]
+_REQUIRED = object()
+
+
+def json_field(data, field: str, where, default=_REQUIRED):
+    """``data[field]``, or ``default`` when the field is missing and has one.
+
+    Anything but a JSON object as ``data``, or a missing field without a
+    default, raises InvalidInputError naming ``where`` and the field.
+    """
+    if not isinstance(data, dict):
+        raise InvalidInputError(
+            f"{where}: expected a JSON object with field '{field}', got {data!r}")
+    if field in data:
+        return data[field]
+    if default is _REQUIRED:
+        raise InvalidInputError(f"{where}: missing required field '{field}'")
+    return default
 
 
 def _number(value, field: str, where, kind: type = float):
@@ -58,13 +71,34 @@ def _number(value, field: str, where, kind: type = float):
     return kind(value)
 
 
-def _numbers(value, field: str, where, depth: int = 1) -> list:
-    """A JSON list of numbers (depth 1) or of number lists (depth 2), each read by _number."""
+def json_list(value, field: str, where) -> list:
+    """value if it is a JSON list, else InvalidInputError naming where and the field."""
     if not isinstance(value, list):
         raise InvalidInputError(f"{where}: field '{field}' must be a list, got {value!r}")
+    return value
+
+
+def _numbers(value, field: str, where, depth: int = 1) -> list:
+    """A JSON list of numbers (depth 1) or of number lists (depth 2), each read by _number."""
+    json_list(value, field, where)
     if depth == 1:
         return [_number(v, field, where) for v in value]
     return [_numbers(v, field, where, depth - 1) for v in value]
+
+
+def _center(data, where) -> list[float]:
+    """The entry's field 'center': exactly 2 numbers."""
+    xy = _numbers(json_field(data, "center", where), "center", where)
+    if len(xy) != 2:
+        raise InvalidInputError(f"{where}: field 'center' must hold 2 numbers, got {xy!r}")
+    return xy
+
+
+def _pad_size(value, field: str, where) -> float:
+    size = _number(value, field, where)
+    if size <= 0.0:
+        raise InvalidInputError(f"{where}: field '{field}' must be positive, got {size!r}")
+    return size
 
 
 def dump_json(payload, path: str | Path) -> None:
@@ -75,16 +109,16 @@ def dump_json(payload, path: str | Path) -> None:
 
 def load_object(path: str | Path) -> ObjectModel:
     data = read_json(path)
-    name = str(data.get("name", Path(path).stem))
-    units = data.get("units", "m")
+    name = str(json_field(data, "name", path, Path(path).stem))
+    units = json_field(data, "units", path, "m")
     if units != "m":
         raise InvalidInputError(f"{path}: field 'units' must be 'm', got {units!r}")
     try:
         cross_section = ConvexPolygon2(
-            _numbers(_require(data, "cross_section", path), "cross_section", path, depth=2))
+            _numbers(json_field(data, "cross_section", path), "cross_section", path, depth=2))
     except InvalidGeometryError as exc:
         raise InvalidInputError(f"{path}: field 'cross_section' invalid: {exc}")
-    height = _number(_require(data, "height", path), "height", path)
+    height = _number(json_field(data, "height", path), "height", path)
     return build_prism(cross_section, height, name=name)
 
 
@@ -95,11 +129,11 @@ def load_goals(path: str | Path, obj: ObjectModel) -> list[GoalRegion]:
     goals = []
     for i, entry in enumerate(data):
         where = f"{path}: goal {i}"
-        face = _number(_require(entry, "face", where), "face", where, int)
+        face = _number(json_field(entry, "face", where), "face", where, int)
         if face < 0 or face >= len(obj.faces):
             raise InvalidInputError(f"{path}: goal {i} field 'face' = {face} does not exist")
         try:
-            poly = ConvexPolygon2(_numbers(_require(entry, "polygon", where), "polygon", where,
+            poly = ConvexPolygon2(_numbers(json_field(entry, "polygon", where), "polygon", where,
                                            depth=2))
         except InvalidGeometryError as exc:
             raise InvalidInputError(f"{path}: goal {i} field 'polygon' invalid: {exc}")
@@ -115,19 +149,21 @@ def load_state(path: str | Path, obj: ObjectModel, resolution: ResolutionConfig)
     data = read_json(path)
     sides = {}
     for side in ("left", "right"):
-        entry = _require(data, side, path)
+        entry = json_field(data, side, path)
         where = f"{path}: {side}"
-        orientation = entry.get("orientation")
+        face = _number(json_field(entry, "face", where), "face", where, int)
+        orientation = json_field(entry, "orientation", where, None)
         sides[side] = {
-            "face": _number(_require(entry, "face", where), "face", where, int),
-            "center": _numbers(_require(entry, "center", where), "center", where),
+            "face": face,
+            "center": _center(entry, where),
             "orientation": None if orientation is None else _number(orientation, "orientation",
                                                                     where),
-            "pad_width": _number(entry.get("pad_width", resolution.pad_width), "pad_width", where),
-            "pad_height": _number(entry.get("pad_height", resolution.pad_height), "pad_height",
-                                  where),
+            "pad_width": _pad_size(json_field(entry, "pad_width", where, resolution.pad_width),
+                                   "pad_width", where),
+            "pad_height": _pad_size(json_field(entry, "pad_height", where, resolution.pad_height),
+                                    "pad_height", where),
         }
-    support = _number(_require(data, "support_face", path), "support_face", path, int)
+    support = _number(json_field(data, "support_face", path), "support_face", path, int)
     if sides["left"]["pad_width"] != sides["right"]["pad_width"] or \
             sides["left"]["pad_height"] != sides["right"]["pad_height"]:
         raise InvalidInputError(f"{path}: left/right pad dimensions must match")
@@ -149,11 +185,14 @@ def load_state(path: str | Path, obj: ObjectModel, resolution: ResolutionConfig)
 
 
 def _config(cls, data: dict, section: str, path):
-    """The config section as a validated cls.  A field whose default is an int is
-    read as an int, any other as a float; one whose default is None may be null."""
+    """The file's config section as a validated cls.  A field whose default is an
+    int is read as an int, any other as a float; one whose default is None may be null."""
+    fields = json_field(data, section, path, {})
+    if not isinstance(fields, dict):
+        raise InvalidInputError(f"{path}: field '{section}' must be a JSON object, got {fields!r}")
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
     values = {}
-    for key, value in data.items():
+    for key, value in fields.items():
         if key not in defaults:
             raise InvalidInputError(f"{path}: unknown {section} field '{key}'")
         if not (value is None and defaults[key] is None):
@@ -173,18 +212,18 @@ def load_configs(path: str | Path | None) -> tuple[ResolutionConfig, CostConfig]
     if path is None:
         return ResolutionConfig(), CostConfig()
     data = read_json(path)
-    return (_config(ResolutionConfig, data.get("resolution", {}), "resolution", path),
-            _config(CostConfig, data.get("cost", {}), "cost", path))
+    return (_config(ResolutionConfig, data, "resolution", path),
+            _config(CostConfig, data, "cost", path))
 
 
 def load_chain(path: str | Path) -> PivotChain:
     data = read_json(path)
     kwargs = {}
     for name in ("d1", "theta_finger", "d2", "d3"):
-        kwargs[name] = _number(_require(data, name, path), name, path)
+        kwargs[name] = _number(json_field(data, name, path), name, path)
     # d4 (contact-to-edge distance) is normally derived from the plan state
     for name in ("d4", "theta_contact", "theta_pivot"):
-        kwargs[name] = _number(data.get(name, 0.0), name, path)
+        kwargs[name] = _number(json_field(data, name, path, 0.0), name, path)
     return PivotChain(**kwargs)
 
 
@@ -194,7 +233,7 @@ def load_chain(path: str | Path) -> PivotChain:
 def region_to_dict(region: ContactRegion) -> dict:
     return {
         "face": region.face,
-        "center": [float(region.center[0]), float(region.center[1])],
+        "center": [float(region.x), float(region.y)],
         "orientation": float(region.orientation),
         "pad_width": float(region.pad_width),
         "pad_height": float(region.pad_height),
@@ -211,12 +250,14 @@ def state_to_dict(state: GraspState) -> dict:
 
 
 def region_from_dict(data: dict, where: str = "region") -> ContactRegion:
+    x, y = _center(data, where)
     return ContactRegion(
-        face=_number(_require(data, "face", where), "face", where, int),
-        center=np.array(_numbers(_require(data, "center", where), "center", where)),
-        orientation=_number(_require(data, "orientation", where), "orientation", where),
-        pad_width=_number(_require(data, "pad_width", where), "pad_width", where),
-        pad_height=_number(_require(data, "pad_height", where), "pad_height", where),
+        face=_number(json_field(data, "face", where), "face", where, int),
+        x=x,
+        y=y,
+        orientation=_number(json_field(data, "orientation", where), "orientation", where),
+        pad_width=_pad_size(json_field(data, "pad_width", where), "pad_width", where),
+        pad_height=_pad_size(json_field(data, "pad_height", where), "pad_height", where),
     )
 
 
@@ -224,10 +265,10 @@ def state_from_dict(data: dict, where: str = "state") -> GraspState:
     """The state a dict records; ``where`` prefixes errors.  Plan files written
     before states stopped storing ``horizontal_axis`` still carry it; it is ignored."""
     return GraspState(
-        left=region_from_dict(_require(data, "left", where), f"{where} left"),
-        right=region_from_dict(_require(data, "right", where), f"{where} right"),
-        grasp_pair=_number(_require(data, "grasp_pair", where), "grasp_pair", where, int),
-        support_face=_number(_require(data, "support_face", where), "support_face", where, int),
+        left=region_from_dict(json_field(data, "left", where), f"{where} left"),
+        right=region_from_dict(json_field(data, "right", where), f"{where} right"),
+        grasp_pair=_number(json_field(data, "grasp_pair", where), "grasp_pair", where, int),
+        support_face=_number(json_field(data, "support_face", where), "support_face", where, int),
     )
 
 
@@ -240,13 +281,13 @@ def action_to_dict(action: Action) -> dict:
 
 
 def action_from_dict(data: dict, where: str = "action") -> Action:
-    kind = str(_require(data, "kind", where))
+    kind = str(json_field(data, "kind", where))
     if kind not in ActionKind.__members__:
         raise InvalidInputError(f"{where}: field 'kind' = {kind!r} is not an action kind")
     return Action(
         kind=ActionKind[kind],
-        magnitude=_number(_require(data, "magnitude", where), "magnitude", where),
-        arc_radius=_number(data.get("arc_radius", 0.0), "arc_radius", where),
+        magnitude=_number(json_field(data, "magnitude", where), "magnitude", where),
+        arc_radius=_number(json_field(data, "arc_radius", where, 0.0), "arc_radius", where),
     )
 
 
@@ -267,21 +308,21 @@ def plan_to_dict(plan_: Plan) -> dict:
 def plan_from_dict(data: dict, where: str = "plan") -> Plan:
     """The plan a dict records; ``where`` prefixes errors.  A plan holds one more
     state than actions and one step cost per action, or CorruptedPlanError."""
+    actions, states = (json_list(json_field(data, field, where), field, where)
+                       for field in ("actions", "states"))
     plan_ = Plan(
-        actions=[action_from_dict(a, f"{where}: action {i}")
-                 for i, a in enumerate(_require(data, "actions", where))],
-        states=[state_from_dict(s, f"{where}: state {i}")
-                for i, s in enumerate(_require(data, "states", where))],
-        step_costs=_numbers(_require(data, "step_costs", where), "step_costs", where),
-        total_action_cost=_number(_require(data, "total_action_cost", where),
+        actions=[action_from_dict(a, f"{where}: action {i}") for i, a in enumerate(actions)],
+        states=[state_from_dict(s, f"{where}: state {i}") for i, s in enumerate(states)],
+        step_costs=_numbers(json_field(data, "step_costs", where), "step_costs", where),
+        total_action_cost=_number(json_field(data, "total_action_cost", where),
                                   "total_action_cost", where),
-        terminal_outside_area=_number(_require(data, "terminal_outside_area", where),
+        terminal_outside_area=_number(json_field(data, "terminal_outside_area", where),
                                       "terminal_outside_area", where),
-        objective=_number(_require(data, "objective", where), "objective", where),
-        status=str(_require(data, "status", where)),
-        tradeoff_weight=_number(_require(data, "tradeoff_weight", where), "tradeoff_weight",
+        objective=_number(json_field(data, "objective", where), "objective", where),
+        status=str(json_field(data, "status", where)),
+        tradeoff_weight=_number(json_field(data, "tradeoff_weight", where), "tradeoff_weight",
                                 where),
-        expansions=_number(data.get("expansions", 0), "expansions", where, int),
+        expansions=_number(json_field(data, "expansions", where, 0), "expansions", where, int),
     )
     n = len(plan_.actions)
     for field, count, expected in (("states", len(plan_.states), n + 1),

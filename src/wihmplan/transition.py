@@ -37,6 +37,13 @@ from it.  Search is stricter than replay in one place, the
 filter in ``successors`` that drops rotations onto a pair outside the
 ResolutionConfig grip-width and length/width limits.
 
+A pad (``ContactRegion``) is a flat record of plain numbers: face, centre x
+and y, orientation and size.  Search, replay, the heuristic memo and plan
+files all use it, and its corners are computed only when asked for.  Building
+a pad checks nothing; ``GraspState.validate`` checks a state's pads (finite
+centres, positive sizes, rectangles on their faces), and ``create``,
+``plan()`` and the CLI's plan loader call it.
+
 A pad fits on its face when its centre lies inside the face shrunk by the
 rotated pad, with half-planes computed once per face, orientation and pad
 size.  These round differently from testing the pad's corners, by a few ulps
@@ -65,6 +72,7 @@ from .geometry import (
     GEOM_TOL,
     ConvexPolygon2,
     ObjectModel,
+    RigidTransform3,
     convex_intersection,
     polygon_area,
 )
@@ -111,40 +119,29 @@ class Action:
             raise InvalidInputError("action magnitude must be positive and finite")
 
 
-@dataclass(frozen=True)
-class ContactRegion:
-    """A finger pad's rectangular footprint on one face, in face-local coords."""
+class ContactRegion(NamedTuple):
+    """A finger pad's rectangular footprint on one face, in face-local coords:
+    centre (x, y), orientation and size as plain numbers."""
 
     face: int
-    center: np.ndarray
+    x: float
+    y: float
     orientation: float
     pad_width: float
     pad_height: float
 
-    def __post_init__(self) -> None:
-        c = self.center
-        if not (isinstance(c, np.ndarray) and c.shape == (2,)):
-            c = np.asarray(c, dtype=float)
-            if c.shape != (2,):
-                raise InvalidStateError("contact center must be a 2-vector")
-            object.__setattr__(self, "center", c)
-        if not (math.isfinite(c[0]) and math.isfinite(c[1])):
-            raise InvalidStateError("contact center must be finite")
-        if self.pad_width <= 0.0 or self.pad_height <= 0.0:
-            raise InvalidStateError("pad dimensions must be positive")
+    @property
+    def center(self) -> np.ndarray:
+        """The centre as a new array, for callers that do array arithmetic."""
+        return np.array([self.x, self.y])
 
     def corners(self) -> np.ndarray:
         """The rectangle's 4 vertices, counterclockwise in the face frame."""
-        cached = getattr(self, "_corners", None)
-        if cached is None:
-            hw, hh = self.pad_width / 2.0, self.pad_height / 2.0
-            local = np.array([[-hw, -hh], [hw, -hh], [hw, hh], [-hw, hh]])
-            c, s = math.cos(self.orientation), math.sin(self.orientation)
-            rot = np.array([[c, s], [-s, c]])  # transposed, for the right-multiply below
-            cached = local @ rot + self.center
-            cached.setflags(write=False)
-            object.__setattr__(self, "_corners", cached)
-        return cached
+        hw, hh = self.pad_width / 2.0, self.pad_height / 2.0
+        local = np.array([[-hw, -hh], [hw, -hh], [hw, hh], [-hw, hh]])
+        c, s = math.cos(self.orientation), math.sin(self.orientation)
+        rot = np.array([[c, s], [-s, c]])  # transposed, for the right-multiply below
+        return local @ rot + np.array([self.x, self.y])
 
     def polygon(self) -> ConvexPolygon2:
         return ConvexPolygon2(self.corners())
@@ -177,6 +174,10 @@ class GraspState:
             raise InvalidStateError("support face cannot be a gripped face")
         _object_rotation(obj, self.support_face, self.left.face)  # support range, perpendicular
         for region in (self.left, self.right):
+            if not (math.isfinite(region.x) and math.isfinite(region.y)):
+                raise InvalidStateError("contact center must be finite")
+            if region.pad_width <= 0.0 or region.pad_height <= 0.0:
+                raise InvalidStateError("pad dimensions must be positive")
             if not _corners_inside(obj, region):
                 raise InvalidStateError(
                     f"contact rectangle leaves face {region.face}")
@@ -201,11 +202,12 @@ class GraspState:
             left_orientation = math.atan2(h_l[1], h_l[0])
         if right_orientation is None:
             right_orientation = math.atan2(h_r[1], h_r[0])
+        (x_l, y_l), (x_r, y_r) = map(float, left_center), map(float, right_center)
         state = cls(
-            left=ContactRegion(left_face, np.asarray(left_center, float),
-                               float(left_orientation), pad_width, pad_height),
-            right=ContactRegion(right_face, np.asarray(right_center, float),
-                                float(right_orientation), pad_width, pad_height),
+            left=ContactRegion(left_face, x_l, y_l, float(left_orientation), pad_width,
+                               pad_height),
+            right=ContactRegion(right_face, x_r, y_r, float(right_orientation), pad_width,
+                                pad_height),
             grasp_pair=pair_idx,
             support_face=support_face,
         )
@@ -270,16 +272,6 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.array([a[1] * b[2] - a[2] * b[1],
                      a[2] * b[0] - a[0] * b[2],
                      a[0] * b[1] - a[1] * b[0]])
-
-
-def _rot_z3(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def _rot_x3(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 # Columns: left-face normal, horizontal in-plane direction, support normal.
@@ -368,7 +360,8 @@ class _Mode:
         self.pivot_edge = edge = _pivot_edge(obj, rot, tz, support_face)
         self.turns[ActionKind.PIVOT] = None if edge is None else _turn_entry(
             obj, self, Action(ActionKind.PIVOT, abs(edge.angle), arc_radius=self.width / 2.0),
-            pair, edge.new_support, _rot_x3(edge.angle) @ rot, (left_face, right_face),
+            pair, edge.new_support, RigidTransform3.rot_x(edge.angle).rotation @ rot,
+            (left_face, right_face),
             (np.eye(4, 5)[:2], np.eye(4, 5)[2:]))  # the pads stay put on their faces
         self.shrunk: dict[tuple, tuple[tuple[float, float, float], ...]] = {}
 
@@ -413,7 +406,7 @@ def _rotation(obj: ObjectModel, m: _Mode, kind: ActionKind) -> _Turn | None:
     if best is None:
         return None
     magnitude, pair_idx, *new_faces = best
-    rz = _rot_z3(-magnitude if ccw else magnitude)
+    rz = RigidTransform3.rot_z(-magnitude if ccw else magnitude).rotation
     rot_new = rz @ m.rot
     # The pads keep their world points while the object spins about their
     # centroid: each pad's world point as a 3x5 map over (x_l, y_l, x_r, y_r, 1).
@@ -473,7 +466,7 @@ def find_pivot_edge(s: GraspState, obj: ObjectModel) -> PivotEdgeInfo | None:
 
 def _world_center(obj: ObjectModel, m: _Mode, region: ContactRegion) -> np.ndarray:
     frame = obj.face(region.face).frame
-    p = m.rot @ (frame.rotation[:, 0] * region.center[0] + frame.rotation[:, 1] * region.center[1]
+    p = m.rot @ (frame.rotation[:, 0] * region.x + frame.rotation[:, 1] * region.y
                  + frame.translation)
     p[2] += m.tz
     return p
@@ -500,7 +493,7 @@ def _shrunk_face(obj: ObjectModel, face_id: int, theta: float, pad_width: float,
                  pad_height: float) -> tuple[tuple[float, float, float], ...]:
     """Half-planes (n_u, n_v, b) holding the centres of pads that fit within FEAS_TOL."""
     normals, offsets = obj.face(face_id).polygon.halfplanes()
-    reach = (ContactRegion(face_id, np.zeros(2), theta, pad_width, pad_height).corners()
+    reach = (ContactRegion(face_id, 0.0, 0.0, theta, pad_width, pad_height).corners()
              @ normals.T).min(axis=0)
     return tuple((n_u, n_v, b - r - FEAS_TOL) for (n_u, n_v), b, r in
                  zip(normals.tolist(), offsets.tolist(), reach.tolist()))
@@ -519,7 +512,7 @@ def _place(obj: ObjectModel, m: _Mode, face_id: int, x: float, y: float, theta: 
         if margin < -_GUARD:
             return None
         close = close or margin <= _GUARD
-    region = ContactRegion(face_id, np.array([x, y]), theta, pad.pad_width, pad.pad_height)
+    region = ContactRegion(face_id, x, y, theta, pad.pad_width, pad.pad_height)
     return None if close and not _corners_inside(obj, region) else region
 
 
@@ -600,15 +593,16 @@ def _translate(obj: ObjectModel, s: GraspState, m: _Mode, kind: ActionKind,
     pads = [s.left, s.right]
     for i in fingers:
         pad = pads[i]
-        (d_u, d_v), (x, y) = m.dirs[i][axis], pad.center.tolist()
-        pads[i] = _place(obj, m, pad.face, x + step * d_u, y + step * d_v, pad.orientation, pad)
+        d_u, d_v = m.dirs[i][axis]
+        pads[i] = _place(obj, m, pad.face, pad.x + step * d_u, pad.y + step * d_v,
+                         pad.orientation, pad)
         if pads[i] is None:
             return None
     return GraspState(pads[0], pads[1], s.grasp_pair, s.support_face)
 
 
 def _turn(obj: ObjectModel, s: GraspState, m: _Mode, t: _Turn) -> GraspState | None:
-    (xl, yl), (xr, yr) = s.left.center.tolist(), s.right.center.tolist()
+    xl, yl, xr, yr = s.left.x, s.left.y, s.right.x, s.right.y
     pads = []
     for region, (face_id, (a, b, c, d, e), (f, g, h, i, j), shift) in zip((s.left, s.right),
                                                                            t.fingers):
@@ -629,10 +623,10 @@ def _covered_area(region: ContactRegion, goals: list[GoalRegion]) -> float:
     Inclusion-exclusion over goal subsets; intersections of convex polygons
     stay convex, and goal counts per face are small.
     """
-    pad = region.polygon()
     same_face = [g.polygon for g in goals if g.face == region.face]
     if not same_face:
         return 0.0
+    pad = region.polygon()
     total = 0.0
     n = len(same_face)
     for mask in range(1, 1 << n):
@@ -681,11 +675,10 @@ def region_cell(region: ContactRegion) -> tuple:
     pads share a cell and distinct lattice points never do.  An orientation
     within half a quantum below 2*pi wraps to 0.
     """
-    x, y = region.center.tolist()
     r = region.orientation % _TWO_PI
     if _TWO_PI - r < 5e-8:
         r = 0.0
-    return (region.face, round(x / _KEY_QUANTUM), round(y / _KEY_QUANTUM),
+    return (region.face, round(region.x / _KEY_QUANTUM), round(region.y / _KEY_QUANTUM),
             round(r / _KEY_QUANTUM))
 
 

@@ -105,7 +105,7 @@ def random_feasible_state(obj: w.ObjectModel, rng: np.random.Generator,
             for _ in range(200):
                 c = rng.uniform(lo, hi)
                 theta = float(rng.uniform(0.0, 2.0 * np.pi))
-                region = w.ContactRegion(face_id, c, theta, pad, pad)
+                region = w.ContactRegion(face_id, *c, theta, pad, pad)
                 if poly.contains_points(region.corners(), tol=-1e-9).all():
                     return c, theta
             return None

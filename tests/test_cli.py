@@ -242,6 +242,22 @@ class TestMalformedInput:
         ("config.json", lambda data: data["resolution"].update(slide_step="fast"), "slide_step"),
         ("sq_t1_shift_start.json", lambda data: data["left"].update(orientation="up"),
          "orientation"),
+        pytest.param("config.json", lambda data: data.update(resolution=[]), "resolution",
+                     id="config-section-not-an-object"),
+        pytest.param("sq_t1_shift_start.json", lambda data: data.update(left=[1]), "face",
+                     id="start-side-not-an-object"),
+        pytest.param("sq_t1_shift_goals.json", lambda data: data.__setitem__(0, 5), "face",
+                     id="goal-not-an-object"),
+        pytest.param("plan.json", lambda data: data["states"].__setitem__(2, 5), "left",
+                     id="plan-state-not-an-object"),
+        pytest.param("plan.json", lambda data: data.update(states=5), "states",
+                     id="plan-states-not-a-list"),
+        pytest.param("plan.json",
+                     lambda data: data["states"][2]["left"].update(pad_width=-0.02), "pad_width",
+                     id="plan-pad-width-negative"),
+        pytest.param("plan.json",
+                     lambda data: data["states"][2]["left"].update(center=[0.02, 0.02, 0.0]),
+                     "center", id="plan-center-3-numbers"),
     ])
     def test_bad_field_exits_2_naming_file_and_field(self, workdir, caplog, name, corrupt, field):
         (workdir / "config.json").write_text(json.dumps({"resolution": {"slide_step": 0.005}}))
@@ -265,6 +281,13 @@ class TestMalformedInput:
             code = run_cli("plan", *inputs, "--out", str(workdir / "replan.json"))
         assert code == 2
         assert any(str(path) in rec.message and f"'{field}'" in rec.message
+                   for rec in caplog.records)
+
+    def test_suite_not_an_object_exits_2_naming_file_and_field(self, workdir, caplog):
+        suite = workdir / "suite.json"
+        suite.write_text("[]")
+        assert run_cli("benchmark", "--suite", str(suite), "--out", str(workdir / "r.csv")) == 2
+        assert any(str(suite) in rec.message and "'tasks'" in rec.message
                    for rec in caplog.records)
 
 

@@ -116,7 +116,7 @@ def _polygon_and_pad(draw):
     lo, hi = poly.vertices.min(axis=0), poly.vertices.max(axis=0)
     span = float((hi - lo).max())
     center = np.array([draw(st.floats(lo[i] - span, hi[i] + span)) for i in range(2)])
-    pad = w.ContactRegion(0, center, draw(st.floats(-math.pi, math.pi)),
+    pad = w.ContactRegion(0, *center, draw(st.floats(-math.pi, math.pi)),
                           draw(st.floats(0.01, 0.5)) * span, draw(st.floats(0.01, 0.5)) * span)
     return poly, pad.corners()
 

@@ -17,7 +17,7 @@ UNIT_SQUARE_FACE_GOAL = w.ConvexPolygon2([(0.4, 0.8), (0.6, 0.8), (0.6, 1.0), (0
 
 def region_with_corners(face, lo, hi, obj=None):
     center = ((lo[0] + hi[0]) / 2.0, (lo[1] + hi[1]) / 2.0)
-    return ContactRegion(face, np.array(center), 0.0, hi[0] - lo[0], hi[1] - lo[1])
+    return ContactRegion(face, *center, 0.0, hi[0] - lo[0], hi[1] - lo[1])
 
 
 class TestCornerSum:
@@ -39,7 +39,7 @@ class TestCornerSum:
         goal_poly = w.ConvexPolygon2([(0.45, 0.45), (0.55, 0.45), (0.55, 0.55), (0.45, 0.55)])
         goal = GoalRegion(0, goal_poly)
         cache = HeuristicCache(unit_cube, [goal])
-        region = ContactRegion(bottom, np.array([0.5, -0.5]), 0.0, 0.02, 0.02)
+        region = ContactRegion(bottom, 0.5, -0.5, 0.0, 0.02, 0.02)
         got = corner_sum(region, 0, cache)
         goal_center = np.array([0.5, 0.5])
         expected = 0.0

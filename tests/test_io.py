@@ -66,6 +66,12 @@ class TestStateRoundTrip:
         assert "horizontal_axis" not in data
         assert io_mod.state_to_dict(back) == data
 
+    def test_round_trip_state_is_equal_and_hashes_equal(self, suite_entries):
+        start = load_task(suite_entries[0])[1]
+        back = io_mod.state_from_dict(io_mod.state_to_dict(start))
+        assert back == start
+        assert hash(back) == hash(start)
+
     def test_plan_file_roundtrip(self, tmp_path, suite_entries):
         obj, start, goals, resolution, cost = load_task(suite_entries[0])
         p = plan(obj, start, goals, resolution, cost)

@@ -483,13 +483,13 @@ def _threshold_pad(face, theta, width, height, edge, along, nudges) -> ContactRe
     normals, _ = face.polygon.halfplanes()
     verts = face.polygon.vertices
     on_edge = verts[edge] + along * (verts[(edge + 1) % len(verts)] - verts[edge])
-    reach = float((ContactRegion(face.id, np.zeros(2), theta, width, height).corners()
+    reach = float((ContactRegion(face.id, 0.0, 0.0, theta, width, height).corners()
                    @ normals[edge]).min())
     center = on_edge + (-FEAS_TOL - reach) * normals[edge]
     for i, nudge in enumerate(nudges):
         for _ in range(abs(nudge)):
             center[i] = np.nextafter(center[i], math.copysign(1.0, nudge))
-    return ContactRegion(face.id, center, theta, width, height)
+    return ContactRegion(face.id, *center, theta, width, height)
 
 
 def _place_matches_oracle(obj, pad: ContactRegion) -> bool:
@@ -515,7 +515,7 @@ def _pads(draw):
         verts = face.polygon.vertices
         lo, hi = verts.min(axis=0) - width, verts.max(axis=0) + width
         center = np.array([draw(st.floats(lo[i], hi[i])) for i in range(2)])
-        return obj, ContactRegion(face.id, center, theta, width, height)
+        return obj, ContactRegion(face.id, *center, theta, width, height)
     edge = draw(st.integers(0, len(face.polygon) - 1))
     nudges = (draw(st.integers(-4, 4)), draw(st.integers(-4, 4)))
     return obj, _threshold_pad(face, theta, width, height, edge, draw(st.floats(0.0, 1.0)),
