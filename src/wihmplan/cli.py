@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import io as io_mod
-from .errors import InvalidStateError, WihmplanError
+from .errors import InvalidInputError, InvalidStateError, WihmplanError
 from .geometry import ObjectModel, unfold
 from .kinematics import plan_waypoints
 from .planner import Plan, plan as run_planner
@@ -134,7 +134,24 @@ def _load_suite(path: str) -> tuple[list[bench_mod.TaskSpec], dict]:
         goals = io_mod.load_goals(base / goals_path, obj)
         tasks.append(bench_mod.TaskSpec(
             name=name, obj=obj, start=start, goals=goals, resolution=resolution, cost=cost))
-    return tasks, io_mod.json_field(data, "thresholds", path, {})
+    return tasks, _thresholds(io_mod.json_field(data, "thresholds", path, {}), path)
+
+
+def _thresholds(data, path: str) -> dict:
+    """The suite's thresholds, checked: each bound a number or None, and a bool."""
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"{path}: field 'thresholds' must be a JSON object, got {data!r}")
+    where = f"{path}: thresholds"
+    out = {}
+    for name in ("min_mean_overlap", "max_task_planning_time_s"):
+        value = io_mod.json_field(data, name, where, None)
+        out[name] = None if value is None else io_mod._number(value, name, where)
+    solved = io_mod.json_field(data, "require_all_solved", where, False)
+    if not isinstance(solved, bool):
+        raise InvalidInputError(
+            f"{where}: field 'require_all_solved' must be true or false, got {solved!r}")
+    out["require_all_solved"] = solved
+    return out
 
 
 def _cmd_benchmark(args) -> int:
@@ -144,16 +161,16 @@ def _cmd_benchmark(args) -> int:
     if args.json_out:
         bench_mod.emit_report(report, args.json_out, fmt="json")
     violations = []
-    min_overlap = thresholds.get("min_mean_overlap")
+    min_overlap = thresholds["min_mean_overlap"]
     if min_overlap is not None and report.overall["mean_overlap"] < min_overlap:
         violations.append(
             f"mean_overlap {report.overall['mean_overlap']:.4f} < {min_overlap}")
-    max_time = thresholds.get("max_task_planning_time_s")
+    max_time = thresholds["max_task_planning_time_s"]
     if max_time is not None:
         slow = [r.task for r in report.rows if r.planning_time_s > max_time]
         if slow:
             violations.append(f"planning time over {max_time}s: {', '.join(slow)}")
-    if thresholds.get("require_all_solved"):
+    if thresholds["require_all_solved"]:
         unsolved = [r.task for r in report.rows if r.status != "exact-goal"]
         if unsolved:
             violations.append(f"unsolved tasks: {', '.join(unsolved)}")

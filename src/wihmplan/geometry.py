@@ -183,8 +183,41 @@ def points_to_polygon_distance(pts, p: ConvexPolygon2) -> np.ndarray:
     array come from ``contains_points`` on that same array.
     """
     pts = np.asarray(pts, dtype=float)
-    planes, edges = p._float_tables()
     rows = pts.tolist()
+    edges = p._float_tables()[1]
+    return np.array([0.0 if is_inside else _edge_distance(x, y, edges)
+                     for (x, y), is_inside in zip(rows, _inside(rows, pts, p))], dtype=float)
+
+
+def corner_distance_sum(rows: list, p: ConvexPolygon2, bound: float = math.inf) -> float:
+    """``points_to_polygon_distance(rows, p).sum()`` as one float, stopping at ``bound``.
+
+    ``rows`` are ``[x, y]`` lists (a pad's ``corners().tolist()``).  The sum
+    runs in the order ``np.sum`` uses for so few terms, first to last, so
+    the full sum is bit for bit the array form's.  Each distance is
+    non-negative and rounding is monotone, so the running total never
+    decreases: once it reaches ``bound`` the full sum would too, and the
+    running total is returned at once.  A result below ``bound`` is exact.
+    """
+    edges = p._float_tables()[1]
+    total = 0.0
+    for (x, y), is_inside in zip(rows, _inside(rows, None, p)):
+        if not is_inside:
+            total += _edge_distance(x, y, edges)
+            if total >= bound:
+                break
+    return total
+
+
+def _inside(rows: list, pts, p: ConvexPolygon2) -> list:
+    """Inside verdicts for the points ``rows``; ``pts`` is the same points as
+    an array, or None to let the fallback build one from ``rows``.
+
+    Each point's smallest margin decides on Python floats, unless a margin
+    lies in the guard band (see ``points_to_polygon_distance``): then the
+    verdicts for every point come from ``contains_points`` on the array.
+    """
+    planes = p._float_tables()[0]
     inside = []
     for x, y in rows:
         low = math.inf
@@ -195,32 +228,30 @@ def points_to_polygon_distance(pts, p: ConvexPolygon2) -> np.ndarray:
         # A NaN margin comes only from a non-finite coordinate, which leaves
         # every other margin infinite or NaN too, so low is then infinite.
         if not _GUARD < abs(low + GEOM_TOL) < math.inf:
-            inside = p.contains_points(pts, GEOM_TOL).tolist()
-            break
+            return p.contains_points(rows if pts is None else pts, GEOM_TOL).tolist()
         inside.append(low >= -GEOM_TOL)
-    out = []
-    for (x, y), is_inside in zip(rows, inside):
-        if is_inside:
-            out.append(0.0)
-            continue
-        best = math.inf
-        for sx, sy, dx, dy, len2 in edges:
-            rx = x - sx
-            ry = y - sy
-            t = (rx * dx + ry * dy) / len2
-            if t < 0.0:
-                t = 0.0
-            elif t > 1.0:
-                t = 1.0
-            ex = rx - t * dx
-            ey = ry - t * dy
-            d2 = ex * ex + ey * ey
-            if not d2 >= best:  # a NaN propagates, as in numpy's min
-                best = d2
-                if d2 != d2:
-                    break
-        out.append(math.sqrt(best))
-    return np.array(out, dtype=float)
+    return inside
+
+
+def _edge_distance(x: float, y: float, edges: list) -> float:
+    """Distance from (x, y) to the nearest polygon edge."""
+    best = math.inf
+    for sx, sy, dx, dy, len2 in edges:
+        rx = x - sx
+        ry = y - sy
+        t = (rx * dx + ry * dy) / len2
+        if t < 0.0:
+            t = 0.0
+        elif t > 1.0:
+            t = 1.0
+        ex = rx - t * dx
+        ey = ry - t * dy
+        d2 = ex * ex + ey * ey
+        if not d2 >= best:  # a NaN propagates, as in numpy's min
+            best = d2
+            if d2 != d2:
+                break
+    return math.sqrt(best)
 
 
 def convex_intersection(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2 | None:

@@ -5,13 +5,29 @@ plane by unfolding the object around that face; the per-goal score is the
 sum of point-to-polygon distances for the rectangle's 4 corners, and the
 finger heuristic is the minimum over goals.  The state heuristic adds the
 left and right finger values.
+
+Finger values are memoized per pad size and lattice cell (``region_cell``,
+the cell ``state_key`` dedups on).  The search hands ``total_heuristic`` the
+state key it has already computed, and the memo keys are sliced from it
+instead of being rounded again.  A memo miss does each piece of work once:
+it builds the pad's corners once (numpy, as ``ContactRegion.corners``) and
+converts them to floats once, then makes one call of the fused kernel
+``corner_distance_sum`` per goal, which returns that goal's corner sum as a
+float.  Each call after the first gets the best sum so far and stops
+summing once its running total reaches it; the total never decreases, so
+that goal cannot win, and the result is the ``min()`` of the full sums.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidInputError
-from .geometry import ConvexPolygon2, ObjectModel, UnfoldedMap, points_to_polygon_distance, unfold
-from .transition import ContactRegion, GoalRegion, GraspState, region_cell
+from .geometry import ConvexPolygon2, ObjectModel, UnfoldedMap, corner_distance_sum, unfold
+from .transition import ContactRegion, GoalRegion, GraspState, region_cell, state_key
+
+# The benchmark's per-layer probe (perfbench/layers.py) counts finger-memo
+# misses as calls made through this module's ``points_to_polygon_distance``,
+# one per goal, so the miss path calls the fused kernel under that name.
+points_to_polygon_distance = corner_distance_sum
 
 
 class HeuristicCache:
@@ -52,24 +68,39 @@ class HeuristicCache:
 def corner_sum(region: ContactRegion, goal_index: int, cache: HeuristicCache) -> float:
     """Sum of the 4 corner distances to one goal, measured in the unfolded plane."""
     image = cache.goal_image(region.face, goal_index)
-    return float(points_to_polygon_distance(region.corners(), image).sum())
+    return corner_distance_sum(region.corners().tolist(), image)
 
 
-def finger_heuristic(region: ContactRegion, cache: HeuristicCache) -> float:
+def finger_heuristic(region: ContactRegion, cache: HeuristicCache,
+                     cell: tuple | None = None) -> float:
     """Minimum corner sum over all goals for one finger.
 
     Values repeat heavily across the search lattice (slides move one finger
-    at a time), so results are memoized per pad size and ``region_cell``, the
-    lattice cell that ``state_key`` dedups on.
+    at a time), so results are memoized per pad size and lattice cell;
+    ``cell`` is ``region_cell(region)`` when the caller already has it.
     """
-    key = region_cell(region) + (region.pad_width, region.pad_height)
+    if cell is None:
+        cell = region_cell(region)
+    key = cell + (region.pad_width, region.pad_height)
     hit = cache._finger_memo.get(key)
     if hit is None:
-        hit = cache._finger_memo[key] = min(
-            corner_sum(region, m, cache) for m in range(len(cache.goals)))
+        rows = region.corners().tolist()
+        face = region.face
+        hit = points_to_polygon_distance(rows, cache.goal_image(face, 0))
+        for m in range(1, len(cache.goals)):
+            value = points_to_polygon_distance(rows, cache.goal_image(face, m), hit)
+            if value < hit:
+                hit = value
+        cache._finger_memo[key] = hit
     return hit
 
 
-def total_heuristic(s: GraspState, cache: HeuristicCache) -> float:
-    """Left plus right finger heuristic, in meters."""
-    return finger_heuristic(s.left, cache) + finger_heuristic(s.right, cache)
+def total_heuristic(s: GraspState, cache: HeuristicCache, key: tuple | None = None) -> float:
+    """Left plus right finger heuristic, in meters.
+
+    ``key`` is ``state_key(s)``, passed by a caller that has it already: the
+    support face, then the left and right pads' ``region_cell``, 4 entries each.
+    """
+    if key is None:
+        key = state_key(s)
+    return finger_heuristic(s.left, cache, key[1:5]) + finger_heuristic(s.right, cache, key[5:])

@@ -126,10 +126,10 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
     lam = cost.heuristic_scale
     w = cost.tradeoff_weight
 
-    h0 = total_heuristic(s0, cache)
+    root_key = state_key(s0)
+    h0 = total_heuristic(s0, cache, root_key)
     root = SearchNode(s0, 0.0, h0)
     counter = 0
-    root_key = state_key(s0)
     # Entries carry the state's key, computed once when the state is generated.
     open_heap: list[tuple[float, int, tuple, SearchNode]] = [(lam * h0, counter, root_key, root)]
     best_g: dict[tuple, float] = {root_key: 0.0}
@@ -168,7 +168,7 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
             if seen is not None and seen <= child_g:
                 continue
             best_g[child_key] = child_g
-            child_h = total_heuristic(child_state, cache)
+            child_h = total_heuristic(child_state, cache, child_key)
             child_f = child_g + lam * child_h
             if child_f < f - 1e-12:
                 log.debug("inconsistent heuristic: f dropped %.3e -> %.3e", f, child_f)

@@ -290,6 +290,26 @@ class TestMalformedInput:
         assert any(str(suite) in rec.message and "'tasks'" in rec.message
                    for rec in caplog.records)
 
+    @pytest.mark.parametrize("thresholds, field", [
+        pytest.param([], "thresholds", id="thresholds-not-an-object"),
+        pytest.param({"min_mean_overlap": "high"}, "min_mean_overlap",
+                     id="min-mean-overlap-not-a-number"),
+        pytest.param({"require_all_solved": "yes"}, "require_all_solved",
+                     id="require-all-solved-not-a-bool"),
+    ])
+    def test_bad_threshold_exits_2_before_planning(self, workdir, caplog, monkeypatch,
+                                                   thresholds, field):
+        monkeypatch.setattr("wihmplan.bench.run_benchmark",
+                            lambda *a, **k: pytest.fail("planned a suite with bad thresholds"))
+        suite = workdir / "suite.json"
+        suite.write_text(json.dumps({
+            "tasks": [{"name": "sq_t1", "object": "square_prism.json",
+                       "start": "sq_t1_shift_start.json", "goals": "sq_t1_shift_goals.json"}],
+            "thresholds": thresholds}))
+        assert run_cli("benchmark", "--suite", str(suite), "--out", str(workdir / "r.csv")) == 2
+        assert any(str(suite) in rec.message and f"'{field}'" in rec.message
+                   for rec in caplog.records)
+
 
 class TestUnfoldCommand:
     def test_svg_written(self, workdir):

@@ -16,6 +16,7 @@ from wihmplan.geometry import (
     RigidTransform3,
     build_prism,
     convex_intersection,
+    corner_distance_sum,
     point_to_polygon_distance,
     points_to_polygon_distance,
     polygon_area,
@@ -177,6 +178,56 @@ class TestFloatKernel:
             for rows in (pts, pts[[0, 7]], pts[[2, 8]], pts[[4]]):
                 np.testing.assert_array_equal(points_to_polygon_distance(rows, poly),
                                               array_points_to_polygon_distance(rows, poly))
+
+
+def _assert_sum_kernel(pts: np.ndarray, poly: ConvexPolygon2, scale: float = 0.5) -> None:
+    """corner_distance_sum against points_to_polygon_distance(...).sum(), byte for byte,
+    and its bound contract: >= bound when the full sum is, else the exact sum."""
+    rows = pts.tolist()
+    dists = points_to_polygon_distance(pts, poly)
+    full = float(dists.sum())
+    assert corner_distance_sum(rows, poly).hex() == full.hex()
+    partials = np.cumsum(dists).tolist()
+    for bound in partials + [scale * full, 0.0, math.nextafter(full, -math.inf),
+                             math.nextafter(full, math.inf), math.inf]:
+        got = corner_distance_sum(rows, poly, bound)
+        if full >= bound:
+            assert got >= bound
+        else:
+            assert got.hex() == full.hex()
+
+
+class TestCornerDistanceSum:
+    """The heuristic's fused kernel against the array sum it replaces."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_polygon_and_pad(), st.floats(0.0, 2.0))
+    def test_pad_corners_match_array_sum(self, drawn, scale):
+        poly, corners = drawn
+        _assert_sum_kernel(corners, poly, scale)
+
+    def test_threshold_points_match_array_sum(self):
+        rng = np.random.default_rng(11)
+        polygons = list(_goal_images()) + [random_convex_polygon(rng, scale=scale)
+                                           for scale in (0.01, 0.1, 1.0) for _ in range(20)]
+        for poly in polygons:
+            for edge in range(len(poly)):
+                _assert_sum_kernel(_threshold_points(rng, poly, edge, 4), poly)
+
+    def test_early_exit_skips_remaining_corners(self):
+        rows = [[2.0, 0.5], [3.0, 0.5], [0.5, 0.5], [4.0, 0.5]]
+        assert corner_distance_sum(rows, UNIT_SQUARE) == 6.0
+        assert corner_distance_sum(rows, UNIT_SQUARE, 2.5) == 3.0
+        assert corner_distance_sum(rows, UNIT_SQUARE, 1.0) == 1.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_points_match_array_sum(self):
+        nan, inf = math.nan, math.inf
+        pts = np.array([[nan, 0.5], [inf, 0.5], [0.5, 0.5], [2.0, 0.5]])
+        for rows in (pts, pts[[1, 2, 3]], pts[[2, 3]]):
+            want = float(points_to_polygon_distance(rows, UNIT_SQUARE).sum())
+            got = corner_distance_sum(rows.tolist(), UNIT_SQUARE)
+            assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
 
 
 class TestClipping:

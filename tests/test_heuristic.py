@@ -109,6 +109,19 @@ class TestLatticeCell:
         assert len(cache._finger_memo) == 1
 
 
+class TestStateKeyPath:
+    def test_state_key_path_matches_region_cell_path(self, all_objects, rng):
+        # The search passes state_key(s), and the memo keys are sliced from it.
+        for obj in all_objects:
+            goals = [GoalRegion(1, _inset_poly(obj, 1)), GoalRegion(2, _inset_poly(obj, 2))]
+            by_key, by_cell = HeuristicCache(obj, goals), HeuristicCache(obj, goals)
+            for _ in range(20):
+                s = random_feasible_state(obj, rng)
+                by_region_cell = finger_heuristic(s.left, by_cell) + finger_heuristic(s.right, by_cell)
+                assert total_heuristic(s, by_key, state_key(s)).hex() == by_region_cell.hex()
+            assert by_key._finger_memo == by_cell._finger_memo
+
+
 class TestTotalHeuristic:
     def test_sum_of_fingers(self, square_prism, rng):
         goals = [GoalRegion(0, _inset_poly(square_prism, 0)),

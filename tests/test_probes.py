@@ -13,7 +13,11 @@ from pathlib import Path
 
 import pytest
 
+from wihmplan import planner as planner_mod
 from wihmplan.geometry import ObjectModel
+from wihmplan.heuristic import HeuristicCache
+
+from conftest import load_task
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import layers  # noqa: E402 - needs perfbench on the path
@@ -34,3 +38,25 @@ def test_probe_targets_resolve(metric):
 def test_object_model_keeps_scratch():
     # layers.LayerProbe.scratch_entries counts the mode table entries in it.
     assert "scratch" in {f.name for f in dataclasses.fields(ObjectModel)}
+
+
+def test_finger_misses_count_the_memo_entries_the_search_made(suite_entries, monkeypatch):
+    # The probe counts heuristic memo misses as calls through
+    # wihmplan.heuristic.points_to_polygon_distance, one per goal; a miss path
+    # that bypassed that name would read 0 misses and a hit ratio of 1.
+    caches = []
+
+    class RecordingCache(HeuristicCache):
+        def __init__(self, *args) -> None:
+            super().__init__(*args)
+            caches.append(self)
+
+    monkeypatch.setattr(planner_mod, "HeuristicCache", RecordingCache)
+    entry = next(e for e in suite_entries if e["name"] == "sq_t1_shift")
+    obj, start, goals, resolution, cost = load_task(entry)
+    with layers.LayerProbe() as probe:
+        planner_mod.plan(obj, start, goals, resolution, cost)
+    assert not probe.tracer.absent
+    [cache] = caches
+    assert probe.finger_misses > 0
+    assert probe.finger_misses == len(cache._finger_memo)
