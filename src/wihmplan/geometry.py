@@ -531,14 +531,16 @@ class PlanarIsometry:
 class UnfoldedMap:
     """All faces rotated flat into one plane, keeping the base face fixed.
 
-    Straight-line distances in this plane equal surface distances for paths
-    crossing the single shared edge used to place each face; longer paths are
-    approximated by the BFS tree layout.
+    The map holds placements only: one planar isometry per face, which
+    ``to_plane`` applies to face-local points (a face's image is
+    ``to_plane(face, polygon.vertices)``).  Straight-line distances in this
+    plane equal surface distances for paths crossing the single shared edge
+    used to place each face; longer paths are approximated by the BFS tree
+    layout.
     """
 
     base_face: int
     placements: dict[int, PlanarIsometry]
-    unfolded_polygons: dict[int, ConvexPolygon2]
 
     def to_plane(self, face_id: int, uv) -> np.ndarray:
         return self.placements[face_id].apply(uv)
@@ -572,6 +574,4 @@ def unfold(obj: ObjectModel, base: int) -> UnfoldedMap:
             queue.append(child)
     if len(placements) != len(obj.faces):
         raise InvalidModelError("face adjacency graph is disconnected")
-    polygons = {fid: ConvexPolygon2(placements[fid].apply(obj.faces[fid].polygon.vertices))
-                for fid in placements}
-    return UnfoldedMap(base_face=base, placements=placements, unfolded_polygons=polygons)
+    return UnfoldedMap(base_face=base, placements=placements)

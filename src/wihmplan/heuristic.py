@@ -9,20 +9,33 @@ left and right finger values.
 Finger values are memoized per pad size and lattice cell (``region_cell``,
 the cell ``state_key`` dedups on).  The search hands ``total_heuristic`` the
 state key it has already computed, and the memo keys are sliced from it
-instead of being rounded again.  A memo miss does each piece of work once:
-it builds the pad's corners once (numpy, as ``ContactRegion.corners``) and
-converts them to floats once, then makes one call of the fused kernel
-``corner_distance_sum`` per goal, which returns that goal's corner sum as a
-float.  Each call after the first gets the best sum so far and stops
-summing once its running total reaches it; the total never decreases, so
-that goal cannot win, and the result is the ``min()`` of the full sums.
+instead of being rounded again.
+
+A memo miss runs on Python floats alone.  A pad's corners are its corner
+offsets (``transition.corner_offsets``, a small matrix product that depends
+only on the pad's orientation and size) plus its centre, and numpy adds the
+centre with one IEEE add per coordinate.  So the cache keeps each
+orientation and size's offsets as floats, and a miss builds the 4 corner
+rows with 8 float adds, bit for bit ``region.corners()``.  It then makes
+one call of the fused kernel ``corner_distance_sum`` per goal, which returns
+that goal's corner sum as a float.  Each call after the first gets the best
+sum so far and stops summing once its running total reaches it; the total
+never decreases, so that goal cannot win, and the result is the ``min()``
+of the full sums.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidInputError
 from .geometry import ConvexPolygon2, ObjectModel, UnfoldedMap, corner_distance_sum, unfold
-from .transition import ContactRegion, GoalRegion, GraspState, region_cell, state_key
+from .transition import (
+    ContactRegion,
+    GoalRegion,
+    GraspState,
+    corner_offsets,
+    region_cell,
+    state_key,
+)
 
 # The benchmark's per-layer probe (perfbench/layers.py) counts finger-memo
 # misses as calls made through this module's ``points_to_polygon_distance``,
@@ -31,11 +44,13 @@ points_to_polygon_distance = corner_distance_sum
 
 
 class HeuristicCache:
-    """Memoizes unfolded goal images and finger values for one goal set.
+    """Memoizes unfolded goal images, corner offsets and finger values for one goal set.
 
     Built per search and used by one caller; it is not thread-safe.  The
     unfolded maps depend on the object alone, so they live on the model
-    (``ObjectModel.unfolded``) and every search on it shares them.
+    (``ObjectModel.unfolded``) and every search on it shares them.  The
+    corner offsets are keyed by (orientation, pad width, pad height); a
+    search meets a few orientations per grasp mode.
     """
 
     def __init__(self, obj: ObjectModel, goals: list[GoalRegion]) -> None:
@@ -45,6 +60,7 @@ class HeuristicCache:
         self.goals = list(goals)
         self._goal_images: dict[tuple[int, int], ConvexPolygon2] = {}
         self._finger_memo: dict[tuple, float] = {}
+        self._offsets: dict[tuple[float, float, float], list] = {}
 
     def unfolded_map(self, base_face: int) -> UnfoldedMap:
         maps = self.obj.unfolded
@@ -64,11 +80,14 @@ class HeuristicCache:
             umap.to_plane(goal.face, goal.polygon.vertices))
         return image
 
-
-def corner_sum(region: ContactRegion, goal_index: int, cache: HeuristicCache) -> float:
-    """Sum of the 4 corner distances to one goal, measured in the unfolded plane."""
-    image = cache.goal_image(region.face, goal_index)
-    return corner_distance_sum(region.corners().tolist(), image)
+    def corner_rows(self, region: ContactRegion) -> list:
+        """``region.corners().tolist()``, bit for bit, from the cached offsets."""
+        key = (region.orientation, region.pad_width, region.pad_height)
+        offsets = self._offsets.get(key)
+        if offsets is None:
+            offsets = self._offsets[key] = corner_offsets(*key).tolist()
+        x, y = region.x, region.y
+        return [[u + x, v + y] for u, v in offsets]
 
 
 def finger_heuristic(region: ContactRegion, cache: HeuristicCache,
@@ -84,7 +103,7 @@ def finger_heuristic(region: ContactRegion, cache: HeuristicCache,
     key = cell + (region.pad_width, region.pad_height)
     hit = cache._finger_memo.get(key)
     if hit is None:
-        rows = region.corners().tolist()
+        rows = cache.corner_rows(region)
         face = region.face
         hit = points_to_polygon_distance(rows, cache.goal_image(face, 0))
         for m in range(1, len(cache.goals)):

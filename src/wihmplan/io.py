@@ -305,9 +305,19 @@ def plan_to_dict(plan_: Plan) -> dict:
     }
 
 
+_PLAN_STATUSES = ("exact-goal", "best-effort")  # the statuses planner.plan returns
+
+
 def plan_from_dict(data: dict, where: str = "plan") -> Plan:
-    """The plan a dict records; ``where`` prefixes errors.  A plan holds one more
-    state than actions and one step cost per action, or CorruptedPlanError."""
+    """The plan a dict records; ``where`` prefixes errors.
+
+    A plan must agree with itself, or CorruptedPlanError names the field: a
+    status ``plan()`` returns, one more state than actions, one non-negative
+    step cost per action, a non-negative expansion count, ``total_action_cost``
+    the ``math.fsum`` of the step costs, and ``objective`` equal to
+    ``terminal_outside_area + tradeoff_weight * total_action_cost``.  Floats
+    round-trip exactly through JSON, so both equalities are exact.
+    """
     actions, states = (json_list(json_field(data, field, where), field, where)
                        for field in ("actions", "states"))
     plan_ = Plan(
@@ -330,6 +340,24 @@ def plan_from_dict(data: dict, where: str = "plan") -> Plan:
         if count != expected:
             raise CorruptedPlanError(
                 f"{where}: field '{field}' holds {count} entries for {n} actions, not {expected}")
+    if plan_.status not in _PLAN_STATUSES:
+        raise CorruptedPlanError(
+            f"{where}: field 'status' = {plan_.status!r} is not one of {_PLAN_STATUSES}")
+    if plan_.expansions < 0:
+        raise CorruptedPlanError(
+            f"{where}: field 'expansions' = {plan_.expansions} is negative")
+    if any(c < 0.0 for c in plan_.step_costs):
+        raise CorruptedPlanError(f"{where}: field 'step_costs' holds a negative cost")
+    total = math.fsum(plan_.step_costs)
+    if plan_.total_action_cost != total:
+        raise CorruptedPlanError(
+            f"{where}: field 'total_action_cost' = {plan_.total_action_cost!r} is not the sum "
+            f"of the step costs, {total!r}")
+    objective = plan_.terminal_outside_area + plan_.tradeoff_weight * plan_.total_action_cost
+    if plan_.objective != objective:
+        raise CorruptedPlanError(
+            f"{where}: field 'objective' = {plan_.objective!r} is not terminal_outside_area + "
+            f"tradeoff_weight * total_action_cost = {objective!r}")
     return plan_
 
 
@@ -356,7 +384,8 @@ def write_trajectory_csv(waypoints: list[Waypoint], path: str | Path) -> None:
 def render_unfold_svg(obj: ObjectModel, umap: UnfoldedMap,
                       goals: list[GoalRegion] | None, path: str | Path) -> None:
     """Write the unfolded face layout (plus goal images) as a simple SVG."""
-    polys = [(fid, poly.vertices) for fid, poly in sorted(umap.unfolded_polygons.items())]
+    polys = [(fid, umap.to_plane(fid, obj.face(fid).polygon.vertices))
+             for fid in sorted(umap.placements)]
     all_pts = np.concatenate([pts for _, pts in polys])
     lo = all_pts.min(axis=0)
     hi = all_pts.max(axis=0)

@@ -102,7 +102,7 @@ class Plan:
     total_action_cost: float
     terminal_outside_area: float
     objective: float
-    status: str  # "exact-goal" | "best-effort" | "failed"
+    status: str  # "exact-goal" | "best-effort"
     tradeoff_weight: float
     expansions: int = 0
 

@@ -39,16 +39,19 @@ ResolutionConfig grip-width and length/width limits.
 
 A pad (``ContactRegion``) is a flat record of plain numbers: face, centre x
 and y, orientation and size.  Search, replay, the heuristic memo and plan
-files all use it, and its corners are computed only when asked for.  Building
-a pad checks nothing; ``GraspState.validate`` checks a state's pads (finite
-centres, positive sizes, rectangles on their faces), and ``create``,
-``plan()`` and the CLI's plan loader call it.
+files all use it, and its corners are computed only when asked for: they are
+its corner offsets (``corner_offsets``, the rotated half-extents, fixed by
+orientation and size alone) plus its centre.  Building a pad checks nothing;
+``GraspState.validate`` checks a state's pads (finite centres, positive
+sizes, rectangles on their faces), and ``create``, ``plan()`` and the CLI's
+plan loader call it.
 
 A pad fits on its face when its centre lies inside the face shrunk by the
-rotated pad, with half-planes computed once per face, orientation and pad
-size.  These round differently from testing the pad's corners, by a few ulps
-of the face coordinates, so a centre margin within ``_GUARD`` of the
-``-FEAS_TOL`` threshold is decided by the corner test: the verdicts agree.
+rotated pad (by its corner offsets), with half-planes computed once per
+face, orientation and pad size.  These round differently from testing the
+pad's corners, by a few ulps of the face coordinates, so a centre margin
+within ``_GUARD`` of the ``-FEAS_TOL`` threshold is decided by the corner
+test: the verdicts agree.
 """
 
 from __future__ import annotations
@@ -137,17 +140,28 @@ class ContactRegion(NamedTuple):
 
     def corners(self) -> np.ndarray:
         """The rectangle's 4 vertices, counterclockwise in the face frame."""
-        hw, hh = self.pad_width / 2.0, self.pad_height / 2.0
-        local = np.array([[-hw, -hh], [hw, -hh], [hw, hh], [-hw, hh]])
-        c, s = math.cos(self.orientation), math.sin(self.orientation)
-        rot = np.array([[c, s], [-s, c]])  # transposed, for the right-multiply below
-        return local @ rot + np.array([self.x, self.y])
+        return corner_offsets(self.orientation, self.pad_width, self.pad_height) + np.array(
+            [self.x, self.y])
 
     def polygon(self) -> ConvexPolygon2:
         return ConvexPolygon2(self.corners())
 
     def area(self) -> float:
         return self.pad_width * self.pad_height
+
+
+def corner_offsets(orientation: float, pad_width: float, pad_height: float) -> np.ndarray:
+    """A pad's 4 corners less its centre, counterclockwise: the rotated half-extents.
+
+    A pad's corners are these offsets plus its centre, one IEEE add per
+    coordinate, so adding the centre to the offsets as Python floats gives
+    the corners bit for bit (the heuristic caches the offsets per pad
+    orientation and size and does just that).
+    """
+    hw, hh = pad_width / 2.0, pad_height / 2.0
+    local = np.array([[-hw, -hh], [hw, -hh], [hw, hh], [-hw, hh]])
+    c, s = math.cos(orientation), math.sin(orientation)
+    return local @ np.array([[c, s], [-s, c]])  # the rotation transposed, to right-multiply
 
 
 @dataclass(frozen=True)
@@ -493,8 +507,7 @@ def _shrunk_face(obj: ObjectModel, face_id: int, theta: float, pad_width: float,
                  pad_height: float) -> tuple[tuple[float, float, float], ...]:
     """Half-planes (n_u, n_v, b) holding the centres of pads that fit within FEAS_TOL."""
     normals, offsets = obj.face(face_id).polygon.halfplanes()
-    reach = (ContactRegion(face_id, 0.0, 0.0, theta, pad_width, pad_height).corners()
-             @ normals.T).min(axis=0)
+    reach = (corner_offsets(theta, pad_width, pad_height) @ normals.T).min(axis=0)
     return tuple((n_u, n_v, b - r - FEAS_TOL) for (n_u, n_v), b, r in
                  zip(normals.tolist(), offsets.tolist(), reach.tolist()))
 

@@ -14,7 +14,8 @@ import math
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from wihmplan.geometry import GEOM_TOL, ConvexPolygon2, ObjectModel
+from wihmplan.geometry import GEOM_TOL, ConvexPolygon2, ObjectModel, corner_distance_sum
+from wihmplan.heuristic import HeuristicCache
 from wihmplan.transition import ContactRegion, GraspState
 
 WORLD_DOWN = np.array([0.0, 0.0, -1.0])
@@ -85,6 +86,17 @@ def array_points_to_polygon_distance(pts, poly: ConvexPolygon2) -> np.ndarray:
     out = np.sqrt(d2.min(axis=1))
     out[inside] = 0.0
     return out
+
+
+def corner_sum(region: ContactRegion, goal_index: int, cache: HeuristicCache) -> float:
+    """Sum of the 4 corner distances to one goal, measured in the unfolded plane.
+
+    Another exception to the separate routes: it builds the corners with the
+    pad's numpy ``corners()``, the reference whose bytes the heuristic's memo
+    miss path, which adds the centre to cached corner offsets, must reproduce.
+    """
+    image = cache.goal_image(region.face, goal_index)
+    return corner_distance_sum(region.corners().tolist(), image)
 
 
 def _segment_intersections(a0, a1, b0, b1):

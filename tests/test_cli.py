@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import shutil
 from pathlib import Path
 
@@ -258,6 +259,26 @@ class TestMalformedInput:
         pytest.param("plan.json",
                      lambda data: data["states"][2]["left"].update(center=[0.02, 0.02, 0.0]),
                      "center", id="plan-center-3-numbers"),
+        pytest.param("plan.json", lambda data: data.update(status="banana"), "status",
+                     id="plan-status-unknown"),
+        pytest.param("plan.json", lambda data: data.update(status="failed"), "status",
+                     id="plan-status-failed"),
+        pytest.param("plan.json", lambda data: data.update(expansions=-7), "expansions",
+                     id="plan-expansions-negative"),
+        pytest.param("plan.json", lambda data: data["step_costs"].__setitem__(1, -0.005),
+                     "step_costs", id="plan-step-cost-negative"),
+        pytest.param("plan.json",
+                     lambda data: data.update(step_costs=[0.0] * len(data["step_costs"]),
+                                              total_action_cost=123.0, objective=-5.0),
+                     "total_action_cost", id="plan-total-not-the-step-cost-sum"),
+        pytest.param("plan.json",
+                     lambda data: data.update(step_costs=[0.0] * len(data["step_costs"]),
+                                              total_action_cost=0.0, objective=-5.0),
+                     "objective", id="plan-objective-not-recomputed"),
+        pytest.param("plan.json",
+                     lambda data: data.update(
+                         objective=math.nextafter(data["objective"], math.inf)),
+                     "objective", id="plan-objective-one-ulp-off"),
     ])
     def test_bad_field_exits_2_naming_file_and_field(self, workdir, caplog, name, corrupt, field):
         (workdir / "config.json").write_text(json.dumps({"resolution": {"slide_step": 0.005}}))

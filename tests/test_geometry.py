@@ -405,6 +405,16 @@ class TestUnfold:
             else:
                 assert straight <= brute + 1e-9
 
+    def test_face_images_keep_every_vertex(self, all_objects):
+        # The unfold SVG draws to_plane images of the face polygons as they are,
+        # with no ConvexPolygon2 canonicalisation: it would change no vertex.
+        for obj in all_objects:
+            for base in range(len(obj.faces)):
+                umap = unfold(obj, base)
+                for face in obj.faces:
+                    image = umap.to_plane(face.id, face.polygon.vertices)
+                    assert image.tobytes() == ConvexPolygon2(image).vertices.tobytes()
+
     def test_disconnected_base_rejected(self, unit_cube):
         with pytest.raises(w.InvalidModelError):
             unfold(unit_cube, 99)

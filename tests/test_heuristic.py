@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wihmplan as w
-from wihmplan.heuristic import HeuristicCache, corner_sum, finger_heuristic, total_heuristic
-from wihmplan.transition import ContactRegion, GoalRegion, GraspState, state_key
+from wihmplan import heuristic as heuristic_mod
+from wihmplan import planner as planner_mod
+from wihmplan.heuristic import HeuristicCache, finger_heuristic, total_heuristic
+from wihmplan.transition import ContactRegion, GoalRegion, GraspState, corner_offsets, state_key
 
-from conftest import random_feasible_state
-from oracles import geodesic_across_edge, point_polygon_distance
+from conftest import OBJECT_FILES, load_task, random_feasible_state
+from oracles import corner_sum, geodesic_across_edge, point_polygon_distance
 
 UNIT_SQUARE_FACE_GOAL = w.ConvexPolygon2([(0.4, 0.8), (0.6, 0.8), (0.6, 1.0), (0.4, 1.0)])
 
@@ -95,6 +99,75 @@ class TestFingerHeuristic:
     def test_empty_goal_set_rejected(self, unit_cube):
         with pytest.raises(w.InvalidInputError):
             HeuristicCache(unit_cube, [])
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved k representable doubles up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+_TWO_PI = 2.0 * math.pi
+_ORIENTATIONS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 2.0, -math.pi / 2.0]),
+    st.builds(_ulps, st.sampled_from([_TWO_PI, -_TWO_PI]), st.integers(-4, 4)),
+    st.floats(-2.0 * _TWO_PI, 2.0 * _TWO_PI))
+_CENTRES = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0))
+_SIZES = st.floats(1e-4, 0.5)
+
+
+def _hex_rows(rows) -> list:
+    return [[v.hex() for v in row] for row in rows]
+
+
+class TestMissPath:
+    """A memo miss builds corners from cached offsets and must give every value
+    bit for bit as the numpy ``corners()`` route (``oracles.corner_sum``)."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_ORIENTATIONS, _SIZES, _SIZES, _CENTRES, _CENTRES, _CENTRES, _CENTRES)
+    def test_cached_offsets_plus_centre_are_the_corners(self, square_prism, theta, width,
+                                                        height, x, y, x2, y2):
+        cache = HeuristicCache(square_prism, [GoalRegion(0, _inset_poly(square_prism, 0))])
+        for cx, cy in ((x, y), (x2, y2)):  # a miss on the offsets, then a hit
+            pad = ContactRegion(0, cx, cy, theta, width, height)
+            assert _hex_rows(cache.corner_rows(pad)) == _hex_rows(pad.corners().tolist())
+        assert list(cache._offsets) == [(theta, width, height)]
+
+    @pytest.mark.parametrize("index", range(len(OBJECT_FILES)), ids=OBJECT_FILES)
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), pad=st.sampled_from([0.004, 0.012, 0.02]))
+    def test_finger_heuristic_is_the_oracle_minimum(self, all_objects, index, seed, pad):
+        obj = all_objects[index]
+        goals = [GoalRegion(f, _inset_poly(obj, f)) for f in (1, 2, len(obj.faces) - 1)]
+        cache = HeuristicCache(obj, goals)
+        s = random_feasible_state(obj, np.random.default_rng(seed), pad=pad)
+        for region in (s.left, s.right):
+            expected = min(corner_sum(region, m, cache) for m in range(len(goals)))
+            assert finger_heuristic(region, cache).hex() == expected.hex()
+
+    def test_offset_table_holds_the_missed_pads(self, suite_entries, monkeypatch):
+        entry = next(e for e in suite_entries if e["name"] == "sq_t1_shift")
+        obj, start, goals, resolution, cost = load_task(entry)
+        caches, missed = set(), set()
+        real = heuristic_mod.finger_heuristic
+
+        def recording(region, cache, cell=None):
+            before = len(cache._finger_memo)
+            value = real(region, cache, cell)
+            if len(cache._finger_memo) > before:
+                missed.add((region.orientation, region.pad_width, region.pad_height))
+            caches.add(cache)
+            return value
+
+        monkeypatch.setattr(heuristic_mod, "finger_heuristic", recording)
+        planner_mod.plan(obj, start, goals, resolution, cost)
+        [cache] = caches
+        assert missed
+        assert set(cache._offsets) == missed
+        for key, offsets in cache._offsets.items():
+            assert _hex_rows(offsets) == _hex_rows(corner_offsets(*key).tolist())
 
 
 class TestLatticeCell:
