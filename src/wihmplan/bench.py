@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +23,7 @@ from .geometry import ObjectModel
 from .planner import CostConfig, Plan, check_replay, plan as run_planner
 from .transition import (
     _TRANSLATIONS,
+    Action,
     GoalRegion,
     GraspState,
     ResolutionConfig,
@@ -56,18 +57,25 @@ class SimulationResult:
 
 def simulate(plan_: Plan, obj: ObjectModel, s0: GraspState,
              noise: NoiseModel | None = None) -> SimulationResult:
-    """Replay a plan from s0; exact in noiseless mode, perturbed otherwise."""
-    rng = np.random.default_rng(noise.seed) if noise is not None else None
+    """Replay a plan from s0; exact in noiseless mode, perturbed otherwise.
+
+    A noisy replay draws all its step offsets, one per translational action,
+    in one call: the same values, in the same order, as one draw per action.
+    """
+    deltas = None
+    if noise is not None:
+        count = sum(1 for action in plan_.actions if action.kind in _TRANSLATIONS)
+        deltas = iter(np.random.default_rng(noise.seed).uniform(
+            -noise.eta, noise.eta, size=count).tolist())
     state = s0
     trace = [state]
     for i, action in enumerate(plan_.actions):
         applied = action
-        if rng is not None and action.kind in _TRANSLATIONS:
-            delta = float(rng.uniform(-noise.eta, noise.eta))
-            magnitude = action.magnitude + delta
+        if deltas is not None and action.kind in _TRANSLATIONS:
+            magnitude = action.magnitude + next(deltas)
             if magnitude <= 0.0:
                 return SimulationResult(state, trace, i, failed=True, failure_step=i)
-            applied = replace(action, magnitude=magnitude)
+            applied = Action(action.kind, magnitude, action.arc_radius)
         try:
             state = transition(state, applied, obj)
         except InfeasibleActionError:

@@ -3,8 +3,8 @@
 Every operation here is a pure function, and values are immutable after
 construction apart from caches: ``ObjectModel.scratch`` and
 ``ObjectModel.unfolded`` (see there), and each ``ConvexPolygon2``'s
-plain-float half-plane and edge tables, filled on its first distance query.
-Units are meters and radians throughout.
+plain-float half-plane and edge tables, filled on its first distance query or
+clip.  Units are meters and radians throughout.
 """
 
 from __future__ import annotations
@@ -39,10 +39,11 @@ class ConvexPolygon2:
     """Convex polygon stored counterclockwise with collinear vertices removed.
 
     Construction canonicalizes the vertex list (orientation, duplicate and
-    collinear removal) and rejects non-convex or degenerate input.  The first
-    distance query fills ``_tables``: the half-planes ``(n0, n1, off)`` and
-    the edges ``(sx, sy, dx, dy, len2)`` as Python floats, so polygons that
-    are only clipped or tested for containment never build them.
+    collinear removal, on Python floats: ``_canonical``) and rejects
+    non-convex or degenerate input.  The first distance query or clip
+    against the polygon fills ``_tables``: the half-planes ``(n0, n1, off)``
+    and the edges ``(sx, sy, dx, dy, len2)`` as Python floats, so polygons
+    that are only tested for containment never build them.
     """
 
     __slots__ = ("vertices", "_normals", "_offsets", "_tables")
@@ -53,19 +54,10 @@ class ConvexPolygon2:
             raise InvalidGeometryError(f"expected an (n, 2) vertex array, got shape {pts.shape}")
         if not np.all(np.isfinite(pts)):
             raise InvalidGeometryError("polygon vertices must be finite")
-        pts = _dedupe(pts)
-        if pts.shape[0] < 3:
+        rows = _dedupe(pts.tolist())
+        if len(rows) < 3:
             raise InvalidGeometryError("polygon needs at least 3 distinct vertices")
-        if _signed_area(pts) < 0.0:
-            pts = pts[::-1].copy()
-        pts = _strip_collinear(pts)
-        if pts.shape[0] < 3:
-            raise InvalidGeometryError("polygon is degenerate after collinear removal")
-        cross = _edge_crosses(pts)
-        if np.any(cross <= 0.0):
-            raise InvalidGeometryError("polygon is not convex")
-        if _signed_area(pts) <= GEOM_TOL * GEOM_TOL:
-            raise InvalidGeometryError("polygon area is not positive")
+        pts = np.array(_canonical(rows, _signed_area(rows)))
         pts.setflags(write=False)
         self.vertices = pts
         # Inward half-plane form: inside iff normals @ p - offsets >= 0 for all edges.
@@ -119,46 +111,68 @@ class ConvexPolygon2:
         return ((v + w) * cross[:, None]).sum(axis=0) / (6.0 * area)
 
 
-def _dedupe(pts: np.ndarray) -> np.ndarray:
-    keep = []
-    n = pts.shape[0]
-    for i in range(n):
-        if not keep or np.linalg.norm(pts[i] - pts[keep[-1]]) > _DEDUPE_TOL:
-            keep.append(i)
-    if len(keep) > 1 and np.linalg.norm(pts[keep[0]] - pts[keep[-1]]) <= _DEDUPE_TOL:
-        keep.pop()
-    return pts[keep]
-
-
-def _signed_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)) / 2.0
-
-
-def _edge_crosses(pts: np.ndarray) -> np.ndarray:
-    e = np.roll(pts, -1, axis=0) - pts
-    e_next = np.roll(e, -1, axis=0)
-    return e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
-
-
-def _strip_collinear(pts: np.ndarray) -> np.ndarray:
-    changed = True
-    while changed and pts.shape[0] > 3:
-        cross = _edge_crosses(pts)
-        # cross[i] involves vertex i+1; drop one collinear vertex per pass.
-        idx = np.nonzero(np.abs(cross) <= _COLLINEAR_TOL)[0]
-        if idx.size == 0:
-            changed = False
-        else:
-            pts = np.delete(pts, (idx[0] + 1) % pts.shape[0], axis=0)
-    if pts.shape[0] == 3 and np.any(np.abs(_edge_crosses(pts)) <= _COLLINEAR_TOL):
-        return pts[:2]
+def _canonical(pts: list, area: float) -> list:
+    """The deduplicated ``[x, y]`` rows ``pts`` (3 or more, of signed area
+    ``area``) of a convex polygon, counterclockwise and without collinear
+    vertices; raises InvalidGeometryError when they are degenerate or not convex."""
+    changed = area < 0.0
+    if changed:
+        pts.reverse()
+    crosses = _edge_crosses(pts)
+    # crosses[i] involves vertex i+1; drop one collinear vertex per pass.
+    flat = next((i for i, c in enumerate(crosses) if abs(c) <= _COLLINEAR_TOL), None)
+    while flat is not None and len(pts) > 3:
+        del pts[(flat + 1) % len(pts)]
+        changed = True
+        crosses = _edge_crosses(pts)
+        flat = next((i for i, c in enumerate(crosses) if abs(c) <= _COLLINEAR_TOL), None)
+    if flat is not None:
+        raise InvalidGeometryError("polygon is degenerate after collinear removal")
+    if min(crosses) <= 0.0:
+        raise InvalidGeometryError("polygon is not convex")
+    if (_signed_area(pts) if changed else area) <= GEOM_TOL * GEOM_TOL:
+        raise InvalidGeometryError("polygon area is not positive")
     return pts
+
+
+def _dedupe(rows: list) -> list:
+    """The rows less each one within ``_DEDUPE_TOL`` of the last kept, and less
+    trailing rows within it of the first."""
+    keep = rows[:1]
+    for p in rows[1:]:
+        if not _close(p, keep[-1]):
+            keep.append(p)
+    while len(keep) > 1 and _close(keep[0], keep[-1]):
+        keep.pop()
+    return keep
+
+
+def _close(p, q) -> bool:
+    dx = p[0] - q[0]
+    dy = p[1] - q[1]
+    return math.sqrt(dx * dx + dy * dy) <= _DEDUPE_TOL
+
+
+def _signed_area(rows: list) -> float:
+    """Shoelace area, positive for counterclockwise rows: the sums of
+    x[i] * y[i+1] and of x[i+1] * y[i], each first to last, then half their
+    difference."""
+    fwd = back = 0.0
+    for (x, y), (u, v) in zip(rows, rows[1:] + rows[:1]):
+        fwd += x * v
+        back += u * y
+    return (fwd - back) / 2.0
+
+
+def _edge_crosses(rows: list) -> list:
+    """Per vertex i, the cross product of edge i (to vertex i+1) and edge i+1."""
+    edges = [(u - x, v - y) for (x, y), (u, v) in zip(rows, rows[1:] + rows[:1])]
+    return [ex * fy - ey * fx for (ex, ey), (fx, fy) in zip(edges, edges[1:] + edges[:1])]
 
 
 def polygon_area(p: ConvexPolygon2) -> float:
     """Shoelace area of a convex polygon, in m^2."""
-    return _signed_area(p.vertices)
+    return _signed_area(p.vertices.tolist())
 
 
 def point_to_polygon_distance(c, p: ConvexPolygon2) -> float:
@@ -178,9 +192,9 @@ def points_to_polygon_distance(pts, p: ConvexPolygon2) -> np.ndarray:
     inside test is the exception: ``contains_points`` forms its margins with
     a BLAS matrix product, which does fuse multiply-adds, and rounds
     differently for one point than for four.  A point's verdict depends only
-    on its smallest margin, so when any point's smallest margin lies within
-    ``_GUARD`` of ``-GEOM_TOL`` or is not finite, the verdicts for the whole
-    array come from ``contains_points`` on that same array.
+    on its smallest margin, so once a point's smallest margin lies within
+    ``_GUARD`` of ``-GEOM_TOL`` or is not finite, the verdicts come from
+    ``contains_points`` on that same array (see ``_inside``).
     """
     pts = np.asarray(pts, dtype=float)
     rows = pts.tolist()
@@ -197,7 +211,8 @@ def corner_distance_sum(rows: list, p: ConvexPolygon2, bound: float = math.inf) 
     the full sum is bit for bit the array form's.  Each distance is
     non-negative and rounding is monotone, so the running total never
     decreases: once it reaches ``bound`` the full sum would too, and the
-    running total is returned at once.  A result below ``bound`` is exact.
+    running total is returned at once, and the points after it are never
+    tested.  A result below ``bound`` is exact.
     """
     edges = p._float_tables()[1]
     total = 0.0
@@ -209,17 +224,19 @@ def corner_distance_sum(rows: list, p: ConvexPolygon2, bound: float = math.inf) 
     return total
 
 
-def _inside(rows: list, pts, p: ConvexPolygon2) -> list:
-    """Inside verdicts for the points ``rows``; ``pts`` is the same points as
-    an array, or None to let the fallback build one from ``rows``.
+def _inside(rows: list, pts, p: ConvexPolygon2):
+    """Inside verdicts for the points ``rows``, one at a time as the caller asks;
+    ``pts`` is the same points as an array, or None to let the fallback build
+    one from ``rows``.
 
     Each point's smallest margin decides on Python floats, unless a margin
     lies in the guard band (see ``points_to_polygon_distance``): then the
-    verdicts for every point come from ``contains_points`` on the array.
+    verdicts for that point and the rest come from ``contains_points`` on the
+    whole array.  Outside the band both routes agree, so the verdicts already
+    given are the ones ``contains_points`` would have given.
     """
     planes = p._float_tables()[0]
-    inside = []
-    for x, y in rows:
+    for i, (x, y) in enumerate(rows):
         low = math.inf
         for n0, n1, off in planes:
             margin = n0 * x + n1 * y - off
@@ -228,9 +245,9 @@ def _inside(rows: list, pts, p: ConvexPolygon2) -> list:
         # A NaN margin comes only from a non-finite coordinate, which leaves
         # every other margin infinite or NaN too, so low is then infinite.
         if not _GUARD < abs(low + GEOM_TOL) < math.inf:
-            return p.contains_points(rows if pts is None else pts, GEOM_TOL).tolist()
-        inside.append(low >= -GEOM_TOL)
-    return inside
+            yield from p.contains_points(rows if pts is None else pts, GEOM_TOL).tolist()[i:]
+            return
+        yield low >= -GEOM_TOL
 
 
 def _edge_distance(x: float, y: float, edges: list) -> float:
@@ -254,37 +271,53 @@ def _edge_distance(x: float, y: float, edges: list) -> float:
     return math.sqrt(best)
 
 
-def convex_intersection(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2 | None:
-    """Clip a against b's half-planes; returns None when the overlap is empty."""
-    out = [v for v in a.vertices]
-    normals, offsets = b.halfplanes()
-    for n, off in zip(normals, offsets):
+def clip_rows(rows: list, planes: list) -> list | None:
+    """The convex polygon ``rows`` clipped to the half-planes ``planes``, as rows.
+
+    ``rows`` are a convex polygon's ``[x, y]`` vertices, counterclockwise;
+    ``planes`` are another's ``(n0, n1, off)`` half-planes (its
+    ``_float_tables()[0]``).  Sutherland-Hodgman clipping on Python floats:
+    each half-plane keeps the vertices with ``n0 * x + n1 * y - off >= 0``
+    and adds the points where an edge crosses its line.  The result is
+    canonical as a ``ConvexPolygon2``'s vertices, or None when fewer than 3
+    vertices stay 1e-12 apart, its area is at most 1e-16 m^2, or it is
+    degenerate once collinear vertices are gone.
+    """
+    out = rows
+    for n0, n1, off in planes:
         if not out:
             return None
-        inp = out
-        out = []
-        prev = inp[-1]
-        d_prev = float(n @ prev) - off
+        inp, out = out, []
+        px, py = inp[-1]
+        d_prev = n0 * px + n1 * py - off
         for cur in inp:
-            d_cur = float(n @ cur) - off
-            if d_cur >= 0.0:
-                if d_prev < 0.0:
-                    t = d_prev / (d_prev - d_cur)
-                    out.append(prev + t * (cur - prev))
-                out.append(cur)
-            elif d_prev >= 0.0:
+            cx, cy = cur
+            d_cur = n0 * cx + n1 * cy - off
+            if (d_cur >= 0.0) != (d_prev >= 0.0):
                 t = d_prev / (d_prev - d_cur)
-                out.append(prev + t * (cur - prev))
-            prev, d_prev = cur, d_cur
+                out.append([px + t * (cx - px), py + t * (cy - py)])
+            if d_cur >= 0.0:
+                out.append(cur)
+            px, py, d_prev = cx, cy, d_cur
     if len(out) < 3:
         return None
-    pts = _dedupe(np.asarray(out))
-    if pts.shape[0] < 3 or abs(_signed_area(pts)) <= 1e-16:
+    pts = _dedupe(out)
+    if len(pts) < 3:
+        return None
+    area = _signed_area(pts)
+    if abs(area) <= 1e-16:
         return None
     try:
-        return ConvexPolygon2(pts)
+        return _canonical(pts, area)
     except InvalidGeometryError:
         return None
+
+
+def convex_intersection(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2 | None:
+    """Clip a against b's half-planes (``clip_rows``, which builds b's float
+    tables); returns None when the overlap is empty or degenerate."""
+    rows = clip_rows(a.vertices.tolist(), b._float_tables()[0])
+    return None if rows is None else ConvexPolygon2(rows)
 
 
 @dataclass(frozen=True)

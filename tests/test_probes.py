@@ -14,8 +14,10 @@ from pathlib import Path
 import pytest
 
 from wihmplan import planner as planner_mod
+from wihmplan import transition as transition_mod
 from wihmplan.geometry import ObjectModel
 from wihmplan.heuristic import HeuristicCache
+from wihmplan.transition import GoalRegion
 
 from conftest import load_task
 
@@ -60,3 +62,18 @@ def test_finger_misses_count_the_memo_entries_the_search_made(suite_entries, mon
     [cache] = caches
     assert probe.finger_misses > 0
     assert probe.finger_misses == len(cache._finger_memo)
+
+
+def test_overlap_clips_count_through_the_probed_name(suite_entries):
+    # The probe counts goal-overlap clips as calls through
+    # wihmplan.transition.convex_intersection; an overlap path that clipped
+    # under another name would read 0 clips.  Each pad here has one goal on
+    # its face, which covers it, so each makes one clip.
+    entry = next(e for e in suite_entries if e["name"] == "sq_t1_shift")
+    _, start, _, _, _ = load_task(entry)
+    goals = [GoalRegion(r.face, r.polygon()) for r in (start.left, start.right)]
+    with layers.LayerProbe() as probe:
+        assert transition_mod.overlap_ratio(start, goals) == (1.0, 1.0)
+    assert not probe.tracer.absent
+    assert probe.tracer.get("transition.overlap_ratio").calls == 1
+    assert probe.tracer.get("geometry.convex_intersection").calls == 2

@@ -14,9 +14,10 @@ fingerprints any other checkout.
 The second form prints which exact fields differ (expansions, statuses,
 state keys, actions, step costs, totals, replay outcomes) and how many
 plan-state floats differ and by how much at most: centres in metres,
-orientations in radians as a wrapped angle difference, and the final
-state's pad area outside the goals in square metres.  It exits 1 when an
-exact field differs, 0 otherwise.
+orientations in radians as a wrapped angle difference, the final state's
+pad area outside the goals in square metres, and the ``overlap_ratio`` pair
+of each fixture plan's final state and of each noisy final state (a
+ratio).  It exits 1 when an exact field differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -66,6 +67,7 @@ def _plan(plan, expanded: int, state_key) -> dict:
         "step_costs": [float(c).hex() for c in plan.step_costs],
         "totals": [float(plan.total_action_cost).hex(), float(plan.objective).hex()],
         "outside_area": [float(plan.terminal_outside_area).hex()],
+        "overlaps": [],
         **_states(plan.states, state_key),
     }
 
@@ -73,11 +75,13 @@ def _plan(plan, expanded: int, state_key) -> dict:
 def fingerprint(src: Path) -> dict:
     wl = _import_harness(src)
     state_key = wl.transition_mod.state_key
+    overlap_ratio = wl.transition_mod.overlap_ratio
     out = {}
     for task in wl.load_fixture_tasks():
         obj = wl.io_mod.load_object(task.object_path)
         plan = wl.planner_mod.plan(obj, task.start, task.goals, task.resolution, task.cost)
-        out[f"fixture/{task.name}"] = _plan(plan, wl.expanded_count(plan), state_key)
+        case = out[f"fixture/{task.name}"] = _plan(plan, wl.expanded_count(plan), state_key)
+        case["overlaps"] = [x.hex() for x in overlap_ratio(plan.states[-1], task.goals)]
     for seed in BUDGET_SEEDS:
         tasks = wl.BudgetWorkload(seed).prepare()
         objects = {p: wl.io_mod.load_object(p) for p in dict.fromkeys(t.object_path for t in tasks)}
@@ -96,13 +100,14 @@ def fingerprint(src: Path) -> dict:
             noisy = wl.bench_mod.simulate(walk.plan, obj, walk.start, noise=noise)
             case["noise_outcomes"].append([noisy.executed, noisy.failed, noisy.failure_step])
             _add_states(case, [noisy.final_state], state_key)
+            case["overlaps"] += [x.hex() for x in overlap_ratio(noisy.final_state, walk.goals)]
         case["waypoints"] = len(wl.plan_waypoints()(walk.plan, obj, chain,
                                                     steps_per_stage=wl.STEPS_PER_STAGE))
         out[f"replay{REPLAY_SEED}/{walk.name}"] = case
     return out
 
 
-_FLOATS = {"centres": "m", "orientations": "rad", "outside_area": "m^2"}
+_FLOATS = {"centres": "m", "orientations": "rad", "outside_area": "m^2", "overlaps": "ratio"}
 
 
 def _gap(field: str, a: str, b: str) -> float:
@@ -126,7 +131,7 @@ def compare(a: dict, b: dict) -> int:
     for field, unit in _FLOATS.items():
         count = largest = 0
         for case in sorted(set(a) & set(b)):
-            xs, ys = a[case][field], b[case][field]
+            xs, ys = a[case].get(field, []), b[case].get(field, [])
             total += len(xs)
             if len(xs) != len(ys):
                 continue  # the state lists differ too, and were reported above
