@@ -42,8 +42,10 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.eta < 0.0:
-            raise InvalidInputError("noise amplitude must be non-negative")
+        # The draws span [-eta, eta], so 2 * eta must be finite too.
+        if not (self.eta >= 0.0 and math.isfinite(2.0 * self.eta)):
+            raise InvalidInputError(f"noise amplitude must be non-negative and finite, "
+                                    f"got {self.eta!r}")
 
 
 @dataclass

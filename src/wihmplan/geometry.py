@@ -5,6 +5,12 @@ construction apart from caches: ``ObjectModel.scratch`` and
 ``ObjectModel.unfolded`` (see there), and each ``ConvexPolygon2``'s
 plain-float half-plane and edge tables, filled on its first distance query or
 clip.  Units are meters and radians throughout.
+
+Float contract: the two queries search and replay make of a polygon, point
+distances (``corner_distance_sum``) and clipping (``clip_rows``), run on
+Python floats over those tables.  numpy only builds and validates polygons,
+transforms and object models, and serves array callers
+(``contains_points``).
 """
 
 from __future__ import annotations
@@ -21,10 +27,6 @@ from .errors import InvalidGeometryError, InvalidModelError, UngraspableObjectEr
 # centimeter scale) vs. user-facing feasibility decisions.
 GEOM_TOL = 1e-9
 FEAS_TOL = 1e-6
-# Half-width of the band around a containment threshold inside which a margin
-# computed on Python floats is not trusted to round like the library's matrix
-# product: far above the rounding error of coordinates up to about 1e3 m.
-_GUARD = 1e-12
 
 _DEDUPE_TOL = 1e-12
 _COLLINEAR_TOL = 1e-12
@@ -177,77 +179,34 @@ def polygon_area(p: ConvexPolygon2) -> float:
 
 def point_to_polygon_distance(c, p: ConvexPolygon2) -> float:
     """Distance from a point to a convex polygon; 0 if inside or on the boundary."""
-    return float(points_to_polygon_distance(np.asarray(c, dtype=float)[None, :], p)[0])
-
-
-def points_to_polygon_distance(pts, p: ConvexPolygon2) -> np.ndarray:
-    """Distances from each of m query points to the polygon (0 when inside).
-
-    Works on Python floats: for 4 pad corners and a few edges, numpy's
-    per-call overhead costs more than the arithmetic.  The distances are bit
-    for bit those of the numpy array form (kept as the test reference): per
-    edge ``t = clamp((r . d) / |d|^2, 0, 1)`` and ``|r - t d|^2`` in the same
-    order, then the minimum and one square root.  ``einsum`` and elementwise
-    ufuncs fuse no multiply-adds, so plain floats round the same way.  The
-    inside test is the exception: ``contains_points`` forms its margins with
-    a BLAS matrix product, which does fuse multiply-adds, and rounds
-    differently for one point than for four.  A point's verdict depends only
-    on its smallest margin, so once a point's smallest margin lies within
-    ``_GUARD`` of ``-GEOM_TOL`` or is not finite, the verdicts come from
-    ``contains_points`` on that same array (see ``_inside``).
-    """
-    pts = np.asarray(pts, dtype=float)
-    rows = pts.tolist()
-    edges = p._float_tables()[1]
-    return np.array([0.0 if is_inside else _edge_distance(x, y, edges)
-                     for (x, y), is_inside in zip(rows, _inside(rows, pts, p))], dtype=float)
+    x, y = c
+    return corner_distance_sum([(float(x), float(y))], p)
 
 
 def corner_distance_sum(rows: list, p: ConvexPolygon2, bound: float = math.inf) -> float:
-    """``points_to_polygon_distance(rows, p).sum()`` as one float, stopping at ``bound``.
+    """The sum of the distances from the points ``rows`` to ``p``, stopping at ``bound``.
 
-    ``rows`` are ``[x, y]`` lists (a pad's ``corners().tolist()``).  The sum
-    runs in the order ``np.sum`` uses for so few terms, first to last, so
-    the full sum is bit for bit the array form's.  Each distance is
-    non-negative and rounding is monotone, so the running total never
-    decreases: once it reaches ``bound`` the full sum would too, and the
-    running total is returned at once, and the points after it are never
-    tested.  A result below ``bound`` is exact.
+    ``rows`` are ``[x, y]`` pairs (a pad's corners).  A point is inside, at
+    distance 0, when every half-plane margin ``n0 * x + n1 * y - off`` is at
+    least ``-GEOM_TOL``; it is outside as soon as one is not, so a NaN
+    margin (from a non-finite coordinate) counts as outside.  An outside
+    point's distance is to its nearest edge (``_edge_distance``).  The sum
+    runs first to last.  Each distance is non-negative and rounding is
+    monotone, so the running total never decreases: once it reaches
+    ``bound`` the full sum would too, and the running total is returned at
+    once, and the points after it are never tested.  A result below
+    ``bound`` is exact.
     """
-    edges = p._float_tables()[1]
+    planes, edges = p._float_tables()
     total = 0.0
-    for (x, y), is_inside in zip(rows, _inside(rows, None, p)):
-        if not is_inside:
-            total += _edge_distance(x, y, edges)
-            if total >= bound:
+    for x, y in rows:
+        for n0, n1, off in planes:
+            if not n0 * x + n1 * y - off >= -GEOM_TOL:
+                total += _edge_distance(x, y, edges)
+                if total >= bound:
+                    return total
                 break
     return total
-
-
-def _inside(rows: list, pts, p: ConvexPolygon2):
-    """Inside verdicts for the points ``rows``, one at a time as the caller asks;
-    ``pts`` is the same points as an array, or None to let the fallback build
-    one from ``rows``.
-
-    Each point's smallest margin decides on Python floats, unless a margin
-    lies in the guard band (see ``points_to_polygon_distance``): then the
-    verdicts for that point and the rest come from ``contains_points`` on the
-    whole array.  Outside the band both routes agree, so the verdicts already
-    given are the ones ``contains_points`` would have given.
-    """
-    planes = p._float_tables()[0]
-    for i, (x, y) in enumerate(rows):
-        low = math.inf
-        for n0, n1, off in planes:
-            margin = n0 * x + n1 * y - off
-            if margin < low:
-                low = margin
-        # A NaN margin comes only from a non-finite coordinate, which leaves
-        # every other margin infinite or NaN too, so low is then infinite.
-        if not _GUARD < abs(low + GEOM_TOL) < math.inf:
-            yield from p.contains_points(rows if pts is None else pts, GEOM_TOL).tolist()[i:]
-            return
-        yield low >= -GEOM_TOL
 
 
 def _edge_distance(x: float, y: float, edges: list) -> float:

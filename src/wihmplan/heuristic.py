@@ -11,23 +11,23 @@ the cell ``state_key`` dedups on).  The search hands ``total_heuristic`` the
 state key it has already computed, and the memo keys are sliced from it
 instead of being rounded again.
 
-A memo miss runs on Python floats alone.  A pad's corners are its corner
-offsets (``transition.corner_offsets``, a small matrix product that depends
-only on the pad's orientation and size) plus its centre, and numpy adds the
-centre with one IEEE add per coordinate.  So the cache keeps each
-orientation and size's offsets as floats, and a miss builds the 4 corner
-rows with 8 float adds, bit for bit ``region.corners()``.  It then makes
-one call of the fused kernel ``corner_distance_sum`` per goal, which returns
-that goal's corner sum as a float.  Each call after the first gets the best
-sum so far and stops summing once its running total reaches it; the total
-never decreases, so that goal cannot win, and the result is the ``min()``
-of the full sums.
+Float contract: a memo miss runs on Python floats alone; numpy builds only
+the unfolded maps and goal images (``unfold``, ``ConvexPolygon2``).  A pad's
+corners are its corner offsets (``transition.corner_offsets``, float rows
+that depend only on the pad's orientation and size) plus its centre.  So
+the cache keeps each orientation and size's offsets, and a miss builds the
+4 corner rows with 8 float adds, bit for bit ``region.corners()``.  It then
+makes one call of the fused kernel ``corner_distance_sum`` per goal, which
+returns that goal's corner sum as a float.  Each call after the first gets
+the best sum so far and stops summing once its running total reaches it;
+the total never decreases, so that goal cannot win, and the result is the
+``min()`` of the full sums.
 """
 
 from __future__ import annotations
 
 from .errors import InvalidInputError
-from .geometry import ConvexPolygon2, ObjectModel, UnfoldedMap, corner_distance_sum, unfold
+from .geometry import ConvexPolygon2, ObjectModel, corner_distance_sum, unfold
 from .transition import (
     ContactRegion,
     GoalRegion,
@@ -60,24 +60,19 @@ class HeuristicCache:
         self.goals = list(goals)
         self._goal_images: dict[tuple[int, int], ConvexPolygon2] = {}
         self._finger_memo: dict[tuple, float] = {}
-        self._offsets: dict[tuple[float, float, float], list] = {}
-
-    def unfolded_map(self, base_face: int) -> UnfoldedMap:
-        maps = self.obj.unfolded
-        cached = maps.get(base_face)
-        if cached is None:
-            cached = maps[base_face] = unfold(self.obj, base_face)
-        return cached
+        self._offsets: dict[tuple[float, float, float], tuple] = {}
 
     def goal_image(self, base_face: int, goal_index: int) -> ConvexPolygon2:
+        """The goal unfolded into the base face's plane, from the model's unfolded map."""
         key = (base_face, goal_index)
-        cached = self._goal_images.get(key)
-        if cached is not None:
-            return cached
-        umap = self.unfolded_map(base_face)
-        goal = self.goals[goal_index]
-        image = self._goal_images[key] = ConvexPolygon2(
-            umap.to_plane(goal.face, goal.polygon.vertices))
+        image = self._goal_images.get(key)
+        if image is None:
+            umap = self.obj.unfolded.get(base_face)
+            if umap is None:
+                umap = self.obj.unfolded[base_face] = unfold(self.obj, base_face)
+            goal = self.goals[goal_index]
+            image = self._goal_images[key] = ConvexPolygon2(
+                umap.to_plane(goal.face, goal.polygon.vertices))
         return image
 
     def corner_rows(self, region: ContactRegion) -> list:
@@ -85,7 +80,7 @@ class HeuristicCache:
         key = (region.orientation, region.pad_width, region.pad_height)
         offsets = self._offsets.get(key)
         if offsets is None:
-            offsets = self._offsets[key] = corner_offsets(*key).tolist()
+            offsets = self._offsets[key] = corner_offsets(*key)
         x, y = region.x, region.y
         return [[u + x, v + y] for u, v in offsets]
 

@@ -40,17 +40,20 @@ ResolutionConfig grip-width and length/width limits.
 A pad (``ContactRegion``) is a flat record of plain numbers: face, centre x
 and y, orientation and size.  Search, replay, the heuristic memo and plan
 files all use it, and its corners are computed only when asked for: they are
-its corner offsets (``corner_offsets``, the rotated half-extents, fixed by
-orientation and size alone) plus its centre.  Building a pad checks nothing;
-``GraspState.validate`` checks a state's pads (finite centres, positive
-sizes, rectangles on their faces), and ``create``, ``plan()`` and the CLI's
-plan loader call it.
+its corner offsets (``corner_offsets``, the rotated half-extents as float
+rows, fixed by orientation and size alone) plus its centre.  Building a pad
+checks nothing; ``GraspState.validate`` checks a state's pads (finite
+centres and orientations, positive finite sizes, rectangles on their faces),
+and ``create``, ``plan()`` and the CLI's plan loader call it.
 
-A pad fits on its face when its centre lies inside the face shrunk by the
-rotated pad (by its corner offsets), with half-planes computed once per
-face, orientation and pad size.  These round differently from testing the
-pad's corners, by a few ulps of the face coordinates, so a centre margin
-within ``_GUARD`` of the ``-FEAS_TOL`` threshold is decided by the corner
+Float contract: the primitives, the centre containment test and goal
+overlap run on Python floats.  numpy builds the mode table and serves the
+corner test (``_corners_inside``), which defines whether a pad fits: all 4
+corners within ``FEAS_TOL`` of the face's half-planes.  Search tests the
+centre instead, against the face shrunk by the rotated pad (by its corner
+offsets), with half-planes computed once per face, orientation and pad
+size.  The two round differently, by a few ulps of the face coordinates, so
+a centre margin within ``_GUARD`` of the threshold is decided by the corner
 test: the verdicts agree.
 """
 
@@ -70,7 +73,6 @@ from .errors import (
     InvalidStateError,
 )
 from .geometry import (
-    _GUARD,
     FEAS_TOL,
     GEOM_TOL,
     ConvexPolygon2,
@@ -83,6 +85,10 @@ from .geometry import (
 _WORLD_DOWN = np.array([0.0, 0.0, -1.0])
 _WORLD_UP = np.array([0.0, 0.0, 1.0])
 _LEFT_NORMAL = np.array([-1.0, 0.0, 0.0])  # world direction of the left face's outward normal
+# Half-width of the band around the shrunk-face threshold within which the
+# float centre test defers to the corner test: far wider than the few ulps by
+# which their margins round apart on faces up to about 1e3 m.
+_GUARD = 1e-12
 
 
 class ActionKind(enum.IntEnum):
@@ -140,8 +146,8 @@ class ContactRegion(NamedTuple):
 
     def corners(self) -> np.ndarray:
         """The rectangle's 4 vertices, counterclockwise in the face frame."""
-        return corner_offsets(self.orientation, self.pad_width, self.pad_height) + np.array(
-            [self.x, self.y])
+        return np.array(corner_offsets(self.orientation, self.pad_width, self.pad_height)) + \
+            np.array([self.x, self.y])
 
     def polygon(self) -> ConvexPolygon2:
         return ConvexPolygon2(self.corners())
@@ -150,18 +156,19 @@ class ContactRegion(NamedTuple):
         return self.pad_width * self.pad_height
 
 
-def corner_offsets(orientation: float, pad_width: float, pad_height: float) -> np.ndarray:
-    """A pad's 4 corners less its centre, counterclockwise: the rotated half-extents.
+def corner_offsets(orientation: float, pad_width: float,
+                   pad_height: float) -> tuple[tuple[float, float], ...]:
+    """A pad's 4 corners less its centre, counterclockwise: the half-extents
+    (-+w/2, -+h/2) rotated by the orientation, as ``(u, v)`` float rows.
 
     A pad's corners are these offsets plus its centre, one IEEE add per
-    coordinate, so adding the centre to the offsets as Python floats gives
-    the corners bit for bit (the heuristic caches the offsets per pad
-    orientation and size and does just that).
+    coordinate (the heuristic caches the offsets per pad orientation and
+    size; ``corners()`` adds the centre in numpy, bit for bit the same).
     """
-    hw, hh = pad_width / 2.0, pad_height / 2.0
-    local = np.array([[-hw, -hh], [hw, -hh], [hw, hh], [-hw, hh]])
     c, s = math.cos(orientation), math.sin(orientation)
-    return local @ np.array([[c, s], [-s, c]])  # the rotation transposed, to right-multiply
+    hw, hh = pad_width / 2.0, pad_height / 2.0
+    wc, ws, hc, hs = hw * c, hw * s, hh * c, hh * s
+    return ((hs - wc, -ws - hc), (wc + hs, ws - hc), (wc - hs, ws + hc), (-wc - hs, hc - ws))
 
 
 @dataclass(frozen=True)
@@ -190,8 +197,10 @@ class GraspState:
         for region in (self.left, self.right):
             if not (math.isfinite(region.x) and math.isfinite(region.y)):
                 raise InvalidStateError("contact center must be finite")
-            if region.pad_width <= 0.0 or region.pad_height <= 0.0:
-                raise InvalidStateError("pad dimensions must be positive")
+            if not math.isfinite(region.orientation):
+                raise InvalidStateError("pad orientation must be finite")
+            if not (0.0 < region.pad_width < math.inf and 0.0 < region.pad_height < math.inf):
+                raise InvalidStateError("pad dimensions must be positive and finite")
             if not _corners_inside(obj, region):
                 raise InvalidStateError(
                     f"contact rectangle leaves face {region.face}")
@@ -505,11 +514,12 @@ def _corners_inside(obj: ObjectModel, region: ContactRegion) -> bool:
 
 def _shrunk_face(obj: ObjectModel, face_id: int, theta: float, pad_width: float,
                  pad_height: float) -> tuple[tuple[float, float, float], ...]:
-    """Half-planes (n_u, n_v, b) holding the centres of pads that fit within FEAS_TOL."""
-    normals, offsets = obj.face(face_id).polygon.halfplanes()
-    reach = (corner_offsets(theta, pad_width, pad_height) @ normals.T).min(axis=0)
-    return tuple((n_u, n_v, b - r - FEAS_TOL) for (n_u, n_v), b, r in
-                 zip(normals.tolist(), offsets.tolist(), reach.tolist()))
+    """Half-planes (n_u, n_v, b) holding the centres of pads that fit within FEAS_TOL:
+    each face half-plane moved in by the pad's reach, its smallest corner offset
+    along the normal."""
+    offsets = corner_offsets(theta, pad_width, pad_height)
+    return tuple((n_u, n_v, b - min(n_u * u + n_v * v for u, v in offsets) - FEAS_TOL)
+                 for n_u, n_v, b in obj.face(face_id).polygon._float_tables()[0])
 
 
 def _place(obj: ObjectModel, m: _Mode, face_id: int, x: float, y: float, theta: float,
@@ -653,7 +663,7 @@ def _covered_area(region: ContactRegion, goals: list[GoalRegion]) -> float:
         return 0.0
     x, y = region.x, region.y
     pad = [[u + x, v + y] for u, v in
-           corner_offsets(region.orientation, region.pad_width, region.pad_height).tolist()]
+           corner_offsets(region.orientation, region.pad_width, region.pad_height)]
     total = 0.0
     n = len(same_face)
     for mask in range(1, 1 << n):

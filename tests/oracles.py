@@ -5,7 +5,8 @@ library code: fan triangulation instead of the shoelace, hull-based clipping
 instead of half-plane clipping, homogeneous 4x4 motions instead of the
 frame-algebra transport, and discretized shortest paths instead of unfolded
 planar distances.  The exceptions say so: they keep an earlier array form
-of a library function as the reference its float form is held to.
+of a library function as the reference its float form is held to, or write
+out the float arithmetic the library must reproduce.
 """
 
 from __future__ import annotations
@@ -69,8 +70,10 @@ def array_points_to_polygon_distance(pts, poly: ConvexPolygon2) -> np.ndarray:
 
     Like ``pad_corners_inside``, an exception to this module's rule of
     separate routes: the library now loops over Python floats, and this is
-    the reference whose bytes it must reproduce, its ``pts @ normals.T``
-    inside test included.
+    the reference whose bytes it must reproduce for every point whose
+    smallest margin lies clear of ``-GEOM_TOL``.  Its ``pts @ normals.T``
+    inside test is a matrix product, which may round a margin differently
+    by a few ulps, so within ulps of the threshold its verdict may differ.
     """
     pts = np.asarray(pts, dtype=float)
     normals, offsets = poly.halfplanes()
@@ -87,6 +90,40 @@ def array_points_to_polygon_distance(pts, poly: ConvexPolygon2) -> np.ndarray:
     out = np.sqrt(d2.min(axis=1))
     out[inside] = 0.0
     return out
+
+
+def float_points_to_polygon_distance(rows, poly: ConvexPolygon2) -> tuple[list, list]:
+    """Per point, its distance to the polygon (0 when inside) and its smallest
+    half-plane margin, on Python floats.
+
+    Another exception to the separate routes: it is the arithmetic the
+    library's kernel (``geometry.corner_distance_sum``) must reproduce byte
+    for byte, written out once more from the polygon's arrays rather than
+    its cached tables.  A point is inside when every margin
+    ``n0 * x + n1 * y - off`` is at least ``-GEOM_TOL`` (a NaN margin is
+    not); an outside point's distance is the smallest over edges of
+    ``|r - t d|`` with ``t = clamp((r . d) / |d|^2, 0, 1)``.
+    """
+    normals, offsets = poly.halfplanes()
+    planes = list(zip(normals.tolist(), offsets.tolist()))
+    verts = poly.vertices.tolist()
+    edges = [(sx, sy, ex - sx, ey - sy)
+             for (sx, sy), (ex, ey) in zip(verts, verts[1:] + verts[:1])]
+    dists, lows = [], []
+    for x, y in rows:
+        margins = [n0 * x + n1 * y - off for (n0, n1), off in planes]
+        lows.append(min(margins))
+        if all(m >= -GEOM_TOL for m in margins):
+            dists.append(0.0)
+            continue
+        d2s = []
+        for sx, sy, dx, dy in edges:
+            rx, ry = x - sx, y - sy
+            t = min(1.0, max(0.0, (rx * dx + ry * dy) / (dx * dx + dy * dy)))
+            ex, ey = rx - t * dx, ry - t * dy
+            d2s.append(ex * ex + ey * ey)
+        dists.append(math.sqrt(min(d2s)))
+    return dists, lows
 
 
 def corner_sum(region: ContactRegion, goal_index: int, cache: HeuristicCache) -> float:

@@ -148,6 +148,23 @@ class TestSimulateCommand:
         assert not out.exists()
         assert any("first state" in rec.message for rec in caplog.records)
 
+    # 1e308 is finite, but the span of the draws, 2 * eta, is not.
+    @pytest.mark.parametrize("eta", ["inf", "nan", "1e308"])
+    def test_noise_mode_rejects_non_finite_noise(self, workdir, caplog, eta):
+        plan_path = workdir / "plan.json"
+        assert run_cli("plan", "--object", str(workdir / "square_prism.json"),
+                       "--goals", str(workdir / "sq_t1_shift_goals.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"),
+                       "--out", str(plan_path)) == 0
+        out = workdir / "noise.json"
+        code = run_cli("simulate", "--plan", str(plan_path),
+                       "--object", str(workdir / "square_prism.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"),
+                       "--noise", eta, "--trials", "5", "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        assert any("noise amplitude" in rec.message for rec in caplog.records)
+
 
 class TestDeterminism:
     def test_plan_and_simulate_byte_identical(self, workdir):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from wihmplan.geometry import (
     convex_intersection,
     corner_distance_sum,
     point_to_polygon_distance,
-    points_to_polygon_distance,
     polygon_area,
     unfold,
 )
@@ -33,6 +33,7 @@ from oracles import (
     array_points_to_polygon_distance,
     array_signed_area,
     fan_area,
+    float_points_to_polygon_distance,
     geodesic_across_edge,
     hull_clip_area,
     hull_covered_area,
@@ -147,58 +148,77 @@ def _threshold_points(rng, poly: ConvexPolygon2, edge: int, count: int) -> np.nd
     return np.array(pts)
 
 
+_BAND = 1e-12  # margins this close to -GEOM_TOL may get the other verdict in the array form
+
+
+def _assert_points_match_references(pts, poly: ConvexPolygon2) -> tuple[int, int]:
+    """Each point's corner_distance_sum against the float oracle, byte for byte, and
+    against the array form wherever its smallest margin lies outside _BAND of
+    -GEOM_TOL; returns how many points were inside and how many in the band."""
+    rows = np.asarray(pts, dtype=float).tolist()
+    want, lows = float_points_to_polygon_distance(rows, poly)
+    array = array_points_to_polygon_distance(pts, poly).tolist()
+    inside = banded = 0
+    for row, d, low, d_array in zip(rows, want, lows, array):
+        got = corner_distance_sum([row], poly)
+        assert got.hex() == d.hex()
+        if abs(low + GEOM_TOL) > _BAND:
+            assert got.hex() == d_array.hex()
+        else:
+            banded += 1
+        inside += got == 0.0
+    return inside, banded
+
+
 class TestFloatKernel:
-    """points_to_polygon_distance against its array form, byte for byte."""
+    """corner_distance_sum point by point against the pure-float oracle, byte for
+    byte, and against the array form away from the inside threshold."""
 
     @settings(max_examples=400, deadline=None)
     @given(_polygon_and_pad())
     def test_pad_corners_match_reference(self, drawn):
         poly, corners = drawn
-        assert points_to_polygon_distance(corners, poly).tobytes() == \
-            array_points_to_polygon_distance(corners, poly).tobytes()
+        _assert_points_match_references(corners, poly)
 
-    def test_threshold_points_match_reference(self, monkeypatch):
-        # Without the guard band, 20 of these 3,552 points get the other
-        # verdict than the matrix product gives; the band must send every
-        # array to contains_points.
+    def test_threshold_points_match_reference(self):
+        # Every point sits within ulps of -GEOM_TOL: the float oracle decides,
+        # and the matrix product's margins may round the other way.
         rng = np.random.default_rng(5)
-        real = ConvexPolygon2.contains_points
-        fallbacks = []
-        monkeypatch.setattr(ConvexPolygon2, "contains_points",
-                            lambda self, *args: fallbacks.append(self) or real(self, *args))
         polygons = list(_goal_images()) + [random_convex_polygon(rng, scale=scale)
                                            for scale in (0.01, 0.1, 1.0) for _ in range(20)]
-        calls = inside = 0
+        points = inside = banded = 0
         for poly in polygons:
             for edge in range(len(poly)):
-                pts = _threshold_points(rng, poly, edge, 4)
-                want = array_points_to_polygon_distance(pts, poly)
-                assert points_to_polygon_distance(pts, poly).tobytes() == want.tobytes()
-                calls += 1
-                inside += int(np.count_nonzero(want == 0.0))
-        assert len(fallbacks) == calls
-        assert 0 < inside < 4 * calls
+                counts = _assert_points_match_references(_threshold_points(rng, poly, edge, 4),
+                                                         poly)
+                points += 4
+                inside += counts[0]
+                banded += counts[1]
+        assert 0 < inside < points
+        assert banded == points
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_points_match_reference(self):
+        # A non-finite coordinate makes some margin -inf or NaN: the point is
+        # outside, and its distance is what the array form gives.
         nan, inf = math.nan, math.inf
         pts = np.array([[nan, 0.5], [0.5, nan], [inf, 0.5], [-inf, 0.5], [0.5, inf],
-                        [inf, -inf], [inf, inf], [0.5, 0.5], [2.0, 0.5]])
+                        [inf, -inf], [inf, inf], [nan, nan]])
         rng = np.random.default_rng(3)
         for poly in (UNIT_SQUARE, random_convex_polygon(rng), _goal_images()[0]):
-            for rows in (pts, pts[[0, 7]], pts[[2, 8]], pts[[4]]):
-                np.testing.assert_array_equal(points_to_polygon_distance(rows, poly),
-                                              array_points_to_polygon_distance(rows, poly))
+            got = [corner_distance_sum([row], poly) for row in pts.tolist()]
+            assert not any(d == 0.0 for d in got)
+            np.testing.assert_array_equal(got, array_points_to_polygon_distance(pts, poly))
 
 
 def _assert_sum_kernel(pts: np.ndarray, poly: ConvexPolygon2, scale: float = 0.5) -> None:
-    """corner_distance_sum against points_to_polygon_distance(...).sum(), byte for byte,
-    and its bound contract: >= bound when the full sum is, else the exact sum."""
+    """corner_distance_sum against the float oracle's sum, first to last, byte for
+    byte, and its bound contract: >= bound when the full sum is, else the exact sum."""
     rows = pts.tolist()
-    dists = points_to_polygon_distance(pts, poly)
-    full = float(dists.sum())
+    dists, _ = float_points_to_polygon_distance(rows, poly)
+    partials = list(itertools.accumulate(dists))
+    full = partials[-1]
     assert corner_distance_sum(rows, poly).hex() == full.hex()
-    partials = np.cumsum(dists).tolist()
     for bound in partials + [scale * full, 0.0, math.nextafter(full, -math.inf),
                              math.nextafter(full, math.inf), math.inf]:
         got = corner_distance_sum(rows, poly, bound)
@@ -208,14 +228,25 @@ def _assert_sum_kernel(pts: np.ndarray, poly: ConvexPolygon2, scale: float = 0.5
             assert got.hex() == full.hex()
 
 
+class _Untestable(list):
+    """A row that fails the test if the kernel ever reads it."""
+
+    def __iter__(self):
+        raise AssertionError("a point after the early exit was tested")
+
+
 class TestCornerDistanceSum:
-    """The heuristic's fused kernel against the array sum it replaces."""
+    """The heuristic's fused kernel against the float oracle's sum."""
 
     @settings(max_examples=400, deadline=None)
     @given(_polygon_and_pad(), st.floats(0.0, 2.0))
     def test_pad_corners_match_array_sum(self, drawn, scale):
         poly, corners = drawn
         _assert_sum_kernel(corners, poly, scale)
+        array = float(array_points_to_polygon_distance(corners, poly).sum())
+        _, lows = float_points_to_polygon_distance(corners.tolist(), poly)
+        if all(abs(low + GEOM_TOL) > _BAND for low in lows):
+            assert corner_distance_sum(corners.tolist(), poly).hex() == array.hex()
 
     def test_threshold_points_match_array_sum(self):
         rng = np.random.default_rng(11)
@@ -225,20 +256,11 @@ class TestCornerDistanceSum:
             for edge in range(len(poly)):
                 _assert_sum_kernel(_threshold_points(rng, poly, edge, 4), poly)
 
-    def test_early_exit_leaves_later_points_untested(self, monkeypatch):
-        # A point in the guard band after the exit must not send the call to
-        # contains_points: verdicts are taken one point at a time.
-        real = ConvexPolygon2.contains_points
-        fallbacks = []
-        monkeypatch.setattr(ConvexPolygon2, "contains_points",
-                            lambda self, *args: fallbacks.append(self) or real(self, *args))
-        band = _threshold_points(np.random.default_rng(2), UNIT_SQUARE, 0, 1)[0]
-        rows = [[3.0, 0.5], band.tolist()]
+    def test_early_exit_leaves_later_points_untested(self):
+        rows = [[3.0, 0.5], _Untestable([0.5, 0.5])]
         assert corner_distance_sum(rows, UNIT_SQUARE, 1.0) == 2.0
-        assert not fallbacks
-        want = float(array_points_to_polygon_distance(np.array(rows), UNIT_SQUARE).sum())
-        assert corner_distance_sum(rows, UNIT_SQUARE).hex() == want.hex()
-        assert len(fallbacks) == 1
+        with pytest.raises(AssertionError, match="after the early exit"):
+            corner_distance_sum(rows, UNIT_SQUARE, 3.0)
 
     def test_early_exit_skips_remaining_corners(self):
         rows = [[2.0, 0.5], [3.0, 0.5], [0.5, 0.5], [4.0, 0.5]]
@@ -251,7 +273,7 @@ class TestCornerDistanceSum:
         nan, inf = math.nan, math.inf
         pts = np.array([[nan, 0.5], [inf, 0.5], [0.5, 0.5], [2.0, 0.5]])
         for rows in (pts, pts[[1, 2, 3]], pts[[2, 3]]):
-            want = float(points_to_polygon_distance(rows, UNIT_SQUARE).sum())
+            want = float(array_points_to_polygon_distance(rows, UNIT_SQUARE).sum())
             got = corner_distance_sum(rows.tolist(), UNIT_SQUARE)
             assert got.hex() == want.hex() or (math.isnan(got) and math.isnan(want))
 

@@ -167,7 +167,7 @@ class TestMissPath:
         assert missed
         assert set(cache._offsets) == missed
         for key, offsets in cache._offsets.items():
-            assert _hex_rows(offsets) == _hex_rows(corner_offsets(*key).tolist())
+            assert _hex_rows(offsets) == _hex_rows(corner_offsets(*key))
 
 
 class TestLatticeCell:
@@ -267,25 +267,39 @@ class TestTotalHeuristic:
 
 class TestCacheBehavior:
     def test_cached_maps_match_fresh(self, square_prism):
-        goals = [GoalRegion(0, _inset_poly(square_prism, 0))]
+        goals = [GoalRegion(0, _inset_poly(square_prism, 0)),
+                 GoalRegion(1, _inset_poly(square_prism, 1))]
         cache = HeuristicCache(square_prism, goals)
-        first = cache.unfolded_map(2)
-        again = cache.unfolded_map(2)
-        assert first is again
+        cache.goal_image(2, 0)
+        first = square_prism.unfolded[2]
+        cache.goal_image(2, 1)
+        assert square_prism.unfolded[2] is first
         fresh = w.unfold(square_prism, 2)
         for fid, placement in first.placements.items():
             assert np.allclose(placement.rot, fresh.placements[fid].rot, atol=1e-12)
             assert np.allclose(placement.trans, fresh.placements[fid].trans, atol=1e-12)
+        for m, goal in enumerate(goals):
+            assert np.array_equal(cache.goal_image(2, m).vertices, w.ConvexPolygon2(
+                fresh.to_plane(goal.face, goal.polygon.vertices)).vertices)
 
-    def test_unfolded_maps_live_on_the_model(self):
+    def test_unfolded_maps_live_on_the_model(self, monkeypatch):
+        # goal_image unfolds through this module's ``unfold``, the name the
+        # benchmark probe counts, once per base face and model.
+        calls = []
+        monkeypatch.setattr(heuristic_mod, "unfold",
+                            lambda obj, base: calls.append(base) or w.unfold(obj, base))
         obj = w.build_prism(w.ConvexPolygon2([(0, 0), (0.04, 0), (0.04, 0.04), (0, 0.04)]),
                             0.1)
         first = HeuristicCache(obj, [GoalRegion(0, _inset_poly(obj, 0))])
         second = HeuristicCache(obj, [GoalRegion(1, _inset_poly(obj, 1))])
-        assert first.unfolded_map(2) is second.unfolded_map(2)
+        first.goal_image(2, 0)
+        umap = obj.unfolded[2]
+        second.goal_image(2, 0)
+        assert obj.unfolded[2] is umap
         for face in range(len(obj.faces)):
             second.goal_image(face, 0)
-        assert sorted(obj.unfolded) == list(range(len(obj.faces)))
+        assert sorted(obj.unfolded) == sorted(calls) == list(range(len(obj.faces)))
+        assert obj.unfolded[2] is umap
         assert obj.scratch == {}
 
     def test_goal_images_are_memoized(self, square_prism):

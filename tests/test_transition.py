@@ -459,6 +459,25 @@ class TestStateValidation:
         with pytest.raises(w.InvalidStateError, match="support face 99 does not exist"):
             GraspState.create(square_prism, 0, 2, 99, (0.02, 0.02), (0.02, 0.02), 0.02, 0.02)
 
+    @pytest.mark.parametrize("orientation", [math.inf, -math.inf, math.nan])
+    def test_non_finite_orientation_rejected(self, square_prism, orientation):
+        with pytest.raises(w.InvalidStateError, match="orientation must be finite"):
+            GraspState.create(square_prism, 0, 2, 4, (0.02, 0.02), (0.02, 0.02), 0.02, 0.02,
+                              left_orientation=orientation)
+        s = centered_state(square_prism)
+        bad = dataclasses.replace(s, right=s.right._replace(orientation=orientation))
+        with pytest.raises(w.InvalidStateError, match="orientation must be finite"):
+            bad.validate(square_prism)
+
+    @pytest.mark.parametrize("width", [math.nan, math.inf, 0.0, -0.02])
+    def test_bad_pad_width_rejected(self, square_prism, width):
+        with pytest.raises(w.InvalidStateError, match="pad dimensions must be positive"):
+            GraspState.create(square_prism, 0, 2, 4, (0.02, 0.02), (0.02, 0.02), width, 0.02)
+        s = centered_state(square_prism)
+        bad = dataclasses.replace(s, left=s.left._replace(pad_width=width))
+        with pytest.raises(w.InvalidStateError, match="pad dimensions must be positive"):
+            bad.validate(square_prism)
+
 
 def test_package_exposes_the_transition_module():
     assert w.transition is transition_mod

@@ -17,7 +17,10 @@ plan-state floats differ and by how much at most: centres in metres,
 orientations in radians as a wrapped angle difference, the final state's
 pad area outside the goals in square metres, and the ``overlap_ratio`` pair
 of each fixture plan's final state and of each noisy final state (a
-ratio).  It exits 1 when an exact field differs, 0 otherwise.
+ratio).  It also counts how many heuristic values differ and by how much at
+most: ``total_heuristic`` of every fixture and budget plan state, in metres.
+Neither kind of float is an exact field.  It exits 1 when an exact field
+differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -58,6 +61,13 @@ def _add_states(case: dict, states, state_key) -> None:
         case[field] += values
 
 
+def _heuristics(obj, plan, goals) -> list:
+    """``total_heuristic`` of each plan state, from one cache per plan."""
+    from wihmplan import heuristic
+    cache = heuristic.HeuristicCache(obj, goals)
+    return [heuristic.total_heuristic(s, cache).hex() for s in plan.states]
+
+
 def _plan(plan, expanded: int, state_key) -> dict:
     return {
         "expanded": expanded,
@@ -82,13 +92,16 @@ def fingerprint(src: Path) -> dict:
         plan = wl.planner_mod.plan(obj, task.start, task.goals, task.resolution, task.cost)
         case = out[f"fixture/{task.name}"] = _plan(plan, wl.expanded_count(plan), state_key)
         case["overlaps"] = [x.hex() for x in overlap_ratio(plan.states[-1], task.goals)]
+        case["heuristic"] = _heuristics(obj, plan, task.goals)
     for seed in BUDGET_SEEDS:
         tasks = wl.BudgetWorkload(seed).prepare()
         objects = {p: wl.io_mod.load_object(p) for p in dict.fromkeys(t.object_path for t in tasks)}
         for i, task in enumerate(tasks):
-            plan = wl.planner_mod.plan(objects[task.object_path], task.start, task.goals,
-                                       task.resolution, task.cost)
-            out[f"budget{seed}/{i}_{task.name}"] = _plan(plan, wl.expanded_count(plan), state_key)
+            obj = objects[task.object_path]
+            plan = wl.planner_mod.plan(obj, task.start, task.goals, task.resolution, task.cost)
+            case = out[f"budget{seed}/{i}_{task.name}"] = _plan(plan, wl.expanded_count(plan),
+                                                                 state_key)
+            case["heuristic"] = _heuristics(obj, plan, task.goals)
     walks, chain = wl.ReplayWorkload(REPLAY_SEED).prepare()
     for walk in walks:
         obj = wl.io_mod.load_object(walk.object_path)
@@ -108,6 +121,7 @@ def fingerprint(src: Path) -> dict:
 
 
 _FLOATS = {"centres": "m", "orientations": "rad", "outside_area": "m^2", "overlaps": "ratio"}
+_DRIFTS = {"heuristic": "m"}  # counted apart from the plan-state floats
 
 
 def _gap(field: str, a: str, b: str) -> float:
@@ -124,22 +138,27 @@ def compare(a: dict, b: dict) -> int:
             mismatches += 1
             continue
         for field in sorted(set(a[case]) | set(b[case])):
-            if field not in _FLOATS and a[case].get(field) != b[case].get(field):
+            if (field not in _FLOATS and field not in _DRIFTS
+                    and a[case].get(field) != b[case].get(field)):
                 print(f"{case}: {field} differs")
                 mismatches += 1
     total = 0
-    for field, unit in _FLOATS.items():
-        count = largest = 0
+    for field, unit in (_FLOATS | _DRIFTS).items():
+        count = values = largest = 0
         for case in sorted(set(a) & set(b)):
             xs, ys = a[case].get(field, []), b[case].get(field, [])
-            total += len(xs)
+            values += len(xs)
             if len(xs) != len(ys):
                 continue  # the state lists differ too, and were reported above
             for x, y in zip(xs, ys):
                 if x != y:
                     count += 1
                     largest = max(largest, _gap(field, x, y))
-        print(f"{field}: {count} floats differ, by at most {largest:.3g} {unit}")
+        if field in _FLOATS:
+            total += values
+            print(f"{field}: {count} floats differ, by at most {largest:.3g} {unit}")
+        else:
+            print(f"{field}: {count} of {values} values differ, by at most {largest:.3g} {unit}")
     print(f"{len(a)} cases, {total} plan-state floats, {mismatches} exact fields differ")
     return mismatches
 
