@@ -377,7 +377,8 @@ class ObjectModel:
 
     The model itself is immutable.  `scratch` is the transition module's
     grasp-mode table: one entry per grasp mode (support, left and right face)
-    reached, built on first use, so it never holds more than faces**2 entries.
+    reached, built on first use, so it never holds more than faces**2 entries;
+    each entry keeps the move table of one resolution config, the last served.
     `unfolded` holds the heuristic's unfolded map per base face, at most one
     per face.  Both are filled without a lock.
     """

@@ -284,11 +284,12 @@ def action_from_dict(data: dict, where: str = "action") -> Action:
     kind = str(json_field(data, "kind", where))
     if kind not in ActionKind.__members__:
         raise InvalidInputError(f"{where}: field 'kind' = {kind!r} is not an action kind")
-    return Action(
-        kind=ActionKind[kind],
-        magnitude=_number(json_field(data, "magnitude", where), "magnitude", where),
-        arc_radius=_number(json_field(data, "arc_radius", where, 0.0), "arc_radius", where),
-    )
+    magnitude = _number(json_field(data, "magnitude", where), "magnitude", where)
+    arc_radius = _number(json_field(data, "arc_radius", where, 0.0), "arc_radius", where)
+    try:
+        return Action(ActionKind[kind], magnitude, arc_radius)
+    except InvalidInputError as exc:  # a magnitude or arc radius out of range
+        raise InvalidInputError(f"{where}: {exc}") from exc
 
 
 def plan_to_dict(plan_: Plan) -> dict:

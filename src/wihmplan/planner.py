@@ -51,19 +51,18 @@ class CostConfig:
     goal_tolerance: float = 1e-9
 
     def validate(self) -> None:
-        if self.slide_unit_cost is not None and self.slide_unit_cost <= 0.0:
-            raise InvalidInputError("slide_unit_cost must be positive")
+        """Raise InvalidInputError unless every bound holds; NaN and infinities fail."""
+        if self.slide_unit_cost is not None and not (0.0 < self.slide_unit_cost < math.inf):
+            raise InvalidInputError("slide_unit_cost must be positive and finite")
         for name in ("scale_z", "scale_rotate", "scale_pivot"):
-            if getattr(self, name) < 1.0:
-                raise InvalidInputError(f"{name} must be >= 1 (slides are the cheapest primitive)")
-        if self.tradeoff_weight < 0.0:
-            raise InvalidInputError("tradeoff_weight must be non-negative")
-        if self.heuristic_scale < 0.0:
-            raise InvalidInputError("heuristic_scale must be non-negative")
-        if self.node_budget < 1:
+            if not (1.0 <= getattr(self, name) < math.inf):
+                raise InvalidInputError(
+                    f"{name} must be finite and >= 1 (slides are the cheapest primitive)")
+        for name in ("tradeoff_weight", "heuristic_scale", "goal_tolerance"):
+            if not (0.0 <= getattr(self, name) < math.inf):
+                raise InvalidInputError(f"{name} must be non-negative and finite")
+        if not (self.node_budget >= 1):
             raise InvalidInputError("node_budget must be positive")
-        if self.goal_tolerance < 0.0:
-            raise InvalidInputError("goal_tolerance must be non-negative")
 
 
 def action_cost(a: Action, cfg: CostConfig, slide_step: float | None = None) -> float:
@@ -81,7 +80,7 @@ def action_cost(a: Action, cfg: CostConfig, slide_step: float | None = None) -> 
     return cfg.scale_pivot * a.magnitude * a.arc_radius
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchNode:
     """A* bookkeeping for one reached state."""
 
@@ -134,6 +133,8 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
     open_heap: list[tuple[float, int, tuple, SearchNode]] = [(lam * h0, counter, root_key, root)]
     best_g: dict[tuple, float] = {root_key: 0.0}
     closed: set[tuple] = set()
+    # Successors come from per-mode move tables, so a search meets few distinct actions.
+    step_cost: dict[Action, float] = {}
 
     best_effort: SearchNode = root
     best_effort_score = region_outside_goal(s0, goals) + w * 0.0
@@ -162,7 +163,10 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
                 best_effort = node
 
         for act, child_state in successors(node.state, obj, resolution):
-            child_g = node.g + action_cost(act, cost, resolution.slide_step)
+            step = step_cost.get(act)
+            if step is None:
+                step = step_cost[act] = action_cost(act, cost, resolution.slide_step)
+            child_g = node.g + step
             child_key = state_key(child_state)
             seen = best_g.get(child_key)
             if seen is not None and seen <= child_g:
@@ -187,7 +191,7 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
         node = node.parent
     actions.reverse()
     states.reverse()
-    step_costs = [action_cost(a, cost, resolution.slide_step) for a in actions]
+    step_costs = [step_cost[a] for a in actions]
     total = math.fsum(step_costs)
     outside = region_outside_goal(chosen.state, goals)
     return Plan(actions=actions, states=states, step_costs=step_costs,

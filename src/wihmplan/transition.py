@@ -25,26 +25,34 @@ A grasp mode is the triple (support face, left face, right face).  The
 object pose, the slide and shift axes, the grasp width, and where a rotation
 or pivot takes the gripped faces depend on the mode alone.  The mode table
 (``_Mode``, one entry per mode in ``ObjectModel.scratch``, built on first use)
-holds them, so each primitive is a few float operations on the pad centres
-and orientations.  A turn is a rotation or a pivot: the object turns rigidly,
-so each pad's new centre is an affine map of the two old centres and its
-orientation shifts by a constant.  The table stores these maps as floats per
-mode (``_Turn``), and one kernel (``_turn``) applies them to both primitives.
-Search (``successors``) and replay (``transition``) call the same per-mode
-kernels with the same arguments.  A rotation or pivot turns by the angle its
-mode's geometry fixes: replay rejects a magnitude more than ``FEAS_TOL`` away
-from it.  Search is stricter than replay in one place, the
-filter in ``successors`` that drops rotations onto a pair outside the
-ResolutionConfig grip-width and length/width limits.
+holds them, so each primitive is a few float operations in one of two
+kernels.  A turn (rotation or pivot) is rigid: each pad's new centre is an
+affine map of the two old centres and its orientation shifts by a constant,
+stored per mode as a ``_Turn`` and applied by ``_turn``.  A translation
+(slide or contact shift) adds fixed per-finger deltas ``(finger, step * d_u,
+step * d_v)`` (``_deltas``) to the pad centres, in ``_shift``.
 
-A pad (``ContactRegion``) is a flat record of plain numbers: face, centre x
-and y, orientation and size.  Search, replay, the heuristic memo and plan
-files all use it, and its corners are computed only when asked for: they are
-its corner offsets (``corner_offsets``, the rotated half-extents as float
-rows, fixed by orientation and size alone) plus its centre.  Building a pad
-checks nothing; ``GraspState.validate`` checks a state's pads (finite
-centres and orientations, positive finite sizes, rectangles on their faces),
-and ``create``, ``plan()`` and the CLI's plan loader call it.
+Each mode entry also holds its move table for the last ResolutionConfig it
+served: every primitive as (op, action) in canonical kind order, op a
+``_Turn`` or deltas, with the ``Action`` objects built once.  Search
+(``successors``) walks the table; replay (``transition``) builds the deltas
+for the action's own magnitude with the same helper, so both run the same
+kernels on the same floats.  A rotation or pivot turns by the angle its
+mode's geometry fixes: replay rejects a magnitude more than ``FEAS_TOL``
+away from it.  Search is stricter than replay in one place: the table holds
+only the rotations onto a pair within the ResolutionConfig grip-width and
+length/width limits.
+
+A state (``GraspState``) is a named tuple: two pads, grasp pair, support
+face.  A pad (``ContactRegion``) is a flat record of plain numbers: face,
+centre x and y, orientation and size.  Search, replay, the heuristic memo
+and plan files all use it, and its corners are computed only when asked
+for: they are its corner offsets (``corner_offsets``, the rotated
+half-extents as float rows, fixed by orientation and size alone) plus its
+centre.  Building a pad checks nothing; ``GraspState.validate`` checks a
+state's pads (finite centres and orientations, positive finite sizes,
+rectangles on their faces), and ``create``, ``plan()`` and the CLI's plan
+loader call it.
 
 Float contract: the primitives, the centre containment test and goal
 overlap run on Python floats.  numpy builds the mode table and serves the
@@ -125,7 +133,11 @@ class Action:
 
     def __post_init__(self) -> None:
         if not (self.magnitude > 0.0 and math.isfinite(self.magnitude)):
-            raise InvalidInputError("action magnitude must be positive and finite")
+            raise InvalidInputError(
+                f"field 'magnitude' must be positive and finite, got {self.magnitude!r}")
+        if not (self.arc_radius >= 0.0 and math.isfinite(self.arc_radius)):
+            raise InvalidInputError(
+                f"field 'arc_radius' must be non-negative and finite, got {self.arc_radius!r}")
 
 
 class ContactRegion(NamedTuple):
@@ -171,8 +183,7 @@ def corner_offsets(orientation: float, pad_width: float,
     return ((hs - wc, -ws - hc), (wc + hs, ws - hc), (wc - hs, ws + hc), (-wc - hs, hc - ws))
 
 
-@dataclass(frozen=True)
-class GraspState:
+class GraspState(NamedTuple):
     """Both finger contacts plus which faces are gripped and rested on.
 
     The grasp mode (support and gripped faces) fixes the world-horizontal
@@ -264,8 +275,9 @@ class ResolutionConfig:
 
     def validate(self) -> None:
         for name, value in vars(self).items():
-            if value <= 0.0:
-                raise InvalidInputError(f"resolution parameter {name} must be positive")
+            if not (0.0 < value < math.inf):
+                raise InvalidInputError(
+                    f"resolution parameter {name} must be positive and finite, got {value!r}")
 
 
 def derive_resolutions(obj: ObjectModel, base: ResolutionConfig) -> ResolutionConfig:
@@ -362,10 +374,12 @@ def _turn_entry(obj: ObjectModel, m: _Mode, action: Action, pair: int, support: 
 class _Mode:
     """Everything the primitives need that depends on the grasp mode alone: pose,
     per-finger (horizontal, up) face axes (``dirs``: as floats), grasp width, turns
-    (rotations and pivot) by action kind, the pivot edge, and containment
-    half-planes by (face, pad orientation, pad width, pad height)."""
+    (rotations and pivot) by action kind, the pivot edge, containment half-planes
+    by (face, pad orientation, pad width, pad height), and ``moves``: the last
+    ResolutionConfig served with its move table (see ``_moves``)."""
 
-    __slots__ = ("faces", "rot", "tz", "axes", "dirs", "width", "turns", "pivot_edge", "shrunk")
+    __slots__ = ("faces", "rot", "tz", "axes", "dirs", "width", "turns", "pivot_edge", "shrunk",
+                 "moves")
 
     def __init__(self, obj: ObjectModel, support_face: int, left_face: int, right_face: int):
         try:
@@ -387,6 +401,7 @@ class _Mode:
             (left_face, right_face),
             (np.eye(4, 5)[:2], np.eye(4, 5)[2:]))  # the pads stay put on their faces
         self.shrunk: dict[tuple, tuple[tuple[float, float, float], ...]] = {}
+        self.moves: tuple[ResolutionConfig | None, tuple] = (None, ())
 
 
 def _mode(obj: ObjectModel, support_face: int, left_face: int, right_face: int) -> _Mode:
@@ -554,39 +569,54 @@ _ROTATIONS = (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW)
 _TWO_PI = 2.0 * math.pi
 
 
+def _deltas(m: _Mode, kind: ActionKind, magnitude: float) -> list:
+    """A translation's per-finger (finger, du, dv) steps in mode m."""
+    fingers, axis, sign = _TRANSLATIONS[kind]
+    step = sign * magnitude
+    return [(i, step * m.dirs[i][axis][0], step * m.dirs[i][axis][1]) for i in fingers]
+
+
+def _moves(m: _Mode, cfg: ResolutionConfig) -> tuple:
+    """Mode m's move table for cfg: (op, action) pairs in canonical kind order,
+    op a _Turn or a translation's ``_deltas``.  Kept with the last config served
+    (compared by identity), so a model holds one table per mode.  The two are
+    read and replaced as one tuple, so a table is never paired with another config."""
+    served, table = m.moves
+    if served is not cfg:
+        table = [(_deltas(m, kind, cfg.slide_step), Action(kind, cfg.slide_step))
+                 for kind in _SLIDES]
+        # The one place search is stricter than replay, which has no config: it
+        # rotates only onto a pair within the grip-width limits whose new left face
+        # is short enough for that width (a too-elongated grip cannot generate the
+        # spin moment).
+        for kind in _ROTATIONS:
+            t = m.turns[kind]
+            if (t is not None
+                    and cfg.min_grasp_width - FEAS_TOL <= t.width <= cfg.max_grasp_width + FEAS_TOL
+                    and t.extent / t.width <= cfg.max_length_width_ratio + FEAS_TOL):
+                table.append((t, t.action))
+        table += [(_deltas(m, kind, cfg.z_step), Action(kind, cfg.z_step)) for kind in _MOVES]
+        t = m.turns[ActionKind.PIVOT]
+        if t is not None:
+            table.append((t, t.action))
+        table = tuple(table)
+        m.moves = (cfg, table)
+    return table
+
+
 def successors(s: GraspState, obj: ObjectModel,
                cfg: ResolutionConfig) -> list[tuple[Action, GraspState]]:
     """All feasible (action, resulting state) pairs, in canonical kind order.
 
-    The search relies on this order for deterministic tie-breaking.
+    The search relies on this order for deterministic tie-breaking.  The
+    actions are the move table's own objects.
     """
-    out: list[tuple[Action, GraspState]] = []
     m = _mode(obj, s.support_face, s.left.face, s.right.face)
-    for kind in _SLIDES:
-        nxt = _translate(obj, s, m, kind, cfg.slide_step)
+    out: list[tuple[Action, GraspState]] = []
+    for op, action in _moves(m, cfg):
+        nxt = _turn(obj, s, m, op) if type(op) is _Turn else _shift(obj, s, m, op)
         if nxt is not None:
-            out.append((Action(kind, cfg.slide_step), nxt))
-    # The one place search is stricter than replay, which has no config: it
-    # rotates only onto a pair within the grip-width limits whose new left face
-    # is short enough for that width (a too-elongated grip cannot generate the
-    # spin moment).
-    for kind in _ROTATIONS:
-        t = m.turns[kind]
-        if (t is not None
-                and cfg.min_grasp_width - FEAS_TOL <= t.width <= cfg.max_grasp_width + FEAS_TOL
-                and t.extent / t.width <= cfg.max_length_width_ratio + FEAS_TOL):
-            nxt = _turn(obj, s, m, t)
-            if nxt is not None:
-                out.append((t.action, nxt))
-    for kind in _MOVES:
-        nxt = _translate(obj, s, m, kind, cfg.z_step)
-        if nxt is not None:
-            out.append((Action(kind, cfg.z_step), nxt))
-    t = m.turns[ActionKind.PIVOT]
-    if t is not None:
-        nxt = _turn(obj, s, m, t)
-        if nxt is not None:
-            out.append((t.action, nxt))
+            out.append((action, nxt))
     return out
 
 
@@ -599,7 +629,7 @@ def transition(s: GraspState, a: Action, obj: ObjectModel) -> GraspState:
     m = _mode(obj, s.support_face, s.left.face, s.right.face)
     kind = a.kind
     if kind in _TRANSLATIONS:
-        nxt = _translate(obj, s, m, kind, a.magnitude)
+        nxt = _shift(obj, s, m, _deltas(m, kind, a.magnitude))
     else:
         t = m.turns[kind]
         fits = t is not None and abs(t.action.magnitude - a.magnitude) <= FEAS_TOL
@@ -609,16 +639,12 @@ def transition(s: GraspState, a: Action, obj: ObjectModel) -> GraspState:
     return nxt
 
 
-def _translate(obj: ObjectModel, s: GraspState, m: _Mode, kind: ActionKind,
-               magnitude: float) -> GraspState | None:
-    fingers, axis, sign = _TRANSLATIONS[kind]
-    step = sign * magnitude
+def _shift(obj: ObjectModel, s: GraspState, m: _Mode, deltas: list) -> GraspState | None:
+    """The one translation kernel: each listed finger's pad moved by its (du, dv)."""
     pads = [s.left, s.right]
-    for i in fingers:
+    for i, du, dv in deltas:
         pad = pads[i]
-        d_u, d_v = m.dirs[i][axis]
-        pads[i] = _place(obj, m, pad.face, pad.x + step * d_u, pad.y + step * d_v,
-                         pad.orientation, pad)
+        pads[i] = _place(obj, m, pad.face, pad.x + du, pad.y + dv, pad.orientation, pad)
         if pads[i] is None:
             return None
     return GraspState(pads[0], pads[1], s.grasp_pair, s.support_face)

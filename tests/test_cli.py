@@ -282,6 +282,8 @@ class TestMalformedInput:
                      id="plan-status-failed"),
         pytest.param("plan.json", lambda data: data.update(expansions=-7), "expansions",
                      id="plan-expansions-negative"),
+        pytest.param("plan.json", lambda data: data["actions"][0].update(arc_radius=-3),
+                     "arc_radius", id="plan-arc-radius-negative"),
         pytest.param("plan.json", lambda data: data["step_costs"].__setitem__(1, -0.005),
                      "step_costs", id="plan-step-cost-negative"),
         pytest.param("plan.json",

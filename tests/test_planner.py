@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import wihmplan as w
+from wihmplan import planner as planner_mod
 from wihmplan.heuristic import HeuristicCache, total_heuristic
 from wihmplan.planner import CostConfig, action_cost, evaluate, plan
 from wihmplan.transition import (
@@ -87,6 +89,34 @@ class TestActionCost:
     def test_scales_below_one_rejected(self):
         with pytest.raises(w.InvalidInputError):
             CostConfig(scale_z=0.5).validate()
+
+
+# Every float field of the two configs, with the config it belongs to.
+_FLOAT_FIELDS = [(ResolutionConfig, f.name) for f in dataclasses.fields(ResolutionConfig)] + [
+    (CostConfig, f.name) for f in dataclasses.fields(CostConfig) if f.name != "node_budget"]
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("cls, field", _FLOAT_FIELDS)
+    def test_non_finite_field_rejected_by_plan(self, cls, field, value):
+        obj, s0, goals, res, cost = small_instance("slide")
+        bad = dataclasses.replace(res if cls is ResolutionConfig else cost, **{field: value})
+        res, cost = (bad, cost) if cls is ResolutionConfig else (res, bad)
+        with pytest.raises(w.InvalidInputError, match=field):
+            plan(obj, s0, goals, res, cost)
+        assert all(m.moves[0] is not bad for m in obj.scratch.values())
+
+    def test_each_distinct_action_is_costed_once(self, monkeypatch):
+        obj, s0, goals, res, cost = small_instance("caps")
+        costed = []
+        real = planner_mod.action_cost
+        monkeypatch.setattr(planner_mod, "action_cost",
+                            lambda a, *args: costed.append(a) or real(a, *args))
+        p = plan(obj, s0, goals, res, cost)
+        assert p.expansions > 10
+        assert len(costed) == len(set(costed)) > 1
+        assert p.step_costs == [real(a, cost, res.slide_step) for a in p.actions]
 
 
 class TestPlanBasics:

@@ -13,6 +13,7 @@ import wihmplan as w
 from wihmplan import io as io_mod
 from wihmplan import transition as transition_mod
 from wihmplan.geometry import FEAS_TOL
+from wihmplan.planner import plan
 from wihmplan.transition import (
     Action,
     ActionKind,
@@ -431,6 +432,12 @@ class TestGoalMetrics:
                     assert poly.contains_points(region.corners(), tol=1e-6).all()
 
 
+@pytest.mark.parametrize("radius", [-1.0, -3.0, -math.inf, math.inf, math.nan])
+def test_action_rejects_a_bad_arc_radius(radius):
+    with pytest.raises(w.InvalidInputError, match="arc_radius"):
+        Action(ActionKind.ROTATE_CW, 1.0, arc_radius=radius)
+
+
 class TestStateValidation:
     def test_mismatched_pair_rejected(self, square_prism):
         with pytest.raises(w.InvalidStateError):
@@ -451,7 +458,7 @@ class TestStateValidation:
     @pytest.mark.parametrize("field, value", [("support_face", 99), ("support_face", -1),
                                               ("grasp_pair", 3), ("grasp_pair", -1)])
     def test_out_of_range_ids_rejected(self, square_prism, field, value):
-        s = dataclasses.replace(centered_state(square_prism), **{field: value})
+        s = centered_state(square_prism)._replace(**{field: value})
         with pytest.raises(w.InvalidStateError, match="does not exist"):
             s.validate(square_prism)
 
@@ -465,7 +472,7 @@ class TestStateValidation:
             GraspState.create(square_prism, 0, 2, 4, (0.02, 0.02), (0.02, 0.02), 0.02, 0.02,
                               left_orientation=orientation)
         s = centered_state(square_prism)
-        bad = dataclasses.replace(s, right=s.right._replace(orientation=orientation))
+        bad = s._replace(right=s.right._replace(orientation=orientation))
         with pytest.raises(w.InvalidStateError, match="orientation must be finite"):
             bad.validate(square_prism)
 
@@ -474,7 +481,7 @@ class TestStateValidation:
         with pytest.raises(w.InvalidStateError, match="pad dimensions must be positive"):
             GraspState.create(square_prism, 0, 2, 4, (0.02, 0.02), (0.02, 0.02), width, 0.02)
         s = centered_state(square_prism)
-        bad = dataclasses.replace(s, left=s.left._replace(pad_width=width))
+        bad = s._replace(left=s.left._replace(pad_width=width))
         with pytest.raises(w.InvalidStateError, match="pad dimensions must be positive"):
             bad.validate(square_prism)
 
@@ -595,6 +602,37 @@ class TestModeTable:
                     frontier.append(child)
         assert len(modes) > 1
         assert set(obj.scratch) == modes
+
+    def test_successors_return_the_tables_actions(self, square_prism):
+        cfg = ResolutionConfig()
+        s = centered_state(square_prism)
+        first = {a.kind: a for a, _ in successors(s, square_prism, cfg)}
+        slid = next(child for a, child in successors(s, square_prism, cfg)
+                    if a.kind == ActionKind.SLIDE_LEFT_UP)
+        for state in (s, slid):  # same mode, other pads
+            again = successors(state, square_prism, cfg)
+            assert len(again) > 4
+            assert all(a is first[a.kind] for a, _ in again)
+
+    def test_a_new_config_replaces_the_table(self, suite_entries):
+        # One model planned on alternating configs plans as fresh models do.
+        entry = next(e for e in suite_entries if e["name"] == "sq_t1_shift")
+        obj, start, goals, resolution, cost = load_task(entry)
+        coarse = dataclasses.replace(resolution, slide_step=2.0 * resolution.slide_step)
+        configs = (resolution, coarse, resolution)
+        shared = [plan(obj, start, goals, cfg, cost) for cfg in configs]
+        fresh = [plan(load_task(entry)[0], start, goals, cfg, cost) for cfg in configs]
+        assert shared == fresh
+        assert shared[0].expansions != shared[1].expansions
+
+    def test_transition_replays_every_successor(self, suite_entries):
+        # From each fixture start and plan state, replay gives search's child bit for bit.
+        for entry in suite_entries:
+            obj, start, goals, resolution, cost = load_task(entry)
+            for state in plan(obj, start, goals, resolution, cost).states:
+                for action, child in successors(state, obj, resolution):
+                    assert _state_bits(transition(state, action, obj)) == \
+                        _state_bits(child), (entry["name"], action)
 
 
 def _state_bits(s: GraspState) -> tuple:

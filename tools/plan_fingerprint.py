@@ -11,16 +11,20 @@ result as JSON with floats as ``float.hex``.  The inputs come from
 whose ``wihmplan`` runs (default: this checkout's), so the same script
 fingerprints any other checkout.
 
+Each fixture plan state also records its branching: every ``successors``
+pair, as the action's kind, magnitude and arc radius and the child's state
+key.
+
 The second form prints which exact fields differ (expansions, statuses,
-state keys, actions, step costs, totals, replay outcomes) and how many
-plan-state floats differ and by how much at most: centres in metres,
-orientations in radians as a wrapped angle difference, the final state's
-pad area outside the goals in square metres, and the ``overlap_ratio`` pair
-of each fixture plan's final state and of each noisy final state (a
-ratio).  It also counts how many heuristic values differ and by how much at
-most: ``total_heuristic`` of every fixture and budget plan state, in metres.
-Neither kind of float is an exact field.  It exits 1 when an exact field
-differs, 0 otherwise.
+state keys, actions, step costs, totals, successor lists, replay outcomes)
+and how many plan-state floats differ and by how much at most: centres in
+metres, orientations in radians as a wrapped angle difference, the final
+state's pad area outside the goals in square metres, and the
+``overlap_ratio`` pair of each fixture plan's final state and of each noisy
+final state (a ratio).  It also counts how many heuristic values differ and
+by how much at most: ``total_heuristic`` of every fixture and budget plan
+state, in metres.  Neither kind of float is an exact field.  It exits 1 when
+an exact field differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -68,6 +72,13 @@ def _heuristics(obj, plan, goals) -> list:
     return [heuristic.total_heuristic(s, cache).hex() for s in plan.states]
 
 
+def _branching(obj, plan, resolution, successors, state_key) -> list:
+    """Every ``successors`` pair of each plan state: kind, magnitude, arc radius, child key."""
+    return [[[a.kind.name, float(a.magnitude).hex(), float(a.arc_radius).hex(),
+              repr(state_key(child))] for a, child in successors(s, obj, resolution)]
+            for s in plan.states]
+
+
 def _plan(plan, expanded: int, state_key) -> dict:
     return {
         "expanded": expanded,
@@ -93,6 +104,8 @@ def fingerprint(src: Path) -> dict:
         case = out[f"fixture/{task.name}"] = _plan(plan, wl.expanded_count(plan), state_key)
         case["overlaps"] = [x.hex() for x in overlap_ratio(plan.states[-1], task.goals)]
         case["heuristic"] = _heuristics(obj, plan, task.goals)
+        case["successors"] = _branching(obj, plan, task.resolution,
+                                        wl.transition_mod.successors, state_key)
     for seed in BUDGET_SEEDS:
         tasks = wl.BudgetWorkload(seed).prepare()
         objects = {p: wl.io_mod.load_object(p) for p in dict.fromkeys(t.object_path for t in tasks)}
