@@ -281,7 +281,11 @@ def convex_intersection(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2 
 
 @dataclass(frozen=True)
 class RigidTransform3:
-    """Proper rigid transform: x -> rotation @ x + translation."""
+    """Proper rigid transform: x -> rotation @ x + translation.
+
+    The constructor rejects non-finite entries and a rotation that is not
+    orthonormal with determinant +1 (to ``GEOM_TOL``).
+    """
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -291,6 +295,8 @@ class RigidTransform3:
         tr = np.array(self.translation, dtype=float)
         if rot.shape != (3, 3) or tr.shape != (3,):
             raise InvalidGeometryError("rigid transform needs a 3x3 rotation and 3-vector")
+        if not (np.isfinite(rot).all() and np.isfinite(tr).all()):
+            raise InvalidGeometryError("rigid transform entries must be finite")
         if np.max(np.abs(rot @ rot.T - np.eye(3))) > GEOM_TOL or abs(np.linalg.det(rot) - 1.0) > GEOM_TOL:
             raise InvalidGeometryError("rotation must be orthonormal with determinant +1")
         rot.setflags(write=False)
@@ -299,8 +305,16 @@ class RigidTransform3:
         object.__setattr__(self, "translation", tr)
 
     @classmethod
-    def identity(cls) -> RigidTransform3:
-        return cls(np.eye(3), np.zeros(3))
+    def _unchecked(cls, rotation: np.ndarray, translation: np.ndarray) -> RigidTransform3:
+        """A transform from float arrays its caller composed from rigid
+        transforms, without the orthonormality check; the arrays become
+        read-only."""
+        rotation.setflags(write=False)
+        translation.setflags(write=False)
+        out = object.__new__(cls)
+        object.__setattr__(out, "rotation", rotation)
+        object.__setattr__(out, "translation", translation)
+        return out
 
     @classmethod
     def rot_x(cls, angle: float, translation=(0.0, 0.0, 0.0)) -> RigidTransform3:

@@ -203,6 +203,30 @@ class TestTrajectoryCommand:
         lines = traj.read_text().strip().splitlines()
         assert lines[0] == "step,x,y,z,qw,qx,qy,qz"
         assert len(lines) > 10  # pivot stages expand into many waypoints
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert len(fields) == 8
+            for field in fields:
+                float(field)
+
+    @pytest.mark.parametrize("task, steps", [("sq_t1_shift", "-3"), ("sq_t3_caps", "0")])
+    def test_steps_below_one_is_an_input_error(self, workdir, caplog, task, steps):
+        # sq_t1_shift's plan has no pivot, so the check cannot wait for one.
+        shutil.copy(FIXTURES / f"{task}_start.json", workdir / "start.json")
+        shutil.copy(FIXTURES / f"{task}_goals.json", workdir / "goals.json")
+        plan_path = workdir / "plan.json"
+        assert run_cli("plan", "--object", str(workdir / "square_prism.json"),
+                       "--goals", str(workdir / "goals.json"),
+                       "--start", str(workdir / "start.json"),
+                       "--out", str(plan_path)) == 0
+        traj = workdir / "traj.csv"
+        code = run_cli("trajectory", "--plan", str(plan_path),
+                       "--object", str(workdir / "square_prism.json"),
+                       "--chain", str(workdir / "chain.json"),
+                       "--steps", steps, "--out", str(traj))
+        assert code == 2
+        assert not traj.exists()
+        assert any("steps must be >= 1" in rec.message for rec in caplog.records)
 
     def test_state_naming_a_missing_face_is_an_input_error(self, workdir, caplog):
         shutil.copy(FIXTURES / "sq_t3_caps_start.json", workdir / "start.json")

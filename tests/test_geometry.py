@@ -411,6 +411,16 @@ class TestRigidTransform:
         with pytest.raises(w.InvalidGeometryError):
             RigidTransform3(np.eye(3) * 1.001, np.zeros(3))
 
+    @pytest.mark.parametrize("rotation, translation", [
+        pytest.param(np.diag([1.0, 1.0, -1.0]), np.zeros(3), id="reflection"),
+        pytest.param(np.eye(2), np.zeros(2), id="2d"),
+        pytest.param(np.full((3, 3), np.nan), np.zeros(3), id="nan-rotation"),
+        pytest.param(np.eye(3), np.array([np.inf, 0.0, 0.0]), id="inf-translation"),
+    ])
+    def test_rejects_bad_input(self, rotation, translation):
+        with pytest.raises(w.InvalidGeometryError):
+            RigidTransform3(rotation, translation)
+
     def test_compose_inverse(self, rng):
         t = RigidTransform3.rot_z(0.7, (0.1, -0.2, 0.3)) @ RigidTransform3.rot_x(-0.4)
         pts = rng.uniform(-1, 1, size=(10, 3))

@@ -178,3 +178,25 @@ class TestChainLoader:
         chain = io_mod.load_chain(FIXTURES / "chain.json")
         assert chain.d1 == pytest.approx(0.107)
         assert chain.d4 == 0.0  # derived per pivot at trajectory time
+
+    @pytest.mark.parametrize("edit, field", [
+        ({"d1": -0.1}, "d1"),
+        ({"d3": "far"}, "d3"),
+        ({"theta_finger": float("nan")}, "theta_finger"),
+        ({"d2": None}, "d2"),
+    ])
+    def test_bad_field_rejected(self, tmp_path, edit, field):
+        data = json.loads((FIXTURES / "chain.json").read_text())
+        data.update(edit)
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(w.InvalidInputError, match=field):
+            io_mod.load_chain(path)
+
+    def test_missing_field_rejected(self, tmp_path):
+        data = json.loads((FIXTURES / "chain.json").read_text())
+        del data["d3"]
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(w.InvalidInputError, match="d3"):
+            io_mod.load_chain(path)

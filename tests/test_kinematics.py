@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import wihmplan as w
+from wihmplan import io as io_mod
+from wihmplan import kinematics
+from wihmplan.geometry import RigidTransform3
 from wihmplan.kinematics import (
     DHRow,
     PivotChain,
@@ -16,10 +20,16 @@ from wihmplan.kinematics import (
     ee_to_pivot,
     full_pivot_trajectory,
     pivot_trajectory,
+    plan_waypoints,
     rotation_to_quaternion,
 )
+from wihmplan.planner import plan
+from wihmplan.transition import ActionKind, successors
 
+from conftest import FIXTURES, load_task
 from oracles import chain_oracle, dh_oracle_matrix
+
+STEPS = 25
 
 
 def random_chain(rng) -> PivotChain:
@@ -218,3 +228,111 @@ class TestQuaternion:
                 [2 * (qx * qz - qy * qw), 2 * (qy * qz + qx * qw), 1 - 2 * (qx * qx + qy * qy)],
             ])
             assert np.allclose(rebuilt, rot, atol=1e-9)
+
+
+def _random_walk(obj, start, resolution, rng, steps=20):
+    """``steps`` primitives drawn uniformly from ``successors``, as the replay
+    benchmark draws its walks."""
+    actions, states = [], [start]
+    for _ in range(steps):
+        options = successors(states[-1], obj, resolution)
+        if not options:
+            break
+        action, state = options[int(rng.integers(len(options)))]
+        actions.append(action)
+        states.append(state)
+    return SimpleNamespace(actions=actions, states=states)
+
+
+@pytest.fixture(scope="module")
+def pivoting_plans(suite_entries):
+    """(object, plan) pairs: the fixture plans that pivot, and a random walk
+    from every fixture start."""
+    rng = np.random.default_rng(1313)
+    out = []
+    for entry in suite_entries:
+        obj, start, goals, resolution, cost = load_task(entry)
+        if entry["name"] in ("sq_t3_caps", "rc_t2_rotate"):
+            found = plan(obj, start, goals, resolution, cost)
+            assert any(a.kind == ActionKind.PIVOT for a in found.actions), entry["name"]
+            out.append((obj, found))
+        out.append((obj, _random_walk(obj, start, resolution, rng)))
+    return out
+
+
+class TestPlanWaypoints:
+    def test_poses_are_rotations_and_steps_are_bounded(self, pivoting_plans):
+        chain = io_mod.load_chain(FIXTURES / "chain.json")
+        pivots = 0
+        for obj, plan_ in pivoting_plans:
+            wps = plan_waypoints(plan_, obj, chain, steps_per_stage=STEPS)
+            assert [wp.index for wp in wps] == list(range(len(wps)))
+            for wp in wps:
+                r = wp.pose.rotation
+                assert np.max(np.abs(r @ r.T - np.eye(3))) <= 1e-12
+                assert abs(np.linalg.det(r) - 1.0) <= 1e-12
+                assert not r.flags.writeable and not wp.pose.translation.flags.writeable
+            half = [a.magnitude / 2.0 for a in plan_.actions if a.kind == ActionKind.PIVOT]
+            pivots += len(half)
+            # Each waypoint turns the end-effector by one step of a pivot stage
+            # at most, across the stage seams and between actions as well.
+            bound = max(half, default=0.0) / STEPS + 1e-9
+            for a, b in zip(wps, wps[1:]):
+                rel = a.pose.rotation.T @ b.pose.rotation
+                assert math.acos(min(1.0, max(-1.0, (np.trace(rel) - 1.0) / 2.0))) <= bound
+        assert pivots >= 10
+
+    def test_pivots_keep_the_support_edge_fixed(self, pivoting_plans, monkeypatch):
+        calls = []
+
+        def recording(chain, total_angle, steps_per_stage, world_pivot=None):
+            wps = full_pivot_trajectory(chain, total_angle, steps_per_stage, world_pivot)
+            calls.append((chain, total_angle, world_pivot, wps))
+            return wps
+
+        monkeypatch.setattr(kinematics, "full_pivot_trajectory", recording)
+        chain = io_mod.load_chain(FIXTURES / "chain.json")
+        for obj, plan_ in pivoting_plans:
+            calls.clear()
+            wps = plan_waypoints(plan_, obj, chain, steps_per_stage=STEPS)
+            assert len(calls) == sum(a.kind == ActionKind.PIVOT for a in plan_.actions)
+            poses = [wp.pose for wp in wps]
+            for pivot_chain, total, anchor, pivot_wps in calls:
+                start = next(i for i, p in enumerate(poses) if p is pivot_wps[1].pose)
+                assert len(pivot_wps) == 2 * STEPS + 1
+                assert all(p is wp.pose for p, wp in zip(poses[start:], pivot_wps[1:]))
+                half = total / 2.0
+                edge2 = anchor @ RigidTransform3.rot_z(-half)
+                for k in range(STEPS + 1):
+                    # stage 1: the edge origin and axis stay put
+                    rec = pivot_wps[k].pose @ ee_to_pivot(pivot_chain)
+                    assert np.linalg.norm(rec.translation - anchor.translation) <= 1e-6
+                    assert np.max(np.abs(rec.rotation[:, 2] - anchor.rotation[:, 2])) <= 1e-6
+                    # stage 2, from the seam on: the whole edge frame stays put
+                    t = k / STEPS
+                    stepped = PivotChain(pivot_chain.d1, pivot_chain.theta_finger,
+                                         pivot_chain.d2, pivot_chain.d3, pivot_chain.d4,
+                                         pivot_chain.theta_contact + half * t, half * (1.0 - t))
+                    pose = pivot_wps[STEPS + k].pose
+                    rec = pose @ ee_to_pivot(stepped)
+                    assert np.linalg.norm(rec.translation - edge2.translation) <= 1e-6
+                    assert np.max(np.abs(rec.rotation - edge2.rotation)) <= 1e-6
+                    # and against the homogeneous-matrix oracle
+                    expected = np.eye(4)
+                    expected[:3, :3], expected[:3, 3] = edge2.rotation, edge2.translation
+                    expected = expected @ np.linalg.inv(chain_oracle(chain_rows(stepped)[:4]))
+                    assert np.max(np.abs(pose.rotation - expected[:3, :3])) <= 1e-12
+                    assert np.max(np.abs(pose.translation - expected[:3, 3])) <= 1e-12
+
+    def test_stage_seam_is_continuous(self, rng):
+        for _ in range(20):
+            chain = random_chain(rng)
+            half = float(rng.uniform(0.1, math.pi / 4.0))
+            anchor = (RigidTransform3.rot_z(float(rng.uniform(-3.0, 3.0)),
+                                            rng.uniform(-0.3, 0.3, size=3))
+                      @ RigidTransform3.rot_x(float(rng.uniform(-3.0, 3.0))))
+            end1 = pivot_trajectory(chain, 1, half, STEPS, anchor)[-1].pose
+            start2 = pivot_trajectory(chain, 2, half, STEPS,
+                                      anchor @ RigidTransform3.rot_z(-half))[0].pose
+            assert np.max(np.abs(end1.rotation - start2.rotation)) <= 1e-12
+            assert np.max(np.abs(end1.translation - start2.translation)) <= 1e-12

@@ -13,7 +13,9 @@ fingerprints any other checkout.
 
 Each fixture plan state also records its branching: every ``successors``
 pair, as the action's kind, magnitude and arc radius and the child's state
-key.
+key.  Each replay walk, and each fixture plan that pivots, records its
+``plan_waypoints`` (25 steps per stage, ``fixtures/chain.json``) as 12
+floats a pose: the rotation row by row, then the translation.
 
 The second form prints which exact fields differ (expansions, statuses,
 state keys, actions, step costs, totals, successor lists, replay outcomes)
@@ -21,10 +23,11 @@ and how many plan-state floats differ and by how much at most: centres in
 metres, orientations in radians as a wrapped angle difference, the final
 state's pad area outside the goals in square metres, and the
 ``overlap_ratio`` pair of each fixture plan's final state and of each noisy
-final state (a ratio).  It also counts how many heuristic values differ and
-by how much at most: ``total_heuristic`` of every fixture and budget plan
-state, in metres.  Neither kind of float is an exact field.  It exits 1 when
-an exact field differs, 0 otherwise.
+final state (a ratio).  It also counts how many heuristic values and
+waypoint pose entries differ and by how much at most: ``total_heuristic`` of
+every fixture and budget plan state, in metres, and the ``poses`` entries
+(rotation entries unitless, translations in metres).  Neither kind of float
+is an exact field.  It exits 1 when an exact field differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -79,6 +82,12 @@ def _branching(obj, plan, resolution, successors, state_key) -> list:
             for s in plan.states]
 
 
+def _poses(waypoints) -> list:
+    """Each waypoint pose as 12 floats: the rotation row by row, then the translation."""
+    return [x.hex() for wp in waypoints
+            for x in wp.pose.rotation.ravel().tolist() + wp.pose.translation.tolist()]
+
+
 def _plan(plan, expanded: int, state_key) -> dict:
     return {
         "expanded": expanded,
@@ -97,6 +106,8 @@ def fingerprint(src: Path) -> dict:
     wl = _import_harness(src)
     state_key = wl.transition_mod.state_key
     overlap_ratio = wl.transition_mod.overlap_ratio
+    waypoints = wl.plan_waypoints()
+    chain = wl.io_mod.load_chain(wl.FIXTURES / "chain.json")
     out = {}
     for task in wl.load_fixture_tasks():
         obj = wl.io_mod.load_object(task.object_path)
@@ -106,6 +117,9 @@ def fingerprint(src: Path) -> dict:
         case["heuristic"] = _heuristics(obj, plan, task.goals)
         case["successors"] = _branching(obj, plan, task.resolution,
                                         wl.transition_mod.successors, state_key)
+        if any(a.kind.name == "PIVOT" for a in plan.actions):
+            case["poses"] = _poses(waypoints(plan, obj, chain,
+                                             steps_per_stage=wl.STEPS_PER_STAGE))
     for seed in BUDGET_SEEDS:
         tasks = wl.BudgetWorkload(seed).prepare()
         objects = {p: wl.io_mod.load_object(p) for p in dict.fromkeys(t.object_path for t in tasks)}
@@ -115,7 +129,7 @@ def fingerprint(src: Path) -> dict:
             case = out[f"budget{seed}/{i}_{task.name}"] = _plan(plan, wl.expanded_count(plan),
                                                                  state_key)
             case["heuristic"] = _heuristics(obj, plan, task.goals)
-    walks, chain = wl.ReplayWorkload(REPLAY_SEED).prepare()
+    walks, _ = wl.ReplayWorkload(REPLAY_SEED).prepare()
     for walk in walks:
         obj = wl.io_mod.load_object(walk.object_path)
         case = _plan(walk.plan, 0, state_key)
@@ -127,14 +141,15 @@ def fingerprint(src: Path) -> dict:
             case["noise_outcomes"].append([noisy.executed, noisy.failed, noisy.failure_step])
             _add_states(case, [noisy.final_state], state_key)
             case["overlaps"] += [x.hex() for x in overlap_ratio(noisy.final_state, walk.goals)]
-        case["waypoints"] = len(wl.plan_waypoints()(walk.plan, obj, chain,
-                                                    steps_per_stage=wl.STEPS_PER_STAGE))
+        walk_waypoints = waypoints(walk.plan, obj, chain, steps_per_stage=wl.STEPS_PER_STAGE)
+        case["waypoints"] = len(walk_waypoints)
+        case["poses"] = _poses(walk_waypoints)
         out[f"replay{REPLAY_SEED}/{walk.name}"] = case
     return out
 
 
 _FLOATS = {"centres": "m", "orientations": "rad", "outside_area": "m^2", "overlaps": "ratio"}
-_DRIFTS = {"heuristic": "m"}  # counted apart from the plan-state floats
+_DRIFTS = {"heuristic": "m", "poses": "(m or unitless)"}  # counted apart from the plan-state floats
 
 
 def _gap(field: str, a: str, b: str) -> float:
