@@ -279,12 +279,13 @@ def convex_intersection(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2 
     return None if rows is None else ConvexPolygon2(rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RigidTransform3:
     """Proper rigid transform: x -> rotation @ x + translation.
 
     The constructor rejects non-finite entries and a rotation that is not
-    orthonormal with determinant +1 (to ``GEOM_TOL``).
+    orthonormal with determinant +1 (to ``GEOM_TOL``).  Transforms compare
+    and hash by identity, as numpy arrays define no truth value.
     """
 
     rotation: np.ndarray

@@ -224,7 +224,10 @@ def load_chain(path: str | Path) -> PivotChain:
     # d4 (contact-to-edge distance) is normally derived from the plan state
     for name in ("d4", "theta_contact", "theta_pivot"):
         kwargs[name] = _number(json_field(data, name, path, 0.0), name, path)
-    return PivotChain(**kwargs)
+    try:
+        return PivotChain(**kwargs)
+    except WihmplanError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

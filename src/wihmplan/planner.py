@@ -6,6 +6,12 @@ f = g + heuristic_scale * h, stops when every pad corner sits inside a goal
 the best terminal objective once the node budget runs out.  Runs are
 deterministic: ties on f break FIFO, and successors are generated in the
 canonical action order.
+
+A search node is a plain tuple ``(state, g, h, parent node, incoming
+action)``, and the open list holds ``(f, counter, state key, node)``.  Each
+child's key is computed once, from the parent's: ``state_key`` keeps the cell
+of the pad a slide leaves in place.  Step costs are memoized per search by
+the identity of the move table's ``Action`` objects.
 """
 
 from __future__ import annotations
@@ -80,17 +86,6 @@ def action_cost(a: Action, cfg: CostConfig, slide_step: float | None = None) -> 
     return cfg.scale_pivot * a.magnitude * a.arc_radius
 
 
-@dataclass(slots=True)
-class SearchNode:
-    """A* bookkeeping for one reached state."""
-
-    state: GraspState
-    g: float
-    h: float
-    parent: SearchNode | None = None
-    incoming: Action | None = None
-
-
 @dataclass
 class Plan:
     """An ordered action sequence with its replayed states and cost breakdown."""
@@ -127,25 +122,32 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
 
     root_key = state_key(s0)
     h0 = total_heuristic(s0, cache, root_key)
-    root = SearchNode(s0, 0.0, h0)
+    # A search node is a plain tuple (state, g, h, parent node, incoming action).
+    root = (s0, 0.0, h0, None, None)
     counter = 0
     # Entries carry the state's key, computed once when the state is generated.
-    open_heap: list[tuple[float, int, tuple, SearchNode]] = [(lam * h0, counter, root_key, root)]
+    open_heap: list[tuple[float, int, tuple, tuple]] = [(lam * h0, counter, root_key, root)]
     best_g: dict[tuple, float] = {root_key: 0.0}
     closed: set[tuple] = set()
-    # Successors come from per-mode move tables, so a search meets few distinct actions.
-    step_cost: dict[Action, float] = {}
+    # Successors return their move tables' own Action objects, so a search meets
+    # few of them: each one's cost is memoized by identity, next to the action
+    # itself so that its id is not reused while the search runs.  Equal actions
+    # of other modes' tables share one action_cost call.
+    step_cost: dict[int, tuple[Action, float]] = {}
+    costs: dict[Action, float] = {}
+    heappush, heappop = heapq.heappush, heapq.heappop
 
-    best_effort: SearchNode = root
+    best_effort = root
     best_effort_score = region_outside_goal(s0, goals) + w * 0.0
     expansions = 0
-    goal_node: SearchNode | None = None
+    goal_node = None
 
     while open_heap:
-        f, _, key, node = heapq.heappop(open_heap)
+        f, _, key, node = heappop(open_heap)
         if key in closed:
             continue
-        if node.h <= cost.goal_tolerance:
+        state, g, h = node[0], node[1], node[2]
+        if h <= cost.goal_tolerance:
             goal_node = node
             break
         closed.add(key)
@@ -156,18 +158,21 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
 
         # Best-effort tracking: E >= 0, so w*g already exceeding the score
         # means the full objective cannot improve on it.
-        if w * node.g < best_effort_score:
-            score = region_outside_goal(node.state, goals) + w * node.g
+        if w * g < best_effort_score:
+            score = region_outside_goal(state, goals) + w * g
             if score < best_effort_score:
                 best_effort_score = score
                 best_effort = node
 
-        for act, child_state in successors(node.state, obj, resolution):
-            step = step_cost.get(act)
-            if step is None:
-                step = step_cost[act] = action_cost(act, cost, resolution.slide_step)
-            child_g = node.g + step
-            child_key = state_key(child_state)
+        for act, child_state in successors(state, obj, resolution):
+            entry = step_cost.get(id(act))
+            if entry is None:
+                step = costs.get(act)
+                if step is None:
+                    step = costs[act] = action_cost(act, cost, resolution.slide_step)
+                entry = step_cost[id(act)] = (act, step)
+            child_g = g + entry[1]
+            child_key = state_key(child_state, state, key)
             seen = best_g.get(child_key)
             if seen is not None and seen <= child_g:
                 continue
@@ -177,23 +182,23 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
             if child_f < f - 1e-12:
                 log.debug("inconsistent heuristic: f dropped %.3e -> %.3e", f, child_f)
             counter += 1
-            heapq.heappush(open_heap, (child_f, counter, child_key, SearchNode(
-                child_state, child_g, child_h, parent=node, incoming=act)))
+            heappush(open_heap, (child_f, counter, child_key,
+                                 (child_state, child_g, child_h, node, act)))
 
     chosen = goal_node if goal_node is not None else best_effort
     status = "exact-goal" if goal_node is not None else "best-effort"
     actions: list[Action] = []
-    states: list[GraspState] = [chosen.state]
+    states: list[GraspState] = [chosen[0]]
     node = chosen
-    while node.parent is not None:
-        actions.append(node.incoming)
-        states.append(node.parent.state)
-        node = node.parent
+    while node[3] is not None:
+        actions.append(node[4])
+        node = node[3]
+        states.append(node[0])
     actions.reverse()
     states.reverse()
-    step_costs = [step_cost[a] for a in actions]
+    step_costs = [step_cost[id(a)][1] for a in actions]
     total = math.fsum(step_costs)
-    outside = region_outside_goal(chosen.state, goals)
+    outside = region_outside_goal(chosen[0], goals)
     return Plan(actions=actions, states=states, step_costs=step_costs,
                 total_action_cost=total, terminal_outside_area=outside,
                 objective=outside + w * total, status=status,

@@ -60,9 +60,18 @@ corner test (``_corners_inside``), which defines whether a pad fits: all 4
 corners within ``FEAS_TOL`` of the face's half-planes.  Search tests the
 centre instead, against the face shrunk by the rotated pad (by its corner
 offsets), with half-planes computed once per face, orientation and pad
-size.  The two round differently, by a few ulps of the face coordinates, so
-a centre margin within ``_GUARD`` of the threshold is decided by the corner
-test: the verdicts agree.
+size (``_Mode.shrunk``).  The two round differently, by a few ulps of the
+face coordinates, so a centre margin within ``_GUARD`` of the threshold is
+decided by the corner test: the verdicts agree.
+
+One expansion reads each parent fact once.  A translation keeps each pad's
+face, orientation and size, so ``successors`` looks up the two parent pads'
+half-planes once and every translation tests against them (``_fit``); a
+turn looks up its landing pads' planes (``_place``), and replay looks them
+up only for the pads that move.  Given the parent state and key,
+``state_key`` keeps the cell of each pad the child shares with its parent.
+The kernels build pads and states with ``tuple.__new__``, which skips the
+named tuples' Python ``__new__``; the results are ordinary instances.
 """
 
 from __future__ import annotations
@@ -97,6 +106,8 @@ _LEFT_NORMAL = np.array([-1.0, 0.0, 0.0])  # world direction of the left face's 
 # float centre test defers to the corner test: far wider than the few ulps by
 # which their margins round apart on faces up to about 1e3 m.
 _GUARD = 1e-12
+# _new(cls, fields) builds a pad or state without the named tuple's Python __new__.
+_new = tuple.__new__
 
 
 class ActionKind(enum.IntEnum):
@@ -537,21 +548,35 @@ def _shrunk_face(obj: ObjectModel, face_id: int, theta: float, pad_width: float,
                  for n_u, n_v, b in obj.face(face_id).polygon._float_tables()[0])
 
 
-def _place(obj: ObjectModel, m: _Mode, face_id: int, x: float, y: float, theta: float,
-           pad: ContactRegion) -> ContactRegion | None:
-    """The pad moved to centre (x, y), orientation theta on a face; None if it leaves it."""
+def _planes(obj: ObjectModel, m: _Mode, face_id: int, theta: float,
+            pad: ContactRegion) -> tuple[tuple[float, float, float], ...]:
+    """The shrunk half-planes of a pad of pad's size at orientation theta on a face."""
     key = (face_id, theta, pad.pad_width, pad.pad_height)
     planes = m.shrunk.get(key)
     if planes is None:
         planes = m.shrunk[key] = _shrunk_face(obj, *key)
+    return planes
+
+
+def _fit(obj: ObjectModel, planes: tuple, face_id: int, x: float, y: float, theta: float,
+         pad: ContactRegion) -> ContactRegion | None:
+    """The pad moved to centre (x, y), orientation theta on a face; None if it
+    leaves it.  planes are the face's shrunk half-planes for theta and the pad's size."""
     close = False
     for n_u, n_v, b in planes:
         margin = n_u * x + n_v * y - b
-        if margin < -_GUARD:
-            return None
-        close = close or margin <= _GUARD
-    region = ContactRegion(face_id, x, y, theta, pad.pad_width, pad.pad_height)
+        if margin <= _GUARD:
+            if margin < -_GUARD:
+                return None
+            close = True
+    region = _new(ContactRegion, (face_id, x, y, theta, pad.pad_width, pad.pad_height))
     return None if close and not _corners_inside(obj, region) else region
+
+
+def _place(obj: ObjectModel, m: _Mode, face_id: int, x: float, y: float, theta: float,
+           pad: ContactRegion) -> ContactRegion | None:
+    """The pad moved to centre (x, y), orientation theta on a face; None if it leaves it."""
+    return _fit(obj, _planes(obj, m, face_id, theta, pad), face_id, x, y, theta, pad)
 
 
 # ---------------------------------------------------------------------------
@@ -609,12 +634,17 @@ def successors(s: GraspState, obj: ObjectModel,
     """All feasible (action, resulting state) pairs, in canonical kind order.
 
     The search relies on this order for deterministic tie-breaking.  The
-    actions are the move table's own objects.
+    actions are the move table's own objects.  A translation keeps each pad's
+    face, orientation and size, so every translation tests against the
+    parent pads' half-planes, looked up once here.
     """
-    m = _mode(obj, s.support_face, s.left.face, s.right.face)
+    left, right = s.left, s.right
+    m = _mode(obj, s.support_face, left.face, right.face)
+    planes = (_planes(obj, m, left.face, left.orientation, left),
+              _planes(obj, m, right.face, right.orientation, right))
     out: list[tuple[Action, GraspState]] = []
     for op, action in _moves(m, cfg):
-        nxt = _turn(obj, s, m, op) if type(op) is _Turn else _shift(obj, s, m, op)
+        nxt = _turn(obj, s, m, op) if type(op) is _Turn else _shift(obj, s, m, op, planes)
         if nxt is not None:
             out.append((action, nxt))
     return out
@@ -639,15 +669,22 @@ def transition(s: GraspState, a: Action, obj: ObjectModel) -> GraspState:
     return nxt
 
 
-def _shift(obj: ObjectModel, s: GraspState, m: _Mode, deltas: list) -> GraspState | None:
-    """The one translation kernel: each listed finger's pad moved by its (du, dv)."""
+def _shift(obj: ObjectModel, s: GraspState, m: _Mode, deltas: list,
+           planes: tuple | None = None) -> GraspState | None:
+    """The one translation kernel: each listed finger's pad moved by its (du, dv).
+
+    planes holds each finger's shrunk half-planes (a move keeps them); without
+    it they are looked up for the pads that move.
+    """
     pads = [s.left, s.right]
     for i, du, dv in deltas:
         pad = pads[i]
-        pads[i] = _place(obj, m, pad.face, pad.x + du, pad.y + dv, pad.orientation, pad)
+        face, theta = pad.face, pad.orientation
+        pads[i] = _fit(obj, _planes(obj, m, face, theta, pad) if planes is None else planes[i],
+                       face, pad.x + du, pad.y + dv, theta, pad)
         if pads[i] is None:
             return None
-    return GraspState(pads[0], pads[1], s.grasp_pair, s.support_face)
+    return _new(GraspState, (pads[0], pads[1], s.grasp_pair, s.support_face))
 
 
 def _turn(obj: ObjectModel, s: GraspState, m: _Mode, t: _Turn) -> GraspState | None:
@@ -660,7 +697,7 @@ def _turn(obj: ObjectModel, s: GraspState, m: _Mode, t: _Turn) -> GraspState | N
                            math.remainder(region.orientation + shift, _TWO_PI), region))
         if pads[-1] is None:
             return None
-    return GraspState(pads[0], pads[1], t.pair, t.support)
+    return _new(GraspState, (pads[0], pads[1], t.pair, t.support))
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +782,16 @@ def region_cell(region: ContactRegion) -> tuple:
             round(r / _KEY_QUANTUM))
 
 
-def state_key(s: GraspState) -> tuple:
+def state_key(s: GraspState, parent: GraspState | None = None,
+              parent_key: tuple | None = None) -> tuple:
     """Hashable key for duplicate detection in search: the support face and
-    both pads' cells (the gripped faces fix the grasp pair)."""
-    return (s.support_face,) + region_cell(s.left) + region_cell(s.right)
+    both pads' cells (the gripped faces fix the grasp pair).
+
+    Given the parent state and its key, a pad the child shares with the parent
+    (the same object: a slide moves one pad) keeps the parent's cell.
+    """
+    left, right = s.left, s.right
+    if parent is None:
+        return (s.support_face,) + region_cell(left) + region_cell(right)
+    return ((s.support_face,) + (parent_key[1:5] if left is parent.left else region_cell(left))
+            + (parent_key[5:] if right is parent.right else region_cell(right)))

@@ -209,6 +209,26 @@ class TestTrajectoryCommand:
             for field in fields:
                 float(field)
 
+    def test_bad_chain_is_an_input_error_naming_the_file(self, workdir, caplog):
+        plan_path = workdir / "plan.json"
+        assert run_cli("plan", "--object", str(workdir / "square_prism.json"),
+                       "--goals", str(workdir / "sq_t1_shift_goals.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"),
+                       "--out", str(plan_path)) == 0
+        chain_path = workdir / "chain.json"
+        chain = json.loads(chain_path.read_text())
+        chain["d1"] = -0.1
+        chain_path.write_text(json.dumps(chain))
+        traj = workdir / "traj.csv"
+        code = run_cli("trajectory", "--plan", str(plan_path),
+                       "--object", str(workdir / "square_prism.json"),
+                       "--chain", str(chain_path), "--out", str(traj))
+        assert code == 2
+        assert not traj.exists()
+        errors = [rec.message for rec in caplog.records if rec.levelname == "ERROR"]
+        assert errors and errors[0].startswith(f"{chain_path}: ")
+        assert "d1 must be non-negative" in errors[0]
+
     @pytest.mark.parametrize("task, steps", [("sq_t1_shift", "-3"), ("sq_t3_caps", "0")])
     def test_steps_below_one_is_an_input_error(self, workdir, caplog, task, steps):
         # sq_t1_shift's plan has no pivot, so the check cannot wait for one.

@@ -421,6 +421,12 @@ class TestRigidTransform:
         with pytest.raises(w.InvalidGeometryError):
             RigidTransform3(rotation, translation)
 
+    def test_equality_and_hash_are_by_identity(self):
+        a, b = RigidTransform3.rot_z(0.1), RigidTransform3.rot_z(0.1)
+        assert a == a and a != b
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+
     def test_compose_inverse(self, rng):
         t = RigidTransform3.rot_z(0.7, (0.1, -0.2, 0.3)) @ RigidTransform3.rot_x(-0.4)
         pts = rng.uniform(-1, 1, size=(10, 3))

@@ -635,6 +635,101 @@ class TestModeTable:
                         _state_bits(child), (entry["name"], action)
 
 
+def _is_shift(op) -> bool:
+    """Whether a move-table op is a translation's deltas (not a turn)."""
+    return not isinstance(op, transition_mod._Turn)
+
+
+class TestExpansionKernels:
+    """Search reads each parent fact once: translations test the parent pads'
+    half-planes, child keys reuse the cells of shared pads, and the kernels
+    build states and pads with tuple.__new__."""
+
+    def test_guard_band_translations_match_the_corner_oracle(self, monkeypatch):
+        # The moved pad lands within ulps of a face edge's FEAS_TOL threshold.
+        real = transition_mod._corners_inside
+        corner_calls = []
+        monkeypatch.setattr(transition_mod, "_corners_inside",
+                            lambda *args: corner_calls.append(args) or real(*args))
+        rng = np.random.default_rng(5)
+        cfg = ResolutionConfig()
+        verdicts = set()
+        for obj, name in zip(_containment_objects(), OBJECT_FILES):
+            replay_obj = io_mod.load_object(FIXTURES / name)  # its own mode table
+            states = mode_states(obj)
+            for _ in range(12):
+                base = states[int(rng.integers(len(states)))]
+                m = transition_mod._mode(obj, base.support_face, base.left.face,
+                                         base.right.face)
+                table = transition_mod._moves(m, cfg)
+                for finger in (0, 1):
+                    pad = base[finger]
+                    face = obj.face(pad.face)
+                    edge = _threshold_pad(face, pad.orientation, pad.pad_width, pad.pad_height,
+                                          int(rng.integers(len(face.polygon))),
+                                          float(rng.random()), rng.integers(-4, 5, size=2).tolist())
+                    # The edge pad itself, then each translation's parent that lands on it.
+                    lands = [(0.0, 0.0)] + [(du, dv) for op, _ in table if _is_shift(op)
+                                            for i, du, dv in op if i == finger]
+                    for du, dv in lands:
+                        moved = edge._replace(x=edge.x - du, y=edge.y - dv)
+                        parent = base._replace(**{("left", "right")[finger]: moved})
+                        verdicts |= self._check_expansion(obj, replay_obj, parent, table)
+        assert verdicts == {True, False}
+        assert corner_calls
+
+    @staticmethod
+    def _check_expansion(obj, replay_obj, parent, table) -> set:
+        children = successors(parent, obj, ResolutionConfig())
+        kinds = {a.kind for a, _ in children}
+        verdicts = set()
+        for op, action in table:
+            if not _is_shift(op):
+                continue
+            moved = [parent[i]._replace(x=parent[i].x + du, y=parent[i].y + dv)
+                     for i, du, dv in op]
+            fits = all(pad_corners_inside(obj, pad) for pad in moved)
+            assert (action.kind in kinds) == fits, action
+            verdicts.add(fits)
+            if not fits:
+                with pytest.raises(w.InfeasibleActionError):
+                    transition(parent, action, replay_obj)
+        for action, child in children:
+            assert _state_bits(transition(parent, action, replay_obj)) == _state_bits(child), \
+                action
+        return verdicts
+
+    def test_child_keys_and_tuples_on_random_walks(self):
+        rng = np.random.default_rng(9)
+        cfg = ResolutionConfig()
+        kinds, shared = set(), 0
+        for obj in _containment_objects():
+            states = mode_states(obj)
+            state = states[0]
+            for _ in range(60):
+                children = successors(state, obj, cfg)
+                if not children:
+                    state = states[int(rng.integers(len(states)))]
+                    continue
+                key = state_key(state)
+                for action, child in children:
+                    kinds.add(action.kind)
+                    assert state_key(child, state, key) == state_key(child)
+                    shared += (child.left is state.left) + (child.right is state.right)
+                    assert type(child) is GraspState
+                    assert type(child.left) is ContactRegion
+                    assert type(child.right) is ContactRegion
+                    twin = GraspState(ContactRegion(*child.left), ContactRegion(*child.right),
+                                      child.grasp_pair, child.support_face)
+                    assert child == twin and hash(child) == hash(twin)
+                    assert child._replace(support_face=child.support_face) == child
+                    assert child.left._replace(x=child.left.x) == child.left
+                    assert type(child.right._replace(y=0.0)) is ContactRegion
+                state = children[int(rng.integers(len(children)))][1]
+        assert kinds == set(ActionKind)
+        assert shared > 0
+
+
 def _state_bits(s: GraspState) -> tuple:
     floats = []
     for r in (s.left, s.right):
