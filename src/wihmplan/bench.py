@@ -46,6 +46,9 @@ class NoiseModel:
         if not (self.eta >= 0.0 and math.isfinite(2.0 * self.eta)):
             raise InvalidInputError(f"noise amplitude must be non-negative and finite, "
                                     f"got {self.eta!r}")
+        # numpy would reject a negative seed with a bare ValueError.
+        if type(self.seed) is not int or self.seed < 0:
+            raise InvalidInputError(f"noise seed must be a non-negative int, got {self.seed!r}")
 
 
 @dataclass
@@ -104,16 +107,19 @@ class TaskSpec:
 
 @dataclass
 class TaskResult:
+    """One task's report row.  The defaults are a failed task's: nothing
+    planned or executed, and no objective."""
+
     task: str
     object_name: str
     status: str
-    planning_time_s: float
-    plan_length: int
-    execution_steps: int
-    overlap_left: float
-    overlap_right: float
-    outside_area: float
-    objective: float
+    planning_time_s: float = 0.0
+    plan_length: int = 0
+    execution_steps: int = 0
+    overlap_left: float = 0.0
+    overlap_right: float = 0.0
+    outside_area: float = math.nan
+    objective: float = math.nan
 
     def mean_overlap(self) -> float:
         return (self.overlap_left + self.overlap_right) / 2.0
@@ -137,19 +143,23 @@ class BenchReport:
         self.overall = _aggregate(self.rows)
 
 
+# A report row's number columns, in report order.  An aggregate row reports the
+# mean of each but outside_area, kept in its aggregates as "mean_<column>".
+_NUMBERS = ("planning_time_s", "plan_length", "execution_steps", "overlap_left",
+            "overlap_right", "outside_area", "objective")
+_MEANS = tuple(column for column in _NUMBERS if column != "outside_area")
+
+
 def _aggregate(rows: list[TaskResult]) -> dict[str, float]:
     n = len(rows)
-    return {
+    agg = {
         "tasks": float(n),
         "solved_fraction": sum(1.0 for r in rows if r.status == "exact-goal") / n,
         "mean_overlap": math.fsum(r.mean_overlap() for r in rows) / n,
-        "mean_overlap_left": math.fsum(r.overlap_left for r in rows) / n,
-        "mean_overlap_right": math.fsum(r.overlap_right for r in rows) / n,
-        "mean_planning_time_s": math.fsum(r.planning_time_s for r in rows) / n,
-        "mean_plan_length": math.fsum(float(r.plan_length) for r in rows) / n,
-        "mean_execution_steps": math.fsum(float(r.execution_steps) for r in rows) / n,
-        "mean_objective": math.fsum(r.objective for r in rows) / n,
     }
+    for column in _MEANS:
+        agg[f"mean_{column}"] = math.fsum(getattr(r, column) for r in rows) / n
+    return agg
 
 
 def run_task(task: TaskSpec) -> tuple[TaskResult, Plan]:
@@ -184,11 +194,7 @@ def run_benchmark(suite: list[TaskSpec]) -> BenchReport:
         try:
             row, _ = run_task(task)
         except WihmplanError as exc:  # a bad task must not sink the suite
-            row = TaskResult(task=task.name, object_name=task.obj.name,
-                             status=f"failed: {type(exc).__name__}", planning_time_s=0.0,
-                             plan_length=0, execution_steps=0, overlap_left=0.0,
-                             overlap_right=0.0, outside_area=float("nan"),
-                             objective=float("nan"))
+            row = TaskResult(task.name, task.obj.name, f"failed: {type(exc).__name__}")
         rows.append(row)
     report = BenchReport(rows=rows)
     report.recompute_aggregates()
@@ -223,28 +229,14 @@ def noise_robustness(plan_: Plan, obj: ObjectModel, s0: GraspState,
 # ---------------------------------------------------------------------------
 # Report rendering
 
-_REPORT_FIELDS = ["kind", "task", "object", "status", "planning_time_s", "plan_length",
-                  "execution_steps", "overlap_left", "overlap_right", "outside_area",
-                  "objective"]
+_REPORT_FIELDS = ["kind", "task", "object", "status", *_NUMBERS]
 
 
 def report_records(report: BenchReport) -> list[dict]:
     """Flat row list renderable identically as CSV or JSON."""
-    records = []
-    for row in report.rows:
-        records.append({
-            "kind": "task",
-            "task": row.task,
-            "object": row.object_name,
-            "status": row.status,
-            "planning_time_s": row.planning_time_s,
-            "plan_length": row.plan_length,
-            "execution_steps": row.execution_steps,
-            "overlap_left": row.overlap_left,
-            "overlap_right": row.overlap_right,
-            "outside_area": row.outside_area,
-            "objective": row.objective,
-        })
+    records = [{"kind": "task", "task": row.task, "object": row.object_name,
+                "status": row.status, **{column: getattr(row, column) for column in _NUMBERS}}
+               for row in report.rows]
     for name, agg in report.per_object.items():
         records.append(_aggregate_record("object_mean", name, agg))
     records.append(_aggregate_record("overall_mean", "*", report.overall))
@@ -252,19 +244,11 @@ def report_records(report: BenchReport) -> list[dict]:
 
 
 def _aggregate_record(kind: str, name: str, agg: dict[str, float]) -> dict:
-    return {
-        "kind": kind,
-        "task": "*",
-        "object": name,
-        "status": f"solved={agg['solved_fraction']:.3f}",
-        "planning_time_s": agg["mean_planning_time_s"],
-        "plan_length": agg["mean_plan_length"],
-        "execution_steps": agg["mean_execution_steps"],
-        "overlap_left": agg["mean_overlap_left"],
-        "overlap_right": agg["mean_overlap_right"],
-        "outside_area": float("nan"),
-        "objective": agg["mean_objective"],
-    }
+    record = {"kind": kind, "task": "*", "object": name,
+              "status": f"solved={agg['solved_fraction']:.3f}", "outside_area": math.nan}
+    for column in _MEANS:
+        record[column] = agg[f"mean_{column}"]
+    return record
 
 
 def emit_report(report: BenchReport, path: str | Path, fmt: str | None = None) -> None:

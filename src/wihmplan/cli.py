@@ -108,13 +108,18 @@ def _cmd_simulate(args) -> int:
 
 
 def _load_plan(path: str, obj: ObjectModel) -> Plan:
-    """The plan at path, with every recorded state checked against the object."""
+    """The plan at path, with every recorded state checked against the object,
+    then replayed once from its first state: it must reproduce them."""
     plan_ = io_mod.load_plan(path)
     for i, state in enumerate(plan_.states):
         try:
             state.validate(obj)
         except InvalidStateError as exc:
             raise InvalidStateError(f"{path}: state {i}: {exc}") from exc
+    try:
+        bench_mod.simulate(plan_, obj, plan_.states[0])
+    except WihmplanError as exc:  # an infeasible action or a diverging replay
+        raise type(exc)(f"{path}: {exc}") from exc
     return plan_
 
 

@@ -10,8 +10,9 @@ canonical action order.
 A search node is a plain tuple ``(state, g, h, parent node, incoming
 action)``, and the open list holds ``(f, counter, state key, node)``.  Each
 child's key is computed once, from the parent's: ``state_key`` keeps the cell
-of the pad a slide leaves in place.  Step costs are memoized per search by
-the identity of the move table's ``Action`` objects.
+of the pad a slide leaves in place.  Step costs are memoized per search in
+one dict keyed by ``Action`` value: an action is a named tuple, so equal
+actions of different modes' move tables share one ``action_cost`` call.
 """
 
 from __future__ import annotations
@@ -25,8 +26,10 @@ from .errors import CorruptedPlanError, InvalidInputError, InvalidStartError, In
 from .geometry import ObjectModel
 from .heuristic import HeuristicCache, total_heuristic
 from .transition import (
+    _MOVES,
+    _ROTATIONS,
+    _SLIDES,
     Action,
-    ActionKind,
     GoalRegion,
     GraspState,
     ResolutionConfig,
@@ -71,17 +74,17 @@ class CostConfig:
             raise InvalidInputError("node_budget must be positive")
 
 
-def action_cost(a: Action, cfg: CostConfig, slide_step: float | None = None) -> float:
-    """Cost of one primitive: slide arc length, scaled for the other kinds."""
+def action_cost(a: Action, cfg: CostConfig, slide_step: float) -> float:
+    """Cost of one primitive: slide arc length (or ``slide_unit_cost`` per
+    slide_step), scaled for the other kinds."""
     kind = a.kind
-    if kind in (ActionKind.SLIDE_LEFT_UP, ActionKind.SLIDE_LEFT_DOWN,
-                ActionKind.SLIDE_RIGHT_UP, ActionKind.SLIDE_RIGHT_DOWN):
-        if cfg.slide_unit_cost is None or slide_step is None:
+    if kind in _SLIDES:
+        if cfg.slide_unit_cost is None:
             return a.magnitude
         return cfg.slide_unit_cost * (a.magnitude / slide_step)
-    if kind in (ActionKind.MOVE_CONTACT_UP, ActionKind.MOVE_CONTACT_DOWN):
+    if kind in _MOVES:
         return cfg.scale_z * a.magnitude
-    if kind in (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW):
+    if kind in _ROTATIONS:
         return cfg.scale_rotate * a.magnitude * a.arc_radius
     return cfg.scale_pivot * a.magnitude * a.arc_radius
 
@@ -129,11 +132,8 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
     open_heap: list[tuple[float, int, tuple, tuple]] = [(lam * h0, counter, root_key, root)]
     best_g: dict[tuple, float] = {root_key: 0.0}
     closed: set[tuple] = set()
-    # Successors return their move tables' own Action objects, so a search meets
-    # few of them: each one's cost is memoized by identity, next to the action
-    # itself so that its id is not reused while the search runs.  Equal actions
-    # of other modes' tables share one action_cost call.
-    step_cost: dict[int, tuple[Action, float]] = {}
+    # A search meets few distinct actions (its move tables'), so each one's
+    # cost is computed once, keyed by value.
     costs: dict[Action, float] = {}
     heappush, heappop = heapq.heappush, heapq.heappop
 
@@ -165,13 +165,10 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
                 best_effort = node
 
         for act, child_state in successors(state, obj, resolution):
-            entry = step_cost.get(id(act))
-            if entry is None:
-                step = costs.get(act)
-                if step is None:
-                    step = costs[act] = action_cost(act, cost, resolution.slide_step)
-                entry = step_cost[id(act)] = (act, step)
-            child_g = g + entry[1]
+            step = costs.get(act)
+            if step is None:
+                step = costs[act] = action_cost(act, cost, resolution.slide_step)
+            child_g = g + step
             child_key = state_key(child_state, state, key)
             seen = best_g.get(child_key)
             if seen is not None and seen <= child_g:
@@ -196,7 +193,7 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
         states.append(node[0])
     actions.reverse()
     states.reverse()
-    step_costs = [step_cost[id(a)][1] for a in actions]
+    step_costs = [costs[a] for a in actions]
     total = math.fsum(step_costs)
     outside = region_outside_goal(chosen[0], goals)
     return Plan(actions=actions, states=states, step_costs=step_costs,

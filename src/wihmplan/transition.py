@@ -129,26 +129,33 @@ class ActionKind(enum.IntEnum):
     PIVOT = 8
 
 
-@dataclass(frozen=True)
-class Action:
+class _ActionFields(NamedTuple):
+    kind: ActionKind
+    magnitude: float
+    arc_radius: float = 0.0
+
+
+class Action(_ActionFields):
     """One primitive with its step size (m for slides/moves, rad otherwise).
 
     arc_radius is the effective lever arm (half the grasp width) used to
     convert rotation/pivot angles into arc-length costs; it is 0 for
     translational primitives.
+
+    A named tuple, so the planner memoizes step costs by value at tuple speed.
+    ``_replace`` and ``_make`` skip the constructor's checks: call it instead.
     """
 
-    kind: ActionKind
-    magnitude: float
-    arc_radius: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not (self.magnitude > 0.0 and math.isfinite(self.magnitude)):
+    def __new__(cls, kind: ActionKind, magnitude: float, arc_radius: float = 0.0) -> Action:
+        if not (magnitude > 0.0 and math.isfinite(magnitude)):
             raise InvalidInputError(
-                f"field 'magnitude' must be positive and finite, got {self.magnitude!r}")
-        if not (self.arc_radius >= 0.0 and math.isfinite(self.arc_radius)):
+                f"field 'magnitude' must be positive and finite, got {magnitude!r}")
+        if not (arc_radius >= 0.0 and math.isfinite(arc_radius)):
             raise InvalidInputError(
-                f"field 'arc_radius' must be non-negative and finite, got {self.arc_radius!r}")
+                f"field 'arc_radius' must be non-negative and finite, got {arc_radius!r}")
+        return _new(cls, (kind, magnitude, arc_radius))
 
 
 class ContactRegion(NamedTuple):

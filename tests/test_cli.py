@@ -148,6 +148,21 @@ class TestSimulateCommand:
         assert not out.exists()
         assert any("first state" in rec.message for rec in caplog.records)
 
+    def test_noise_mode_rejects_a_negative_seed(self, workdir, caplog):
+        plan_path = workdir / "plan.json"
+        assert run_cli("plan", "--object", str(workdir / "square_prism.json"),
+                       "--goals", str(workdir / "sq_t1_shift_goals.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"),
+                       "--out", str(plan_path)) == 0
+        out = workdir / "noise.json"
+        code = run_cli("simulate", "--plan", str(plan_path),
+                       "--object", str(workdir / "square_prism.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"),
+                       "--noise", "0.001", "--seed", "-1", "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        assert any("seed" in rec.message for rec in caplog.records)
+
     # 1e308 is finite, but the span of the draws, 2 * eta, is not.
     @pytest.mark.parametrize("eta", ["inf", "nan", "1e308"])
     def test_noise_mode_rejects_non_finite_noise(self, workdir, caplog, eta):
@@ -273,6 +288,30 @@ class TestTrajectoryCommand:
                        "--out", str(workdir / "sim.json"))
         assert code == 2
 
+    def test_plan_its_object_cannot_execute_is_an_input_error(self, workdir, caplog):
+        shutil.copy(FIXTURES / "sq_t3_caps_start.json", workdir / "start.json")
+        shutil.copy(FIXTURES / "sq_t3_caps_goals.json", workdir / "goals.json")
+        plan_path = workdir / "plan.json"
+        assert run_cli("plan", "--object", str(workdir / "square_prism.json"),
+                       "--goals", str(workdir / "goals.json"),
+                       "--start", str(workdir / "start.json"),
+                       "--out", str(plan_path)) == 0
+        data = json.loads(plan_path.read_text())
+        pivot = next(a for a in data["actions"] if a["kind"] == "PIVOT")
+        pivot["magnitude"] /= 2.0
+        plan_path.write_text(json.dumps(data))
+        traj = workdir / "traj.csv"
+        noise = workdir / "noise.json"
+        for argv, out in ((["trajectory", "--chain", str(workdir / "chain.json")], traj),
+                          (["simulate", "--start", str(workdir / "start.json"),
+                            "--noise", "0.001", "--trials", "5"], noise)):
+            caplog.clear()
+            code = run_cli(*argv, "--plan", str(plan_path),
+                           "--object", str(workdir / "square_prism.json"), "--out", str(out))
+            assert code == 2
+            assert not out.exists()
+            errors = [rec.message for rec in caplog.records if rec.levelname == "ERROR"]
+            assert errors and errors[0].startswith(f"{plan_path}: ")
 
     @pytest.mark.parametrize("corrupt, field", [
         (lambda data: data["states"][0].pop("support_face"), "support_face"),

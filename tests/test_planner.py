@@ -70,21 +70,33 @@ def small_instance(kind="slide"):
 class TestActionCost:
     def test_slide_costs_its_resolution(self):
         cfg = CostConfig()
-        assert action_cost(Action(ActionKind.SLIDE_LEFT_UP, 0.01), cfg) == 0.01
+        assert action_cost(Action(ActionKind.SLIDE_LEFT_UP, 0.01), cfg, 0.005) == 0.01
 
     def test_identity_scaled_move(self):
         cfg = CostConfig(scale_z=1.0)
-        assert action_cost(Action(ActionKind.MOVE_CONTACT_UP, 0.01), cfg) == pytest.approx(0.01)
+        act = Action(ActionKind.MOVE_CONTACT_UP, 0.01)
+        assert action_cost(act, cfg, 0.005) == pytest.approx(0.01)
 
     def test_pivot_arc_length_scaling(self):
         cfg = CostConfig(scale_pivot=3.0)
         act = Action(ActionKind.PIVOT, math.pi / 2.0, arc_radius=0.02)
-        assert action_cost(act, cfg) == pytest.approx(3.0 * (math.pi / 2.0) * 0.02, abs=1e-12)
+        assert action_cost(act, cfg, 0.005) == pytest.approx(3.0 * (math.pi / 2.0) * 0.02,
+                                                             abs=1e-12)
 
     def test_rotation_uses_arc_radius(self):
         cfg = CostConfig(scale_rotate=3.0)
         act = Action(ActionKind.ROTATE_CW, math.pi / 3.0, arc_radius=0.026)
-        assert action_cost(act, cfg) == pytest.approx(3.0 * (math.pi / 3.0) * 0.026, abs=1e-12)
+        assert action_cost(act, cfg, 0.005) == pytest.approx(3.0 * (math.pi / 3.0) * 0.026,
+                                                             abs=1e-12)
+
+    def test_slide_unit_cost_is_paid_per_slide_step(self):
+        cfg = CostConfig(slide_unit_cost=0.5)
+        act = Action(ActionKind.SLIDE_RIGHT_DOWN, 0.01)
+        assert action_cost(act, cfg, 0.005) == pytest.approx(0.5 * 2.0, abs=1e-15)
+
+    def test_slide_step_is_required(self):
+        with pytest.raises(TypeError, match="slide_step"):
+            action_cost(Action(ActionKind.SLIDE_LEFT_UP, 0.01), CostConfig(slide_unit_cost=0.5))
 
     def test_scales_below_one_rejected(self):
         with pytest.raises(w.InvalidInputError):

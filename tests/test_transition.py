@@ -256,7 +256,7 @@ class TestRotation:
         assert offered.magnitude == pytest.approx(math.pi / 3.0, abs=1e-12)
         transition(start, offered, obj)
         with pytest.raises(w.InfeasibleActionError):
-            transition(start, dataclasses.replace(offered, magnitude=2.0 * math.pi / 3.0), obj)
+            transition(start, Action(offered.kind, 2.0 * math.pi / 3.0, offered.arc_radius), obj)
 
     def test_rotation_cycle_restores_symmetric_state(self, square_prism, hex_prism):
         for obj in (square_prism, hex_prism):
@@ -436,6 +436,12 @@ class TestGoalMetrics:
 def test_action_rejects_a_bad_arc_radius(radius):
     with pytest.raises(w.InvalidInputError, match="arc_radius"):
         Action(ActionKind.ROTATE_CW, 1.0, arc_radius=radius)
+
+
+@pytest.mark.parametrize("magnitude", [0.0, -1.0, -math.inf, math.inf, math.nan])
+def test_action_rejects_a_bad_magnitude(magnitude):
+    with pytest.raises(w.InvalidInputError, match="magnitude"):
+        Action(ActionKind.ROTATE_CW, magnitude, arc_radius=0.02)
 
 
 class TestStateValidation:

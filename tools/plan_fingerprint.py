@@ -15,15 +15,18 @@ Each fixture plan state also records its branching: every ``successors``
 pair, as the action's kind, magnitude and arc radius and the child's state
 key.  Each replay walk, and each fixture plan that pivots, records its
 ``plan_waypoints`` (25 steps per stage, ``fixtures/chain.json``) as 12
-floats a pose: the rotation row by row, then the translation.
+floats a pose: the rotation row by row, then the translation.  The 12
+fixture tasks also run through ``bench.run_benchmark``, as the ``benchmark``
+command runs them (one freshly loaded object per task): every
+``report_records`` field but ``planning_time_s``, a wall time, is recorded.
 
 The second form prints which exact fields differ (expansions, statuses,
-state keys, actions, step costs, totals, successor lists, replay outcomes)
-and how many plan-state floats differ and by how much at most: centres in
-metres, orientations in radians as a wrapped angle difference, the final
-state's pad area outside the goals in square metres, and the
-``overlap_ratio`` pair of each fixture plan's final state and of each noisy
-final state (a ratio).  It also counts how many heuristic values and
+state keys, actions, step costs, totals, successor lists, replay outcomes,
+the benchmark report) and how many plan-state floats differ and by how much
+at most: centres in metres, orientations in radians as a wrapped angle
+difference, the final state's pad area outside the goals in square metres,
+and the ``overlap_ratio`` pair of each fixture plan's final state and of
+each noisy final state (a ratio).  It also counts how many heuristic values and
 waypoint pose entries differ and by how much at most: ``total_heuristic`` of
 every fixture and budget plan state, in metres, and the ``poses`` entries
 (rotation entries unitless, translations in metres).  Neither kind of float
@@ -88,6 +91,13 @@ def _poses(waypoints) -> list:
             for x in wp.pose.rotation.ravel().tolist() + wp.pose.translation.tolist()]
 
 
+def _report(records) -> list:
+    """Each report record's fields but the wall time, sorted by name, floats as ``float.hex``."""
+    return [[[name, value.hex() if isinstance(value, float) else value]
+             for name, value in sorted(record.items()) if name != "planning_time_s"]
+            for record in records]
+
+
 def _plan(plan, expanded: int, state_key) -> dict:
     return {
         "expanded": expanded,
@@ -109,7 +119,11 @@ def fingerprint(src: Path) -> dict:
     waypoints = wl.plan_waypoints()
     chain = wl.io_mod.load_chain(wl.FIXTURES / "chain.json")
     out = {}
+    bench = wl.bench_mod
+    specs = []
     for task in wl.load_fixture_tasks():
+        specs.append(bench.TaskSpec(task.name, wl.io_mod.load_object(task.object_path),
+                                    task.start, task.goals, task.resolution, task.cost))
         obj = wl.io_mod.load_object(task.object_path)
         plan = wl.planner_mod.plan(obj, task.start, task.goals, task.resolution, task.cost)
         case = out[f"fixture/{task.name}"] = _plan(plan, wl.expanded_count(plan), state_key)
@@ -120,6 +134,8 @@ def fingerprint(src: Path) -> dict:
         if any(a.kind.name == "PIVOT" for a in plan.actions):
             case["poses"] = _poses(waypoints(plan, obj, chain,
                                              steps_per_stage=wl.STEPS_PER_STAGE))
+    out["benchmark/fixtures"] = {"report": _report(bench.report_records(
+        bench.run_benchmark(specs)))}
     for seed in BUDGET_SEEDS:
         tasks = wl.BudgetWorkload(seed).prepare()
         objects = {p: wl.io_mod.load_object(p) for p in dict.fromkeys(t.object_path for t in tasks)}
@@ -133,11 +149,11 @@ def fingerprint(src: Path) -> dict:
     for walk in walks:
         obj = wl.io_mod.load_object(walk.object_path)
         case = _plan(walk.plan, 0, state_key)
-        _add_states(case, wl.bench_mod.simulate(walk.plan, obj, walk.start).trace, state_key)
+        _add_states(case, bench.simulate(walk.plan, obj, walk.start).trace, state_key)
         case["noise_outcomes"] = []
         for seed in walk.noise_seeds:
-            noise = wl.bench_mod.NoiseModel(eta=wl.NOISE_ETA, seed=seed)
-            noisy = wl.bench_mod.simulate(walk.plan, obj, walk.start, noise=noise)
+            noise = bench.NoiseModel(eta=wl.NOISE_ETA, seed=seed)
+            noisy = bench.simulate(walk.plan, obj, walk.start, noise=noise)
             case["noise_outcomes"].append([noisy.executed, noisy.failed, noisy.failure_step])
             _add_states(case, [noisy.final_state], state_key)
             case["overlaps"] += [x.hex() for x in overlap_ratio(noisy.final_state, walk.goals)]
