@@ -14,10 +14,11 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import io as io_mod
-from .errors import InvalidInputError, InvalidStateError, WihmplanError
+from .errors import CorruptedPlanError, InvalidInputError, InvalidStateError, WihmplanError
 from .geometry import ObjectModel, unfold
 from .kinematics import plan_waypoints
 from .planner import Plan, plan as run_planner
+from .transition import state_key
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -90,9 +91,10 @@ def _cmd_simulate(args) -> int:
     obj = io_mod.load_object(args.object)
     resolution, _ = io_mod.load_configs(args.config)
     start = io_mod.load_state(args.start, obj, resolution)
-    plan_ = _load_plan(args.plan, obj)
+    plan_, result = _load_plan(args.plan, obj)
+    if state_key(start) != state_key(plan_.states[0]):
+        raise CorruptedPlanError(f"{args.start}: the start state is not the plan's first state")
     if args.noise is None:
-        result = bench_mod.simulate(plan_, obj, start)
         payload = {
             "mode": "noiseless",
             "executed": result.executed,
@@ -107,9 +109,10 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _load_plan(path: str, obj: ObjectModel) -> Plan:
+def _load_plan(path: str, obj: ObjectModel) -> tuple[Plan, bench_mod.SimulationResult]:
     """The plan at path, with every recorded state checked against the object,
-    then replayed once from its first state: it must reproduce them."""
+    then replayed once from its first state, which must reproduce them: the
+    plan and that replay."""
     plan_ = io_mod.load_plan(path)
     for i, state in enumerate(plan_.states):
         try:
@@ -117,10 +120,10 @@ def _load_plan(path: str, obj: ObjectModel) -> Plan:
         except InvalidStateError as exc:
             raise InvalidStateError(f"{path}: state {i}: {exc}") from exc
     try:
-        bench_mod.simulate(plan_, obj, plan_.states[0])
+        result = bench_mod.simulate(plan_, obj, plan_.states[0])
     except WihmplanError as exc:  # an infeasible action or a diverging replay
         raise type(exc)(f"{path}: {exc}") from exc
-    return plan_
+    return plan_, result
 
 
 def _load_suite(path: str) -> tuple[list[bench_mod.TaskSpec], dict]:
@@ -187,7 +190,7 @@ def _cmd_benchmark(args) -> int:
 def _cmd_trajectory(args) -> int:
     obj = io_mod.load_object(args.object)
     chain = io_mod.load_chain(args.chain)
-    plan_ = _load_plan(args.plan, obj)
+    plan_, _ = _load_plan(args.plan, obj)
     waypoints = plan_waypoints(plan_, obj, chain, steps_per_stage=args.steps)
     io_mod.write_trajectory_csv(waypoints, args.out)
     return EXIT_OK

@@ -393,7 +393,8 @@ class ObjectModel:
     The model itself is immutable.  `scratch` is the transition module's
     grasp-mode table: one entry per grasp mode (support, left and right face)
     reached, built on first use, so it never holds more than faces**2 entries;
-    each entry keeps the move table of one resolution config, the last served.
+    each entry keeps the move table of one resolution config, the last served,
+    and a bounded table of pad planes per pad orientation pair.
     `unfolded` holds the heuristic's unfolded map per base face, at most one
     per face.  Both are filled without a lock.
     """

@@ -29,18 +29,19 @@ holds them, so each primitive is a few float operations in one of two
 kernels.  A turn (rotation or pivot) is rigid: each pad's new centre is an
 affine map of the two old centres and its orientation shifts by a constant,
 stored per mode as a ``_Turn`` and applied by ``_turn``.  A translation
-(slide or contact shift) adds fixed per-finger deltas ``(finger, step * d_u,
-step * d_v)`` (``_deltas``) to the pad centres, in ``_shift``.
+(slide or contact shift) adds per-finger steps to the pad centres, in
+``_shift``: the mode's signed unit rows ``(finger, sign * h_u, sign * h_v)``
+(``_Mode.ops``) times the step, exact since the sign is +-1.
 
 Each mode entry also holds its move table for the last ResolutionConfig it
 served: every primitive as (op, action) in canonical kind order, op a
-``_Turn`` or deltas, with the ``Action`` objects built once.  Search
-(``successors``) walks the table; replay (``transition``) builds the deltas
-for the action's own magnitude with the same helper, so both run the same
-kernels on the same floats.  A rotation or pivot turns by the angle its
-mode's geometry fixes: replay rejects a magnitude more than ``FEAS_TOL``
-away from it.  Search is stricter than replay in one place: the table holds
-only the rotations onto a pair within the ResolutionConfig grip-width and
+``_Turn`` or a translation's steps, with the ``Action`` objects built once.
+Search (``successors``) walks the table; replay (``transition``) scales the
+unit rows by the action's own magnitude, so both run the same kernels on the
+same floats.  A rotation or pivot turns by the angle its mode's geometry
+fixes: replay rejects a magnitude more than ``FEAS_TOL`` away from it.
+Search is stricter than replay in one place: the table holds only the
+rotations onto a pair within the ResolutionConfig grip-width and
 length/width limits.
 
 A state (``GraspState``) is a named tuple: two pads, grasp pair, support
@@ -59,19 +60,25 @@ overlap run on Python floats.  numpy builds the mode table and serves the
 corner test (``_corners_inside``), which defines whether a pad fits: all 4
 corners within ``FEAS_TOL`` of the face's half-planes.  Search tests the
 centre instead, against the face shrunk by the rotated pad (by its corner
-offsets), with half-planes computed once per face, orientation and pad
-size (``_Mode.shrunk``).  The two round differently, by a few ulps of the
-face coordinates, so a centre margin within ``_GUARD`` of the threshold is
-decided by the corner test: the verdicts agree.
+offsets), with half-planes computed once per orientation entry (see
+below).  The two round differently, by a few ulps of the face coordinates,
+so a centre margin within ``_GUARD`` of the threshold is decided by the
+corner test: the verdicts agree.
 
-One expansion reads each parent fact once.  A translation keeps each pad's
-face, orientation and size, so ``successors`` looks up the two parent pads'
-half-planes once and every translation tests against them (``_fit``); a
-turn looks up its landing pads' planes (``_place``), and replay looks them
-up only for the pads that move.  Given the parent state and key,
-``state_key`` keeps the cell of each pad the child shares with its parent.
-The kernels build pads and states with ``tuple.__new__``, which skips the
-named tuples' Python ``__new__``; the results are ordinary instances.
+One expansion reads each parent fact once.  The pads' orientations, with
+the mode, fix every half-plane an expansion tests: each mode keeps one
+orientation table (``_Mode.orientations``, read through ``_entry``) keyed
+by the two pads' orientations, and an entry holds both pads' shrunk
+half-planes and, per turn kind, each landing pad's face, centre maps,
+orientation and half-planes, all computed once for the pad sizes it
+records.  ``successors`` and ``transition`` each look the entry up once: a
+translation keeps each pad's face, orientation and size, so it tests
+against the parent pads' planes (``_fit``), and a turn lands on the entry's
+landing pads.  The table is cleared when it reaches ``_ORIENTATION_CAP``
+entries.  Given the parent state and key, ``state_key`` keeps the cell of
+each pad the child shares with its parent.  The kernels build pads and
+states with ``tuple.__new__``, which skips the named tuples' Python
+``__new__``; the results are ordinary instances.
 """
 
 from __future__ import annotations
@@ -391,13 +398,16 @@ def _turn_entry(obj: ObjectModel, m: _Mode, action: Action, pair: int, support: 
 
 class _Mode:
     """Everything the primitives need that depends on the grasp mode alone: pose,
-    per-finger (horizontal, up) face axes (``dirs``: as floats), grasp width, turns
-    (rotations and pivot) by action kind, the pivot edge, containment half-planes
-    by (face, pad orientation, pad width, pad height), and ``moves``: the last
-    ResolutionConfig served with its move table (see ``_moves``)."""
+    per-finger (horizontal, up) face axes, grasp width, the pivot edge, ``ops``:
+    per action kind, a translation's signed unit rows ``(finger, sign * h_u,
+    sign * h_v)`` (scaled by the step, exactly: the sign is +-1), a turn's
+    ``_Turn``, or None for a turn the mode lacks, ``signed_zero``: whether a turn
+    shifts an orientation by -0.0, ``orientations``: the orientation table (see
+    ``_entry``), and ``moves``: the last ResolutionConfig served with its move
+    table (see ``_moves``)."""
 
-    __slots__ = ("faces", "rot", "tz", "axes", "dirs", "width", "turns", "pivot_edge", "shrunk",
-                 "moves")
+    __slots__ = ("faces", "rot", "tz", "axes", "width", "pivot_edge", "ops", "signed_zero",
+                 "orientations", "moves")
 
     def __init__(self, obj: ObjectModel, support_face: int, left_face: int, right_face: int):
         try:
@@ -409,16 +419,24 @@ class _Mode:
         rot.setflags(write=False)
         self.tz = tz = -float(rot[2] @ obj.face(support_face).frame.translation)
         self.axes = (_face_axes(rot, obj, left_face), _face_axes(rot, obj, right_face))
-        self.dirs = tuple((tuple(h.tolist()), tuple(u.tolist())) for h, u in self.axes)
+        dirs = [[axis.tolist() for axis in finger] for finger in self.axes]
         self.width = obj.pair_width(pair)
-        self.turns = {kind: _rotation(obj, self, kind) for kind in _ROTATIONS}
+        self.ops: dict[ActionKind, tuple | _Turn | None] = {
+            kind: tuple((i, sign * dirs[i][axis][0], sign * dirs[i][axis][1]) for i in fingers)
+            for kind, (fingers, axis, sign) in _TRANSLATIONS.items()}
+        for kind in _ROTATIONS:
+            self.ops[kind] = _rotation(obj, self, kind)
         self.pivot_edge = edge = _pivot_edge(obj, rot, tz, support_face)
-        self.turns[ActionKind.PIVOT] = None if edge is None else _turn_entry(
+        self.ops[ActionKind.PIVOT] = None if edge is None else _turn_entry(
             obj, self, Action(ActionKind.PIVOT, abs(edge.angle), arc_radius=self.width / 2.0),
             pair, edge.new_support, RigidTransform3.rot_x(edge.angle).rotation @ rot,
             (left_face, right_face),
             (np.eye(4, 5)[:2], np.eye(4, 5)[2:]))  # the pads stay put on their faces
-        self.shrunk: dict[tuple, tuple[tuple[float, float, float], ...]] = {}
+        # Such a shift keeps the sign of a zero orientation: -0.0 + -0.0 is -0.0.
+        self.signed_zero = any(type(t) is _Turn and any(
+            shift == 0.0 and math.copysign(1.0, shift) < 0.0 for *_, shift in t.fingers)
+            for t in self.ops.values())
+        self.orientations: dict[tuple, tuple] = {}
         self.moves: tuple[ResolutionConfig | None, tuple] = (None, ())
 
 
@@ -555,16 +573,6 @@ def _shrunk_face(obj: ObjectModel, face_id: int, theta: float, pad_width: float,
                  for n_u, n_v, b in obj.face(face_id).polygon._float_tables()[0])
 
 
-def _planes(obj: ObjectModel, m: _Mode, face_id: int, theta: float,
-            pad: ContactRegion) -> tuple[tuple[float, float, float], ...]:
-    """The shrunk half-planes of a pad of pad's size at orientation theta on a face."""
-    key = (face_id, theta, pad.pad_width, pad.pad_height)
-    planes = m.shrunk.get(key)
-    if planes is None:
-        planes = m.shrunk[key] = _shrunk_face(obj, *key)
-    return planes
-
-
 def _fit(obj: ObjectModel, planes: tuple, face_id: int, x: float, y: float, theta: float,
          pad: ContactRegion) -> ContactRegion | None:
     """The pad moved to centre (x, y), orientation theta on a face; None if it
@@ -578,12 +586,6 @@ def _fit(obj: ObjectModel, planes: tuple, face_id: int, x: float, y: float, thet
             close = True
     region = _new(ContactRegion, (face_id, x, y, theta, pad.pad_width, pad.pad_height))
     return None if close and not _corners_inside(obj, region) else region
-
-
-def _place(obj: ObjectModel, m: _Mode, face_id: int, x: float, y: float, theta: float,
-           pad: ContactRegion) -> ContactRegion | None:
-    """The pad moved to centre (x, y), orientation theta on a face; None if it leaves it."""
-    return _fit(obj, _planes(obj, m, face_id, theta, pad), face_id, x, y, theta, pad)
 
 
 # ---------------------------------------------------------------------------
@@ -601,34 +603,77 @@ _ROTATIONS = (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW)
 _TWO_PI = 2.0 * math.pi
 
 
-def _deltas(m: _Mode, kind: ActionKind, magnitude: float) -> list:
-    """A translation's per-finger (finger, du, dv) steps in mode m."""
-    fingers, axis, sign = _TRANSLATIONS[kind]
-    step = sign * magnitude
-    return [(i, step * m.dirs[i][axis][0], step * m.dirs[i][axis][1]) for i in fingers]
+# Orientation pairs a mode's orientation table holds before it is cleared.  The
+# fixture suite uses one or two per mode; a walk through noisy or hand-made
+# orientations could otherwise grow it without bound.
+_ORIENTATION_CAP = 64
+
+
+def _entry(obj: ObjectModel, m: _Mode, left: ContactRegion, right: ContactRegion) -> tuple:
+    """Mode m's entry for the pads' orientation pair, built on first use and
+    rebuilt when the pads' sizes differ from those it was built for:
+    ``(w_l, h_l, w_r, h_r, planes, landings)``.
+
+    planes holds each pad's shrunk half-planes (a translation keeps them);
+    landings maps each turn kind of the mode to ``(pair, support, pads)``, each
+    landing pad as ``(face, x map, y map, orientation, planes)``.  An
+    orientation of 0.0 keys equal to -0.0, yet a turn that shifts both by -0.0
+    keeps each one's sign, so in a mode with such a turn a zero orientation
+    keys with its sign too.
+    """
+    key = (left.orientation, right.orientation)
+    if m.signed_zero and not (key[0] and key[1]):
+        key += (math.copysign(1.0, key[0]), math.copysign(1.0, key[1]))
+    e = m.orientations.get(key)
+    if (e is None or e[0] != left.pad_width or e[1] != left.pad_height
+            or e[2] != right.pad_width or e[3] != right.pad_height):
+        pads = (left, right)
+        landings = {}
+        for kind, t in m.ops.items():
+            if type(t) is _Turn:
+                fingers = []
+                for pad, (face, x_map, y_map, shift) in zip(pads, t.fingers):
+                    theta = math.remainder(pad.orientation + shift, _TWO_PI)
+                    fingers.append((face, x_map, y_map, theta, _shrunk_face(
+                        obj, face, theta, pad.pad_width, pad.pad_height)))
+                landings[kind] = (t.pair, t.support, tuple(fingers))
+        e = (left.pad_width, left.pad_height, right.pad_width, right.pad_height,
+             tuple(_shrunk_face(obj, pad.face, pad.orientation, pad.pad_width, pad.pad_height)
+                   for pad in pads),
+             landings)
+        if len(m.orientations) >= _ORIENTATION_CAP:
+            m.orientations.clear()
+        m.orientations[key] = e
+    return e
+
+
+def _scaled(rows: tuple, step: float) -> list:
+    """A translation's per-finger (finger, du, dv) steps: its unit rows times step."""
+    return [(i, step * u, step * v) for i, u, v in rows]
 
 
 def _moves(m: _Mode, cfg: ResolutionConfig) -> tuple:
     """Mode m's move table for cfg: (op, action) pairs in canonical kind order,
-    op a _Turn or a translation's ``_deltas``.  Kept with the last config served
-    (compared by identity), so a model holds one table per mode.  The two are
-    read and replaced as one tuple, so a table is never paired with another config."""
+    op a _Turn or a translation's (finger, du, dv) steps.  Kept with the last
+    config served (compared by identity), so a model holds one table per mode.
+    The two are read and replaced as one tuple, so a table is never paired with
+    another config."""
     served, table = m.moves
     if served is not cfg:
-        table = [(_deltas(m, kind, cfg.slide_step), Action(kind, cfg.slide_step))
+        table = [(_scaled(m.ops[kind], cfg.slide_step), Action(kind, cfg.slide_step))
                  for kind in _SLIDES]
         # The one place search is stricter than replay, which has no config: it
         # rotates only onto a pair within the grip-width limits whose new left face
         # is short enough for that width (a too-elongated grip cannot generate the
         # spin moment).
         for kind in _ROTATIONS:
-            t = m.turns[kind]
+            t = m.ops[kind]
             if (t is not None
                     and cfg.min_grasp_width - FEAS_TOL <= t.width <= cfg.max_grasp_width + FEAS_TOL
                     and t.extent / t.width <= cfg.max_length_width_ratio + FEAS_TOL):
                 table.append((t, t.action))
-        table += [(_deltas(m, kind, cfg.z_step), Action(kind, cfg.z_step)) for kind in _MOVES]
-        t = m.turns[ActionKind.PIVOT]
+        table += [(_scaled(m.ops[kind], cfg.z_step), Action(kind, cfg.z_step)) for kind in _MOVES]
+        t = m.ops[ActionKind.PIVOT]
         if t is not None:
             table.append((t, t.action))
         table = tuple(table)
@@ -641,17 +686,20 @@ def successors(s: GraspState, obj: ObjectModel,
     """All feasible (action, resulting state) pairs, in canonical kind order.
 
     The search relies on this order for deterministic tie-breaking.  The
-    actions are the move table's own objects.  A translation keeps each pad's
-    face, orientation and size, so every translation tests against the
-    parent pads' half-planes, looked up once here.
+    actions are the move table's own objects.  One orientation-table lookup
+    serves every child: translations test against the parent pads' planes, and
+    turns land on the entry's landing pads.
     """
     left, right = s.left, s.right
     m = _mode(obj, s.support_face, left.face, right.face)
-    planes = (_planes(obj, m, left.face, left.orientation, left),
-              _planes(obj, m, right.face, right.orientation, right))
+    e = _entry(obj, m, left, right)
+    planes, landings = e[4], e[5]
     out: list[tuple[Action, GraspState]] = []
     for op, action in _moves(m, cfg):
-        nxt = _turn(obj, s, m, op) if type(op) is _Turn else _shift(obj, s, m, op, planes)
+        if type(op) is _Turn:
+            nxt = _turn(obj, s, landings[action.kind])
+        else:
+            nxt = _shift(obj, s, op, planes)
         if nxt is not None:
             out.append((action, nxt))
     return out
@@ -661,50 +709,53 @@ def transition(s: GraspState, a: Action, obj: ObjectModel) -> GraspState:
     """Apply one primitive; raises InfeasibleActionError.
 
     A rotation or pivot must turn by its mode's angle, within FEAS_TOL.  No
-    ResolutionConfig limit applies (see ``successors``).
+    ResolutionConfig limit applies (see ``successors``).  It reads the same
+    orientation entry as search, once.
     """
-    m = _mode(obj, s.support_face, s.left.face, s.right.face)
+    left, right = s.left, s.right
+    m = _mode(obj, s.support_face, left.face, right.face)
+    e = _entry(obj, m, left, right)
     kind = a.kind
-    if kind in _TRANSLATIONS:
-        nxt = _shift(obj, s, m, _deltas(m, kind, a.magnitude))
+    op = m.ops[kind]
+    if op is None:
+        nxt = None
+    elif type(op) is _Turn:
+        fits = abs(op.action.magnitude - a.magnitude) <= FEAS_TOL
+        nxt = _turn(obj, s, e[5][kind]) if fits else None
     else:
-        t = m.turns[kind]
-        fits = t is not None and abs(t.action.magnitude - a.magnitude) <= FEAS_TOL
-        nxt = _turn(obj, s, m, t) if fits else None
+        nxt = _shift(obj, s, _scaled(op, a.magnitude), e[4])
     if nxt is None:
         raise InfeasibleActionError(f"{kind.name} (magnitude {a.magnitude:g}) is infeasible here")
     return nxt
 
 
-def _shift(obj: ObjectModel, s: GraspState, m: _Mode, deltas: list,
-           planes: tuple | None = None) -> GraspState | None:
+def _shift(obj: ObjectModel, s: GraspState, steps: list, planes: tuple) -> GraspState | None:
     """The one translation kernel: each listed finger's pad moved by its (du, dv).
 
-    planes holds each finger's shrunk half-planes (a move keeps them); without
-    it they are looked up for the pads that move.
+    planes holds each finger's shrunk half-planes: a move keeps them.
     """
     pads = [s.left, s.right]
-    for i, du, dv in deltas:
+    for i, du, dv in steps:
         pad = pads[i]
         face, theta = pad.face, pad.orientation
-        pads[i] = _fit(obj, _planes(obj, m, face, theta, pad) if planes is None else planes[i],
-                       face, pad.x + du, pad.y + dv, theta, pad)
+        pads[i] = _fit(obj, planes[i], face, pad.x + du, pad.y + dv, theta, pad)
         if pads[i] is None:
             return None
     return _new(GraspState, (pads[0], pads[1], s.grasp_pair, s.support_face))
 
 
-def _turn(obj: ObjectModel, s: GraspState, m: _Mode, t: _Turn) -> GraspState | None:
+def _turn(obj: ObjectModel, s: GraspState, landing: tuple) -> GraspState | None:
+    """The one turn kernel: both pads placed by an orientation entry's landing
+    ``(pair, support, pads)`` (see ``_entry``)."""
     xl, yl, xr, yr = s.left.x, s.left.y, s.right.x, s.right.y
     pads = []
-    for region, (face_id, (a, b, c, d, e), (f, g, h, i, j), shift) in zip((s.left, s.right),
-                                                                           t.fingers):
-        pads.append(_place(obj, m, face_id, a * xl + b * yl + c * xr + d * yr + e,
-                           f * xl + g * yl + h * xr + i * yr + j,
-                           math.remainder(region.orientation + shift, _TWO_PI), region))
+    for region, (face_id, (a, b, c, d, e), (f, g, h, i, j), theta, planes) in zip(
+            (s.left, s.right), landing[2]):
+        pads.append(_fit(obj, planes, face_id, a * xl + b * yl + c * xr + d * yr + e,
+                         f * xl + g * yl + h * xr + i * yr + j, theta, region))
         if pads[-1] is None:
             return None
-    return _new(GraspState, (pads[0], pads[1], t.pair, t.support))
+    return _new(GraspState, (pads[0], pads[1], landing[0], landing[1]))
 
 
 # ---------------------------------------------------------------------------

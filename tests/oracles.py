@@ -503,18 +503,36 @@ def chain_oracle(rows) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Search oracles
 
-def enumerate_state_graph(obj, s0, resolution, cost_cfg, max_states=100_000):
-    """Full reachable graph: {key: state}, {key: [(child_key, edge_cost)]}."""
-    from wihmplan.planner import action_cost
+# (object geometry, start, resolution, max_states) -> (states, actions): see state_graph.
+_GRAPHS: dict = {}
+
+
+def _geometry_key(obj) -> tuple:
+    """The object's geometry by value: each face's polygon and frame, and the pairs."""
+    return (obj.parallel_pairs,) + tuple(
+        (f.polygon.vertices.tobytes(), f.frame.rotation.tobytes(), f.frame.translation.tobytes())
+        for f in obj.faces)
+
+
+def state_graph(obj, s0, resolution, max_states=100_000):
+    """Full reachable graph: {key: state}, {key: [(child_key, action)]}.
+
+    The graph holds no costs, so every cost config shares it: it is enumerated
+    once per object geometry, start and resolution (compared by value) and kept
+    for the session.  Callers must not modify it.
+    """
     from wihmplan.transition import state_key, successors
 
-    states = {state_key(s0): s0}
+    cache_key = (_geometry_key(obj), s0, resolution, max_states)
+    if cache_key in _GRAPHS:
+        return _GRAPHS[cache_key]
+    k0 = state_key(s0)
+    states = {k0: s0}
     edges: dict = {}
-    frontier = [s0]
+    frontier = [(k0, s0)]
     while frontier:
         nxt = []
-        for st in frontier:
-            k = state_key(st)
+        for k, st in frontier:
             if k in edges:
                 continue
             outs = []
@@ -522,13 +540,24 @@ def enumerate_state_graph(obj, s0, resolution, cost_cfg, max_states=100_000):
                 ck = state_key(child)
                 if ck not in states:
                     states[ck] = child
-                    nxt.append(child)
-                outs.append((ck, action_cost(act, cost_cfg, resolution.slide_step)))
+                    nxt.append((ck, child))
+                outs.append((ck, act))
             edges[k] = outs
             if len(states) > max_states:
                 raise RuntimeError("state space larger than expected")
         frontier = nxt
+    _GRAPHS[cache_key] = states, edges
     return states, edges
+
+
+def enumerate_state_graph(obj, s0, resolution, cost_cfg, max_states=100_000):
+    """Full reachable graph: {key: state}, {key: [(child_key, edge_cost)]}."""
+    from wihmplan.planner import action_cost
+
+    states, edges = state_graph(obj, s0, resolution, max_states)
+    step = resolution.slide_step
+    return states, {k: [(ck, action_cost(act, cost_cfg, step)) for ck, act in outs]
+                    for k, outs in edges.items()}
 
 
 def optimal_cost_to_goals(edges, goal_keys):

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from wihmplan import bench as bench_mod
 from wihmplan.cli import main
 
 from conftest import FIXTURES
@@ -110,6 +111,45 @@ class TestSimulateCommand:
         data = json.loads(out.read_text())
         assert data["mode"] == "noiseless"
         assert data["failed"] is False
+
+    def test_noiseless_mode_replays_the_plan_once(self, workdir, monkeypatch):
+        plan_path = workdir / "plan.json"
+        assert run_cli("plan", "--object", str(workdir / "square_prism.json"),
+                       "--goals", str(workdir / "sq_t1_shift_goals.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"),
+                       "--out", str(plan_path)) == 0
+        actions = len(json.loads(plan_path.read_text())["actions"])
+        real = bench_mod.transition
+        calls = []
+        monkeypatch.setattr(bench_mod, "transition",
+                            lambda *args: calls.append(args) or real(*args))
+        out = workdir / "sim.json"
+        code = run_cli("simulate", "--plan", str(plan_path),
+                       "--object", str(workdir / "square_prism.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"),
+                       "--out", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["executed"] == actions
+        assert len(calls) == actions
+
+    def test_noiseless_mode_rejects_a_start_off_the_plan(self, workdir, caplog):
+        plan_path = workdir / "plan.json"
+        assert run_cli("plan", "--object", str(workdir / "square_prism.json"),
+                       "--goals", str(workdir / "sq_t1_shift_goals.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"),
+                       "--out", str(plan_path)) == 0
+        start = json.loads((workdir / "sq_t1_shift_start.json").read_text())
+        start["left"]["center"][1] += 0.01
+        moved = workdir / "moved_start.json"
+        moved.write_text(json.dumps(start))
+        out = workdir / "sim.json"
+        code = run_cli("simulate", "--plan", str(plan_path),
+                       "--object", str(workdir / "square_prism.json"),
+                       "--start", str(moved), "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        errors = [rec.message for rec in caplog.records if rec.levelname == "ERROR"]
+        assert errors and errors[0] == f"{moved}: the start state is not the plan's first state"
 
     def test_noise_mode_stats(self, workdir):
         plan_path = workdir / "plan.json"

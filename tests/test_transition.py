@@ -503,12 +503,6 @@ def _containment_objects() -> list[w.ObjectModel]:
     return [io_mod.load_object(FIXTURES / name) for name in OBJECT_FILES]
 
 
-def _some_mode(obj):
-    """A mode table entry of obj: its containment cache serves every face."""
-    left, right = obj.parallel_pairs[0]
-    return transition_mod._mode(obj, obj.lateral_count, left, right)
-
-
 def _threshold_pad(face, theta, width, height, edge, along, nudges) -> ContactRegion:
     """A pad centred where one corner sits FEAS_TOL outside a face edge, then
     moved by a few ulps per coordinate (nudges: signed ulp counts)."""
@@ -526,7 +520,9 @@ def _threshold_pad(face, theta, width, height, edge, along, nudges) -> ContactRe
 
 def _place_matches_oracle(obj, pad: ContactRegion) -> bool:
     x, y = pad.center.tolist()
-    placed = transition_mod._place(obj, _some_mode(obj), pad.face, x, y, pad.orientation, pad)
+    planes = transition_mod._shrunk_face(obj, pad.face, pad.orientation, pad.pad_width,
+                                         pad.pad_height)
+    placed = transition_mod._fit(obj, planes, pad.face, x, y, pad.orientation, pad)
     if placed is not None:
         assert placed.center.tolist() == [x, y]
     return (placed is not None) == pad_corners_inside(obj, pad)
@@ -639,6 +635,97 @@ class TestModeTable:
                 for action, child in successors(state, obj, resolution):
                     assert _state_bits(transition(state, action, obj)) == \
                         _state_bits(child), (entry["name"], action)
+
+
+def _outcomes(obj, state, cfg) -> tuple:
+    """Search's children of state, and replay's child for each action of the
+    mode's move table (None where infeasible), as bits."""
+    m = transition_mod._mode(obj, state.support_face, state.left.face, state.right.face)
+    children = [(action, _state_bits(child)) for action, child in successors(state, obj, cfg)]
+    replays = []
+    for _, action in transition_mod._moves(m, cfg):
+        try:
+            replays.append(_state_bits(transition(state, action, obj)))
+        except w.InfeasibleActionError:
+            replays.append(None)
+    return children, replays
+
+
+class TestOrientationTable:
+    """One entry per pad orientation pair of a mode: the pads' planes and every
+    turn's landing pads, checked against the pad sizes it was built for."""
+
+    def test_pad_sizes_get_their_own_planes(self):
+        cfg = ResolutionConfig()
+        obj = io_mod.load_object(FIXTURES / "square_prism.json")
+        # 2 mm from the face corner: a 5 mm step down fits a 10 mm pad, not a 20 mm one.
+        big = GraspState.create(obj, 0, 2, 4, (0.012, 0.012), (0.012, 0.012), 0.02, 0.02)
+        small = GraspState.create(obj, 0, 2, 4, (0.012, 0.012), (0.012, 0.012), 0.01, 0.01)
+        mixed = big._replace(right=small.right)
+        m = transition_mod._mode(obj, 4, 0, 2)
+        outcomes = []
+        for state in (big, small, mixed, big, small):
+            got = _outcomes(obj, state, cfg)
+            assert got == _outcomes(io_mod.load_object(FIXTURES / "square_prism.json"),
+                                    state, cfg)
+            outcomes.append(got)
+            (entry,) = m.orientations.values()  # one orientation pair, rebuilt per size
+            for pad, planes in zip((state.left, state.right), entry[4]):
+                assert planes == transition_mod._shrunk_face(
+                    obj, pad.face, pad.orientation, pad.pad_width, pad.pad_height)
+        assert outcomes[0] != outcomes[1] != outcomes[2] != outcomes[0]
+
+    def test_table_stays_within_its_cap(self):
+        rng = np.random.default_rng(16)
+        cfg = ResolutionConfig(pad_width=0.01, pad_height=0.01)
+        obj, ref = (io_mod.load_object(FIXTURES / "square_prism.json") for _ in range(2))
+        base = mode_states(obj)[0]
+        m = transition_mod._mode(obj, base.support_face, base.left.face, base.right.face)
+        pairs = [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0)]
+        pairs += rng.uniform(-math.pi, math.pi, size=(300, 2)).tolist()
+        sizes = []
+        for theta_l, theta_r in pairs:
+            state = base._replace(left=base.left._replace(orientation=theta_l),
+                                  right=base.right._replace(orientation=theta_r))
+            for fresh in ref.scratch.values():
+                fresh.orientations.clear()
+            assert _outcomes(obj, state, cfg) == _outcomes(ref, state, cfg)
+            sizes.append(len(m.orientations))
+        assert max(sizes) == transition_mod._ORIENTATION_CAP < len(pairs)
+        assert sizes[-1] < sizes[transition_mod._ORIENTATION_CAP - 1]  # cleared on the way
+
+    def test_a_zero_orientation_keeps_its_sign_through_a_zero_turn(self, monkeypatch):
+        # No fixture turn shifts an orientation by -0.0, so give every turn such a
+        # shift: 0.0 + -0.0 is 0.0 but -0.0 + -0.0 is -0.0, and 0.0 == -0.0 as keys.
+        assert not any(transition_mod._mode(obj, s.support_face, s.left.face,
+                                            s.right.face).signed_zero
+                       for obj in _containment_objects() for s in mode_states(obj))
+        real = transition_mod._turn_entry
+
+        def zero_shift_turn(*args):
+            t = real(*args)
+            return t._replace(fingers=tuple(finger[:3] + (-0.0,) for finger in t.fingers))
+
+        monkeypatch.setattr(transition_mod, "_turn_entry", zero_shift_turn)
+        obj = io_mod.load_object(FIXTURES / "square_prism.json")
+        checked = 0
+        for base in mode_states(obj):
+            m = transition_mod._mode(obj, base.support_face, base.left.face, base.right.face)
+            assert m.signed_zero
+            for t in m.ops.values():
+                if type(t) is not transition_mod._Turn:
+                    continue
+                for theta in (0.0, -0.0, 0.0):
+                    state = base._replace(left=base.left._replace(orientation=theta),
+                                          right=base.right._replace(orientation=-theta))
+                    try:
+                        child = transition(state, t.action, obj)
+                    except w.InfeasibleActionError:
+                        continue
+                    assert (_state_bits(child)[-1][2], _state_bits(child)[-1][7]) == \
+                        (theta.hex(), (-theta).hex())
+                    checked += 1
+        assert checked > 10
 
 
 def _is_shift(op) -> bool:
