@@ -213,7 +213,7 @@ _COMMANDS = {
 }
 
 
-def dispatch(argv: list[str] | None = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -229,10 +229,6 @@ def dispatch(argv: list[str] | None = None) -> int:
     except OSError as exc:
         log.error("%s", exc)
         return EXIT_INPUT
-
-
-def main(argv: list[str] | None = None) -> int:
-    return dispatch(argv)
 
 
 if __name__ == "__main__":

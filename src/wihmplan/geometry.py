@@ -394,7 +394,8 @@ class ObjectModel:
     grasp-mode table: one entry per grasp mode (support, left and right face)
     reached, built on first use, so it never holds more than faces**2 entries;
     each entry keeps the move table of one resolution config, the last served,
-    and a bounded table of pad planes per pad orientation pair.
+    and a bounded table keyed by the two pads' orientations and sizes: their
+    planes and the landings of the turns taken from them.
     `unfolded` holds the heuristic's unfolded map per base face, at most one
     per face.  Both are filled without a lock.
     """

@@ -138,7 +138,7 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
     heappush, heappop = heapq.heappush, heapq.heappop
 
     best_effort = root
-    best_effort_score = region_outside_goal(s0, goals) + w * 0.0
+    best_effort_score = region_outside_goal(s0, goals)
     expansions = 0
     goal_node = None
 

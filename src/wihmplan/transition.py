@@ -65,20 +65,22 @@ below).  The two round differently, by a few ulps of the face coordinates,
 so a centre margin within ``_GUARD`` of the threshold is decided by the
 corner test: the verdicts agree.
 
-One expansion reads each parent fact once.  The pads' orientations, with
-the mode, fix every half-plane an expansion tests: each mode keeps one
-orientation table (``_Mode.orientations``, read through ``_entry``) keyed
-by the two pads' orientations, and an entry holds both pads' shrunk
-half-planes and, per turn kind, each landing pad's face, centre maps,
-orientation and half-planes, all computed once for the pad sizes it
-records.  ``successors`` and ``transition`` each look the entry up once: a
-translation keeps each pad's face, orientation and size, so it tests
-against the parent pads' planes (``_fit``), and a turn lands on the entry's
-landing pads.  The table is cleared when it reaches ``_ORIENTATION_CAP``
-entries.  Given the parent state and key, ``state_key`` keeps the cell of
-each pad the child shares with its parent.  The kernels build pads and
-states with ``tuple.__new__``, which skips the named tuples' Python
-``__new__``; the results are ordinary instances.
+One expansion reads each parent fact once.  The pads' orientations and
+sizes, with the mode, fix every half-plane an expansion tests: each mode
+keeps one orientation table (``_Mode.orientations``, read through
+``_entry``) keyed by those six values, and an entry holds both pads' shrunk
+half-planes and, per turn kind taken from them, the landing pads' faces,
+centre maps, orientations and half-planes (``_landing``, built the first
+time the turn is taken).  No turn shifts an orientation by -0.0, so an
+orientation of 0.0 and one of -0.0 share an entry.  ``successors`` and
+``transition`` each look the entry up once: a translation keeps each pad's
+face, orientation and size, so it tests against the parent pads' planes
+(``_fit``), and a turn lands on the entry's landing pads.  The table is
+cleared when it reaches ``_ORIENTATION_CAP`` entries.  Given the parent
+state and key, ``state_key`` keeps the cell of each pad the child shares
+with its parent.  The kernels build pads and states with ``tuple.__new__``,
+which skips the named tuples' Python ``__new__``; the results are ordinary
+instances.
 """
 
 from __future__ import annotations
@@ -388,8 +390,9 @@ def _turn_entry(obj: ObjectModel, m: _Mode, action: Action, pair: int, support: 
     fingers = []
     for old, new, centre in zip(m.faces[1:], new_faces, centres):
         e = (rot_new @ obj.face(new).frame.rotation).T @ m.rot @ obj.face(old).frame.rotation
+        # + 0.0 turns a -0.0 shift into 0.0, so a zero turn lands a +-0.0 pad on 0.0.
         fingers.append((new, tuple(centre[0].tolist()), tuple(centre[1].tolist()),
-                        math.atan2(e[1, 0], e[0, 0])))
+                        math.atan2(e[1, 0], e[0, 0]) + 0.0))
     face = obj.face(new_faces[0])
     verts_y = (rot_new @ face.to_object(face.polygon.vertices).T)[1]
     return _Turn(action, pair, support, tuple(fingers), obj.pair_width(pair),
@@ -401,13 +404,12 @@ class _Mode:
     per-finger (horizontal, up) face axes, grasp width, the pivot edge, ``ops``:
     per action kind, a translation's signed unit rows ``(finger, sign * h_u,
     sign * h_v)`` (scaled by the step, exactly: the sign is +-1), a turn's
-    ``_Turn``, or None for a turn the mode lacks, ``signed_zero``: whether a turn
-    shifts an orientation by -0.0, ``orientations``: the orientation table (see
-    ``_entry``), and ``moves``: the last ResolutionConfig served with its move
-    table (see ``_moves``)."""
+    ``_Turn``, or None for a turn the mode lacks, ``orientations``: the
+    orientation table (see ``_entry``), and ``moves``: the last ResolutionConfig
+    served with its move table (see ``_moves``)."""
 
-    __slots__ = ("faces", "rot", "tz", "axes", "width", "pivot_edge", "ops", "signed_zero",
-                 "orientations", "moves")
+    __slots__ = ("faces", "rot", "tz", "axes", "width", "pivot_edge", "ops", "orientations",
+                 "moves")
 
     def __init__(self, obj: ObjectModel, support_face: int, left_face: int, right_face: int):
         try:
@@ -432,10 +434,6 @@ class _Mode:
             pair, edge.new_support, RigidTransform3.rot_x(edge.angle).rotation @ rot,
             (left_face, right_face),
             (np.eye(4, 5)[:2], np.eye(4, 5)[2:]))  # the pads stay put on their faces
-        # Such a shift keeps the sign of a zero orientation: -0.0 + -0.0 is -0.0.
-        self.signed_zero = any(type(t) is _Turn and any(
-            shift == 0.0 and math.copysign(1.0, shift) < 0.0 for *_, shift in t.fingers)
-            for t in self.ops.values())
         self.orientations: dict[tuple, tuple] = {}
         self.moves: tuple[ResolutionConfig | None, tuple] = (None, ())
 
@@ -603,48 +601,45 @@ _ROTATIONS = (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW)
 _TWO_PI = 2.0 * math.pi
 
 
-# Orientation pairs a mode's orientation table holds before it is cleared.  The
-# fixture suite uses one or two per mode; a walk through noisy or hand-made
+# Entries a mode's orientation table holds before it is cleared.  The fixture
+# suite uses one or two per mode; a walk through noisy or hand-made
 # orientations could otherwise grow it without bound.
 _ORIENTATION_CAP = 64
 
 
 def _entry(obj: ObjectModel, m: _Mode, left: ContactRegion, right: ContactRegion) -> tuple:
-    """Mode m's entry for the pads' orientation pair, built on first use and
-    rebuilt when the pads' sizes differ from those it was built for:
-    ``(w_l, h_l, w_r, h_r, planes, landings)``.
+    """Mode m's entry for the two pads' orientations and sizes, built on first
+    use: ``(planes, landings)``.
 
     planes holds each pad's shrunk half-planes (a translation keeps them);
-    landings maps each turn kind of the mode to ``(pair, support, pads)``, each
-    landing pad as ``(face, x map, y map, orientation, planes)``.  An
-    orientation of 0.0 keys equal to -0.0, yet a turn that shifts both by -0.0
-    keeps each one's sign, so in a mode with such a turn a zero orientation
-    keys with its sign too.
+    landings maps each turn kind taken from these pads to its landing (see
+    ``_landing``).  The key holds values only: 0.0 and -0.0 key alike, and both
+    give the same planes and, since no turn shifts by -0.0, the same landings.
     """
-    key = (left.orientation, right.orientation)
-    if m.signed_zero and not (key[0] and key[1]):
-        key += (math.copysign(1.0, key[0]), math.copysign(1.0, key[1]))
+    key = (left.orientation, right.orientation, left.pad_width, left.pad_height,
+           right.pad_width, right.pad_height)
     e = m.orientations.get(key)
-    if (e is None or e[0] != left.pad_width or e[1] != left.pad_height
-            or e[2] != right.pad_width or e[3] != right.pad_height):
-        pads = (left, right)
-        landings = {}
-        for kind, t in m.ops.items():
-            if type(t) is _Turn:
-                fingers = []
-                for pad, (face, x_map, y_map, shift) in zip(pads, t.fingers):
-                    theta = math.remainder(pad.orientation + shift, _TWO_PI)
-                    fingers.append((face, x_map, y_map, theta, _shrunk_face(
-                        obj, face, theta, pad.pad_width, pad.pad_height)))
-                landings[kind] = (t.pair, t.support, tuple(fingers))
-        e = (left.pad_width, left.pad_height, right.pad_width, right.pad_height,
-             tuple(_shrunk_face(obj, pad.face, pad.orientation, pad.pad_width, pad.pad_height)
-                   for pad in pads),
-             landings)
+    if e is None:
         if len(m.orientations) >= _ORIENTATION_CAP:
             m.orientations.clear()
-        m.orientations[key] = e
+        e = m.orientations[key] = (
+            tuple(_shrunk_face(obj, pad.face, pad.orientation, pad.pad_width, pad.pad_height)
+                  for pad in (left, right)), {})
     return e
+
+
+def _landing(obj: ObjectModel, e: tuple, t: _Turn, left: ContactRegion,
+             right: ContactRegion) -> tuple:
+    """Turn t's landing from the pads of entry e, built the first time the turn
+    is taken and kept in e: ``(pair, support, pads)``, each landing pad as
+    ``(face, x map, y map, orientation, planes)``."""
+    fingers = []
+    for pad, (face, x_map, y_map, shift) in zip((left, right), t.fingers):
+        theta = math.remainder(pad.orientation + shift, _TWO_PI)
+        fingers.append((face, x_map, y_map, theta,
+                        _shrunk_face(obj, face, theta, pad.pad_width, pad.pad_height)))
+    landing = e[1][t.action.kind] = (t.pair, t.support, tuple(fingers))
+    return landing
 
 
 def _scaled(rows: tuple, step: float) -> list:
@@ -693,11 +688,11 @@ def successors(s: GraspState, obj: ObjectModel,
     left, right = s.left, s.right
     m = _mode(obj, s.support_face, left.face, right.face)
     e = _entry(obj, m, left, right)
-    planes, landings = e[4], e[5]
+    planes, landings = e
     out: list[tuple[Action, GraspState]] = []
     for op, action in _moves(m, cfg):
         if type(op) is _Turn:
-            nxt = _turn(obj, s, landings[action.kind])
+            nxt = _turn(obj, s, landings.get(action.kind) or _landing(obj, e, op, left, right))
         else:
             nxt = _shift(obj, s, op, planes)
         if nxt is not None:
@@ -721,9 +716,9 @@ def transition(s: GraspState, a: Action, obj: ObjectModel) -> GraspState:
         nxt = None
     elif type(op) is _Turn:
         fits = abs(op.action.magnitude - a.magnitude) <= FEAS_TOL
-        nxt = _turn(obj, s, e[5][kind]) if fits else None
+        nxt = _turn(obj, s, e[1].get(kind) or _landing(obj, e, op, left, right)) if fits else None
     else:
-        nxt = _shift(obj, s, _scaled(op, a.magnitude), e[4])
+        nxt = _shift(obj, s, _scaled(op, a.magnitude), e[0])
     if nxt is None:
         raise InfeasibleActionError(f"{kind.name} (magnitude {a.magnitude:g}) is infeasible here")
     return nxt
@@ -746,7 +741,7 @@ def _shift(obj: ObjectModel, s: GraspState, steps: list, planes: tuple) -> Grasp
 
 def _turn(obj: ObjectModel, s: GraspState, landing: tuple) -> GraspState | None:
     """The one turn kernel: both pads placed by an orientation entry's landing
-    ``(pair, support, pads)`` (see ``_entry``)."""
+    ``(pair, support, pads)`` (see ``_landing``)."""
     xl, yl, xr, yr = s.left.x, s.left.y, s.right.x, s.right.y
     pads = []
     for region, (face_id, (a, b, c, d, e), (f, g, h, i, j), theta, planes) in zip(

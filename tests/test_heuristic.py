@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import wihmplan as w
 from wihmplan import heuristic as heuristic_mod
 from wihmplan import planner as planner_mod
+from wihmplan.geometry import convex_intersection
 from wihmplan.heuristic import HeuristicCache, finger_heuristic, total_heuristic
 from wihmplan.transition import ContactRegion, GoalRegion, GraspState, corner_offsets, state_key
 
@@ -263,6 +264,41 @@ class TestTotalHeuristic:
                     assert h_cur - h_child <= 4 * act.magnitude * moved + 1e-9
                     nxt.append(child)
             frontier = nxt[:6]
+
+
+def _goal_around(obj, pad: ContactRegion, margin: float) -> w.ConvexPolygon2:
+    """The pad's bounding box grown by margin, clipped to its face: a goal that holds the pad."""
+    lo = pad.corners().min(axis=0) - margin
+    hi = pad.corners().max(axis=0) + margin
+    box = w.ConvexPolygon2([lo, (hi[0], lo[1]), hi, (lo[0], hi[1])])
+    return convex_intersection(box, obj.face(pad.face).polygon)
+
+
+class TestGoalContainment:
+    def test_pads_inside_goals_score_zero_and_moved_pads_do_not(self, all_objects):
+        # Sampled pads inside goals reach the goal test; one moved a known
+        # distance past a goal edge has a corner at least that far from it.
+        rng = np.random.default_rng(17)
+        tolerance = planner_mod.CostConfig().goal_tolerance
+        past = 1e-3
+        for obj in all_objects:
+            for _ in range(15):
+                s = random_feasible_state(obj, rng, pad=float(rng.choice([0.006, 0.012])))
+                margins = rng.uniform(0.0, 2e-3, size=2).tolist()
+                goals = [GoalRegion(pad.face, _goal_around(obj, pad, margin))
+                         for pad, margin in zip((s.left, s.right), margins)]
+                cache = HeuristicCache(obj, goals)
+                assert total_heuristic(s, cache) <= tolerance
+                finger = int(rng.integers(2))
+                pad, goal = s[finger], goals[finger].polygon
+                normals, offsets = goal.halfplanes()
+                edge = int(rng.integers(len(offsets)))
+                # Inward normals: the pad's nearest corner ends up past outside the edge.
+                margin = float((pad.corners() @ normals[edge] - offsets[edge]).min())
+                shift = -(margin + past) * normals[edge]
+                moved = pad._replace(x=pad.x + float(shift[0]), y=pad.y + float(shift[1]))
+                h = total_heuristic(s._replace(**{("left", "right")[finger]: moved}), cache)
+                assert h >= past * (1.0 - 1e-9)
 
 
 class TestCacheBehavior:

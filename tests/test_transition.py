@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import wihmplan as w
 from wihmplan import io as io_mod
 from wihmplan import transition as transition_mod
+from wihmplan.bench import simulate
 from wihmplan.geometry import FEAS_TOL
-from wihmplan.planner import plan
+from wihmplan.planner import Plan, plan
 from wihmplan.transition import (
     Action,
     ActionKind,
@@ -652,8 +653,8 @@ def _outcomes(obj, state, cfg) -> tuple:
 
 
 class TestOrientationTable:
-    """One entry per pad orientation pair of a mode: the pads' planes and every
-    turn's landing pads, checked against the pad sizes it was built for."""
+    """One entry per value of a mode's two pad orientations and sizes: the pads'
+    planes and the landings of the turns taken from them."""
 
     def test_pad_sizes_get_their_own_planes(self):
         cfg = ResolutionConfig()
@@ -669,8 +670,10 @@ class TestOrientationTable:
             assert got == _outcomes(io_mod.load_object(FIXTURES / "square_prism.json"),
                                     state, cfg)
             outcomes.append(got)
-            (entry,) = m.orientations.values()  # one orientation pair, rebuilt per size
-            for pad, planes in zip((state.left, state.right), entry[4]):
+            left, right = state.left, state.right
+            planes_lr, _ = m.orientations[(left.orientation, right.orientation, left.pad_width,
+                                           left.pad_height, right.pad_width, right.pad_height)]
+            for pad, planes in zip((left, right), planes_lr):
                 assert planes == transition_mod._shrunk_face(
                     obj, pad.face, pad.orientation, pad.pad_width, pad.pad_height)
         assert outcomes[0] != outcomes[1] != outcomes[2] != outcomes[0]
@@ -694,38 +697,139 @@ class TestOrientationTable:
         assert max(sizes) == transition_mod._ORIENTATION_CAP < len(pairs)
         assert sizes[-1] < sizes[transition_mod._ORIENTATION_CAP - 1]  # cleared on the way
 
-    def test_a_zero_orientation_keeps_its_sign_through_a_zero_turn(self, monkeypatch):
-        # No fixture turn shifts an orientation by -0.0, so give every turn such a
-        # shift: 0.0 + -0.0 is 0.0 but -0.0 + -0.0 is -0.0, and 0.0 == -0.0 as keys.
-        assert not any(transition_mod._mode(obj, s.support_face, s.left.face,
-                                            s.right.face).signed_zero
-                       for obj in _containment_objects() for s in mode_states(obj))
-        real = transition_mod._turn_entry
+    def test_a_zero_turn_lands_both_zero_signs_on_zero(self, monkeypatch):
+        # Rotations shift some pads' orientations by exactly 0.0.  Reading that
+        # angle's sine as -0.0 makes the shift come out -0.0 before the mode
+        # table normalises it, and -0.0 + -0.0 would keep a parent's -0.0.
+        flipped = []
 
-        def zero_shift_turn(*args):
-            t = real(*args)
-            return t._replace(fingers=tuple(finger[:3] + (-0.0,) for finger in t.fingers))
+        class NegativeZeroSine:
+            def __getattr__(self, name):
+                return getattr(math, name)
 
-        monkeypatch.setattr(transition_mod, "_turn_entry", zero_shift_turn)
-        obj = io_mod.load_object(FIXTURES / "square_prism.json")
-        checked = 0
-        for base in mode_states(obj):
-            m = transition_mod._mode(obj, base.support_face, base.left.face, base.right.face)
-            assert m.signed_zero
-            for t in m.ops.values():
-                if type(t) is not transition_mod._Turn:
-                    continue
-                for theta in (0.0, -0.0, 0.0):
+            @staticmethod
+            def atan2(y, x):
+                if y == 0.0 and x > 0.0:
+                    flipped.append(y)
+                    y = -0.0
+                return math.atan2(y, x)
+
+        monkeypatch.setattr(transition_mod, "math", NegativeZeroSine())
+        cfg = ResolutionConfig(pad_width=0.01, pad_height=0.01)
+        landed = []
+        for signs in ((0.0, -0.0), (-0.0, 0.0)):  # which sign builds each entry
+            obj = io_mod.load_object(FIXTURES / "square_prism.json")
+            bits, zero_landings, searched = {}, 0, 0
+            for base in mode_states(obj):
+                m = transition_mod._mode(obj, base.support_face, base.left.face, base.right.face)
+                turns = [t for t in m.ops.values() if type(t) is transition_mod._Turn]
+                assert all(shift.hex() != "-0x0.0p+0" for t in turns for *_, shift in t.fingers)
+                for theta in signs:
                     state = base._replace(left=base.left._replace(orientation=theta),
                                           right=base.right._replace(orientation=-theta))
-                    try:
-                        child = transition(state, t.action, obj)
-                    except w.InfeasibleActionError:
-                        continue
-                    assert (_state_bits(child)[-1][2], _state_bits(child)[-1][7]) == \
-                        (theta.hex(), (-theta).hex())
-                    checked += 1
-        assert checked > 10
+                    search = dict(successors(state, obj, cfg))
+                    for t in turns:
+                        try:
+                            child = transition(state, t.action, obj)
+                        except w.InfeasibleActionError:
+                            continue
+                        if t.action in search:
+                            assert _state_bits(search[t.action]) == _state_bits(child)
+                            searched += 1
+                        for pad, (*_, shift) in zip(child[:2], t.fingers):
+                            if shift == 0.0:
+                                assert pad.orientation.hex() == "0x0.0p+0"
+                                zero_landings += 1
+                        bits.setdefault((base, t.action.kind), []).append(_state_bits(child))
+            assert zero_landings > 10 and searched > 10
+            # A +-0.0 parent lands on the same bits, whichever sign it has.
+            assert all(first == second for first, second in bits.values())
+            landed.append(bits)
+        assert flipped
+        assert landed[0] == landed[1]
+
+    def test_filtered_rotations_build_no_landings(self, monkeypatch):
+        # No pair is short enough for this length/width limit, so search offers
+        # no rotation and builds planes for the parent pads and the pivot only.
+        cfg = ResolutionConfig(pad_width=0.01, pad_height=0.01, max_length_width_ratio=0.01)
+        obj = io_mod.load_object(FIXTURES / "square_prism.json")
+        real = transition_mod._shrunk_face
+        built = []
+        monkeypatch.setattr(transition_mod, "_shrunk_face",
+                            lambda *args: built.append(args[1:]) or real(*args))
+        pivots = 0
+        for state in mode_states(obj):
+            m = transition_mod._mode(obj, state.support_face, state.left.face, state.right.face)
+            pivot = m.ops[ActionKind.PIVOT]
+            assert all(m.ops[kind] is not None for kind in transition_mod._ROTATIONS)
+            built.clear()
+            kinds = {a.kind for a, _ in successors(state, obj, cfg)}
+            assert not kinds & set(transition_mod._ROTATIONS)
+            pads = (state.left, state.right)
+            expected = [(pad.face, pad.orientation, pad.pad_width, pad.pad_height) for pad in pads]
+            if pivot is not None:
+                expected += [(face, math.remainder(pad.orientation + shift, 2 * math.pi),
+                              pad.pad_width, pad.pad_height)
+                             for pad, (face, *_, shift) in zip(pads, pivot.fingers)]
+                pivots += ActionKind.PIVOT in kinds
+            assert built == expected
+        assert pivots > 0
+
+
+@functools.cache
+def _walk_starts(index: int) -> list[GraspState]:
+    return mode_states(_containment_objects()[index])
+
+
+@st.composite
+def _walks(draw):
+    """A random feasible walk of search's children on a shared fixture model
+    (``_containment_objects``), from pads of two sizes, some turned to +0.0
+    or -0.0."""
+    index = draw(st.integers(0, len(OBJECT_FILES) - 1))
+    obj = _containment_objects()[index]
+    starts = _walk_starts(index)
+    base = starts[draw(st.integers(0, len(starts) - 1))]
+    # A centred square pad no larger than the 10 mm one stays on its face.
+    pads = []
+    for pad in (base.left, base.right):
+        size = draw(st.sampled_from([0.006, 0.01]))
+        turn = draw(st.sampled_from([pad.orientation, 0.0, -0.0]))
+        pads.append(pad._replace(pad_width=size, pad_height=size, orientation=turn))
+    state = base._replace(left=pads[0], right=pads[1])
+    try:
+        state.validate(obj)
+    except w.InvalidStateError:
+        state = base  # a zero orientation that does not fit this face
+    states, actions = [state], []
+    for _ in range(draw(st.integers(1, 20))):
+        children = successors(state, obj, ResolutionConfig())
+        if not children:
+            break
+        action, state = children[draw(st.integers(0, len(children) - 1))]
+        actions.append(action)
+        states.append(state)
+    return index, Plan(actions, states, [0.0] * len(actions), 0.0, 0.0, 0.0, "best-effort", 0.0)
+
+
+def test_walks_replay_bit_for_bit_on_shared_and_fresh_tables():
+    # Search and replay share each model's orientation tables: a walk replays
+    # to the same bits on the model search built them on and on a fresh one.
+    kinds = set()
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_walks())
+    def check(walk):
+        index, plan_ = walk
+        recorded = [_state_bits(s) for s in plan_.states]
+        shared = _containment_objects()[index]
+        for obj in (shared, io_mod.load_object(FIXTURES / OBJECT_FILES[index])):
+            result = simulate(plan_, obj, plan_.states[0])
+            assert [_state_bits(s) for s in result.trace] == recorded
+        kinds.update(a.kind for a in plan_.actions)
+
+    check()
+    assert kinds == set(ActionKind)
 
 
 def _is_shift(op) -> bool:
