@@ -27,6 +27,9 @@ from .errors import InvalidGeometryError, InvalidModelError, UngraspableObjectEr
 # centimeter scale) vs. user-facing feasibility decisions.
 GEOM_TOL = 1e-9
 FEAS_TOL = 1e-6
+# Largest face-local coordinate, in m, that any model face may reach.  The
+# search's lattice cell codes (``transition.region_cell``) are exact within it.
+FACE_COORD_LIMIT = 1e3
 
 _DEDUPE_TOL = 1e-12
 _COLLINEAR_TOL = 1e-12
@@ -438,7 +441,14 @@ class ObjectModel:
         raise InvalidModelError(f"faces {a} and {b} do not form a parallel pair")
 
     def validate(self) -> None:
-        """Cross-check adjacency and parallel-pair invariants (1e-9 tolerances)."""
+        """Cross-check adjacency and parallel-pair invariants (1e-9 tolerances),
+        and that every face lies within FACE_COORD_LIMIT of its frame origin."""
+        for f in self.faces:
+            reach = float(np.max(np.abs(f.polygon.vertices)))
+            if not reach <= FACE_COORD_LIMIT:
+                raise InvalidModelError(
+                    f"{self.name}: face {f.id} reaches {reach:g} m from its origin, beyond "
+                    f"the {FACE_COORD_LIMIT:g} m face coordinate limit")
         for (i, j), edge in self.adjacency.items():
             pi = self.faces[i].to_object(edge.endpoints_in(i))
             pj = self.faces[j].to_object(edge.endpoints_in(j))

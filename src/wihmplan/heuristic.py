@@ -6,10 +6,10 @@ sum of point-to-polygon distances for the rectangle's 4 corners, and the
 finger heuristic is the minimum over goals.  The state heuristic adds the
 left and right finger values.
 
-Finger values are memoized per pad size and lattice cell (``region_cell``,
-the cell ``state_key`` dedups on).  The search hands ``total_heuristic`` the
-state key it has already computed, and the memo keys are sliced from it
-instead of being rounded again.
+Finger values are memoized per lattice cell and pad size (``region_cell``,
+the one-int cell code ``state_key`` dedups on).  The search hands
+``total_heuristic`` the state key it has already computed, and each memo key
+takes its pad's code from it instead of rounding again.
 
 Float contract: a memo miss runs on Python floats alone; numpy builds only
 the unfolded maps and goal images (``unfold``, ``ConvexPolygon2``).  A pad's
@@ -86,16 +86,16 @@ class HeuristicCache:
 
 
 def finger_heuristic(region: ContactRegion, cache: HeuristicCache,
-                     cell: tuple | None = None) -> float:
+                     cell: int | None = None) -> float:
     """Minimum corner sum over all goals for one finger.
 
     Values repeat heavily across the search lattice (slides move one finger
-    at a time), so results are memoized per pad size and lattice cell;
+    at a time), so results are memoized per lattice cell and pad size;
     ``cell`` is ``region_cell(region)`` when the caller already has it.
     """
     if cell is None:
         cell = region_cell(region)
-    key = cell + (region.pad_width, region.pad_height)
+    key = (cell, region.pad_width, region.pad_height)
     hit = cache._finger_memo.get(key)
     if hit is None:
         rows = cache.corner_rows(region)
@@ -113,8 +113,8 @@ def total_heuristic(s: GraspState, cache: HeuristicCache, key: tuple | None = No
     """Left plus right finger heuristic, in meters.
 
     ``key`` is ``state_key(s)``, passed by a caller that has it already: the
-    support face, then the left and right pads' ``region_cell``, 4 entries each.
+    support face, then the left and right pads' ``region_cell`` codes.
     """
     if key is None:
         key = state_key(s)
-    return finger_heuristic(s.left, cache, key[1:5]) + finger_heuristic(s.right, cache, key[5:])
+    return finger_heuristic(s.left, cache, key[1]) + finger_heuristic(s.right, cache, key[2])

@@ -119,7 +119,10 @@ def load_object(path: str | Path) -> ObjectModel:
     except InvalidGeometryError as exc:
         raise InvalidInputError(f"{path}: field 'cross_section' invalid: {exc}")
     height = _number(json_field(data, "height", path), "height", path)
-    return build_prism(cross_section, height, name=name)
+    try:
+        return build_prism(cross_section, height, name=name)
+    except WihmplanError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
 
 def load_goals(path: str | Path, obj: ObjectModel) -> list[GoalRegion]:

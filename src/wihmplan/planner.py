@@ -9,10 +9,14 @@ canonical action order.
 
 A search node is a plain tuple ``(state, g, h, parent node, incoming
 action)``, and the open list holds ``(f, counter, state key, node)``.  Each
-child's key is computed once, from the parent's: ``state_key`` keeps the cell
-of the pad a slide leaves in place.  Step costs are memoized per search in
-one dict keyed by ``Action`` value: an action is a named tuple, so equal
-actions of different modes' move tables share one ``action_cost`` call.
+child's key, three ints, is computed once, from the parent's: ``state_key``
+keeps the cell of the pad a slide leaves in place.  One dict, ``best_g``,
+records both the cheapest g pushed per key and which keys were expanded:
+expanding a key sets its entry to ``_EXPANDED`` (-inf), so every later path
+to it is pruned when generated and its stale open-list entries are skipped
+when popped.  Step costs are memoized per search in one dict keyed by
+``Action`` value: an action is a named tuple, so equal actions of different
+modes' move tables share one ``action_cost`` call.
 """
 
 from __future__ import annotations
@@ -40,6 +44,8 @@ from .transition import (
 )
 
 log = logging.getLogger(__name__)
+
+_EXPANDED = -math.inf  # best_g of an expanded key: below every path cost
 
 
 @dataclass(frozen=True)
@@ -131,7 +137,6 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
     # Entries carry the state's key, computed once when the state is generated.
     open_heap: list[tuple[float, int, tuple, tuple]] = [(lam * h0, counter, root_key, root)]
     best_g: dict[tuple, float] = {root_key: 0.0}
-    closed: set[tuple] = set()
     # A search meets few distinct actions (its move tables'), so each one's
     # cost is computed once, keyed by value.
     costs: dict[Action, float] = {}
@@ -144,13 +149,13 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
 
     while open_heap:
         f, _, key, node = heappop(open_heap)
-        if key in closed:
+        if best_g[key] == _EXPANDED:
             continue
         state, g, h = node[0], node[1], node[2]
         if h <= cost.goal_tolerance:
             goal_node = node
             break
-        closed.add(key)
+        best_g[key] = _EXPANDED
         expansions += 1
         if expansions >= cost.node_budget:
             log.warning("node budget %d exhausted; returning best effort", cost.node_budget)

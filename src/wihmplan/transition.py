@@ -99,6 +99,7 @@ from .errors import (
     InvalidStateError,
 )
 from .geometry import (
+    FACE_COORD_LIMIT,
     FEAS_TOL,
     GEOM_TOL,
     ConvexPolygon2,
@@ -113,7 +114,7 @@ _WORLD_UP = np.array([0.0, 0.0, 1.0])
 _LEFT_NORMAL = np.array([-1.0, 0.0, 0.0])  # world direction of the left face's outward normal
 # Half-width of the band around the shrunk-face threshold within which the
 # float centre test defers to the corner test: far wider than the few ulps by
-# which their margins round apart on faces up to about 1e3 m.
+# which their margins round apart on faces within FACE_COORD_LIMIT (1e3 m).
 _GUARD = 1e-12
 # _new(cls, fields) builds a pad or state without the named tuple's Python __new__.
 _new = tuple.__new__
@@ -305,6 +306,10 @@ class ResolutionConfig:
             if not (0.0 < value < math.inf):
                 raise InvalidInputError(
                     f"resolution parameter {name} must be positive and finite, got {value!r}")
+        if self.min_grasp_width > self.max_grasp_width:
+            raise InvalidInputError(
+                f"resolution parameter min_grasp_width ({self.min_grasp_width!r}) exceeds "
+                f"max_grasp_width ({self.max_grasp_width!r})")
 
 
 def derive_resolutions(obj: ObjectModel, base: ResolutionConfig) -> ResolutionConfig:
@@ -819,32 +824,47 @@ def overlap_ratio(s: GraspState, goals: list[GoalRegion]) -> tuple[float, float]
 
 
 _KEY_QUANTUM = 1e-7  # lattice spacing of region_cell (m, rad)
+# Digit widths of a cell code.  An orientation index is below 2*pi / 1e-7.  A
+# centre coordinate on a model's face lies within FACE_COORD_LIMIT + FEAS_TOL
+# of the face origin, so its lattice index is a signed digit of magnitude
+# below 2**(_XY_BITS - 1) (about 1718 m).  Signed digits of that range keep
+# the code one-to-one, and ordered as the (face, x, y, orientation) tuples.
+_R_BITS = round(_TWO_PI / _KEY_QUANTUM).bit_length()
+_XY_BITS = (int(FACE_COORD_LIMIT / _KEY_QUANTUM) + 1).bit_length() + 1
+_X_SHIFT = _R_BITS + _XY_BITS
+_FACE_SHIFT = _X_SHIFT + _XY_BITS
 
 
-def region_cell(region: ContactRegion) -> tuple:
-    """The pad's lattice cell: (face, x, y, orientation mod 2*pi), on _KEY_QUANTUM.
+def region_cell(region: ContactRegion) -> int:
+    """The pad's lattice cell as one int: face, x, y and orientation mod 2*pi,
+    on _KEY_QUANTUM, as the digits of a mixed-radix code.
 
     Action steps are orders of magnitude larger than the quantum, so equal
     pads share a cell and distinct lattice points never do.  An orientation
-    within half a quantum below 2*pi wraps to 0.
+    within half a quantum below 2*pi wraps to 0.  Two pads' codes are equal
+    exactly when their (face, x, y, orientation) lattice indices are, for
+    centres within about 1718 m of the face origin: every pad on a model's
+    faces (``ObjectModel.validate`` holds faces to ``FACE_COORD_LIMIT``).
     """
     r = region.orientation % _TWO_PI
     if _TWO_PI - r < 5e-8:
         r = 0.0
-    return (region.face, round(region.x / _KEY_QUANTUM), round(region.y / _KEY_QUANTUM),
-            round(r / _KEY_QUANTUM))
+    return ((region.face << _FACE_SHIFT) + (round(region.x / _KEY_QUANTUM) << _X_SHIFT)
+            + (round(region.y / _KEY_QUANTUM) << _R_BITS) + round(r / _KEY_QUANTUM))
 
 
 def state_key(s: GraspState, parent: GraspState | None = None,
-              parent_key: tuple | None = None) -> tuple:
+              parent_key: tuple | None = None) -> tuple[int, int, int]:
     """Hashable key for duplicate detection in search: the support face and
-    both pads' cells (the gripped faces fix the grasp pair).
+    both pads' cells, ``(support face, left cell, right cell)`` (the gripped
+    faces fix the grasp pair).
 
     Given the parent state and its key, a pad the child shares with the parent
     (the same object: a slide moves one pad) keeps the parent's cell.
     """
     left, right = s.left, s.right
     if parent is None:
-        return (s.support_face,) + region_cell(left) + region_cell(right)
-    return ((s.support_face,) + (parent_key[1:5] if left is parent.left else region_cell(left))
-            + (parent_key[5:] if right is parent.right else region_cell(right)))
+        return (s.support_face, region_cell(left), region_cell(right))
+    return (s.support_face,
+            parent_key[1] if left is parent.left else region_cell(left),
+            parent_key[2] if right is parent.right else region_cell(right))

@@ -4,9 +4,9 @@ Everything here deliberately takes a different computational route from the
 library code: fan triangulation instead of the shoelace, hull-based clipping
 instead of half-plane clipping, homogeneous 4x4 motions instead of the
 frame-algebra transport, and discretized shortest paths instead of unfolded
-planar distances.  The exceptions say so: they keep an earlier array form
-of a library function as the reference its float form is held to, or write
-out the float arithmetic the library must reproduce.
+planar distances.  The exceptions say so: they keep an earlier array or
+tuple form of a library function as the reference its current form is held
+to, or write out the float arithmetic the library must reproduce.
 """
 
 from __future__ import annotations
@@ -289,6 +289,17 @@ def pad_corners_inside(obj: ObjectModel, region: ContactRegion, tol: float = 1e-
     normals, offsets = obj.face(region.face).polygon.halfplanes()
     margins = region.corners() @ normals.T - offsets
     return bool(np.all(margins >= -tol))
+
+
+def reference_cell(region: ContactRegion) -> tuple[int, int, int, int]:
+    """The earlier tuple form of ``transition.region_cell``: face, then x, y and
+    orientation mod 2*pi as indices on the 1e-7 lattice, an orientation within
+    half a quantum below 2*pi wrapped to 0.  Two pads' cell codes must be equal
+    exactly when these tuples are."""
+    r = region.orientation % (2.0 * math.pi)
+    if 2.0 * math.pi - r < 5e-8:
+        r = 0.0
+    return (region.face, round(region.x / 1e-7), round(region.y / 1e-7), round(r / 1e-7))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import wihmplan as w
 from wihmplan import geometry as geometry_mod
 from wihmplan import io as io_mod
 from wihmplan.geometry import (
+    FACE_COORD_LIMIT,
     GEOM_TOL,
     ConvexPolygon2,
     RigidTransform3,
@@ -453,6 +454,15 @@ class TestBuildPrism:
         lateral_pairs = [p for p in obj.parallel_pairs
                          if p[0] < obj.lateral_count and p[1] < obj.lateral_count]
         assert len(lateral_pairs) == 3
+
+    def test_faces_beyond_the_coordinate_limit_rejected(self):
+        side = FACE_COORD_LIMIT
+        build_prism(ConvexPolygon2([(-side, 0), (0, 0), (0, side), (-side, side)]), side)
+        oversized = ConvexPolygon2([(0, 0), (1.5 * side, 0), (1.5 * side, 1), (0, 1)])
+        with pytest.raises(w.InvalidModelError, match="face 0 reaches 1500 m"):
+            build_prism(oversized, 0.1, name="long_bar")
+        with pytest.raises(w.InvalidModelError, match="face 0 reaches 1000.5 m"):
+            build_prism(UNIT_SQUARE, side + 0.5)
 
     def test_scalene_triangle_rejected(self):
         tri = ConvexPolygon2([(0, 0), (0.05, 0), (0.01, 0.03)])

@@ -185,7 +185,7 @@ class TestLatticeCell:
 
 class TestStateKeyPath:
     def test_state_key_path_matches_region_cell_path(self, all_objects, rng):
-        # The search passes state_key(s), and the memo keys are sliced from it.
+        # The search passes state_key(s), and the memo keys take its pad codes.
         for obj in all_objects:
             goals = [GoalRegion(1, _inset_poly(obj, 1)), GoalRegion(2, _inset_poly(obj, 2))]
             by_key, by_cell = HeuristicCache(obj, goals), HeuristicCache(obj, goals)

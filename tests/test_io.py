@@ -32,6 +32,14 @@ class TestObjectLoader:
         with pytest.raises(w.InvalidInputError, match="units"):
             io_mod.load_object(path)
 
+    def test_face_beyond_the_coordinate_limit_names_the_file(self, tmp_path):
+        path = tmp_path / "obj.json"
+        path.write_text(json.dumps({"name": "long_bar", "height": 0.1,
+                                    "cross_section": [[0, 0], [1500, 0], [1500, 1], [0, 1]]}))
+        with pytest.raises(w.InvalidModelError) as err:
+            io_mod.load_object(path)
+        assert str(err.value).startswith(f"{path}: long_bar: face 0 reaches 1500 m")
+
     def test_malformed_json_reported(self, tmp_path):
         path = tmp_path / "obj.json"
         path.write_text("{not json")
@@ -161,6 +169,15 @@ class TestConfigLoader:
         path.write_text(json.dumps({"resolution": {field: 0.5}}))
         with pytest.raises(w.InvalidInputError, match=f"unknown resolution field '{field}'"):
             io_mod.load_configs(path)
+
+    def test_grip_limits_out_of_order_name_the_file(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"resolution": {"min_grasp_width": 0.2,
+                                                   "max_grasp_width": 0.1}}))
+        with pytest.raises(w.InvalidInputError) as err:
+            io_mod.load_configs(path)
+        assert str(err.value).startswith(f"{path}: ")
+        assert "min_grasp_width" in str(err.value) and "max_grasp_width" in str(err.value)
 
     def test_partial_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 import wihmplan as w
 from wihmplan import planner as planner_mod
 from wihmplan.heuristic import HeuristicCache, total_heuristic
-from wihmplan.planner import CostConfig, action_cost, evaluate, plan
+from wihmplan.planner import CostConfig, Plan, action_cost, evaluate, plan
 from wihmplan.transition import (
     Action,
     ActionKind,
@@ -39,6 +41,37 @@ PINNED_PLANS = {
     "rs_t2_rotate": (200, [UP] * 5 + [CW, UP, UP], 0.1171238898038469),
     "hs_t1_rotate": (215, [UP, CW, UP, UP, UP], 0.1216209713905397),
 }
+
+# Fixture task -> (expansions, pushes, digest of actions, step costs and final
+# state) of its plan at heuristic_scale 1.0, where h is inconsistent: an
+# expanded key's children can be reached again more cheaply.  Expansions and
+# digests are pinned from the search that kept a separate closed set; that
+# search pushed 50 more children on sq_t3_caps (848), all onto expanded keys,
+# and discarded them when popped.  rc_t2_rotate is left out for its run time.
+INCONSISTENT_PLANS = {
+    "sq_t1_shift": (14, 113, "686799cb8ef7e4d44fa1"),
+    "sq_t2_rotate": (4, 32, "cd2b682eac2bfc978ed1"),
+    "sq_t3_caps": (267, 798, "b2b8ca9fc7bc86269c2c"),
+    "rc_t1_shift": (8, 33, "c97d6ac043d1d64ef662"),
+    "rl_t1_shift": (18, 139, "ccb977767d10b16c5d9c"),
+    "rl_t2_rotate": (9, 72, "c365bce5e6e5ab0990df"),
+    "ht_t1_shift": (12, 85, "64f0d5a9ab1a8f3f0143"),
+    "ht_t2_rotate": (11, 64, "4d0f6a4062b78a59c1e5"),
+    "rs_t1_shift": (8, 65, "75fdfc75d08cafcba419"),
+    "rs_t2_rotate": (8, 47, "69806cbfde790251af00"),
+    "hs_t1_rotate": (7, 37, "dcd497829a5739d54bb4"),
+}
+
+
+def _plan_digest(p: Plan) -> str:
+    """sha256 (first 20 hex digits) of a plan's actions, step costs and final
+    state, floats as ``float.hex``."""
+    final = p.states[-1]
+    fields = [[a.kind.name, a.magnitude.hex(), a.arc_radius.hex()] for a in p.actions]
+    fields += [c.hex() for c in p.step_costs]
+    fields += [final.grasp_pair, final.support_face]
+    fields += [[r.face] + [float(v).hex() for v in r[1:]] for r in (final.left, final.right)]
+    return hashlib.sha256(json.dumps(fields).encode()).hexdigest()[:20]
 
 
 def small_instance(kind="slide"):
@@ -109,6 +142,11 @@ _FLOAT_FIELDS = [(ResolutionConfig, f.name) for f in dataclasses.fields(Resoluti
 
 
 class TestConfigValidation:
+    def test_grip_limits_out_of_order_rejected(self):
+        ResolutionConfig(min_grasp_width=0.1, max_grasp_width=0.1).validate()
+        with pytest.raises(w.InvalidInputError, match="min_grasp_width .* exceeds max_grasp_width"):
+            ResolutionConfig(min_grasp_width=0.1, max_grasp_width=0.09).validate()
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("cls, field", _FLOAT_FIELDS)
     def test_non_finite_field_rejected_by_plan(self, cls, field, value):
@@ -314,3 +352,18 @@ def test_fixture_plan_is_pinned(suite_entries, name):
     assert p.expansions == expansions
     assert [a.kind.name for a in p.actions] == kinds
     assert p.total_action_cost == pytest.approx(total, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(INCONSISTENT_PLANS))
+def test_inconsistent_heuristic_plan_is_pinned(suite_entries, monkeypatch, name):
+    # An expanded key's best_g is -inf, so a cheaper path found to it later is
+    # pruned when generated instead of pushed and skipped when popped.
+    obj, start, goals, resolution, cost = load_task(
+        next(e for e in suite_entries if e["name"] == name))
+    calls = []
+    heuristic = planner_mod.total_heuristic
+    monkeypatch.setattr(planner_mod, "total_heuristic",
+                        lambda *args: calls.append(None) or heuristic(*args))
+    p = plan(obj, start, goals, resolution, dataclasses.replace(cost, heuristic_scale=1.0))
+    assert p.status == "exact-goal"
+    assert (p.expansions, len(calls) - 1, _plan_digest(p)) == INCONSISTENT_PLANS[name]

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ import wihmplan as w
 from wihmplan import io as io_mod
 from wihmplan import transition as transition_mod
 from wihmplan.bench import simulate
-from wihmplan.geometry import FEAS_TOL
+from wihmplan.geometry import FACE_COORD_LIMIT, FEAS_TOL
 from wihmplan.planner import Plan, plan
 from wihmplan.transition import (
     Action,
@@ -25,6 +26,7 @@ from wihmplan.transition import (
     derive_resolutions,
     find_pivot_edge,
     overlap_ratio,
+    region_cell,
     region_outside_goal,
     state_key,
     successors,
@@ -33,7 +35,7 @@ from wihmplan.transition import (
 )
 
 from conftest import FIXTURES, OBJECT_FILES, load_task, random_feasible_state
-from oracles import oracle_pivot, oracle_rotate, pad_corners_inside
+from oracles import oracle_pivot, oracle_rotate, pad_corners_inside, reference_cell
 
 
 def centered_state(obj, pad=0.02):
@@ -925,6 +927,90 @@ class TestExpansionKernels:
                 state = children[int(rng.integers(len(children)))][1]
         assert kinds == set(ActionKind)
         assert shared > 0
+
+
+@functools.cache
+def _code_objects() -> list[w.ObjectModel]:
+    """The fixture models and a cube at the face coordinate limit: its faces
+    span 0 to FACE_COORD_LIMIT or -FACE_COORD_LIMIT to 0, so a pad near the far
+    edge of one face and a pad near the near edge of the next differ by more
+    than the limit along one axis."""
+    side = FACE_COORD_LIMIT
+    cube = w.build_prism(w.ConvexPolygon2([(-side, 0), (0, 0), (0, side), (-side, side)]), side)
+    return _containment_objects() + [cube]
+
+
+_QUANTUM = 1e-7
+_NEAR_TWO_PI = [2 * math.pi + k * 1e-8 for k in range(-10, 11)]
+_ORIENTATIONS = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi, -math.pi, math.pi / 2, 2 * math.pi, -2 * math.pi]
+                    + _NEAR_TWO_PI + [-t for t in _NEAR_TWO_PI]),
+    st.floats(-10.0, 10.0))
+_ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def _pad_sets(draw):
+    """Pads on the faces of one fixture or limit model, each with a neighbour:
+    every coordinate of the neighbour lies in the pad's lattice cell or an
+    adjacent one (or both are +-0.0), its orientation is the pad's nudged by
+    up to 1e-7 or a fresh draw, and its face is mostly the pad's.  The corners
+    of every face's bounding box, where a digit is largest, join them."""
+    obj = draw(st.sampled_from(_code_objects()))
+    theta = draw(_ORIENTATIONS)
+    pads = [ContactRegion(f.id, x, y, theta, 0.02, 0.02) for f in obj.faces
+            for x, y in itertools.product(*zip(f.polygon.vertices.min(axis=0).tolist(),
+                                               f.polygon.vertices.max(axis=0).tolist()))]
+    for _ in range(draw(st.integers(1, 12))):
+        face = obj.faces[draw(st.integers(0, len(obj.faces) - 1))]
+        lo, hi = face.polygon.vertices.min(axis=0), face.polygon.vertices.max(axis=0)
+        a, b = [face.id], [draw(st.sampled_from([face.id] * 3 + [f.id for f in obj.faces]))]
+        for i in range(2):
+            if draw(st.integers(0, 9)) == 0:
+                a.append(draw(_ZEROS))
+                b.append(draw(_ZEROS))
+                continue
+            n = draw(st.integers(round(lo[i] / _QUANTUM), round(hi[i] / _QUANTUM)))
+            a.append((n + draw(st.floats(-0.5, 0.5))) * _QUANTUM)
+            b.append((n + draw(st.integers(-1, 1)) + draw(st.floats(-0.5, 0.5))) * _QUANTUM)
+        theta = draw(_ORIENTATIONS)
+        other = draw(st.one_of(st.just(theta), _ORIENTATIONS,
+                               st.integers(-10, 10).map(lambda k, t=theta: t + k * 1e-8)))
+        pads += [ContactRegion(*a, theta, 0.02, 0.02), ContactRegion(*b, other, 0.02, 0.02)]
+    return pads
+
+
+class TestCellCode:
+    """``region_cell`` packs the (face, x, y, orientation) lattice cell into one int."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_pad_sets())
+    def test_code_equality_is_reference_cell_equality(self, pads):
+        # Every digit stays within its radix, so the codes also sort as the
+        # reference tuples do: a digit overflowing into the next breaks that
+        # order for pads far apart, where an equal pair is unlikely to be drawn.
+        cells = sorted((reference_cell(p), region_cell(p)) for p in pads)
+        assert all(type(code) is int for _, code in cells)
+        for (ref_a, code_a), (ref_b, code_b) in zip(cells, cells[1:]):
+            assert (code_a == code_b) == (ref_a == ref_b)
+            assert code_a <= code_b
+
+    def test_state_key_is_support_face_and_two_codes(self, all_objects, rng):
+        for obj in all_objects:
+            s = random_feasible_state(obj, rng)
+            assert state_key(s) == (s.support_face, region_cell(s.left), region_cell(s.right))
+
+    def test_signed_zero_and_wrap_share_a_code(self):
+        pad = ContactRegion(5, 0.0, -0.0, 0.0, 0.02, 0.02)
+        for twin in (pad._replace(x=-0.0, y=0.0), pad._replace(orientation=-0.0),
+                     pad._replace(orientation=2 * math.pi),
+                     pad._replace(orientation=2 * math.pi - 4e-8),
+                     pad._replace(x=4e-8, y=-4e-8, orientation=-4e-8)):
+            assert region_cell(twin) == region_cell(pad)
+        for apart in (pad._replace(x=6e-8), pad._replace(y=-6e-8), pad._replace(face=4),
+                      pad._replace(orientation=2 * math.pi - 6e-8),
+                      pad._replace(orientation=6e-8)):
+            assert region_cell(apart) != region_cell(pad)
 
 
 def _state_bits(s: GraspState) -> tuple:

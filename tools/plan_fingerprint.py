@@ -13,7 +13,11 @@ fingerprints any other checkout.
 
 Each fixture plan state also records its branching: every ``successors``
 pair, as the action's kind, magnitude and arc radius and the child's state
-key.  Each replay walk, and each fixture plan that pivots, records its
+key.  A state key is recorded as its first-seen ordinal within the case
+(states first, then successor lists), so a fingerprint does not depend on the
+key's format: two states share an ordinal exactly when they share a key, and
+a key format that merges or splits states changes an exact field.  Each
+replay walk, and each fixture plan that pivots, records its
 ``plan_waypoints`` (25 steps per stage, ``fixtures/chain.json``) as 12
 floats a pose: the rotation row by row, then the translation.  The 12
 fixture tasks also run through ``bench.run_benchmark``, as the ``benchmark``
@@ -53,11 +57,17 @@ def _import_harness(src: Path):
     return workloads
 
 
-def _states(states, state_key) -> dict:
+def _key_ordinals(state_key):
+    """A function from a state to its key's first-seen ordinal, for one case."""
+    seen: dict = {}
+    return lambda s: seen.setdefault(state_key(s), len(seen))
+
+
+def _states(states, key_of) -> dict:
     """Each state's exact fields, and its pads' centre and orientation floats."""
     exact, centres, angles = [], [], []
     for s in states:
-        fields = [s.grasp_pair, s.support_face, repr(state_key(s))]
+        fields = [s.grasp_pair, s.support_face, key_of(s)]
         for r in (s.left, s.right):
             fields += [r.face, float(r.pad_width).hex(), float(r.pad_height).hex()]
             centres += [x.hex() for x in r.center.tolist()]
@@ -66,8 +76,8 @@ def _states(states, state_key) -> dict:
     return {"states": exact, "centres": centres, "orientations": angles}
 
 
-def _add_states(case: dict, states, state_key) -> None:
-    for field, values in _states(states, state_key).items():
+def _add_states(case: dict, states, key_of) -> None:
+    for field, values in _states(states, key_of).items():
         case[field] += values
 
 
@@ -78,10 +88,10 @@ def _heuristics(obj, plan, goals) -> list:
     return [heuristic.total_heuristic(s, cache).hex() for s in plan.states]
 
 
-def _branching(obj, plan, resolution, successors, state_key) -> list:
+def _branching(obj, plan, resolution, successors, key_of) -> list:
     """Every ``successors`` pair of each plan state: kind, magnitude, arc radius, child key."""
     return [[[a.kind.name, float(a.magnitude).hex(), float(a.arc_radius).hex(),
-              repr(state_key(child))] for a, child in successors(s, obj, resolution)]
+              key_of(child)] for a, child in successors(s, obj, resolution)]
             for s in plan.states]
 
 
@@ -98,7 +108,7 @@ def _report(records) -> list:
             for record in records]
 
 
-def _plan(plan, expanded: int, state_key) -> dict:
+def _plan(plan, expanded: int, key_of) -> dict:
     return {
         "expanded": expanded,
         "status": plan.status,
@@ -108,7 +118,7 @@ def _plan(plan, expanded: int, state_key) -> dict:
         "totals": [float(plan.total_action_cost).hex(), float(plan.objective).hex()],
         "outside_area": [float(plan.terminal_outside_area).hex()],
         "overlaps": [],
-        **_states(plan.states, state_key),
+        **_states(plan.states, key_of),
     }
 
 
@@ -126,11 +136,12 @@ def fingerprint(src: Path) -> dict:
                                     task.start, task.goals, task.resolution, task.cost))
         obj = wl.io_mod.load_object(task.object_path)
         plan = wl.planner_mod.plan(obj, task.start, task.goals, task.resolution, task.cost)
-        case = out[f"fixture/{task.name}"] = _plan(plan, wl.expanded_count(plan), state_key)
+        key_of = _key_ordinals(state_key)
+        case = out[f"fixture/{task.name}"] = _plan(plan, wl.expanded_count(plan), key_of)
         case["overlaps"] = [x.hex() for x in overlap_ratio(plan.states[-1], task.goals)]
         case["heuristic"] = _heuristics(obj, plan, task.goals)
         case["successors"] = _branching(obj, plan, task.resolution,
-                                        wl.transition_mod.successors, state_key)
+                                        wl.transition_mod.successors, key_of)
         if any(a.kind.name == "PIVOT" for a in plan.actions):
             case["poses"] = _poses(waypoints(plan, obj, chain,
                                              steps_per_stage=wl.STEPS_PER_STAGE))
@@ -142,20 +153,21 @@ def fingerprint(src: Path) -> dict:
         for i, task in enumerate(tasks):
             obj = objects[task.object_path]
             plan = wl.planner_mod.plan(obj, task.start, task.goals, task.resolution, task.cost)
-            case = out[f"budget{seed}/{i}_{task.name}"] = _plan(plan, wl.expanded_count(plan),
-                                                                 state_key)
+            case = out[f"budget{seed}/{i}_{task.name}"] = _plan(
+                plan, wl.expanded_count(plan), _key_ordinals(state_key))
             case["heuristic"] = _heuristics(obj, plan, task.goals)
     walks, _ = wl.ReplayWorkload(REPLAY_SEED).prepare()
     for walk in walks:
         obj = wl.io_mod.load_object(walk.object_path)
-        case = _plan(walk.plan, 0, state_key)
-        _add_states(case, bench.simulate(walk.plan, obj, walk.start).trace, state_key)
+        key_of = _key_ordinals(state_key)
+        case = _plan(walk.plan, 0, key_of)
+        _add_states(case, bench.simulate(walk.plan, obj, walk.start).trace, key_of)
         case["noise_outcomes"] = []
         for seed in walk.noise_seeds:
             noise = bench.NoiseModel(eta=wl.NOISE_ETA, seed=seed)
             noisy = bench.simulate(walk.plan, obj, walk.start, noise=noise)
             case["noise_outcomes"].append([noisy.executed, noisy.failed, noisy.failure_step])
-            _add_states(case, [noisy.final_state], state_key)
+            _add_states(case, [noisy.final_state], key_of)
             case["overlaps"] += [x.hex() for x in overlap_ratio(noisy.final_state, walk.goals)]
         walk_waypoints = waypoints(walk.plan, obj, chain, steps_per_stage=wl.STEPS_PER_STAGE)
         case["waypoints"] = len(walk_waypoints)
