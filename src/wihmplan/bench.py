@@ -61,11 +61,14 @@ class SimulationResult:
 
 
 def simulate(plan_: Plan, obj: ObjectModel, s0: GraspState,
-             noise: NoiseModel | None = None) -> SimulationResult:
+             noise: NoiseModel | None = None,
+             resolution: ResolutionConfig | None = None) -> SimulationResult:
     """Replay a plan from s0; exact in noiseless mode, perturbed otherwise.
 
-    A noisy replay draws all its step offsets, one per translational action,
-    in one call: the same values, in the same order, as one draw per action.
+    Given ``resolution``, a rotation outside its grip limits is infeasible, as
+    in search (``transition``).  A noisy replay draws all its step offsets, one
+    per translational action, in one call: the same values, in the same order,
+    as one draw per action.
     """
     deltas = None
     if noise is not None:
@@ -82,7 +85,7 @@ def simulate(plan_: Plan, obj: ObjectModel, s0: GraspState,
                 return SimulationResult(state, trace, i, failed=True, failure_step=i)
             applied = Action(action.kind, magnitude, action.arc_radius)
         try:
-            state = transition(state, applied, obj)
+            state = transition(state, applied, obj, resolution)
         except InfeasibleActionError:
             if noise is None:
                 raise
@@ -166,7 +169,7 @@ def run_task(task: TaskSpec) -> tuple[TaskResult, Plan]:
     t0 = time.perf_counter()
     plan_ = run_planner(task.obj, task.start, task.goals, task.resolution, task.cost)
     elapsed = time.perf_counter() - t0
-    sim = simulate(plan_, task.obj, task.start)
+    sim = simulate(plan_, task.obj, task.start, resolution=task.resolution)
     left, right = overlap_ratio(sim.final_state, task.goals)
     outside = region_outside_goal(sim.final_state, task.goals)
     row = TaskResult(
@@ -202,9 +205,11 @@ def run_benchmark(suite: list[TaskSpec]) -> BenchReport:
 
 
 def noise_robustness(plan_: Plan, obj: ObjectModel, s0: GraspState,
-                     eta: float, trials: int, seed: int = 0) -> dict:
+                     eta: float, trials: int, seed: int = 0,
+                     resolution: ResolutionConfig | None = None) -> dict:
     """Failure statistics over seeded perturbed replays of one plan from s0,
-    which must be the plan's first state (as the noiseless replay checks)."""
+    which must be the plan's first state (as the noiseless replay checks);
+    ``resolution`` as in ``simulate``."""
     if trials < 1:
         raise InvalidInputError("trials must be >= 1")
     if not plan_.states or state_key(s0) != state_key(plan_.states[0]):
@@ -212,7 +217,8 @@ def noise_robustness(plan_: Plan, obj: ObjectModel, s0: GraspState,
     failures = 0
     per_trial = []
     for t in range(trials):
-        result = simulate(plan_, obj, s0, noise=NoiseModel(eta=eta, seed=seed + t))
+        result = simulate(plan_, obj, s0, noise=NoiseModel(eta=eta, seed=seed + t),
+                          resolution=resolution)
         failures += int(result.failed)
         per_trial.append({"trial": t, "failed": result.failed,
                           "executed": result.executed})

@@ -18,7 +18,7 @@ from .errors import CorruptedPlanError, InvalidInputError, InvalidStateError, Wi
 from .geometry import ObjectModel, unfold
 from .kinematics import plan_waypoints
 from .planner import Plan, plan as run_planner
-from .transition import state_key
+from .transition import ResolutionConfig, state_key
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -91,7 +91,7 @@ def _cmd_simulate(args) -> int:
     obj = io_mod.load_object(args.object)
     resolution, _ = io_mod.load_configs(args.config)
     start = io_mod.load_state(args.start, obj, resolution)
-    plan_, result = _load_plan(args.plan, obj)
+    plan_, result = _load_plan(args.plan, obj, resolution)
     if state_key(start) != state_key(plan_.states[0]):
         raise CorruptedPlanError(f"{args.start}: the start state is not the plan's first state")
     if args.noise is None:
@@ -103,16 +103,18 @@ def _cmd_simulate(args) -> int:
         }
     else:
         payload = bench_mod.noise_robustness(plan_, obj, start, eta=args.noise,
-                                             trials=args.trials, seed=args.seed)
+                                             trials=args.trials, seed=args.seed,
+                                             resolution=resolution)
         payload["mode"] = "noise"
     io_mod.dump_json(payload, args.out)
     return EXIT_OK
 
 
-def _load_plan(path: str, obj: ObjectModel) -> tuple[Plan, bench_mod.SimulationResult]:
+def _load_plan(path: str, obj: ObjectModel, resolution: ResolutionConfig | None = None
+               ) -> tuple[Plan, bench_mod.SimulationResult]:
     """The plan at path, with every recorded state checked against the object,
-    then replayed once from its first state, which must reproduce them: the
-    plan and that replay."""
+    then replayed once from its first state (under ``resolution``'s grip
+    limits when given), which must reproduce them: the plan and that replay."""
     plan_ = io_mod.load_plan(path)
     for i, state in enumerate(plan_.states):
         try:
@@ -120,7 +122,7 @@ def _load_plan(path: str, obj: ObjectModel) -> tuple[Plan, bench_mod.SimulationR
         except InvalidStateError as exc:
             raise InvalidStateError(f"{path}: state {i}: {exc}") from exc
     try:
-        result = bench_mod.simulate(plan_, obj, plan_.states[0])
+        result = bench_mod.simulate(plan_, obj, plan_.states[0], resolution=resolution)
     except WihmplanError as exc:  # an infeasible action or a diverging replay
         raise type(exc)(f"{path}: {exc}") from exc
     return plan_, result

@@ -282,6 +282,81 @@ def convex_intersection(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2 
     return None if rows is None else ConvexPolygon2(rows)
 
 
+# Fourier-Motzkin limits: a coefficient below _FM_ZERO times its row's largest
+# is rounding left by a cancelled variable (a perturbation of at most 1e-11
+# over FACE_COORD_LIMIT, far below any caller's slack), and a system that grows
+# past _FM_ROWS rows is taken as feasible.
+_FM_ZERO = 1e-14
+_FM_ROWS = 512
+
+
+def halfspaces_feasible(rows: list, slack: float) -> bool:
+    """Whether some point x satisfies every row ``(a_1, ..., a_n, b)`` as
+    ``a_1 * x_1 + ... + a_n * x_n >= b - slack``.
+
+    Fourier-Motzkin elimination on Python floats: each step drops the variable
+    with the fewest pairs of opposite-signed coefficients, replacing the rows
+    that hold it by one positive combination per such pair, each scaled to a
+    largest coefficient of 1; of rows with equal coefficients only the
+    tightest is kept.  Every combination is implied by the rows, so an
+    infeasible verdict is exact up to rounding, far below ``slack``; a system
+    that grows past ``_FM_ROWS`` rows is reported feasible, which never
+    rejects a feasible one.  Meant for the few variables and dozens of rows of
+    a pad-fit test.
+    """
+    live: dict[tuple, float] = {}
+    for row in rows:
+        if not _keep_row(live, row[:-1], row[-1] - slack):
+            return False
+    while live:
+        coeffs = list(live)
+        best = j = -1
+        for k in range(len(coeffs[0])):
+            pos = neg = 0
+            for a in coeffs:
+                if a[k] > 0.0:
+                    pos += 1
+                elif a[k] < 0.0:
+                    neg += 1
+            if (pos or neg) and (best < 0 or pos * neg < best):
+                best, j = pos * neg, k
+        if best + len(coeffs) > _FM_ROWS:
+            return True
+        above, below, kept = [], [], {}
+        for a, b in live.items():
+            if a[j] > 0.0:
+                above.append((a, b))
+            elif a[j] < 0.0:
+                below.append((a, b))
+            else:
+                kept[a] = b
+        live = kept
+        for a, b in above:
+            ca = a[j]
+            for c, d in below:
+                cc = -c[j]
+                row = [x / ca + y / cc for x, y in zip(a, c)]
+                row[j] = 0.0
+                if not _keep_row(live, row, b / ca + d / cc):
+                    return False
+    return True
+
+
+def _keep_row(live: dict, coeffs, b: float) -> bool:
+    """Add the row ``coeffs . x >= b`` to ``live`` (coefficient tuple -> bound),
+    scaled to a largest coefficient of 1; False when it has no coefficient
+    left and demands ``0 >= b`` with b positive."""
+    scale = max(map(abs, coeffs))
+    if scale == 0.0:
+        return b <= 0.0
+    tiny = _FM_ZERO * scale
+    key = tuple([x / scale if x > tiny or x < -tiny else 0.0 for x in coeffs])
+    bound = b / scale
+    if bound > live.get(key, -math.inf):
+        live[key] = bound
+    return True
+
+
 @dataclass(frozen=True, eq=False)
 class RigidTransform3:
     """Proper rigid transform: x -> rotation @ x + translation.
@@ -398,7 +473,8 @@ class ObjectModel:
     reached, built on first use, so it never holds more than faces**2 entries;
     each entry keeps the move table of one resolution config, the last served,
     and a bounded table keyed by the two pads' orientations and sizes: their
-    planes and the landings of the turns taken from them.
+    planes, the landings of the turns taken from them and whether some pair
+    of pad centres can take each turn.
     `unfolded` holds the heuristic's unfolded map per base face, at most one
     per face.  Both are filled without a lock.
     """

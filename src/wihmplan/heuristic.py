@@ -22,19 +22,46 @@ returns that goal's corner sum as a float.  Each call after the first gets
 the best sum so far and stops summing once its running total reaches it;
 the total never decreases, so that goal cannot win, and the result is the
 ``min()`` of the full sums.
+
+The search also takes the abstract-graph lower bound (``AbstractBound``):
+the cheapest cost of the turns a plan still needs, planned over grasp modes,
+pad orientations and feasible turns, plus the translations left in the last
+mode.  It plans with f = g + max(heuristic_scale * h, bound).
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+from collections.abc import Callable
+
 from .errors import InvalidInputError
-from .geometry import ConvexPolygon2, ObjectModel, corner_distance_sum, unfold
+from .geometry import (
+    GEOM_TOL,
+    ConvexPolygon2,
+    ObjectModel,
+    corner_distance_sum,
+    halfspaces_feasible,
+    polygon_area,
+    unfold,
+)
 from .transition import (
+    _TURN_SLACK,
+    Action,
     ContactRegion,
     GoalRegion,
     GraspState,
+    ResolutionConfig,
+    _entry,
+    _mode,
+    _moves,
+    _shrunk_face,
+    _Turn,
+    cell_turn,
     corner_offsets,
     region_cell,
     state_key,
+    turn_fits,
 )
 
 # The benchmark's per-layer probe (perfbench/layers.py) counts finger-memo
@@ -118,3 +145,197 @@ def total_heuristic(s: GraspState, cache: HeuristicCache, key: tuple | None = No
     if key is None:
         key = state_key(s)
     return finger_heuristic(s.left, cache, key[1]) + finger_heuristic(s.right, cache, key[2])
+
+
+# ---------------------------------------------------------------------------
+# Abstract-graph lower bound
+#
+# A node of the abstract graph is (support face, left cell, right cell), each
+# cell a pad's face and orientation on the region_cell quantum (``cell_turn``
+# of its code): what a grasp mode and the pads' orientations fix, without the
+# centres.  Translations keep a state in its node; each turn of a mode's move
+# table that some pair of pad centres can take (``turn_fits``) is an edge.
+
+# Abstract nodes one plan builds before it gives the bound up (as 0).
+_GRAPH_CAP = 4096
+
+
+def goals_can_hold(goals: list[GoalRegion], pads: tuple[ContactRegion, ContactRegion],
+                   tolerance: float) -> bool:
+    """False when some pad is larger than every goal, so no state reaches the goal.
+
+    The goal test holds each pad corner within ``tolerance`` (at least
+    GEOM_TOL) of one goal image, an isometric copy of a goal; so the pad lies
+    in that goal with each edge pushed out by the tolerance, whose area is the
+    goal's plus perimeter times tolerance plus a corner term per vertex.  A
+    pad of larger area fits in none.
+    """
+    tau = max(tolerance, GEOM_TOL) + _TURN_SLACK
+    areas = []
+    for goal in goals:
+        planes, edges = goal.polygon._float_tables()
+        area = polygon_area(goal.polygon) + tau * math.fsum(math.sqrt(e[4]) for e in edges)
+        for (a0, a1, _), (b0, b1, _) in zip(planes, planes[1:] + planes[:1]):
+            area += tau * tau * abs(a0 * b1 - a1 * b0) / (1.0 + a0 * b0 + a1 * b1)
+        areas.append(area)
+    return all(any(area >= pad.area() * (1.0 - 1e-9) for area in areas) for pad in pads)
+
+
+class AbstractBound:
+    """The abstract-graph lower bound of one search: ``bound(s, key)``.
+
+    A node is goal-capable when each pad, at the node's face and orientation,
+    fits inside the face and inside some goal image (the ones h measures
+    against), within the goal test's tolerance.  A reverse Dijkstra from the
+    goal-capable nodes over the turns' action costs gives h_abs.  A state's
+    bound is min(h_stay, h_exit): h_exit is the cheapest turn out of its node
+    plus h_abs where it lands, and h_stay, finite in goal-capable nodes only,
+    bounds the translations that carry both pads into goal images they fit.
+
+    It is admissible and consistent.  The abstract graph relaxes the state
+    graph: ``_fit`` only removes edges, and ``turn_fits`` keeps every turn some
+    state can take, so h_abs and h_exit never exceed the cost of a turn
+    sequence a state can run.  h_stay lower-bounds the in-mode cost: a slide
+    moves one pad along its face's horizontal axis at ``slide_unit_cost /
+    slide_step`` per metre (1 without it), a contact shift both pads along
+    their up axes at ``scale_z`` per metre, so each pad pays at least
+    ``scale_z / 2``.  Per pad and goal image, the largest violation of the
+    image's fit half-planes (each moved in by the pad's corner offsets, and out
+    by the goal tolerance) over its dual norm is at most the weighted L1
+    distance left to cover, and h_stay sums the minimum over images per pad.
+    It is 1-Lipschitz in the norm translations pay, so consistent on them;
+    a turn's cost plus the bound where it lands is at least h_exit.  The
+    minimum and maximum of consistent bounds are consistent.
+
+    Per-search memos (not thread-safe): the goal images each finger fits at a
+    support face and cell (``_goal_images``), and h_stay per support face and
+    pad cell.
+    """
+
+    def __init__(self, obj: ObjectModel, cache: HeuristicCache, resolution: ResolutionConfig,
+                 tolerance: float, slide_weight: float, shift_weight: float) -> None:
+        self.obj = obj
+        self.cache = cache
+        self.resolution = resolution
+        self.tau = max(tolerance, GEOM_TOL)
+        self.weights = (slide_weight, shift_weight)
+        self.exits: dict[tuple, float] = {}
+        self._images: tuple[dict, dict] = ({}, {})
+        self._stay: tuple[dict, dict] = ({}, {})
+
+    @classmethod
+    def build(cls, obj: ObjectModel, s0: GraspState, cache: HeuristicCache,
+              resolution: ResolutionConfig, tolerance: float, slide_weight: float,
+              shift_weight: float, step_cost: Callable[[Action], float]) -> AbstractBound | None:
+        """The bound for searches from s0, or None when the graph passes ``_GRAPH_CAP`` nodes."""
+        bound = cls(obj, cache, resolution, tolerance, slide_weight, shift_weight)
+        edges = bound._graph(s0, step_cost)
+        if edges is None:
+            return None
+        reverse: dict[tuple, list] = {node: [] for node in edges}
+        for node, (out, _) in edges.items():
+            for cost, child in out:
+                reverse[child].append((cost, node))
+        dist = {node: 0.0 for node, (_, capable) in edges.items() if capable}
+        heap = [(0.0, i, node) for i, node in enumerate(dist)]
+        count = len(heap)
+        while heap:
+            d, _, node = heapq.heappop(heap)
+            if d > dist[node]:
+                continue
+            for cost, parent in reverse[node]:
+                if d + cost < dist.get(parent, math.inf):
+                    dist[parent] = d + cost
+                    count += 1
+                    heapq.heappush(heap, (d + cost, count, parent))
+        bound.exits = {node: min((cost + dist.get(child, math.inf) for cost, child in out),
+                                 default=math.inf)
+                       for node, (out, _) in edges.items()}
+        return bound
+
+    def _graph(self, s0: GraspState, step_cost) -> dict | None:
+        """Abstract node -> (turn edges as (cost, node), goal-capable), from s0's node."""
+        obj, resolution = self.obj, self.resolution
+        start = (s0.support_face, cell_turn(region_cell(s0.left)),
+                 cell_turn(region_cell(s0.right)))
+        pads = {start: (s0.support_face, s0.left, s0.right)}
+        queue = [start]
+        edges = {}
+        while queue:
+            node = queue.pop()
+            support, left, right = pads[node]
+            m = _mode(obj, support, left.face, right.face)
+            e = _entry(obj, m, left, right)
+            out = []
+            for op, action in _moves(m, resolution):
+                if type(op) is not _Turn or not turn_fits(obj, e, op, left, right):
+                    continue
+                _, new_support, landing = e[1][action.kind]
+                new_left, new_right = (ContactRegion(face, 0.0, 0.0, theta, pad.pad_width,
+                                                     pad.pad_height)
+                                       for pad, (face, _, _, theta, _) in zip((left, right),
+                                                                               landing))
+                child = (new_support, cell_turn(region_cell(new_left)),
+                         cell_turn(region_cell(new_right)))
+                if child not in pads:
+                    if len(pads) >= _GRAPH_CAP:
+                        return None
+                    pads[child] = (new_support, new_left, new_right)
+                    queue.append(child)
+                out.append((step_cost(action), child))
+            capable = all(self._goal_images(i, support, m, pad, node[1 + i])
+                          for i, pad in enumerate((left, right)))
+            edges[node] = (out, capable)
+        return edges
+
+    def _goal_images(self, i: int, support: int, m, pad: ContactRegion, cell: int) -> list:
+        """Finger i's goal images a pad at its face and orientation fits in, each
+        within the goal tolerance and inside the face, as rows (n0, n1, b, 1 / dual
+        norm) of their fit half-planes; memoized per support face and cell."""
+        key = (support, cell)
+        images = self._images[i].get(key)
+        if images is None:
+            images = self._images[i][key] = []
+            offsets = corner_offsets(pad.orientation, pad.pad_width, pad.pad_height)
+            face = _shrunk_face(self.obj, pad.face, pad.orientation, pad.pad_width,
+                                pad.pad_height)
+            (h_u, h_v), (z_u, z_v) = (axis.tolist() for axis in m.axes[i])
+            w_h, w_z = self.weights
+            for g in range(len(self.cache.goals)):
+                planes = self.cache.goal_image(pad.face, g)._float_tables()[0]
+                fit = [(n0, n1, off - min(n0 * u + n1 * v for u, v in offsets) - self.tau)
+                       for n0, n1, off in planes]
+                if halfspaces_feasible(list(face) + fit, _TURN_SLACK):
+                    images.append([(n0, n1, b, 1.0 / max(abs(n0 * h_u + n1 * h_v) / w_h,
+                                                          abs(n0 * z_u + n1 * z_v) / w_z))
+                                   for n0, n1, b in fit])
+        return images
+
+    def __call__(self, s: GraspState, key: tuple) -> float:
+        """The bound at s, whose state key is key; 0 off the graph."""
+        support = key[0]
+        exit_cost = self.exits.get((support, cell_turn(key[1]), cell_turn(key[2])))
+        if exit_cost is None:
+            return 0.0
+        stay = self._stay_cost(0, s, support, key[1]) + self._stay_cost(1, s, support, key[2])
+        return stay if stay < exit_cost else exit_cost
+
+    def _stay_cost(self, i: int, s: GraspState, support: int, code: int) -> float:
+        """h_stay of finger i's pad in s, memoized per support face and cell code."""
+        memo = self._stay[i]
+        value = memo.get((support, code))
+        if value is None:
+            pad = s[i]
+            m = _mode(self.obj, support, s.left.face, s.right.face)
+            x, y = pad.x, pad.y
+            value = math.inf
+            for rows in self._goal_images(i, support, m, pad, cell_turn(code)):
+                worst = 0.0
+                for n0, n1, b, scale in rows:
+                    gap = (b - n0 * x - n1 * y) * scale
+                    if gap > worst:
+                        worst = gap
+                if worst < value:
+                    value = worst
+            memo[(support, code)] = value
+        return value

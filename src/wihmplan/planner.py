@@ -1,11 +1,17 @@
 """Best-first search over grasp states for region-reaching plans.
 
 The search minimizes accumulated action cost with priority
-f = g + heuristic_scale * h, stops when every pad corner sits inside a goal
-(h below tolerance), and otherwise falls back to the expanded state with
-the best terminal objective once the node budget runs out.  Runs are
-deterministic: ties on f break FIFO, and successors are generated in the
+f = g + max(heuristic_scale * h, bound), stops when every pad corner sits
+inside a goal (h below tolerance), and otherwise falls back to the expanded
+state with the best terminal objective once the node budget runs out.  Runs
+are deterministic: ties on f break FIFO, and successors are generated in the
 canonical action order.
+
+The bound is the abstract-graph lower bound (``heuristic.AbstractBound``):
+it plans over grasp modes, pad orientations and feasible turns first.  It is
+off, and f is g + heuristic_scale * h, when it is infinite at the start (no
+exact goal is reachable: a pad larger than every goal, ``goals_can_hold``,
+is decided before any graph is built) and when its graph passes its cap.
 
 A search node is a plain tuple ``(state, g, h, parent node, incoming
 action)``, and the open list holds ``(f, counter, state key, node)``.  Each
@@ -28,7 +34,7 @@ from dataclasses import dataclass
 
 from .errors import CorruptedPlanError, InvalidInputError, InvalidStartError, InvalidStateError
 from .geometry import ObjectModel
-from .heuristic import HeuristicCache, total_heuristic
+from .heuristic import AbstractBound, HeuristicCache, goals_can_hold, total_heuristic
 from .transition import (
     _MOVES,
     _ROTATIONS,
@@ -113,6 +119,36 @@ class Plan:
         return len(self.actions)
 
 
+def _abstract_bound(obj: ObjectModel, s0: GraspState, key: tuple, cache: HeuristicCache,
+                    resolution: ResolutionConfig, cost: CostConfig,
+                    costs: dict[Action, float]) -> tuple[AbstractBound | None, float]:
+    """The search's abstract-graph bound and its value at s0: (None, inf) when
+    no pad fits any goal, (None, 0.0) past the graph's cap.  Step costs go
+    through the search's memo ``costs``."""
+    if not goals_can_hold(cache.goals, (s0.left, s0.right), cost.goal_tolerance):
+        return None, math.inf
+
+    def step_cost(a: Action) -> float:
+        step = costs.get(a)
+        if step is None:
+            step = costs[a] = action_cost(a, cost, resolution.slide_step)
+        return step
+
+    slide_weight = 1.0 if cost.slide_unit_cost is None else \
+        cost.slide_unit_cost / resolution.slide_step
+    bound = AbstractBound.build(obj, s0, cache, resolution, cost.goal_tolerance, slide_weight,
+                                cost.scale_z / 2.0, step_cost)
+    return bound, 0.0 if bound is None else bound(s0, key)
+
+
+def start_bound(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
+                resolution: ResolutionConfig, cost: CostConfig) -> float:
+    """The abstract-graph bound at s0, as ``plan`` computes it: inf when no
+    exact goal is reachable, 0 when the graph passes its cap."""
+    return _abstract_bound(obj, s0, state_key(s0), HeuristicCache(obj, goals), resolution,
+                           cost, {})[1]
+
+
 def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
          resolution: ResolutionConfig, cost: CostConfig) -> Plan:
     """Search for a primitive sequence driving both contacts into the goals."""
@@ -128,18 +164,24 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
     cache = HeuristicCache(obj, goals)
     lam = cost.heuristic_scale
     w = cost.tradeoff_weight
+    # A search meets few distinct actions (its move tables'), so each one's
+    # cost is computed once, keyed by value.
+    costs: dict[Action, float] = {}
 
     root_key = state_key(s0)
+    bound, b0 = _abstract_bound(obj, s0, root_key, cache, resolution, cost, costs)
+    if b0 == math.inf:
+        log.info("no exact goal is reachable from the start: the abstract-graph bound is "
+                 "infinite there; searching without it for the best effort")
+        bound, b0 = None, 0.0
     h0 = total_heuristic(s0, cache, root_key)
     # A search node is a plain tuple (state, g, h, parent node, incoming action).
     root = (s0, 0.0, h0, None, None)
     counter = 0
     # Entries carry the state's key, computed once when the state is generated.
-    open_heap: list[tuple[float, int, tuple, tuple]] = [(lam * h0, counter, root_key, root)]
+    open_heap: list[tuple[float, int, tuple, tuple]] = [
+        (max(lam * h0, b0), counter, root_key, root)]
     best_g: dict[tuple, float] = {root_key: 0.0}
-    # A search meets few distinct actions (its move tables'), so each one's
-    # cost is computed once, keyed by value.
-    costs: dict[Action, float] = {}
     heappush, heappop = heapq.heappush, heapq.heappop
 
     best_effort = root
@@ -180,7 +222,12 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
                 continue
             best_g[child_key] = child_g
             child_h = total_heuristic(child_state, cache, child_key)
-            child_f = child_g + lam * child_h
+            child_f = lam * child_h
+            if bound is not None:
+                child_b = bound(child_state, child_key)
+                if child_b > child_f:
+                    child_f = child_b
+            child_f += child_g
             if child_f < f - 1e-12:
                 log.debug("inconsistent heuristic: f dropped %.3e -> %.3e", f, child_f)
             counter += 1
@@ -217,12 +264,14 @@ def check_replay(replayed: list[GraspState], recorded: list[GraspState]) -> None
             raise CorruptedPlanError("noiseless replay diverged from the recorded states")
 
 
-def evaluate(plan_: Plan, goals: list[GoalRegion], obj: ObjectModel) -> float:
-    """Recompute the objective from a replay; raises if the plan is stale."""
+def evaluate(plan_: Plan, goals: list[GoalRegion], obj: ObjectModel,
+             resolution: ResolutionConfig | None = None) -> float:
+    """Recompute the objective from a replay; raises if the plan is stale.
+    Given ``resolution``, a rotation outside its grip limits is infeasible."""
     state = plan_.states[0]
     replayed = [state]
     for act in plan_.actions:
-        state = transition(state, act, obj)
+        state = transition(state, act, obj, resolution)
         replayed.append(state)
     check_replay(replayed, plan_.states)
     outside = region_outside_goal(replayed[-1], goals)

@@ -39,10 +39,11 @@ served: every primitive as (op, action) in canonical kind order, op a
 Search (``successors``) walks the table; replay (``transition``) scales the
 unit rows by the action's own magnitude, so both run the same kernels on the
 same floats.  A rotation or pivot turns by the angle its mode's geometry
-fixes: replay rejects a magnitude more than ``FEAS_TOL`` away from it.
-Search is stricter than replay in one place: the table holds only the
-rotations onto a pair within the ResolutionConfig grip-width and
-length/width limits.
+fixes: replay rejects a magnitude more than ``FEAS_TOL`` away from it.  The
+table holds only the rotations onto a pair within the ResolutionConfig
+grip-width and length/width limits (``_grips``); replay given the config
+rejects the others too, so search, replay and the planner's lower bound
+share one definition of feasible.
 
 A state (``GraspState``) is a named tuple: two pads, grasp pair, support
 face.  A pad (``ContactRegion``) is a flat record of plain numbers: face,
@@ -71,11 +72,13 @@ keeps one orientation table (``_Mode.orientations``, read through
 ``_entry``) keyed by those six values, and an entry holds both pads' shrunk
 half-planes and, per turn kind taken from them, the landing pads' faces,
 centre maps, orientations and half-planes (``_landing``, built the first
-time the turn is taken).  No turn shifts an orientation by -0.0, so an
-orientation of 0.0 and one of -0.0 share an entry.  ``successors`` and
-``transition`` each look the entry up once: a translation keeps each pad's
-face, orientation and size, so it tests against the parent pads' planes
-(``_fit``), and a turn lands on the entry's landing pads.  The table is
+time the turn is taken), and whether some pair of pad centres can take
+each turn (``turn_fits``, decided the first time the planner's bound asks).
+No turn shifts an orientation by -0.0, so an orientation of 0.0 and one of
+-0.0 share an entry.  ``successors`` and ``transition`` each look the entry
+up once: a translation keeps each pad's face, orientation and size, so it
+tests against the parent pads' planes (``_fit``), and a turn lands on the
+entry's landing pads.  The table is
 cleared when it reaches ``_ORIENTATION_CAP`` entries.  Given the parent
 state and key, ``state_key`` keeps the cell of each pad the child shares
 with its parent.  The kernels build pads and states with ``tuple.__new__``,
@@ -107,6 +110,7 @@ from .geometry import (
     RigidTransform3,
     _signed_area,
     clip_rows,
+    halfspaces_feasible,
 )
 
 _WORLD_DOWN = np.array([0.0, 0.0, -1.0])
@@ -614,12 +618,13 @@ _ORIENTATION_CAP = 64
 
 def _entry(obj: ObjectModel, m: _Mode, left: ContactRegion, right: ContactRegion) -> tuple:
     """Mode m's entry for the two pads' orientations and sizes, built on first
-    use: ``(planes, landings)``.
+    use: ``(planes, landings, verdicts)``.
 
     planes holds each pad's shrunk half-planes (a translation keeps them);
     landings maps each turn kind taken from these pads to its landing (see
-    ``_landing``).  The key holds values only: 0.0 and -0.0 key alike, and both
-    give the same planes and, since no turn shifts by -0.0, the same landings.
+    ``_landing``), and verdicts each turn kind asked about to ``turn_fits``'s
+    answer.  The key holds values only: 0.0 and -0.0 key alike, and both give
+    the same planes and, since no turn shifts by -0.0, the same landings.
     """
     key = (left.orientation, right.orientation, left.pad_width, left.pad_height,
            right.pad_width, right.pad_height)
@@ -629,7 +634,7 @@ def _entry(obj: ObjectModel, m: _Mode, left: ContactRegion, right: ContactRegion
             m.orientations.clear()
         e = m.orientations[key] = (
             tuple(_shrunk_face(obj, pad.face, pad.orientation, pad.pad_width, pad.pad_height)
-                  for pad in (left, right)), {})
+                  for pad in (left, right)), {}, {})
     return e
 
 
@@ -647,6 +652,42 @@ def _landing(obj: ObjectModel, e: tuple, t: _Turn, left: ContactRegion,
     return landing
 
 
+# Slack, in metres per half-plane, of the turn test: far above the rounding of
+# a centre map, so the test keeps every turn _fit can take.
+_TURN_SLACK = 1e-9
+
+
+def turn_fits(obj: ObjectModel, e: tuple, t: _Turn, left: ContactRegion,
+              right: ContactRegion) -> bool:
+    """Whether some pair of pad centres fits both faces before turn t and both
+    landing faces after it: the pads of entry e, the verdict kept in e.
+
+    The constraints are linear in the centres (x_l, y_l, x_r, y_r): each pad's
+    shrunk half-planes before the turn (entry e's), and each landing pad's
+    shrunk half-planes through its affine centre map (``_landing``), each
+    within ``_TURN_SLACK``.  A pivot's maps are the identity, so its rows split
+    by finger; a rotation couples the fingers through their centres' mean.
+    ``halfspaces_feasible`` decides them.  Every state that takes the turn in
+    ``successors`` is a witness, so the test never rejects a turn search takes.
+    """
+    kind = t.action.kind
+    fits = e[2].get(kind)
+    if fits is None:
+        landing = e[1].get(kind) or _landing(obj, e, t, left, right)
+        rows = []
+        for i, planes in enumerate(e[0]):
+            for n_u, n_v, b in planes:
+                row = [0.0, 0.0, 0.0, 0.0, b]
+                row[2 * i:2 * i + 2] = n_u, n_v
+                rows.append(row)
+        for _, x_map, y_map, _, planes in landing[2]:
+            for n_u, n_v, b in planes:
+                rows.append([n_u * x + n_v * y for x, y in zip(x_map[:4], y_map[:4])]
+                            + [b - n_u * x_map[4] - n_v * y_map[4]])
+        fits = e[2][kind] = halfspaces_feasible(rows, _TURN_SLACK)
+    return fits
+
+
 def _scaled(rows: tuple, step: float) -> list:
     """A translation's per-finger (finger, du, dv) steps: its unit rows times step."""
     return [(i, step * u, step * v) for i, u, v in rows]
@@ -662,15 +703,9 @@ def _moves(m: _Mode, cfg: ResolutionConfig) -> tuple:
     if served is not cfg:
         table = [(_scaled(m.ops[kind], cfg.slide_step), Action(kind, cfg.slide_step))
                  for kind in _SLIDES]
-        # The one place search is stricter than replay, which has no config: it
-        # rotates only onto a pair within the grip-width limits whose new left face
-        # is short enough for that width (a too-elongated grip cannot generate the
-        # spin moment).
         for kind in _ROTATIONS:
             t = m.ops[kind]
-            if (t is not None
-                    and cfg.min_grasp_width - FEAS_TOL <= t.width <= cfg.max_grasp_width + FEAS_TOL
-                    and t.extent / t.width <= cfg.max_length_width_ratio + FEAS_TOL):
+            if t is not None and _grips(t, cfg):
                 table.append((t, t.action))
         table += [(_scaled(m.ops[kind], cfg.z_step), Action(kind, cfg.z_step)) for kind in _MOVES]
         t = m.ops[ActionKind.PIVOT]
@@ -679,6 +714,14 @@ def _moves(m: _Mode, cfg: ResolutionConfig) -> tuple:
         table = tuple(table)
         m.moves = (cfg, table)
     return table
+
+
+def _grips(t: _Turn, cfg: ResolutionConfig) -> bool:
+    """Whether rotation t lands on a pair within cfg's grip-width limits whose
+    new left face is short enough for that width (a too-elongated grip cannot
+    generate the spin moment)."""
+    return (cfg.min_grasp_width - FEAS_TOL <= t.width <= cfg.max_grasp_width + FEAS_TOL
+            and t.extent / t.width <= cfg.max_length_width_ratio + FEAS_TOL)
 
 
 def successors(s: GraspState, obj: ObjectModel,
@@ -693,7 +736,7 @@ def successors(s: GraspState, obj: ObjectModel,
     left, right = s.left, s.right
     m = _mode(obj, s.support_face, left.face, right.face)
     e = _entry(obj, m, left, right)
-    planes, landings = e
+    planes, landings = e[0], e[1]
     out: list[tuple[Action, GraspState]] = []
     for op, action in _moves(m, cfg):
         if type(op) is _Turn:
@@ -705,12 +748,14 @@ def successors(s: GraspState, obj: ObjectModel,
     return out
 
 
-def transition(s: GraspState, a: Action, obj: ObjectModel) -> GraspState:
+def transition(s: GraspState, a: Action, obj: ObjectModel,
+               resolution: ResolutionConfig | None = None) -> GraspState:
     """Apply one primitive; raises InfeasibleActionError.
 
-    A rotation or pivot must turn by its mode's angle, within FEAS_TOL.  No
-    ResolutionConfig limit applies (see ``successors``).  It reads the same
-    orientation entry as search, once.
+    A rotation or pivot must turn by its mode's angle, within FEAS_TOL.  Given
+    ``resolution``, a rotation must also meet its grip limits, as in search's
+    move table (``_grips``); without it no ResolutionConfig limit applies.  It
+    reads the same orientation entry as search, once.
     """
     left, right = s.left, s.right
     m = _mode(obj, s.support_face, left.face, right.face)
@@ -720,7 +765,8 @@ def transition(s: GraspState, a: Action, obj: ObjectModel) -> GraspState:
     if op is None:
         nxt = None
     elif type(op) is _Turn:
-        fits = abs(op.action.magnitude - a.magnitude) <= FEAS_TOL
+        fits = abs(op.action.magnitude - a.magnitude) <= FEAS_TOL and (
+            resolution is None or kind == ActionKind.PIVOT or _grips(op, resolution))
         nxt = _turn(obj, s, e[1].get(kind) or _landing(obj, e, op, left, right)) if fits else None
     else:
         nxt = _shift(obj, s, _scaled(op, a.magnitude), e[0])
@@ -833,6 +879,7 @@ _R_BITS = round(_TWO_PI / _KEY_QUANTUM).bit_length()
 _XY_BITS = (int(FACE_COORD_LIMIT / _KEY_QUANTUM) + 1).bit_length() + 1
 _X_SHIFT = _R_BITS + _XY_BITS
 _FACE_SHIFT = _X_SHIFT + _XY_BITS
+_R_MASK = (1 << _R_BITS) - 1
 
 
 def region_cell(region: ContactRegion) -> int:
@@ -851,6 +898,18 @@ def region_cell(region: ContactRegion) -> int:
         r = 0.0
     return ((region.face << _FACE_SHIFT) + (round(region.x / _KEY_QUANTUM) << _X_SHIFT)
             + (round(region.y / _KEY_QUANTUM) << _R_BITS) + round(r / _KEY_QUANTUM))
+
+
+def cell_turn(code: int) -> int:
+    """A ``region_cell`` code less its centre: the face and orientation digits,
+    as ``face * 2**_R_BITS + orientation index``.
+
+    The centre digits are signed and below ``2**(_XY_BITS - 1)`` in magnitude,
+    so they sum to less than half the face digit's weight: rounding the code to
+    that weight recovers the face.
+    """
+    face = (code + (1 << (_FACE_SHIFT - 1))) >> _FACE_SHIFT
+    return (face << _R_BITS) + (code & _R_MASK)
 
 
 def state_key(s: GraspState, parent: GraspState | None = None,

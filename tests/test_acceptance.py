@@ -216,7 +216,8 @@ def _mini_hex():
     return obj, s0, goals, res
 
 
-def test_criterion_3_admissibility_and_optimality():
+def criterion_3_instances() -> list:
+    """Criterion 3's instances: (name, (obj, start, goals, resolution), cost)."""
     default = CostConfig()
     mid = CostConfig(scale_z=1.5, scale_rotate=2.0, scale_pivot=2.0)
     instances = []
@@ -229,6 +230,12 @@ def test_criterion_3_admissibility_and_optimality():
             instances.append((f"rect75-{kind}", _mini_rect(kind, scale=0.75), cost))
     for cost in (default, mid):
         instances.append(("hex-slide", _mini_hex(), cost))
+    return instances
+
+
+def test_criterion_3_admissibility_and_optimality():
+    default = CostConfig()
+    instances = criterion_3_instances()
     assert len(instances) >= 20
 
     lam = default.heuristic_scale

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import wihmplan as w
+from wihmplan import transition as transition_mod
 from wihmplan.bench import (
     BenchReport,
     NoiseModel,
@@ -17,10 +21,11 @@ from wihmplan.bench import (
     run_benchmark,
     simulate,
 )
-from wihmplan.planner import CostConfig, plan
-from wihmplan.transition import state_key
+from wihmplan.planner import CostConfig, evaluate, plan
+from wihmplan.transition import ActionKind, ResolutionConfig, state_key
 
 from conftest import load_task
+from test_transition import _containment_objects, _walks
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +83,48 @@ class TestSimulate:
         noisy = simulate(plan_, obj, start, noise=NoiseModel(eta=0.0, seed=3))
         clean = simulate(plan_, obj, start)
         assert state_key(noisy.final_state) == state_key(clean.final_state)
+
+
+def _breaking(limit: str, t) -> ResolutionConfig:
+    """The default config with one grip limit moved just past rotation t's pair."""
+    edits = {
+        "min_grasp_width": dict(min_grasp_width=t.width + 1e-3,
+                                max_grasp_width=max(0.15, t.width + 1e-3)),
+        "max_grasp_width": dict(max_grasp_width=t.width - 1e-3),
+        "max_length_width_ratio": dict(max_length_width_ratio=t.extent / t.width - 1e-3),
+    }
+    cfg = dataclasses.replace(ResolutionConfig(), **edits[limit])
+    cfg.validate()
+    return cfg
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_walks(), st.sampled_from(["min_grasp_width", "max_grasp_width",
+                                  "max_length_width_ratio"]))
+def test_rotation_past_a_grip_limit_is_rejected_given_the_config(walk, limit):
+    # A walk of search's children whose first rotation breaks a grip limit of
+    # the config given: simulate, evaluate and noise_robustness reject it at
+    # that step; without a config, or with the walk's own, it replays.
+    index, plan_ = walk
+    obj = _containment_objects()[index]
+    rotations = [i for i, a in enumerate(plan_.actions)
+                 if a.kind in (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW)]
+    assume(rotations)
+    step = rotations[0]
+    state = plan_.states[step]
+    t = transition_mod._mode(obj, state.support_face, state.left.face,
+                             state.right.face).ops[plan_.actions[step].kind]
+    cfg = _breaking(limit, t)
+    s0 = plan_.states[0]
+    for given_cfg in (None, ResolutionConfig()):
+        assert simulate(plan_, obj, s0, resolution=given_cfg).executed == len(plan_.actions)
+    with pytest.raises(w.InfeasibleActionError, match=plan_.actions[step].kind.name):
+        simulate(plan_, obj, s0, resolution=cfg)
+    with pytest.raises(w.InfeasibleActionError, match=plan_.actions[step].kind.name):
+        evaluate(plan_, [], obj, resolution=cfg)
+    noisy = noise_robustness(plan_, obj, s0, eta=0.0, trials=2, resolution=cfg)
+    assert noisy["failures"] == 2
+    assert all(trial["executed"] == step for trial in noisy["per_trial"])
 
 
 class TestNoiseRobustness:

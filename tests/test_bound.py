@@ -1,0 +1,251 @@
+"""The abstract-graph lower bound: admissible and consistent on exhaustive
+state graphs, and its turn test against an LP oracle and against search."""
+
+from __future__ import annotations
+
+import logging
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import linprog
+
+import wihmplan as w
+from wihmplan import heuristic as heuristic_mod
+from wihmplan import transition as transition_mod
+from wihmplan.geometry import halfspaces_feasible
+from wihmplan.heuristic import HeuristicCache, total_heuristic
+from wihmplan.planner import CostConfig, _abstract_bound, plan, start_bound
+from wihmplan.transition import (
+    ContactRegion,
+    GoalRegion,
+    ResolutionConfig,
+    cell_turn,
+    region_cell,
+    state_key,
+    successors,
+    turn_fits,
+)
+
+from conftest import load_task
+from oracles import enumerate_state_graph, optimal_cost_to_goals
+from test_acceptance import _mini_box, _mini_hex, _mini_rect, criterion_3_instances
+from test_planner import small_instance
+from test_transition import _containment_objects, _walks, mode_states
+
+SLACK = transition_mod._TURN_SLACK
+
+
+def _instances() -> list:
+    """Criterion 3's 20 instances, plus 3 with slides priced by slide_unit_cost."""
+    unit = CostConfig(slide_unit_cost=0.02)
+    return criterion_3_instances() + [("box-slide/unit", _mini_box("slide"), unit),
+                                      ("rect-caps/unit", _mini_rect("caps"), unit),
+                                      ("hex-slide/unit", _mini_hex(), unit)]
+
+
+def test_bound_is_admissible_and_consistent():
+    # On each exhaustive state graph: max(lambda * h, bound) never exceeds the
+    # remaining optimal cost, bound(s) <= c + bound(s') on every edge, and A*
+    # with the bound returns the optimum.
+    stronger = edges_checked = 0
+    for name, (obj, s0, goals, res), cost in _instances():
+        states, edges = enumerate_state_graph(obj, s0, res, cost, max_states=100_000)
+        cache = HeuristicCache(obj, goals)
+        goal_keys = {k for k, s in states.items()
+                     if total_heuristic(s, cache) <= cost.goal_tolerance}
+        dist = optimal_cost_to_goals(edges, goal_keys)
+        k0 = state_key(s0)
+        bound, b0 = _abstract_bound(obj, s0, k0, HeuristicCache(obj, goals), res, cost, {})
+        assert bound is not None and b0 < math.inf, name
+        values = {k: bound(s, k) for k, s in states.items()}
+        lam = cost.heuristic_scale
+        for key, s in states.items():
+            scaled = lam * total_heuristic(s, cache)
+            assert max(scaled, values[key]) <= dist.get(key, math.inf) + 1e-12, (name, key)
+        for key, outs in edges.items():
+            for child, step in outs:
+                assert values[key] <= step + values[child] + 1e-12, (name, key, child)
+                edges_checked += 1
+        p = plan(obj, s0, goals, res, cost)
+        assert p.status == "exact-goal", name
+        assert abs(p.total_action_cost - dist[k0]) <= 1e-12, name
+        stronger += values[k0] > lam * total_heuristic(s0, cache)
+    assert stronger >= len(_instances()) // 2
+    assert edges_checked > 10_000
+
+
+def _lp_margin(rows: np.ndarray) -> float:
+    """The largest t with rows[:, :4] @ v - rows[:, 4] >= t for some v, by linprog."""
+    n = rows.shape[0]
+    a_ub = np.hstack([-rows[:, :4], np.ones((n, 1))])
+    res = linprog(np.array([0.0, 0.0, 0.0, 0.0, -1.0]), A_ub=a_ub, b_ub=-rows[:, 4],
+                  bounds=[(None, None)] * 4 + [(None, 1.0)], method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def _turn_rows(obj, t, left, right) -> np.ndarray:
+    """Turn t's constraints over (x_l, y_l, x_r, y_r), rebuilt from its centre maps
+    and shrunk faces: (coefficients, bound) rows."""
+    rows = []
+    for i, pad in enumerate((left, right)):
+        for n_u, n_v, b in transition_mod._shrunk_face(obj, pad.face, pad.orientation,
+                                                       pad.pad_width, pad.pad_height):
+            row = np.zeros(5)
+            row[2 * i:2 * i + 2] = n_u, n_v
+            row[4] = b
+            rows.append(row)
+    for pad, (face, x_map, y_map, shift) in zip((left, right), t.fingers):
+        theta = math.remainder(pad.orientation + shift, 2.0 * math.pi)
+        x_map, y_map = np.array(x_map), np.array(y_map)
+        for n_u, n_v, b in transition_mod._shrunk_face(obj, face, theta, pad.pad_width,
+                                                       pad.pad_height):
+            rows.append(np.append(n_u * x_map[:4] + n_v * y_map[:4],
+                                  b - n_u * x_map[4] - n_v * y_map[4]))
+    return np.array(rows)
+
+
+def _tight(obj, face: int) -> float:
+    """A square pad's side that spans the face's narrower extent."""
+    return float(min(np.ptp(obj.face(face).polygon.vertices, axis=0)))
+
+
+def test_turn_test_matches_an_lp_oracle(suite_entries):
+    # Every turn of every mode and orientation pair reachable from each fixture
+    # start, with pads of the fixture's size, 6 mm and as wide as the start
+    # face (so some feasible sets are thin): the float verdict is linprog's,
+    # the largest common margin of the same constraints at least -SLACK.
+    verdicts = {True: 0, False: 0}
+    thinnest = math.inf
+    cfg = ResolutionConfig()
+    for entry in suite_entries:
+        obj, start, _, _, _ = load_task(entry)
+        for size in (start.left.pad_width, 0.006, _tight(obj, start.left.face)):
+            pads = [ContactRegion(p.face, 0.0, 0.0, p.orientation, size, size)
+                    for p in (start.left, start.right)]
+            queue = [(start.support_face, *pads)]
+            seen = set()
+            while queue:
+                support, left, right = queue.pop()
+                node = (support, cell_turn(region_cell(left)), cell_turn(region_cell(right)))
+                if node in seen:
+                    continue
+                seen.add(node)
+                m = transition_mod._mode(obj, support, left.face, right.face)
+                e = transition_mod._entry(obj, m, left, right)
+                for op, action in transition_mod._moves(m, cfg):
+                    if not isinstance(op, transition_mod._Turn):
+                        continue
+                    fits = turn_fits(obj, e, op, left, right)
+                    margin = _lp_margin(_turn_rows(obj, op, left, right))
+                    assert abs(margin + SLACK) > 1e-11, (entry["name"], node, action.kind)
+                    assert fits == (margin >= -SLACK), (entry["name"], node, action.kind, margin)
+                    verdicts[fits] += 1
+                    if fits:
+                        thinnest = min(thinnest, margin)
+                    if fits:
+                        _, new_support, landing = e[1][action.kind]
+                        queue.append((new_support, *(
+                            ContactRegion(face, 0.0, 0.0, theta, size, size)
+                            for face, _, _, theta, _ in landing)))
+    assert verdicts[True] > 50 and verdicts[False] > 10
+    assert thinnest < 1e-5
+
+
+def test_turn_test_keeps_every_turn_search_takes():
+    # From every state of random feasible walks (pads of two sizes), each
+    # rotation and pivot successors takes passes the turn test.
+    turns = 0
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_walks())
+    def check(walk):
+        nonlocal turns
+        index, plan_ = walk
+        obj = _containment_objects()[index]
+        for state in plan_.states:
+            m = transition_mod._mode(obj, state.support_face, state.left.face, state.right.face)
+            e = transition_mod._entry(obj, m, state.left, state.right)
+            for action, _ in successors(state, obj, ResolutionConfig()):
+                op = m.ops[action.kind]
+                if isinstance(op, transition_mod._Turn):
+                    assert turn_fits(obj, e, op, state.left, state.right), action.kind
+                    turns += 1
+
+    check()
+    assert turns > 100
+
+
+def test_turn_test_keeps_the_turns_of_pads_as_wide_as_a_face():
+    # Centred pads as wide as a face's narrower extent fit it with no room to
+    # spare, so the centre pairs that can take their turns are few.
+    turns = 0
+    for obj in _containment_objects():
+        for size in sorted({_tight(obj, f.id) for f in obj.faces}):
+            for state in mode_states(obj, pad=size):
+                m = transition_mod._mode(obj, state.support_face, state.left.face,
+                                         state.right.face)
+                e = transition_mod._entry(obj, m, state.left, state.right)
+                for action, _ in successors(state, obj, ResolutionConfig()):
+                    op = m.ops[action.kind]
+                    if isinstance(op, transition_mod._Turn):
+                        assert turn_fits(obj, e, op, state.left, state.right), action.kind
+                        turns += 1
+    assert turns > 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-0.5, 0.5)),
+                min_size=1, max_size=12))
+def test_halfspaces_feasible_matches_an_lp_oracle(planes):
+    # Random 2D systems of half-planes: the elimination's verdict is linprog's
+    # wherever the largest common margin is clear of the slack.
+    rows = [(a, b, c) for a, b, c in planes if math.hypot(a, b) > 1e-3]
+    rows += [(1.0, 0.0, -10.0), (-1.0, 0.0, -10.0), (0.0, 1.0, -10.0), (0.0, -1.0, -10.0)]
+    unused = [[0.0, 0.0, 1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 0.0, 0.0],
+              [0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, -1.0, 0.0]]
+    margin = _lp_margin(np.array([[a, b, 0.0, 0.0, c] for a, b, c in rows] + unused))
+    if abs(margin + SLACK) > 1e-9:
+        assert halfspaces_feasible(rows, SLACK) == (margin >= -SLACK)
+
+
+def test_cell_turn_keeps_face_and_orientation_only():
+    rng = np.random.default_rng(19)
+    for _ in range(500):
+        face = int(rng.integers(0, 12))
+        theta = float(rng.uniform(-7.0, 7.0))
+        x, y = rng.uniform(-1e3, 1e3, size=2).tolist()
+        pad = ContactRegion(face, x, y, theta, 0.02, 0.02)
+        here = cell_turn(region_cell(pad))
+        assert here == cell_turn(region_cell(pad._replace(x=0.0, y=0.0)))
+        assert here != cell_turn(region_cell(pad._replace(face=face + 1)))
+        assert here != cell_turn(region_cell(pad._replace(orientation=theta + 1e-6)))
+
+
+def test_bound_is_off_when_no_goal_can_hold_a_pad(caplog, monkeypatch):
+    # Goal bands thinner than the pads: the bound is infinite at the start,
+    # decided before any graph is built, and the search runs without it.
+    obj, s0, _, res, cost = small_instance("slide")
+    sliver = [GoalRegion(f, w.ConvexPolygon2([(0.0, 0.044), (0.03, 0.044),
+                                               (0.03, 0.05), (0.0, 0.05)])) for f in (0, 2)]
+    monkeypatch.setattr(heuristic_mod.AbstractBound, "build", None)
+    with caplog.at_level(logging.INFO, logger="wihmplan.planner"):
+        p = plan(obj, s0, sliver, res, cost)
+    assert p.status == "best-effort"
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
+        "no exact goal is reachable from the start: the abstract-graph bound is infinite "
+        "there; searching without it for the best effort"]
+    assert start_bound(obj, s0, sliver, res, cost) == math.inf
+
+
+@pytest.mark.parametrize("name", ["rc_t2_rotate", "sq_t3_caps", "hs_t1_rotate"])
+def test_start_bound_is_positive_and_below_the_plan_cost(suite_entries, name):
+    obj, start, goals, resolution, cost = load_task(
+        next(e for e in suite_entries if e["name"] == name))
+    bound = start_bound(obj, start, goals, resolution, cost)
+    assert 0.0 < bound <= plan(obj, start, goals, resolution, cost).total_action_cost

@@ -151,6 +151,28 @@ class TestSimulateCommand:
         errors = [rec.message for rec in caplog.records if rec.levelname == "ERROR"]
         assert errors and errors[0] == f"{moved}: the start state is not the plan's first state"
 
+    @pytest.mark.parametrize("noise", [[], ["--noise", "0.002"]])
+    def test_rotation_past_the_configs_grip_limit_exits_2(self, workdir, caplog, noise):
+        # The plan rotates onto a pair 1:1 in length to width; a config that
+        # allows 0.9 rejects it, as search would.
+        plan_path = workdir / "plan.json"
+        assert run_cli("plan", "--object", str(workdir / "square_prism.json"),
+                       "--goals", str(FIXTURES / "sq_t2_rotate_goals.json"),
+                       "--start", str(FIXTURES / "sq_t2_rotate_start.json"),
+                       "--out", str(plan_path)) == 0
+        assert "ROTATE_CW" in plan_path.read_text()
+        config = workdir / "narrow.json"
+        config.write_text(json.dumps({"resolution": {"max_length_width_ratio": 0.9}}))
+        out = workdir / "sim.json"
+        code = run_cli("simulate", "--plan", str(plan_path),
+                       "--object", str(workdir / "square_prism.json"),
+                       "--start", str(FIXTURES / "sq_t2_rotate_start.json"),
+                       "--config", str(config), *noise, "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        errors = [rec.message for rec in caplog.records if rec.levelname == "ERROR"]
+        assert errors and errors[0].startswith(f"{plan_path}: ROTATE_CW")
+
     def test_noise_mode_stats(self, workdir):
         plan_path = workdir / "plan.json"
         run_cli("plan", "--object", str(workdir / "square_prism.json"),

@@ -28,31 +28,31 @@ from oracles import enumerate_state_graph, optimal_cost_to_goals
 
 UP, CW, CCW = "MOVE_CONTACT_UP", "ROTATE_CW", "ROTATE_CCW"
 # Fixture task -> (expansions, action kinds, total action cost) of its plan.
-# rc_t2_rotate and sq_t3_caps, the slow two, are pinned by the benchmark's tests.
 PINNED_PLANS = {
-    "sq_t1_shift": (368, [UP] * 14, 0.14),
-    "sq_t2_rotate": (436, [UP, CW, UP, UP], 0.1242477796076938),
-    "rc_t1_shift": (64, [UP] * 8, 0.08),
-    "rl_t1_shift": (1248, ["SLIDE_LEFT_DOWN", "SLIDE_RIGHT_DOWN"] * 2 + [UP] * 14, 0.16),
-    "rl_t2_rotate": (1924, [UP] * 8 + [CW], 0.1742477796076938),
-    "ht_t1_shift": (122, [UP] * 12, 0.12),
-    "ht_t2_rotate": (506, [UP] * 8 + [CCW], 0.16162097139053988),
-    "rs_t1_shift": (79, [UP] * 8, 0.08),
-    "rs_t2_rotate": (200, [UP] * 5 + [CW, UP, UP], 0.1171238898038469),
-    "hs_t1_rotate": (215, [UP, CW, UP, UP, UP], 0.1216209713905397),
+    "sq_t1_shift": (14, [UP] * 14, 0.14),
+    "sq_t2_rotate": (83, [UP, CW, UP, UP], 0.1242477796076938),
+    "sq_t3_caps": (2, ["PIVOT", CW], 0.25132741228718347),
+    "rc_t2_rotate": (2665, ["PIVOT", CCW, "PIVOT", "MOVE_CONTACT_DOWN", CW]
+                     + ["SLIDE_LEFT_UP", "SLIDE_RIGHT_UP"] * 2, 0.7525663103256525),
+    "rc_t1_shift": (8, [UP] * 8, 0.08),
+    "rl_t1_shift": (523, [UP] * 12 + ["SLIDE_LEFT_DOWN", "SLIDE_RIGHT_DOWN", UP] * 2, 0.16),
+    "rl_t2_rotate": (707, [UP] * 8 + [CW], 0.1742477796076938),
+    "ht_t1_shift": (12, [UP] * 12, 0.12),
+    "ht_t2_rotate": (99, [UP] * 8 + [CCW], 0.16162097139053988),
+    "rs_t1_shift": (40, [UP] * 8, 0.08),
+    "rs_t2_rotate": (110, [UP] * 2 + [CW] + [UP] * 5, 0.1171238898038469),
+    "hs_t1_rotate": (50, [UP, UP, UP, CW, UP], 0.1216209713905397),
 }
 
 # Fixture task -> (expansions, pushes, digest of actions, step costs and final
 # state) of its plan at heuristic_scale 1.0, where h is inconsistent: an
-# expanded key's children can be reached again more cheaply.  Expansions and
-# digests are pinned from the search that kept a separate closed set; that
-# search pushed 50 more children on sq_t3_caps (848), all onto expanded keys,
-# and discarded them when popped.  rc_t2_rotate is left out for its run time.
+# expanded key's children can be reached again more cheaply.
 INCONSISTENT_PLANS = {
     "sq_t1_shift": (14, 113, "686799cb8ef7e4d44fa1"),
     "sq_t2_rotate": (4, 32, "cd2b682eac2bfc978ed1"),
-    "sq_t3_caps": (267, 798, "b2b8ca9fc7bc86269c2c"),
+    "sq_t3_caps": (101, 313, "b2b8ca9fc7bc86269c2c"),
     "rc_t1_shift": (8, 33, "c97d6ac043d1d64ef662"),
+    "rc_t2_rotate": (3027, 6014, "8ea9f9b0b07631bf7198"),
     "rl_t1_shift": (18, 139, "ccb977767d10b16c5d9c"),
     "rl_t2_rotate": (9, 72, "c365bce5e6e5ab0990df"),
     "ht_t1_shift": (12, 85, "64f0d5a9ab1a8f3f0143"),
@@ -157,8 +157,9 @@ class TestConfigValidation:
             plan(obj, s0, goals, res, cost)
         assert all(m.moves[0] is not bad for m in obj.scratch.values())
 
-    def test_each_distinct_action_is_costed_once(self, monkeypatch):
-        obj, s0, goals, res, cost = small_instance("caps")
+    def test_each_distinct_action_is_costed_once(self, monkeypatch, suite_entries):
+        obj, s0, goals, res, cost = load_task(
+            next(e for e in suite_entries if e["name"] == "rl_t1_shift"))
         costed = []
         real = planner_mod.action_cost
         monkeypatch.setattr(planner_mod, "action_cost",
@@ -290,7 +291,7 @@ class TestPivotRequired:
         assert p.objective <= 2 * 0.015 * 0.015 + 1e-12
 
     def test_budget_exhaustion_returns_best_effort(self):
-        obj, s0, goals, res, _ = small_instance("caps")
+        obj, s0, goals, res, _ = small_instance("rotate")
         cost = CostConfig(node_budget=3)
         p = plan(obj, s0, goals, res, cost)
         assert p.status == "best-effort"

@@ -621,7 +621,7 @@ class TestModeTable:
 
     def test_a_new_config_replaces_the_table(self, suite_entries):
         # One model planned on alternating configs plans as fresh models do.
-        entry = next(e for e in suite_entries if e["name"] == "sq_t1_shift")
+        entry = next(e for e in suite_entries if e["name"] == "rl_t1_shift")
         obj, start, goals, resolution, cost = load_task(entry)
         coarse = dataclasses.replace(resolution, slide_step=2.0 * resolution.slide_step)
         configs = (resolution, coarse, resolution)
@@ -673,8 +673,8 @@ class TestOrientationTable:
                                     state, cfg)
             outcomes.append(got)
             left, right = state.left, state.right
-            planes_lr, _ = m.orientations[(left.orientation, right.orientation, left.pad_width,
-                                           left.pad_height, right.pad_width, right.pad_height)]
+            planes_lr = m.orientations[(left.orientation, right.orientation, left.pad_width,
+                                        left.pad_height, right.pad_width, right.pad_height)][0]
             for pad, planes in zip((left, right), planes_lr):
                 assert planes == transition_mod._shrunk_face(
                     obj, pad.face, pad.orientation, pad.pad_width, pad.pad_height)

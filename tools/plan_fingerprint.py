@@ -23,11 +23,14 @@ floats a pose: the rotation row by row, then the translation.  The 12
 fixture tasks also run through ``bench.run_benchmark``, as the ``benchmark``
 command runs them (one freshly loaded object per task): every
 ``report_records`` field but ``planning_time_s``, a wall time, is recorded.
+Each fixture task also records the planner's abstract-graph bound at its
+start (``planner.start_bound``, field ``start_bound``), when the checkout has
+one.
 
 The second form prints which exact fields differ (expansions, statuses,
 state keys, actions, step costs, totals, successor lists, replay outcomes,
-the benchmark report) and how many plan-state floats differ and by how much
-at most: centres in metres, orientations in radians as a wrapped angle
+the benchmark report, start bounds) and how many plan-state floats differ
+and by how much at most: centres in metres, orientations in radians as a wrapped angle
 difference, the final state's pad area outside the goals in square metres,
 and the ``overlap_ratio`` pair of each fixture plan's final state and of
 each noisy final state (a ratio).  It also counts how many heuristic values and
@@ -140,6 +143,9 @@ def fingerprint(src: Path) -> dict:
         case = out[f"fixture/{task.name}"] = _plan(plan, wl.expanded_count(plan), key_of)
         case["overlaps"] = [x.hex() for x in overlap_ratio(plan.states[-1], task.goals)]
         case["heuristic"] = _heuristics(obj, plan, task.goals)
+        if hasattr(wl.planner_mod, "start_bound"):
+            case["start_bound"] = [wl.planner_mod.start_bound(
+                obj, task.start, task.goals, task.resolution, task.cost).hex()]
         case["successors"] = _branching(obj, plan, task.resolution,
                                         wl.transition_mod.successors, key_of)
         if any(a.kind.name == "PIVOT" for a in plan.actions):
