@@ -2,9 +2,10 @@
 
 Every operation here is a pure function, and values are immutable after
 construction apart from caches: ``ObjectModel.scratch`` and
-``ObjectModel.unfolded`` (see there), and each ``ConvexPolygon2``'s
+``ObjectModel.unfolded`` (see there), each ``ConvexPolygon2``'s
 plain-float half-plane and edge tables, filled on its first distance query or
-clip.  Units are meters and radians throughout.
+clip, and each ``Face``'s centre and outline, computed on first use.  Units
+are meters and radians throughout.
 
 Float contract: the two queries search and replay make of a polygon, point
 distances (``corner_distance_sum``) and clipping (``clip_rows``), run on
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -357,6 +359,18 @@ def _keep_row(live: dict, coeffs, b: float) -> bool:
     return True
 
 
+def rotation_x(angle: float) -> np.ndarray:
+    """The 3x3 rotation by angle about x, built from its cosine and sine unchecked."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+
+
+def rotation_z(angle: float) -> np.ndarray:
+    """The 3x3 rotation by angle about z, built from its cosine and sine unchecked."""
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+
+
 @dataclass(frozen=True, eq=False)
 class RigidTransform3:
     """Proper rigid transform: x -> rotation @ x + translation.
@@ -397,13 +411,11 @@ class RigidTransform3:
 
     @classmethod
     def rot_x(cls, angle: float, translation=(0.0, 0.0, 0.0)) -> RigidTransform3:
-        c, s = math.cos(angle), math.sin(angle)
-        return cls(np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=float), translation)
+        return cls(rotation_x(angle), translation)
 
     @classmethod
     def rot_z(cls, angle: float, translation=(0.0, 0.0, 0.0)) -> RigidTransform3:
-        c, s = math.cos(angle), math.sin(angle)
-        return cls(np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=float), translation)
+        return cls(rotation_z(angle), translation)
 
     def apply(self, pts) -> np.ndarray:
         pts = np.asarray(pts, dtype=float)
@@ -438,6 +450,18 @@ class Face:
             raise InvalidGeometryError(f"face {self.id}: normal must equal the frame z-axis")
         n.setflags(write=False)
         object.__setattr__(self, "outward_normal", n)
+
+    @cached_property
+    def centre(self) -> tuple[float, float]:
+        """The polygon's centroid, face-local, as two floats computed once."""
+        return tuple(self.polygon.centroid.tolist())
+
+    @cached_property
+    def outline(self) -> np.ndarray:
+        """The polygon's vertices in object coordinates, one column each, computed once."""
+        out = self.to_object(self.polygon.vertices).T
+        out.setflags(write=False)
+        return out
 
     def to_object(self, uv) -> np.ndarray:
         """Lift face-local 2D points into object coordinates."""
@@ -476,7 +500,8 @@ class ObjectModel:
     planes, the landings of the turns taken from them and whether some pair
     of pad centres can take each turn.
     `unfolded` holds the heuristic's unfolded map per base face, at most one
-    per face.  Both are filled without a lock.
+    per face.  Both are filled without a lock, as are the pair widths and the
+    faces' rims (``rims``), computed on first use.
     """
 
     name: str
@@ -505,9 +530,31 @@ class ObjectModel:
         return sorted(out)
 
     def pair_width(self, pair_index: int) -> float:
-        i, j = self.parallel_pairs[pair_index]
-        fi, fj = self.faces[i], self.faces[j]
-        return abs(float(fi.outward_normal @ (fj.frame.translation - fi.frame.translation)))
+        return self._pair_widths[pair_index]
+
+    @cached_property
+    def rims(self) -> tuple:
+        """Per face, its shared edges, neighbours ascending, each as (neighbour,
+        direction, midpoint) in the face's frame: the endpoints' difference and
+        mean, computed once."""
+        out = []
+        for face in self.faces:
+            rims = []
+            for neighbor in self.neighbors(face.id):
+                pts = self.shared_edge(face.id, neighbor).endpoints_in(face.id)
+                rims.append((neighbor, pts[1] - pts[0], (pts[0] + pts[1]) / 2.0))
+            out.append(tuple(rims))
+        return tuple(out)
+
+    @cached_property
+    def _pair_widths(self) -> tuple[float, ...]:
+        """Each parallel pair's distance between its two faces' planes, computed once."""
+        out = []
+        for i, j in self.parallel_pairs:
+            fi, fj = self.faces[i], self.faces[j]
+            out.append(abs(float(fi.outward_normal @ (fj.frame.translation
+                                                       - fi.frame.translation))))
+        return tuple(out)
 
     def pair_of_faces(self, a: int, b: int) -> int:
         key = {a, b}

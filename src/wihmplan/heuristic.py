@@ -207,9 +207,9 @@ class AbstractBound:
     a turn's cost plus the bound where it lands is at least h_exit.  The
     minimum and maximum of consistent bounds are consistent.
 
-    Per-search memos (not thread-safe): the goal images each finger fits at a
-    support face and cell (``_goal_images``), and h_stay per support face and
-    pad cell.
+    Per-search memos (not thread-safe): the goal images a pad fits at a cell
+    and size (``_goal_fits``), each finger's rows of them at a support face and
+    cell (``_goal_images``), and h_stay per support face and pad cell.
     """
 
     def __init__(self, obj: ObjectModel, cache: HeuristicCache, resolution: ResolutionConfig,
@@ -221,6 +221,7 @@ class AbstractBound:
         self.weights = (slide_weight, shift_weight)
         self.exits: dict[tuple, float] = {}
         self._images: tuple[dict, dict] = ({}, {})
+        self._fits: dict[tuple, list] = {}
         self._stay: tuple[dict, dict] = ({}, {})
 
     @classmethod
@@ -291,25 +292,39 @@ class AbstractBound:
     def _goal_images(self, i: int, support: int, m, pad: ContactRegion, cell: int) -> list:
         """Finger i's goal images a pad at its face and orientation fits in, each
         within the goal tolerance and inside the face, as rows (n0, n1, b, 1 / dual
-        norm) of their fit half-planes; memoized per support face and cell."""
+        norm) of their fit half-planes; memoized per support face and cell.
+
+        Which images the pad fits in, and their fit half-planes, depend on the
+        cell and the pad's size alone, so they are memoized per cell and size,
+        for both fingers; the dual norms depend on the mode's axes."""
         key = (support, cell)
         images = self._images[i].get(key)
         if images is None:
-            images = self._images[i][key] = []
-            offsets = corner_offsets(pad.orientation, pad.pad_width, pad.pad_height)
-            face = _shrunk_face(self.obj, pad.face, pad.orientation, pad.pad_width,
-                                pad.pad_height)
+            fit_key = (cell, pad.pad_width, pad.pad_height)
+            fits = self._fits.get(fit_key)
+            if fits is None:
+                fits = self._fits[fit_key] = self._goal_fits(pad)
             (h_u, h_v), (z_u, z_v) = (axis.tolist() for axis in m.axes[i])
             w_h, w_z = self.weights
-            for g in range(len(self.cache.goals)):
-                planes = self.cache.goal_image(pad.face, g)._float_tables()[0]
-                fit = [(n0, n1, off - min(n0 * u + n1 * v for u, v in offsets) - self.tau)
-                       for n0, n1, off in planes]
-                if halfspaces_feasible(list(face) + fit, _TURN_SLACK):
-                    images.append([(n0, n1, b, 1.0 / max(abs(n0 * h_u + n1 * h_v) / w_h,
-                                                          abs(n0 * z_u + n1 * z_v) / w_z))
-                                   for n0, n1, b in fit])
+            images = self._images[i][key] = [
+                [(n0, n1, b, 1.0 / max(abs(n0 * h_u + n1 * h_v) / w_h,
+                                       abs(n0 * z_u + n1 * z_v) / w_z)) for n0, n1, b in fit]
+                for fit in fits]
         return images
+
+    def _goal_fits(self, pad: ContactRegion) -> list:
+        """The fit half-planes (n0, n1, b) of each goal image the pad, at its face,
+        orientation and size, fits in within the goal tolerance and inside the face."""
+        offsets = corner_offsets(pad.orientation, pad.pad_width, pad.pad_height)
+        face = _shrunk_face(self.obj, pad.face, pad.orientation, pad.pad_width, pad.pad_height)
+        fits = []
+        for g in range(len(self.cache.goals)):
+            planes = self.cache.goal_image(pad.face, g)._float_tables()[0]
+            fit = [(n0, n1, off - min(n0 * u + n1 * v for u, v in offsets) - self.tau)
+                   for n0, n1, off in planes]
+            if halfspaces_feasible(list(face) + fit, _TURN_SLACK):
+                fits.append(fit)
+        return fits
 
     def __call__(self, s: GraspState, key: tuple) -> float:
         """The bound at s, whose state key is key; 0 off the graph."""

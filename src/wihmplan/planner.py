@@ -3,7 +3,8 @@
 The search minimizes accumulated action cost with priority
 f = g + max(heuristic_scale * h, bound), stops when every pad corner sits
 inside a goal (h below tolerance), and otherwise falls back to the expanded
-state with the best terminal objective once the node budget runs out.  Runs
+state with the best terminal objective once the node budget runs out or the
+open list empties; each of the two logs its own warning.  Runs
 are deterministic: ties on f break FIFO, and successors are generated in the
 canonical action order.
 
@@ -233,6 +234,9 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
             counter += 1
             heappush(open_heap, (child_f, counter, child_key,
                                  (child_state, child_g, child_h, node, act)))
+    else:
+        log.warning("open list exhausted after %d expansions without reaching the goal; "
+                    "returning best effort", expansions)
 
     chosen = goal_node if goal_node is not None else best_effort
     status = "exact-goal" if goal_node is not None else "best-effort"

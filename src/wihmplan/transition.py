@@ -107,15 +107,16 @@ from .geometry import (
     GEOM_TOL,
     ConvexPolygon2,
     ObjectModel,
-    RigidTransform3,
     _signed_area,
     clip_rows,
     halfspaces_feasible,
+    rotation_x,
+    rotation_z,
 )
 
 _WORLD_DOWN = np.array([0.0, 0.0, -1.0])
-_WORLD_UP = np.array([0.0, 0.0, 1.0])
 _LEFT_NORMAL = np.array([-1.0, 0.0, 0.0])  # world direction of the left face's outward normal
+_LEFT_XY = (-1.0, 0.0)  # its x and y, as floats
 # Half-width of the band around the shrunk-face threshold within which the
 # float centre test defers to the corner test: far wider than the few ulps by
 # which their margins round apart on faces within FACE_COORD_LIMIT (1e3 m).
@@ -340,9 +341,8 @@ class WorldContext(NamedTuple):
 
 
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.array([a[1] * b[2] - a[2] * b[1],
-                     a[2] * b[0] - a[0] * b[2],
-                     a[0] * b[1] - a[1] * b[0]])
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
 
 
 # Columns: left-face normal, horizontal in-plane direction, support normal.
@@ -362,13 +362,14 @@ def _object_rotation(obj: ObjectModel, support_face: int, left_face: int) -> np.
 
 def _face_axes(rot: np.ndarray, obj: ObjectModel, face_id: int) -> tuple[np.ndarray, np.ndarray]:
     rw = rot @ obj.face(face_id).frame.rotation
-    horiz = rw[1, :2]  # row y of rw == world-y expressed along the face u/v axes
-    up = rw[2, :2]
-    horiz = horiz / math.sqrt(horiz[0] ** 2 + horiz[1] ** 2)
-    up = up / math.sqrt(up[0] ** 2 + up[1] ** 2)
-    horiz.setflags(write=False)
-    up.setflags(write=False)
-    return horiz, up
+    # Row y of rw is world-y along the face u/v axes, row z world-z.
+    axes = []
+    for u, v in rw[1:, :2].tolist():
+        norm = math.sqrt(u ** 2 + v ** 2)
+        axis = np.array([u / norm, v / norm])
+        axis.setflags(write=False)
+        axes.append(axis)
+    return axes[0], axes[1]
 
 
 class PivotEdgeInfo(NamedTuple):
@@ -394,18 +395,24 @@ class _Turn(NamedTuple):
 
 
 def _turn_entry(obj: ObjectModel, m: _Mode, action: Action, pair: int, support: int,
-                rot_new: np.ndarray, new_faces: tuple[int, int], centres) -> _Turn:
-    """The mode's turn onto object rotation rot_new; centres holds each finger's 2x5 centre map."""
+                rot_new: np.ndarray, new_faces: tuple[int, int], frames: tuple,
+                maps: tuple) -> _Turn:
+    """The mode's turn onto object rotation rot_new.  Per finger, frames holds
+    ``rot_new`` times the new face's frame rotation and maps the x and y maps
+    of the pad centre, as 5-tuples of floats."""
     fingers = []
-    for old, new, centre in zip(m.faces[1:], new_faces, centres):
-        e = (rot_new @ obj.face(new).frame.rotation).T @ m.rot @ obj.face(old).frame.rotation
+    for old, new, frame, (x_map, y_map) in zip(m.faces[1:], new_faces, frames, maps):
+        cos, sin = (frame.T @ m.rot @ obj.face(old).frame.rotation)[:2, 0].tolist()
         # + 0.0 turns a -0.0 shift into 0.0, so a zero turn lands a +-0.0 pad on 0.0.
-        fingers.append((new, tuple(centre[0].tolist()), tuple(centre[1].tolist()),
-                        math.atan2(e[1, 0], e[0, 0]) + 0.0))
-    face = obj.face(new_faces[0])
-    verts_y = (rot_new @ face.to_object(face.polygon.vertices).T)[1]
+        fingers.append((new, x_map, y_map, math.atan2(sin, cos) + 0.0))
+    verts_y = (rot_new @ obj.face(new_faces[0]).outline)[1].tolist()
     return _Turn(action, pair, support, tuple(fingers), obj.pair_width(pair),
-                 float(verts_y.max() - verts_y.min()))
+                 max(verts_y) - min(verts_y))
+
+
+# A pivot leaves each pad where it is on its face: the identity centre maps.
+_STAY = (((1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0)),
+         ((0.0, 0.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, 0.0)))
 
 
 class _Mode:
@@ -435,14 +442,17 @@ class _Mode:
         self.ops: dict[ActionKind, tuple | _Turn | None] = {
             kind: tuple((i, sign * dirs[i][axis][0], sign * dirs[i][axis][1]) for i in fingers)
             for kind, (fingers, axis, sign) in _TRANSLATIONS.items()}
-        for kind in _ROTATIONS:
-            self.ops[kind] = _rotation(obj, self, kind)
+        self.ops.update(zip(_ROTATIONS, _rotations(obj, self)))
         self.pivot_edge = edge = _pivot_edge(obj, rot, tz, support_face)
-        self.ops[ActionKind.PIVOT] = None if edge is None else _turn_entry(
-            obj, self, Action(ActionKind.PIVOT, abs(edge.angle), arc_radius=self.width / 2.0),
-            pair, edge.new_support, RigidTransform3.rot_x(edge.angle).rotation @ rot,
-            (left_face, right_face),
-            (np.eye(4, 5)[:2], np.eye(4, 5)[2:]))  # the pads stay put on their faces
+        if edge is None:
+            self.ops[ActionKind.PIVOT] = None
+        else:
+            rot_new = rotation_x(edge.angle) @ rot
+            self.ops[ActionKind.PIVOT] = _turn_entry(
+                obj, self, Action(ActionKind.PIVOT, abs(edge.angle), arc_radius=self.width / 2.0),
+                pair, edge.new_support, rot_new, (left_face, right_face),
+                tuple(rot_new @ obj.face(f).frame.rotation for f in (left_face, right_face)),
+                _STAY)
         self.orientations: dict[tuple, tuple] = {}
         self.moves: tuple[ResolutionConfig | None, tuple] = (None, ())
 
@@ -456,59 +466,78 @@ def _mode(obj: ObjectModel, support_face: int, left_face: int, right_face: int) 
     return m
 
 
-def _rotation(obj: ObjectModel, m: _Mode, kind: ActionKind) -> _Turn | None:
-    """The smallest spin of mode m about vertical that lands the pads on another
-    pair, or None if none does."""
+def _rotations(obj: ObjectModel, m: _Mode) -> list[_Turn | None]:
+    """Per rotation kind (CW, CCW), the smallest spin of mode m about vertical
+    that lands the pads on another pair, or None if none does.
+
+    One pass over the candidate left faces serves both kinds: each candidate's
+    spin angle is measured once, then taken the positive way round for CW and
+    the negative way round for CCW."""
     support_face, left_face, right_face = m.faces
-    ccw = kind == ActionKind.ROTATE_CCW
-    best = None  # (angle, pair index, new left face, new right face)
+    best: list = [None, None]  # per kind: (angle, pair index, new left face, new right face)
     for pair_idx, pair in enumerate(obj.parallel_pairs):
+        if support_face in pair:
+            continue  # its normals are vertical: no spin about vertical makes them horizontal
         for k, candidate_left in enumerate(pair):
             if candidate_left == left_face:
                 continue
-            n_w = m.rot @ obj.face(candidate_left).outward_normal
-            if abs(float(n_w @ _WORLD_UP)) > FEAS_TOL:
+            n_x, n_y, n_z = (m.rot @ obj.face(candidate_left).outward_normal).tolist()
+            if abs(n_z) > FEAS_TOL:
                 continue  # spinning about vertical keeps normals' z; must already be horizontal
-            phi = math.atan2(
-                n_w[0] * _LEFT_NORMAL[1] - n_w[1] * _LEFT_NORMAL[0],
-                float(n_w[:2] @ _LEFT_NORMAL[:2]),
-            )
-            # ccw selects the negative world spin (see ActionKind docstring)
-            if not ccw and phi <= FEAS_TOL:
-                phi += 2.0 * math.pi
-            if ccw and phi >= -FEAS_TOL:
-                phi -= 2.0 * math.pi
-            if ccw:
-                phi = -phi  # compare magnitudes
-            if phi <= FEAS_TOL or phi > math.pi + FEAS_TOL:
-                continue
-            if best is None or phi < best[0] - GEOM_TOL:
-                best = (phi, pair_idx, candidate_left, pair[1 - k])
-    if best is None:
-        return None
-    magnitude, pair_idx, *new_faces = best
-    rz = RigidTransform3.rot_z(-magnitude if ccw else magnitude).rotation
-    rot_new = rz @ m.rot
+            turn = math.atan2(n_x * _LEFT_XY[1] - n_y * _LEFT_XY[0],
+                              n_x * _LEFT_XY[0] + n_y * _LEFT_XY[1])
+            for ccw in (False, True):
+                phi = turn
+                # ccw selects the negative world spin (see ActionKind docstring)
+                if not ccw and phi <= FEAS_TOL:
+                    phi += 2.0 * math.pi
+                if ccw and phi >= -FEAS_TOL:
+                    phi -= 2.0 * math.pi
+                if ccw:
+                    phi = -phi  # compare magnitudes
+                if phi <= FEAS_TOL or phi > math.pi + FEAS_TOL:
+                    continue
+                if best[ccw] is None or phi < best[ccw][0] - GEOM_TOL:
+                    best[ccw] = (phi, pair_idx, candidate_left, pair[1 - k])
+    if best == [None, None]:
+        return best
     # The pads keep their world points while the object spins about their
     # centroid: each pad's world point as a 3x5 map over (x_l, y_l, x_r, y_r, 1).
     offset = np.array([0.0, 0.0, m.tz])
+    origins = {}  # face -> its frame origin in world coordinates
     world = []
     for i, face_id in enumerate((left_face, right_face)):
         frame = obj.face(face_id).frame
         p = np.zeros((3, 5))
         p[:, 2 * i:2 * i + 2] = m.rot @ frame.rotation[:, :2]
-        p[:, 4] = m.rot @ frame.translation + offset
+        p[:, 4] = origins[face_id] = m.rot @ frame.translation + offset
         world.append(p)
     centroid = (world[0] + world[1]) / 2.0
-    centres = []
-    for p, new in zip(world, new_faces):
-        frame = obj.face(new).frame
-        rel = p + rz @ centroid - centroid  # the pad less the spun face origin
-        rel[:, 4] -= rz @ (m.rot @ frame.translation + offset)
-        # Row 2, along the face normal, is the pad's world-x offset: it drops out.
-        centres.append(((rot_new @ frame.rotation).T @ rel)[:2])
-    return _turn_entry(obj, m, Action(kind, magnitude, arc_radius=m.width / 2.0), pair_idx,
-                       support_face, rot_new, tuple(new_faces), centres)
+    turns = []
+    for kind, spin in zip(_ROTATIONS, best):
+        if spin is None:
+            turns.append(None)
+            continue
+        magnitude, pair_idx, *new_faces = spin
+        rz = rotation_z(-magnitude if kind == ActionKind.ROTATE_CCW else magnitude)
+        rot_new = rz @ m.rot
+        spun = rz @ centroid
+        frames, maps = [], []
+        for p, new in zip(world, new_faces):
+            frame = obj.face(new).frame
+            rel = p + spun - centroid  # the pad less the spun face origin
+            origin = origins.get(new)
+            if origin is None:
+                origin = origins[new] = m.rot @ frame.translation + offset
+            rel[:, 4] -= rz @ origin
+            frames.append(rot_new @ frame.rotation)
+            # Row 2, along the face normal, is the pad's world-x offset: it drops out.
+            x_map, y_map = (frames[-1].T @ rel)[:2].tolist()
+            maps.append((tuple(x_map), tuple(y_map)))
+        turns.append(_turn_entry(obj, m, Action(kind, magnitude, arc_radius=m.width / 2.0),
+                                 pair_idx, support_face, rot_new, tuple(new_faces), frames,
+                                 maps))
+    return turns
 
 
 def _pivot_edge(obj: ObjectModel, rot: np.ndarray, tz: float,
@@ -516,16 +545,16 @@ def _pivot_edge(obj: ObjectModel, rot: np.ndarray, tz: float,
     support = obj.face(support_face)
     rot_support = rot @ support.frame.rotation
     t_support = rot @ support.frame.translation + np.array([0.0, 0.0, tz])
-    centroid_w = rot_support[:, :2] @ support.polygon.centroid + t_support
-    for neighbor in obj.neighbors(support_face):
-        edge = obj.shared_edge(support_face, neighbor)
-        pts = edge.endpoints_in(support_face)
-        d_w = rot_support[:, :2] @ (pts[1] - pts[0])
-        d_w /= math.sqrt(float(d_w @ d_w))
-        if abs(d_w[1]) > FEAS_TOL or abs(d_w[2]) > FEAS_TOL:
+    centroid_y = float((rot_support[:, :2] @ support.centre + t_support)[1])
+    planar = rot_support[:, :2]
+    for neighbor, direction, midpoint in obj.rims[support_face]:
+        d_w = planar @ direction
+        norm = math.sqrt(float(d_w @ d_w))
+        _, d_y, d_z = d_w.tolist()
+        if abs(d_y / norm) > FEAS_TOL or abs(d_z / norm) > FEAS_TOL:
             continue  # pivot axis must lie along the squeeze axis
-        mid_w = rot_support[:, :2] @ ((pts[0] + pts[1]) / 2.0) + t_support
-        if mid_w[1] <= centroid_w[1]:
+        mid_w = planar @ midpoint + t_support
+        if mid_w[1] <= centroid_y:
             continue  # only tip toward +y
         n_new_w = rot @ obj.face(neighbor).outward_normal
         chi = math.atan2(
@@ -575,8 +604,9 @@ def _shrunk_face(obj: ObjectModel, face_id: int, theta: float, pad_width: float,
     """Half-planes (n_u, n_v, b) holding the centres of pads that fit within FEAS_TOL:
     each face half-plane moved in by the pad's reach, its smallest corner offset
     along the normal."""
-    offsets = corner_offsets(theta, pad_width, pad_height)
-    return tuple((n_u, n_v, b - min(n_u * u + n_v * v for u, v in offsets) - FEAS_TOL)
+    (u0, v0), (u1, v1), (u2, v2), (u3, v3) = corner_offsets(theta, pad_width, pad_height)
+    return tuple((n_u, n_v, b - min(n_u * u0 + n_v * v0, n_u * u1 + n_v * v1,
+                                    n_u * u2 + n_v * v2, n_u * u3 + n_v * v3) - FEAS_TOL)
                  for n_u, n_v, b in obj.face(face_id).polygon._float_tables()[0])
 
 
@@ -665,27 +695,58 @@ def turn_fits(obj: ObjectModel, e: tuple, t: _Turn, left: ContactRegion,
     The constraints are linear in the centres (x_l, y_l, x_r, y_r): each pad's
     shrunk half-planes before the turn (entry e's), and each landing pad's
     shrunk half-planes through its affine centre map (``_landing``), each
-    within ``_TURN_SLACK``.  A pivot's maps are the identity, so its rows split
-    by finger; a rotation couples the fingers through their centres' mean.
-    ``halfspaces_feasible`` decides them.  Every state that takes the turn in
+    within ``_TURN_SLACK`` (``_turn_rows``).  A pivot's maps are the identity,
+    so its rows split by finger; a rotation couples the fingers through their
+    centres' mean.  One witness is tried first (``_turn_witness``): a point
+    that meets every row meets every combination of them, so it proves the
+    verdict the elimination would give.  Only where it fails does
+    ``halfspaces_feasible`` decide.  Every state that takes the turn in
     ``successors`` is a witness, so the test never rejects a turn search takes.
     """
     kind = t.action.kind
     fits = e[2].get(kind)
     if fits is None:
         landing = e[1].get(kind) or _landing(obj, e, t, left, right)
-        rows = []
-        for i, planes in enumerate(e[0]):
-            for n_u, n_v, b in planes:
-                row = [0.0, 0.0, 0.0, 0.0, b]
-                row[2 * i:2 * i + 2] = n_u, n_v
-                rows.append(row)
-        for _, x_map, y_map, _, planes in landing[2]:
-            for n_u, n_v, b in planes:
-                rows.append([n_u * x + n_v * y for x, y in zip(x_map[:4], y_map[:4])]
-                            + [b - n_u * x_map[4] - n_v * y_map[4]])
-        fits = e[2][kind] = halfspaces_feasible(rows, _TURN_SLACK)
+        fits = e[2][kind] = (_turn_witness(obj, e[0], landing, left.face, right.face)
+                             or halfspaces_feasible(_turn_rows(e[0], landing), _TURN_SLACK))
     return fits
+
+
+def _turn_witness(obj: ObjectModel, planes: tuple, landing: tuple, left_face: int,
+                  right_face: int) -> bool:
+    """Whether the pads centred on their faces' centroids meet the entry's
+    shrunk half-planes ``planes`` and, through the centre maps, the landing's,
+    each at a margin of at least 0."""
+    xl, yl = obj.face(left_face).centre
+    xr, yr = obj.face(right_face).centre
+    for (x, y), finger in zip(((xl, yl), (xr, yr)), planes):
+        for n_u, n_v, b in finger:
+            if n_u * x + n_v * y - b < 0.0:
+                return False
+    for _, (a, b, c, d, e), (f, g, h, i, j), _, finger in landing[2]:
+        x = a * xl + b * yl + c * xr + d * yr + e
+        y = f * xl + g * yl + h * xr + i * yr + j
+        for n_u, n_v, off in finger:
+            if n_u * x + n_v * y - off < 0.0:
+                return False
+    return True
+
+
+def _turn_rows(planes: tuple, landing: tuple) -> list:
+    """A turn's constraints as rows ``(a_xl, a_yl, a_xr, a_yr, b)``: each pad's
+    shrunk half-planes ``planes`` before it, and the landing pads' through
+    their centre maps."""
+    rows = []
+    for i, finger in enumerate(planes):
+        for n_u, n_v, b in finger:
+            row = [0.0, 0.0, 0.0, 0.0, b]
+            row[2 * i:2 * i + 2] = n_u, n_v
+            rows.append(row)
+    for _, x_map, y_map, _, finger in landing[2]:
+        for n_u, n_v, b in finger:
+            rows.append([n_u * x + n_v * y for x, y in zip(x_map[:4], y_map[:4])]
+                        + [b - n_u * x_map[4] - n_v * y_map[4]])
+    return rows
 
 
 def _scaled(rows: tuple, step: float) -> list:

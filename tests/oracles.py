@@ -16,9 +16,24 @@ import math
 import numpy as np
 from scipy.spatial import ConvexHull
 
-from wihmplan.geometry import GEOM_TOL, ConvexPolygon2, ObjectModel, corner_distance_sum
+from wihmplan.geometry import (
+    FEAS_TOL,
+    GEOM_TOL,
+    ConvexPolygon2,
+    ObjectModel,
+    RigidTransform3,
+    corner_distance_sum,
+)
 from wihmplan.heuristic import HeuristicCache
-from wihmplan.transition import ContactRegion, GraspState
+from wihmplan.transition import (
+    Action,
+    ActionKind,
+    ContactRegion,
+    GraspState,
+    PivotEdgeInfo,
+    _object_rotation,
+    _Turn,
+)
 
 WORLD_DOWN = np.array([0.0, 0.0, -1.0])
 LEFT_DIR = np.array([-1.0, 0.0, 0.0])
@@ -488,6 +503,126 @@ def oracle_pivot(obj: ObjectModel, s: GraspState):
             return None
         out.append((region.face, projected[0], projected[1]))
     return out[0], out[1], neighbor
+
+
+# ---------------------------------------------------------------------------
+# Grasp-mode table oracle
+#
+# Another exception to the separate routes: the mode table's numpy
+# construction as it stood before its turns were built in one candidate pass
+# from per-face constants.  It scans the candidate faces once per rotation
+# direction, builds each spin through the checked ``RigidTransform3``, and
+# lifts the new left face's polygon for every turn.  The library's table must
+# reproduce it bit for bit.
+
+def _oracle_face_axes(rot: np.ndarray, obj: ObjectModel, face_id: int):
+    rw = rot @ obj.face(face_id).frame.rotation
+    horiz = rw[1, :2]
+    up = rw[2, :2]
+    return (horiz / math.sqrt(horiz[0] ** 2 + horiz[1] ** 2),
+            up / math.sqrt(up[0] ** 2 + up[1] ** 2))
+
+
+def _oracle_turn(obj, rot, faces, action, pair, support, rot_new, new_faces, centres):
+    fingers = []
+    for old, new, centre in zip(faces[1:], new_faces, centres):
+        e = (rot_new @ obj.face(new).frame.rotation).T @ rot @ obj.face(old).frame.rotation
+        fingers.append((new, tuple(centre[0].tolist()), tuple(centre[1].tolist()),
+                        math.atan2(e[1, 0], e[0, 0]) + 0.0))
+    face = obj.face(new_faces[0])
+    verts_y = (rot_new @ face.to_object(face.polygon.vertices).T)[1]
+    return _Turn(action, pair, support, tuple(fingers), obj.pair_width(pair),
+                 float(verts_y.max() - verts_y.min()))
+
+
+def _oracle_rotation(obj, rot, tz, faces, width, kind):
+    support_face, left_face, right_face = faces
+    ccw = kind == ActionKind.ROTATE_CCW
+    best = None
+    for pair_idx, pair in enumerate(obj.parallel_pairs):
+        for k, candidate_left in enumerate(pair):
+            if candidate_left == left_face:
+                continue
+            n_w = rot @ obj.face(candidate_left).outward_normal
+            if abs(float(n_w @ np.array([0.0, 0.0, 1.0]))) > FEAS_TOL:
+                continue
+            phi = math.atan2(n_w[0] * LEFT_DIR[1] - n_w[1] * LEFT_DIR[0],
+                             float(n_w[:2] @ LEFT_DIR[:2]))
+            if not ccw and phi <= FEAS_TOL:
+                phi += 2.0 * math.pi
+            if ccw and phi >= -FEAS_TOL:
+                phi -= 2.0 * math.pi
+            if ccw:
+                phi = -phi
+            if phi <= FEAS_TOL or phi > math.pi + FEAS_TOL:
+                continue
+            if best is None or phi < best[0] - GEOM_TOL:
+                best = (phi, pair_idx, candidate_left, pair[1 - k])
+    if best is None:
+        return None
+    magnitude, pair_idx, *new_faces = best
+    rz = RigidTransform3.rot_z(-magnitude if ccw else magnitude).rotation
+    rot_new = rz @ rot
+    offset = np.array([0.0, 0.0, tz])
+    world = []
+    for i, face_id in enumerate((left_face, right_face)):
+        frame = obj.face(face_id).frame
+        p = np.zeros((3, 5))
+        p[:, 2 * i:2 * i + 2] = rot @ frame.rotation[:, :2]
+        p[:, 4] = rot @ frame.translation + offset
+        world.append(p)
+    centroid = (world[0] + world[1]) / 2.0
+    centres = []
+    for p, new in zip(world, new_faces):
+        frame = obj.face(new).frame
+        rel = p + rz @ centroid - centroid
+        rel[:, 4] -= rz @ (rot @ frame.translation + offset)
+        centres.append(((rot_new @ frame.rotation).T @ rel)[:2])
+    return _oracle_turn(obj, rot, faces, Action(kind, magnitude, arc_radius=width / 2.0),
+                        pair_idx, support_face, rot_new, tuple(new_faces), centres)
+
+
+def _oracle_pivot_edge(obj, rot, tz, support_face):
+    support = obj.face(support_face)
+    rot_support = rot @ support.frame.rotation
+    t_support = rot @ support.frame.translation + np.array([0.0, 0.0, tz])
+    centroid_w = rot_support[:, :2] @ support.polygon.centroid + t_support
+    for neighbor in obj.neighbors(support_face):
+        pts = obj.shared_edge(support_face, neighbor).endpoints_in(support_face)
+        d_w = rot_support[:, :2] @ (pts[1] - pts[0])
+        d_w /= math.sqrt(float(d_w @ d_w))
+        if abs(d_w[1]) > FEAS_TOL or abs(d_w[2]) > FEAS_TOL:
+            continue
+        mid_w = rot_support[:, :2] @ ((pts[0] + pts[1]) / 2.0) + t_support
+        if mid_w[1] <= centroid_w[1]:
+            continue
+        n_new_w = rot @ obj.face(neighbor).outward_normal
+        chi = math.atan2(n_new_w[1] * WORLD_DOWN[2] - n_new_w[2] * WORLD_DOWN[1],
+                         float(n_new_w[1:] @ WORLD_DOWN[1:]))
+        return PivotEdgeInfo(chi, neighbor, mid_w)
+    return None
+
+
+def mode_table_oracle(obj: ObjectModel, support_face: int, left_face: int,
+                      right_face: int) -> dict:
+    """The grasp mode's width, face axes, pivot edge and turns (``_Turn`` per
+    rotation kind and PIVOT, None where the mode lacks it), built the old way."""
+    faces = (support_face, left_face, right_face)
+    pair = obj.pair_of_faces(left_face, right_face)
+    rot = _object_rotation(obj, support_face, left_face)
+    tz = -float(rot[2] @ obj.face(support_face).frame.translation)
+    width = obj.pair_width(pair)
+    turns = {kind: _oracle_rotation(obj, rot, tz, faces, width, kind)
+             for kind in (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW)}
+    edge = _oracle_pivot_edge(obj, rot, tz, support_face)
+    turns[ActionKind.PIVOT] = None if edge is None else _oracle_turn(
+        obj, rot, faces, Action(ActionKind.PIVOT, abs(edge.angle), arc_radius=width / 2.0),
+        pair, edge.new_support,
+        RigidTransform3.rot_x(edge.angle).rotation @ rot, (left_face, right_face),
+        (np.eye(4, 5)[:2], np.eye(4, 5)[2:]))
+    return {"width": width, "axes": (_oracle_face_axes(rot, obj, left_face),
+                                     _oracle_face_axes(rot, obj, right_face)),
+            "pivot_edge": edge, "turns": turns}
 
 
 # ---------------------------------------------------------------------------

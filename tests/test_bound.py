@@ -115,17 +115,16 @@ def _tight(obj, face: int) -> float:
     return float(min(np.ptp(obj.face(face).polygon.vertices, axis=0)))
 
 
-def test_turn_test_matches_an_lp_oracle(suite_entries):
-    # Every turn of every mode and orientation pair reachable from each fixture
-    # start, with pads of the fixture's size, 6 mm and as wide as the start
-    # face (so some feasible sets are thin): the float verdict is linprog's,
-    # the largest common margin of the same constraints at least -SLACK.
-    verdicts = {True: 0, False: 0}
-    thinnest = math.inf
+def _reachable_turns(suite_entries):
+    """Every turn of every mode and orientation pair reachable from each fixture
+    start, with pads of the fixture's size, 6 mm and as wide as the start face
+    (so some feasible sets are thin): (task name, pad size index, model, abstract
+    node, orientation entry, turn, left pad, right pad)."""
     cfg = ResolutionConfig()
     for entry in suite_entries:
         obj, start, _, _, _ = load_task(entry)
-        for size in (start.left.pad_width, 0.006, _tight(obj, start.left.face)):
+        for index, size in enumerate((start.left.pad_width, 0.006,
+                                      _tight(obj, start.left.face))):
             pads = [ContactRegion(p.face, 0.0, 0.0, p.orientation, size, size)
                     for p in (start.left, start.right)]
             queue = [(start.support_face, *pads)]
@@ -138,23 +137,52 @@ def test_turn_test_matches_an_lp_oracle(suite_entries):
                 seen.add(node)
                 m = transition_mod._mode(obj, support, left.face, right.face)
                 e = transition_mod._entry(obj, m, left, right)
-                for op, action in transition_mod._moves(m, cfg):
+                for op, _ in transition_mod._moves(m, cfg):
                     if not isinstance(op, transition_mod._Turn):
                         continue
-                    fits = turn_fits(obj, e, op, left, right)
-                    margin = _lp_margin(_turn_rows(obj, op, left, right))
-                    assert abs(margin + SLACK) > 1e-11, (entry["name"], node, action.kind)
-                    assert fits == (margin >= -SLACK), (entry["name"], node, action.kind, margin)
-                    verdicts[fits] += 1
-                    if fits:
-                        thinnest = min(thinnest, margin)
-                    if fits:
-                        _, new_support, landing = e[1][action.kind]
+                    yield entry["name"], index, obj, node, e, op, left, right
+                    if turn_fits(obj, e, op, left, right):
+                        _, new_support, landing = e[1][op.action.kind]
                         queue.append((new_support, *(
                             ContactRegion(face, 0.0, 0.0, theta, size, size)
                             for face, _, _, theta, _ in landing)))
+
+
+def test_turn_test_matches_an_lp_oracle(suite_entries):
+    # Over the reachable turns of _reachable_turns: the float verdict is
+    # linprog's, the largest common margin of the same constraints at least -SLACK.
+    verdicts = {True: 0, False: 0}
+    thinnest = math.inf
+    for name, _, obj, node, e, op, left, right in _reachable_turns(suite_entries):
+        fits = turn_fits(obj, e, op, left, right)
+        margin = _lp_margin(_turn_rows(obj, op, left, right))
+        assert abs(margin + SLACK) > 1e-11, (name, node, op.action.kind)
+        assert fits == (margin >= -SLACK), (name, node, op.action.kind, margin)
+        verdicts[fits] += 1
+        if fits:
+            thinnest = min(thinnest, margin)
     assert verdicts[True] > 50 and verdicts[False] > 10
     assert thinnest < 1e-5
+
+
+def test_turn_witness_never_overrules_the_elimination(suite_entries):
+    # Wherever the centroid witness accepts a turn, the elimination on the full
+    # rows accepts it too; both paths run, and the tight pads' thin feasible
+    # sets send some turns to the elimination.
+    accepted = [0, 0, 0]  # per pad size: fixture, 6 mm, as wide as the start face
+    fallback = [0, 0, 0]
+    for name, index, obj, node, e, op, left, right in _reachable_turns(suite_entries):
+        landing = e[1].get(op.action.kind) or transition_mod._landing(obj, e, op, left, right)
+        rows = transition_mod._turn_rows(e[0], landing)
+        if transition_mod._turn_witness(obj, e[0], landing, left.face, right.face):
+            assert halfspaces_feasible(rows, SLACK), (name, node, op.action.kind)
+            accepted[index] += 1
+        else:
+            fallback[index] += 1
+        assert turn_fits(obj, e, op, left, right) == halfspaces_feasible(rows, SLACK), (
+            name, node, op.action.kind)
+    assert min(accepted) > 0 and sum(fallback) > 0
+    assert fallback[2] > 0
 
 
 def test_turn_test_keeps_every_turn_search_takes():

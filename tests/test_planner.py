@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import logging
 import math
 
 import numpy as np
@@ -24,7 +25,7 @@ from wihmplan.transition import (
 )
 
 from conftest import load_task
-from oracles import enumerate_state_graph, optimal_cost_to_goals
+from oracles import enumerate_state_graph, optimal_cost_to_goals, state_graph
 
 UP, CW, CCW = "MOVE_CONTACT_UP", "ROTATE_CW", "ROTATE_CCW"
 # Fixture task -> (expansions, action kinds, total action cost) of its plan.
@@ -290,12 +291,31 @@ class TestPivotRequired:
         # the best-effort state still minimizes E + w*g over everything expanded
         assert p.objective <= 2 * 0.015 * 0.015 + 1e-12
 
-    def test_budget_exhaustion_returns_best_effort(self):
+    def test_budget_exhaustion_returns_best_effort(self, caplog):
         obj, s0, goals, res, _ = small_instance("rotate")
         cost = CostConfig(node_budget=3)
-        p = plan(obj, s0, goals, res, cost)
+        with caplog.at_level(logging.WARNING, logger="wihmplan.planner"):
+            p = plan(obj, s0, goals, res, cost)
         assert p.status == "best-effort"
         assert p.expansions <= 3
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            "node budget 3 exhausted; returning best effort"]
+
+    def test_exhausted_open_list_warns_with_its_expansions(self, caplog):
+        # A goal band thinner than the pads and a budget above the reachable
+        # states: the open list empties first, with every state expanded once.
+        obj, s0, _, res, _ = small_instance("slide")
+        sliver = [GoalRegion(f, w.ConvexPolygon2([(0.0, 0.044), (0.03, 0.044),
+                                                   (0.03, 0.05), (0.0, 0.05)])) for f in (0, 2)]
+        states, _ = state_graph(obj, s0, res)
+        cost = CostConfig(node_budget=len(states) + 1)
+        with caplog.at_level(logging.WARNING, logger="wihmplan.planner"):
+            p = plan(obj, s0, sliver, res, cost)
+        assert p.status == "best-effort"
+        assert p.expansions == len(states)
+        assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
+            f"open list exhausted after {len(states)} expansions without reaching the goal; "
+            "returning best effort"]
 
 
 class TestDeterminism:

@@ -35,7 +35,13 @@ from wihmplan.transition import (
 )
 
 from conftest import FIXTURES, OBJECT_FILES, load_task, random_feasible_state
-from oracles import oracle_pivot, oracle_rotate, pad_corners_inside, reference_cell
+from oracles import (
+    mode_table_oracle,
+    oracle_pivot,
+    oracle_rotate,
+    pad_corners_inside,
+    reference_cell,
+)
 
 
 def centered_state(obj, pad=0.02):
@@ -580,6 +586,38 @@ class TestModeTable:
             verdicts.add(pad_corners_inside(obj, pad))
         assert verdicts == {True, False}
         assert len(corner_calls) > 1000
+
+    def test_mode_tables_match_the_old_construction_bit_for_bit(self):
+        # Every valid grasp mode of the 6 fixture objects: each turn, the width,
+        # the face axes and the pivot edge equal the old numpy construction's,
+        # floats compared by their bits; the invalid triples fail in both.
+        def bits(value):
+            if isinstance(value, float):
+                return value.hex()
+            if isinstance(value, np.ndarray):
+                return bits(value.tolist())
+            if isinstance(value, tuple | list):
+                return type(value).__name__, [bits(v) for v in value]
+            return value
+
+        modes = 0
+        for name in OBJECT_FILES:
+            obj = io_mod.load_object(FIXTURES / name)
+            for triple in itertools.product(range(len(obj.faces)), repeat=3):
+                try:
+                    old = mode_table_oracle(obj, *triple)
+                except (w.InvalidModelError, w.InvalidStateError):
+                    with pytest.raises(w.InvalidStateError):
+                        transition_mod._Mode(obj, *triple)
+                    continue
+                m = transition_mod._Mode(obj, *triple)
+                modes += 1
+                assert bits(m.width) == bits(old["width"]), (name, triple)
+                assert bits(m.axes) == bits(old["axes"]), (name, triple)
+                assert bits(m.pivot_edge) == bits(old["pivot_edge"]), (name, triple)
+                for kind, turn in old["turns"].items():
+                    assert bits(m.ops[kind]) == bits(turn), (name, triple, kind)
+        assert modes == 148
 
     def test_replay_matches_search_bit_for_bit(self, suite_entries):
         rng = np.random.default_rng(7)

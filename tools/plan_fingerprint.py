@@ -24,20 +24,23 @@ fixture tasks also run through ``bench.run_benchmark``, as the ``benchmark``
 command runs them (one freshly loaded object per task): every
 ``report_records`` field but ``planning_time_s``, a wall time, is recorded.
 Each fixture task also records the planner's abstract-graph bound at its
-start (``planner.start_bound``, field ``start_bound``), when the checkout has
-one.
+start (``planner.start_bound``, field ``start_bound``) and the graph itself
+(field ``abstract_graph``: its node count, then its finite exit costs sorted,
+as ``float.hex``), built on a freshly loaded object, when the checkout has
+them.  A changed turn verdict or turn map changes the graph.
 
 The second form prints which exact fields differ (expansions, statuses,
 state keys, actions, step costs, totals, successor lists, replay outcomes,
-the benchmark report, start bounds) and how many plan-state floats differ
-and by how much at most: centres in metres, orientations in radians as a wrapped angle
-difference, the final state's pad area outside the goals in square metres,
-and the ``overlap_ratio`` pair of each fixture plan's final state and of
-each noisy final state (a ratio).  It also counts how many heuristic values and
-waypoint pose entries differ and by how much at most: ``total_heuristic`` of
-every fixture and budget plan state, in metres, and the ``poses`` entries
-(rotation entries unitless, translations in metres).  Neither kind of float
-is an exact field.  It exits 1 when an exact field differs, 0 otherwise.
+the benchmark report, start bounds, abstract graphs) and how many plan-state
+floats differ and by how much at most: centres in metres, orientations in
+radians as a wrapped angle difference, the final state's pad area outside the
+goals in square metres, and the ``overlap_ratio`` pair of each fixture plan's
+final state and of each noisy final state (a ratio).  It also counts how
+many heuristic values and waypoint pose entries differ and by how much at
+most: ``total_heuristic`` of every fixture and budget plan state, in metres,
+and the ``poses`` entries (rotation entries unitless, translations in
+metres).  Neither kind of float is an exact field.  It exits 1 when an exact
+field differs, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -111,6 +114,21 @@ def _report(records) -> list:
             for record in records]
 
 
+def _abstract_graph(wl, task) -> list:
+    """The abstract-graph bound of a search from the task's start, on a fresh
+    object: its node count, then its finite exit costs sorted, as ``float.hex``;
+    empty when the planner builds none."""
+    from wihmplan import heuristic
+    obj = wl.io_mod.load_object(task.object_path)
+    bound, _ = wl.planner_mod._abstract_bound(
+        obj, task.start, wl.transition_mod.state_key(task.start),
+        heuristic.HeuristicCache(obj, task.goals), task.resolution, task.cost, {})
+    if bound is None:
+        return []
+    exits = sorted(cost for cost in bound.exits.values() if math.isfinite(cost))
+    return [len(bound.exits)] + [cost.hex() for cost in exits]
+
+
 def _plan(plan, expanded: int, key_of) -> dict:
     return {
         "expanded": expanded,
@@ -146,6 +164,8 @@ def fingerprint(src: Path) -> dict:
         if hasattr(wl.planner_mod, "start_bound"):
             case["start_bound"] = [wl.planner_mod.start_bound(
                 obj, task.start, task.goals, task.resolution, task.cost).hex()]
+        if hasattr(wl.planner_mod, "_abstract_bound"):
+            case["abstract_graph"] = _abstract_graph(wl, task)
         case["successors"] = _branching(obj, plan, task.resolution,
                                         wl.transition_mod.successors, key_of)
         if any(a.kind.name == "PIVOT" for a in plan.actions):
