@@ -17,7 +17,7 @@ from . import io as io_mod
 from .errors import CorruptedPlanError, InvalidInputError, InvalidStateError, WihmplanError
 from .geometry import ObjectModel, unfold
 from .kinematics import plan_waypoints
-from .planner import Plan, plan as run_planner
+from .planner import Plan, action_cost, plan as run_planner
 from .transition import ResolutionConfig, state_key
 
 EXIT_OK = 0
@@ -89,9 +89,15 @@ def _cmd_plan(args) -> int:
 
 def _cmd_simulate(args) -> int:
     obj = io_mod.load_object(args.object)
-    resolution, _ = io_mod.load_configs(args.config)
+    resolution, cost = io_mod.load_configs(args.config)
     start = io_mod.load_state(args.start, obj, resolution)
     plan_, result = _load_plan(args.plan, obj, resolution)
+    # plan.json records no config: a plan priced under another one fails here.
+    for i, (act, recorded) in enumerate(zip(plan_.actions, plan_.step_costs)):
+        expected = action_cost(act, cost, resolution.slide_step)
+        if recorded != expected:
+            raise CorruptedPlanError(f"{args.plan}: step {i} ({act.kind.name}) records cost "
+                                     f"{recorded!r}, the config gives {expected!r}")
     if state_key(start) != state_key(plan_.states[0]):
         raise CorruptedPlanError(f"{args.start}: the start state is not the plan's first state")
     if args.noise is None:

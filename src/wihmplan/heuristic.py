@@ -26,7 +26,8 @@ the total never decreases, so that goal cannot win, and the result is the
 The search also takes the abstract-graph lower bound (``AbstractBound``):
 the cheapest cost of the turns a plan still needs, planned over grasp modes,
 pad orientations and feasible turns, plus the translations left in the last
-mode.  It plans with f = g + max(heuristic_scale * h, bound).
+mode.  While the bound is on it alone orders the search, f = g + bound, and
+h serves the goal test; without it f = g + heuristic_scale * h.
 """
 
 from __future__ import annotations

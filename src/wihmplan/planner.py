@@ -1,29 +1,40 @@
 """Best-first search over grasp states for region-reaching plans.
 
-The search minimizes accumulated action cost with priority
-f = g + max(heuristic_scale * h, bound), stops when every pad corner sits
-inside a goal (h below tolerance), and otherwise falls back to the expanded
-state with the best terminal objective once the node budget runs out or the
-open list empties; each of the two logs its own warning.  Runs
-are deterministic: ties on f break FIFO, and successors are generated in the
-canonical action order.
+The search minimizes accumulated action cost, stops when every pad corner
+sits inside a goal (h below tolerance), and otherwise falls back to the
+expanded state with the best terminal objective once the node budget runs
+out or the open list empties; each of the two logs its own warning.  Runs
+are deterministic: the open list pops the lowest f, an exact f-tie the
+deeper node (larger g), and any tie left first in, first out; successors
+are generated in the canonical action order.
 
 The bound is the abstract-graph lower bound (``heuristic.AbstractBound``):
-it plans over grasp modes, pad orientations and feasible turns first.  It is
-off, and f is g + heuristic_scale * h, when it is infinite at the start (no
-exact goal is reachable: a pad larger than every goal, ``goals_can_hold``,
-is decided before any graph is built) and when its graph passes its cap.
+it plans over grasp modes, pad orientations and feasible turns first.  While
+it is on, it alone orders the open list: f = g + bound.  It is off, and f is
+g + heuristic_scale * h, when it is infinite at the start (no exact goal is
+reachable: a pad larger than every goal, ``goals_can_hold``, is decided
+before any graph is built) and when its graph passes its cap.
+
+While the bound is on, h is computed only for a state whose bound is at most
+``_GOAL_SLACK``; every other state stores h as ``None``, meaning "the bound
+proves this is no goal".  The argument: if h <= goal_tolerance, each pad
+corner lies within goal_tolerance of a goal image, and goal_tolerance is at
+most the bound's fit tolerance, so each fit margin is at least minus that
+tolerance and the bound's stay term is 0 up to rounding; an admissible bound
+is then 0 there.  So a state with a bound above the slack has h above the
+goal tolerance, and the goal test at pop, ``h is not None and h <=
+goal_tolerance``, never skips a goal.
 
 A search node is a plain tuple ``(state, g, h, parent node, incoming
-action)``, and the open list holds ``(f, counter, state key, node)``.  Each
-child's key, three ints, is computed once, from the parent's: ``state_key``
-keeps the cell of the pad a slide leaves in place.  One dict, ``best_g``,
-records both the cheapest g pushed per key and which keys were expanded:
-expanding a key sets its entry to ``_EXPANDED`` (-inf), so every later path
-to it is pruned when generated and its stale open-list entries are skipped
-when popped.  Step costs are memoized per search in one dict keyed by
-``Action`` value: an action is a named tuple, so equal actions of different
-modes' move tables share one ``action_cost`` call.
+action)``, and the open list holds ``(f, -g, counter, state key, node)``.
+Each child's key, three ints, is computed once, from the parent's:
+``state_key`` keeps the cell of the pad a slide leaves in place.  One dict,
+``best_g``, records both the cheapest g pushed per key and which keys were
+expanded: expanding a key sets its entry to ``_EXPANDED`` (-inf), so every
+later path to it is pruned when generated and its stale open-list entries
+are skipped when popped.  Step costs are memoized per search in one dict
+keyed by ``Action`` value: an action is a named tuple, so equal actions of
+different modes' move tables share one ``action_cost`` call.
 """
 
 from __future__ import annotations
@@ -53,6 +64,9 @@ from .transition import (
 log = logging.getLogger(__name__)
 
 _EXPANDED = -math.inf  # best_g of an expanded key: below every path cost
+# A state whose bound exceeds this is no goal, so its h is never computed;
+# the bound tests allow the same slack for admissibility.
+_GOAL_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,6 +75,9 @@ class CostConfig:
 
     A unit slide costs its own step length; the other primitives scale up
     relative to that reference according to the arm motion they require.
+    ``heuristic_scale`` (lambda) weighs h only while the abstract-graph bound
+    is off (f = g + lambda * h); with the bound on, f = g + bound, whatever
+    lambda is.
     """
 
     slide_unit_cost: float | None = None  # defaults to the slide step itself
@@ -175,13 +192,14 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
         log.info("no exact goal is reachable from the start: the abstract-graph bound is "
                  "infinite there; searching without it for the best effort")
         bound, b0 = None, 0.0
-    h0 = total_heuristic(s0, cache, root_key)
+    h0 = total_heuristic(s0, cache, root_key) if bound is None or b0 <= _GOAL_SLACK else None
     # A search node is a plain tuple (state, g, h, parent node, incoming action).
     root = (s0, 0.0, h0, None, None)
     counter = 0
-    # Entries carry the state's key, computed once when the state is generated.
-    open_heap: list[tuple[float, int, tuple, tuple]] = [
-        (max(lam * h0, b0), counter, root_key, root)]
+    # Entries carry the state's key, computed once when the state is generated;
+    # -g pops the deeper of two nodes with equal f first.
+    open_heap: list[tuple[float, float, int, tuple, tuple]] = [
+        (lam * h0 if bound is None else b0, -0.0, counter, root_key, root)]
     best_g: dict[tuple, float] = {root_key: 0.0}
     heappush, heappop = heapq.heappush, heapq.heappop
 
@@ -191,11 +209,11 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
     goal_node = None
 
     while open_heap:
-        f, _, key, node = heappop(open_heap)
+        f, _, _, key, node = heappop(open_heap)
         if best_g[key] == _EXPANDED:
             continue
         state, g, h = node[0], node[1], node[2]
-        if h <= cost.goal_tolerance:
+        if h is not None and h <= cost.goal_tolerance:
             goal_node = node
             break
         best_g[key] = _EXPANDED
@@ -222,17 +240,18 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
             if seen is not None and seen <= child_g:
                 continue
             best_g[child_key] = child_g
-            child_h = total_heuristic(child_state, cache, child_key)
-            child_f = lam * child_h
-            if bound is not None:
+            if bound is None:
+                child_h = total_heuristic(child_state, cache, child_key)
+                child_f = child_g + lam * child_h
+            else:
                 child_b = bound(child_state, child_key)
-                if child_b > child_f:
-                    child_f = child_b
-            child_f += child_g
+                child_h = total_heuristic(child_state, cache, child_key) \
+                    if child_b <= _GOAL_SLACK else None
+                child_f = child_g + child_b
             if child_f < f - 1e-12:
                 log.debug("inconsistent heuristic: f dropped %.3e -> %.3e", f, child_f)
             counter += 1
-            heappush(open_heap, (child_f, counter, child_key,
+            heappush(open_heap, (child_f, -child_g, counter, child_key,
                                  (child_state, child_g, child_h, node, act)))
     else:
         log.warning("open list exhausted after %d expansions without reaching the goal; "

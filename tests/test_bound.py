@@ -17,12 +17,14 @@ from wihmplan import heuristic as heuristic_mod
 from wihmplan import transition as transition_mod
 from wihmplan.geometry import halfspaces_feasible
 from wihmplan.heuristic import HeuristicCache, total_heuristic
-from wihmplan.planner import CostConfig, _abstract_bound, plan, start_bound
+from wihmplan.planner import _GOAL_SLACK, CostConfig, _abstract_bound, plan, start_bound
 from wihmplan.transition import (
     ContactRegion,
     GoalRegion,
+    GraspState,
     ResolutionConfig,
     cell_turn,
+    derive_resolutions,
     region_cell,
     state_key,
     successors,
@@ -48,9 +50,10 @@ def _instances() -> list:
 
 def test_bound_is_admissible_and_consistent():
     # On each exhaustive state graph: max(lambda * h, bound) never exceeds the
-    # remaining optimal cost, bound(s) <= c + bound(s') on every edge, and A*
-    # with the bound returns the optimum.
-    stronger = edges_checked = 0
+    # remaining optimal cost, bound(s) <= c + bound(s') on every edge, the
+    # bound is within the planner's slack at every goal state (so the search
+    # never skips a goal test there), and A* with the bound returns the optimum.
+    stronger = edges_checked = goals_checked = 0
     for name, (obj, s0, goals, res), cost in _instances():
         states, edges = enumerate_state_graph(obj, s0, res, cost, max_states=100_000)
         cache = HeuristicCache(obj, goals)
@@ -69,12 +72,42 @@ def test_bound_is_admissible_and_consistent():
             for child, step in outs:
                 assert values[key] <= step + values[child] + 1e-12, (name, key, child)
                 edges_checked += 1
+        for key in goal_keys:
+            assert values[key] <= _GOAL_SLACK, (name, key, values[key])
+            goals_checked += 1
         p = plan(obj, s0, goals, res, cost)
         assert p.status == "exact-goal", name
         assert abs(p.total_action_cost - dist[k0]) <= 1e-12, name
         stronger += values[k0] > lam * total_heuristic(s0, cache)
     assert stronger >= len(_instances()) // 2
     assert edges_checked > 10_000
+    assert goals_checked > 1_000
+
+
+@pytest.mark.parametrize("shift", [-1e-7, 0.0, 1e-7])
+def test_goal_edge_flush_with_the_pads_is_reached(shift):
+    # Two shifts up put each pad's lower edge on the goals' lower edge; shift
+    # moves that edge one lattice cell down (the pads fit with 1e-7 to spare),
+    # or up (they stick out by 1e-7, so a third shift is needed).  The search
+    # runs with the bound on and finds the optimum of the exhaustive graph.
+    cs = w.ConvexPolygon2([(0, 0), (0.03, 0), (0.03, 0.03), (0, 0.03)])
+    obj = w.build_prism(cs, 0.06, name="tall_box")
+    res = derive_resolutions(obj, ResolutionConfig(slide_step=0.01, z_step=0.01,
+                                                   pad_width=0.015, pad_height=0.015))
+    s0 = GraspState.create(obj, 0, 2, 4, (0.015, 0.015), (0.015, 0.015), 0.015, 0.015)
+    edge = 0.0275 + shift
+    goals = [GoalRegion(f, w.ConvexPolygon2([(0.0, edge), (0.03, edge), (0.03, 0.06),
+                                              (0.0, 0.06)])) for f in (0, 2)]
+    cost = CostConfig()
+    assert 0.0 < start_bound(obj, s0, goals, res, cost) < math.inf
+    states, edges = enumerate_state_graph(obj, s0, res, cost, max_states=100_000)
+    cache = HeuristicCache(obj, goals)
+    goal_keys = {k for k, s in states.items() if total_heuristic(s, cache) <= cost.goal_tolerance}
+    optimum = optimal_cost_to_goals(edges, goal_keys)[state_key(s0)]
+    p = plan(obj, s0, goals, res, cost)
+    assert p.status == "exact-goal"
+    assert p.total_action_cost == pytest.approx(optimum, abs=1e-12)
+    assert len(p.actions) == (3 if shift > 0.0 else 2)
 
 
 def _lp_margin(rows: np.ndarray) -> float:

@@ -173,6 +173,48 @@ class TestSimulateCommand:
         errors = [rec.message for rec in caplog.records if rec.levelname == "ERROR"]
         assert errors and errors[0].startswith(f"{plan_path}: ROTATE_CW")
 
+    @pytest.mark.parametrize("noise", [[], ["--noise", "0.002", "--trials", "5"]])
+    def test_edited_step_cost_exits_2_naming_the_step(self, workdir, caplog, noise):
+        # The total and objective are kept consistent, so the plan file loads;
+        # the step cost no longer matches its action under the config.
+        plan_path = workdir / "plan.json"
+        assert run_cli("plan", "--object", str(workdir / "square_prism.json"),
+                       "--goals", str(workdir / "sq_t1_shift_goals.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"),
+                       "--out", str(plan_path)) == 0
+        data = json.loads(plan_path.read_text())
+        data["step_costs"][3] *= 2.0
+        data["total_action_cost"] = math.fsum(data["step_costs"])
+        data["objective"] = (data["terminal_outside_area"]
+                             + data["tradeoff_weight"] * data["total_action_cost"])
+        plan_path.write_text(json.dumps(data))
+        out = workdir / "sim.json"
+        code = run_cli("simulate", "--plan", str(plan_path),
+                       "--object", str(workdir / "square_prism.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"), *noise,
+                       "--out", str(out))
+        assert code == 2
+        assert not out.exists()
+        errors = [rec.message for rec in caplog.records if rec.levelname == "ERROR"]
+        assert errors and errors[0].startswith(f"{plan_path}: step 3 (MOVE_CONTACT_UP) ")
+
+    def test_plan_is_checked_against_the_config_it_was_made_under(self, workdir, caplog):
+        config = workdir / "pricey.json"
+        config.write_text(json.dumps({"cost": {"scale_z": 3.0}}))
+        plan_path = workdir / "plan.json"
+        assert run_cli("plan", "--object", str(workdir / "square_prism.json"),
+                       "--goals", str(workdir / "sq_t1_shift_goals.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"),
+                       "--config", str(config), "--out", str(plan_path)) == 0
+        simulate = ["simulate", "--plan", str(plan_path),
+                    "--object", str(workdir / "square_prism.json"),
+                    "--start", str(workdir / "sq_t1_shift_start.json"),
+                    "--out", str(workdir / "sim.json")]
+        assert run_cli(*simulate, "--config", str(config)) == 0
+        assert run_cli(*simulate) == 2
+        errors = [rec.message for rec in caplog.records if rec.levelname == "ERROR"]
+        assert errors and errors[0].startswith(f"{plan_path}: step 0 (MOVE_CONTACT_UP) ")
+
     def test_noise_mode_stats(self, workdir):
         plan_path = workdir / "plan.json"
         run_cli("plan", "--object", str(workdir / "square_prism.json"),

@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import heapq
 import json
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -33,35 +35,22 @@ PINNED_PLANS = {
     "sq_t1_shift": (14, [UP] * 14, 0.14),
     "sq_t2_rotate": (83, [UP, CW, UP, UP], 0.1242477796076938),
     "sq_t3_caps": (2, ["PIVOT", CW], 0.25132741228718347),
-    "rc_t2_rotate": (2665, ["PIVOT", CCW, "PIVOT", "MOVE_CONTACT_DOWN", CW]
-                     + ["SLIDE_LEFT_UP", "SLIDE_RIGHT_UP"] * 2, 0.7525663103256525),
+    "rc_t2_rotate": (1932, ["PIVOT", CW, "PIVOT", "PIVOT", UP, CW]
+                     + ["SLIDE_LEFT_DOWN", "SLIDE_RIGHT_DOWN"] * 2, 0.7525663103256525),
     "rc_t1_shift": (8, [UP] * 8, 0.08),
     "rl_t1_shift": (523, [UP] * 12 + ["SLIDE_LEFT_DOWN", "SLIDE_RIGHT_DOWN", UP] * 2, 0.16),
-    "rl_t2_rotate": (707, [UP] * 8 + [CW], 0.1742477796076938),
+    "rl_t2_rotate": (679, [UP] * 8 + [CW], 0.1742477796076938),
     "ht_t1_shift": (12, [UP] * 12, 0.12),
-    "ht_t2_rotate": (99, [UP] * 8 + [CCW], 0.16162097139053988),
+    "ht_t2_rotate": (95, [UP] * 8 + [CCW], 0.16162097139053988),
     "rs_t1_shift": (40, [UP] * 8, 0.08),
-    "rs_t2_rotate": (110, [UP] * 2 + [CW] + [UP] * 5, 0.1171238898038469),
-    "hs_t1_rotate": (50, [UP, UP, UP, CW, UP], 0.1216209713905397),
+    "rs_t2_rotate": (110, [UP] * 5 + [CW] + [UP] * 2, 0.1171238898038469),
+    "hs_t1_rotate": (45, [UP, UP, UP, CW, UP], 0.1216209713905397),
 }
 
-# Fixture task -> (expansions, pushes, digest of actions, step costs and final
-# state) of its plan at heuristic_scale 1.0, where h is inconsistent: an
-# expanded key's children can be reached again more cheaply.
-INCONSISTENT_PLANS = {
-    "sq_t1_shift": (14, 113, "686799cb8ef7e4d44fa1"),
-    "sq_t2_rotate": (4, 32, "cd2b682eac2bfc978ed1"),
-    "sq_t3_caps": (101, 313, "b2b8ca9fc7bc86269c2c"),
-    "rc_t1_shift": (8, 33, "c97d6ac043d1d64ef662"),
-    "rc_t2_rotate": (3027, 6014, "8ea9f9b0b07631bf7198"),
-    "rl_t1_shift": (18, 139, "ccb977767d10b16c5d9c"),
-    "rl_t2_rotate": (9, 72, "c365bce5e6e5ab0990df"),
-    "ht_t1_shift": (12, 85, "64f0d5a9ab1a8f3f0143"),
-    "ht_t2_rotate": (11, 64, "4d0f6a4062b78a59c1e5"),
-    "rs_t1_shift": (8, 65, "75fdfc75d08cafcba419"),
-    "rs_t2_rotate": (8, 47, "69806cbfde790251af00"),
-    "hs_t1_rotate": (7, 37, "dcd497829a5739d54bb4"),
-}
+
+# (expansions, pushes, cheaper paths to expanded keys, digest of actions, step
+# costs and final state) of test_expanded_key_reached_again_more_cheaply_is_pruned's search.
+PRUNED_PLAN = (400, 663, 33, "58e8e882f9e1aadaef30")
 
 
 def _plan_digest(p: Plan) -> str:
@@ -375,16 +364,54 @@ def test_fixture_plan_is_pinned(suite_entries, name):
     assert p.total_action_cost == pytest.approx(total, abs=1e-12)
 
 
-@pytest.mark.parametrize("name", sorted(INCONSISTENT_PLANS))
-def test_inconsistent_heuristic_plan_is_pinned(suite_entries, monkeypatch, name):
-    # An expanded key's best_g is -inf, so a cheaper path found to it later is
-    # pruned when generated instead of pushed and skipped when popped.
+@pytest.mark.parametrize("name", sorted(PINNED_PLANS))
+def test_heuristic_scale_does_not_steer_a_bounded_search(suite_entries, name):
+    # While the abstract-graph bound is on, f = g + bound: the plans and
+    # expansions are the same at every heuristic_scale.
     obj, start, goals, resolution, cost = load_task(
         next(e for e in suite_entries if e["name"] == name))
+    runs = {(p.expansions, _plan_digest(p)) for p in (
+        plan(obj, start, goals, resolution, dataclasses.replace(cost, heuristic_scale=lam))
+        for lam in (0.0, 0.125, 1.0))}
+    assert len(runs) == 1
+
+
+def test_expanded_key_reached_again_more_cheaply_is_pruned(monkeypatch):
+    # Goal bands thinner than the pads keep the bound off, so f = g + h, and h
+    # at heuristic_scale 1.0 is inconsistent: an expanded key can be generated
+    # again at a lower g.  Its best_g is -inf, so that path is pruned and no
+    # key is expanded twice.
+    obj, s0, _, res, _ = small_instance("slide")
+    sliver = [GoalRegion(f, w.ConvexPolygon2([(0.0, 0.044), (0.03, 0.044),
+                                               (0.03, 0.05), (0.0, 0.05)])) for f in (0, 2)]
+    cost = CostConfig(heuristic_scale=1.0, node_budget=400)
+    popped, expanded_at, cheaper = [], {}, []
+
+    def pop(heap):
+        popped.append(heapq.heappop(heap))
+        return popped[-1]
+
+    real = planner_mod.successors
+
+    def successors(state, *args):
+        _, neg_g, _, key, _ = popped[-1]  # the entry being expanded
+        assert key not in expanded_at
+        expanded_at[key] = -neg_g
+        pairs = list(real(state, *args))
+        for act, child in pairs:
+            if expanded_at.get(state_key(child), -math.inf) > \
+                    -neg_g + action_cost(act, cost, res.slide_step):
+                cheaper.append(act)
+        return pairs
+
     calls = []
     heuristic = planner_mod.total_heuristic
+    monkeypatch.setattr(planner_mod, "heapq", SimpleNamespace(heappush=heapq.heappush,
+                                                              heappop=pop))
+    monkeypatch.setattr(planner_mod, "successors", successors)
     monkeypatch.setattr(planner_mod, "total_heuristic",
                         lambda *args: calls.append(None) or heuristic(*args))
-    p = plan(obj, start, goals, resolution, dataclasses.replace(cost, heuristic_scale=1.0))
-    assert p.status == "exact-goal"
-    assert (p.expansions, len(calls) - 1, _plan_digest(p)) == INCONSISTENT_PLANS[name]
+    p = plan(obj, s0, sliver, res, cost)
+    assert p.status == "best-effort"
+    assert len(cheaper) > 0
+    assert (p.expansions, len(calls) - 1, len(cheaper), _plan_digest(p)) == PRUNED_PLAN
