@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CorruptedPlanError, InfeasibleActionError, InvalidInputError, WihmplanError
 from .geometry import ObjectModel
-from .planner import CostConfig, Plan, check_replay, plan as run_planner
+from .planner import CostConfig, Plan, plan as run_planner
 from .transition import (
     _TRANSLATIONS,
     Action,
@@ -58,6 +58,16 @@ class SimulationResult:
     executed: int
     failed: bool
     failure_step: int | None = None
+
+
+def check_replay(replayed: list[GraspState], recorded: list[GraspState]) -> None:
+    """Raise CorruptedPlanError unless a noiseless replay gave the recorded states."""
+    if len(replayed) != len(recorded):
+        raise CorruptedPlanError(
+            f"replay produced {len(replayed)} states, the plan records {len(recorded)}")
+    for got, want in zip(replayed, recorded):
+        if state_key(got) != state_key(want):
+            raise CorruptedPlanError("noiseless replay diverged from the recorded states")
 
 
 def simulate(plan_: Plan, obj: ObjectModel, s0: GraspState,

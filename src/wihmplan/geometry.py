@@ -497,8 +497,7 @@ class ObjectModel:
     reached, built on first use, so it never holds more than faces**2 entries;
     each entry keeps the move table of one resolution config, the last served,
     and a bounded table keyed by the two pads' orientations and sizes: their
-    planes, the landings of the turns taken from them and whether some pair
-    of pad centres can take each turn.
+    planes and the landings of the turns taken from them.
     `unfolded` holds the heuristic's unfolded map per base face, at most one
     per face.  Both are filled without a lock, as are the pair widths and the
     faces' rims (``rims``), computed on first use.

@@ -38,6 +38,7 @@ from collections.abc import Callable
 
 from .errors import InvalidInputError
 from .geometry import (
+    FEAS_TOL,
     GEOM_TOL,
     ConvexPolygon2,
     ObjectModel,
@@ -47,22 +48,19 @@ from .geometry import (
     unfold,
 )
 from .transition import (
-    _TURN_SLACK,
+    TURN_SLACK,
     Action,
     ContactRegion,
     GoalRegion,
     GraspState,
     ResolutionConfig,
-    _entry,
-    _mode,
-    _moves,
-    _shrunk_face,
-    _Turn,
     cell_turn,
     corner_offsets,
+    finger_axes,
     region_cell,
+    shrunk_planes,
     state_key,
-    turn_fits,
+    turns,
 )
 
 # The benchmark's per-layer probe (perfbench/layers.py) counts finger-memo
@@ -84,6 +82,10 @@ class HeuristicCache:
     def __init__(self, obj: ObjectModel, goals: list[GoalRegion]) -> None:
         if not goals:
             raise InvalidInputError("goal set must be non-empty")
+        for i, goal in enumerate(goals):
+            if not 0 <= goal.face < len(obj.faces):
+                raise InvalidInputError(
+                    f"goal {i} is on face {goal.face}, which object {obj.name!r} lacks")
         self.obj = obj
         self.goals = list(goals)
         self._goal_images: dict[tuple[int, int], ConvexPolygon2] = {}
@@ -155,7 +157,7 @@ def total_heuristic(s: GraspState, cache: HeuristicCache, key: tuple | None = No
 # cell a pad's face and orientation on the region_cell quantum (``cell_turn``
 # of its code): what a grasp mode and the pads' orientations fix, without the
 # centres.  Translations keep a state in its node; each turn of a mode's move
-# table that some pair of pad centres can take (``turn_fits``) is an edge.
+# table that some pair of pad centres can take (``transition.turns``) is an edge.
 
 # Abstract nodes one plan builds before it gives the bound up (as 0).
 _GRAPH_CAP = 4096
@@ -171,7 +173,7 @@ def goals_can_hold(goals: list[GoalRegion], pads: tuple[ContactRegion, ContactRe
     goal's plus perimeter times tolerance plus a corner term per vertex.  A
     pad of larger area fits in none.
     """
-    tau = max(tolerance, GEOM_TOL) + _TURN_SLACK
+    tau = max(tolerance, GEOM_TOL) + TURN_SLACK
     areas = []
     for goal in goals:
         planes, edges = goal.polygon._float_tables()
@@ -194,7 +196,7 @@ class AbstractBound:
     bounds the translations that carry both pads into goal images they fit.
 
     It is admissible and consistent.  The abstract graph relaxes the state
-    graph: ``_fit`` only removes edges, and ``turn_fits`` keeps every turn some
+    graph: ``_fit`` only removes edges, and ``turns`` keeps every turn some
     state can take, so h_abs and h_exit never exceed the cost of a turn
     sequence a state can run.  h_stay lower-bounds the in-mode cost: a slide
     moves one pad along its face's horizontal axis at ``slide_unit_cost /
@@ -266,17 +268,11 @@ class AbstractBound:
         while queue:
             node = queue.pop()
             support, left, right = pads[node]
-            m = _mode(obj, support, left.face, right.face)
-            e = _entry(obj, m, left, right)
             out = []
-            for op, action in _moves(m, resolution):
-                if type(op) is not _Turn or not turn_fits(obj, e, op, left, right):
+            for action, fits, new_support, new_left, new_right in turns(obj, support, left,
+                                                                        right, resolution):
+                if not fits:
                     continue
-                _, new_support, landing = e[1][action.kind]
-                new_left, new_right = (ContactRegion(face, 0.0, 0.0, theta, pad.pad_width,
-                                                     pad.pad_height)
-                                       for pad, (face, _, _, theta, _) in zip((left, right),
-                                                                               landing))
                 child = (new_support, cell_turn(region_cell(new_left)),
                          cell_turn(region_cell(new_right)))
                 if child not in pads:
@@ -285,19 +281,22 @@ class AbstractBound:
                     pads[child] = (new_support, new_left, new_right)
                     queue.append(child)
                 out.append((step_cost(action), child))
-            capable = all(self._goal_images(i, support, m, pad, node[1 + i])
+            axes = finger_axes(obj, support, left.face, right.face)
+            capable = all(self._goal_images(i, support, axes[i], pad, node[1 + i])
                           for i, pad in enumerate((left, right)))
             edges[node] = (out, capable)
         return edges
 
-    def _goal_images(self, i: int, support: int, m, pad: ContactRegion, cell: int) -> list:
+    def _goal_images(self, i: int, support: int, axes: tuple, pad: ContactRegion,
+                     cell: int) -> list:
         """Finger i's goal images a pad at its face and orientation fits in, each
         within the goal tolerance and inside the face, as rows (n0, n1, b, 1 / dual
         norm) of their fit half-planes; memoized per support face and cell.
 
         Which images the pad fits in, and their fit half-planes, depend on the
         cell and the pad's size alone, so they are memoized per cell and size,
-        for both fingers; the dual norms depend on the mode's axes."""
+        for both fingers; the dual norms depend on the finger's (horizontal, up)
+        axes in the mode (``finger_axes``)."""
         key = (support, cell)
         images = self._images[i].get(key)
         if images is None:
@@ -305,7 +304,7 @@ class AbstractBound:
             fits = self._fits.get(fit_key)
             if fits is None:
                 fits = self._fits[fit_key] = self._goal_fits(pad)
-            (h_u, h_v), (z_u, z_v) = (axis.tolist() for axis in m.axes[i])
+            (h_u, h_v), (z_u, z_v) = (axis.tolist() for axis in axes)
             w_h, w_z = self.weights
             images = self._images[i][key] = [
                 [(n0, n1, b, 1.0 / max(abs(n0 * h_u + n1 * h_v) / w_h,
@@ -316,14 +315,12 @@ class AbstractBound:
     def _goal_fits(self, pad: ContactRegion) -> list:
         """The fit half-planes (n0, n1, b) of each goal image the pad, at its face,
         orientation and size, fits in within the goal tolerance and inside the face."""
-        offsets = corner_offsets(pad.orientation, pad.pad_width, pad.pad_height)
-        face = _shrunk_face(self.obj, pad.face, pad.orientation, pad.pad_width, pad.pad_height)
+        shape = (pad.orientation, pad.pad_width, pad.pad_height)
+        face = shrunk_planes(self.obj.face(pad.face).polygon, *shape, FEAS_TOL)
         fits = []
         for g in range(len(self.cache.goals)):
-            planes = self.cache.goal_image(pad.face, g)._float_tables()[0]
-            fit = [(n0, n1, off - min(n0 * u + n1 * v for u, v in offsets) - self.tau)
-                   for n0, n1, off in planes]
-            if halfspaces_feasible(list(face) + fit, _TURN_SLACK):
+            fit = shrunk_planes(self.cache.goal_image(pad.face, g), *shape, self.tau)
+            if halfspaces_feasible(face + fit, TURN_SLACK):
                 fits.append(fit)
         return fits
 
@@ -342,10 +339,10 @@ class AbstractBound:
         value = memo.get((support, code))
         if value is None:
             pad = s[i]
-            m = _mode(self.obj, support, s.left.face, s.right.face)
+            axes = finger_axes(self.obj, support, s.left.face, s.right.face)[i]
             x, y = pad.x, pad.y
             value = math.inf
-            for rows in self._goal_images(i, support, m, pad, cell_turn(code)):
+            for rows in self._goal_images(i, support, axes, pad, cell_turn(code)):
                 worst = 0.0
                 for n0, n1, b, scale in rows:
                     gap = (b - n0 * x - n1 * y) * scale

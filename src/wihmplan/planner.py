@@ -44,7 +44,7 @@ import logging
 import math
 from dataclasses import dataclass
 
-from .errors import CorruptedPlanError, InvalidInputError, InvalidStartError, InvalidStateError
+from .errors import InvalidInputError, InvalidStartError, InvalidStateError
 from .geometry import ObjectModel
 from .heuristic import AbstractBound, HeuristicCache, goals_can_hold, total_heuristic
 from .transition import (
@@ -58,7 +58,6 @@ from .transition import (
     region_outside_goal,
     state_key,
     successors,
-    transition,
 )
 
 log = logging.getLogger(__name__)
@@ -170,8 +169,6 @@ def start_bound(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
 def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
          resolution: ResolutionConfig, cost: CostConfig) -> Plan:
     """Search for a primitive sequence driving both contacts into the goals."""
-    if not goals:
-        raise InvalidInputError("goal set must be non-empty")
     cost.validate()
     resolution.validate()
     try:
@@ -275,27 +272,3 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
                 total_action_cost=total, terminal_outside_area=outside,
                 objective=outside + w * total, status=status,
                 tradeoff_weight=w, expansions=expansions)
-
-
-def check_replay(replayed: list[GraspState], recorded: list[GraspState]) -> None:
-    """Raise CorruptedPlanError unless a noiseless replay gave the recorded states."""
-    if len(replayed) != len(recorded):
-        raise CorruptedPlanError(
-            f"replay produced {len(replayed)} states, the plan records {len(recorded)}")
-    for got, want in zip(replayed, recorded):
-        if state_key(got) != state_key(want):
-            raise CorruptedPlanError("noiseless replay diverged from the recorded states")
-
-
-def evaluate(plan_: Plan, goals: list[GoalRegion], obj: ObjectModel,
-             resolution: ResolutionConfig | None = None) -> float:
-    """Recompute the objective from a replay; raises if the plan is stale.
-    Given ``resolution``, a rotation outside its grip limits is infeasible."""
-    state = plan_.states[0]
-    replayed = [state]
-    for act in plan_.actions:
-        state = transition(state, act, obj, resolution)
-        replayed.append(state)
-    check_replay(replayed, plan_.states)
-    outside = region_outside_goal(replayed[-1], goals)
-    return outside + plan_.tradeoff_weight * math.fsum(plan_.step_costs)

@@ -72,8 +72,8 @@ keeps one orientation table (``_Mode.orientations``, read through
 ``_entry``) keyed by those six values, and an entry holds both pads' shrunk
 half-planes and, per turn kind taken from them, the landing pads' faces,
 centre maps, orientations and half-planes (``_landing``, built the first
-time the turn is taken), and whether some pair of pad centres can take
-each turn (``turn_fits``, decided the first time the planner's bound asks).
+time the turn is taken).  ``turns`` reads the same entry for the planner's
+bound: each turn's landing and whether some pair of pad centres can take it.
 No turn shifts an orientation by -0.0, so an orientation of 0.0 and one of
 -0.0 share an entry.  ``successors`` and ``transition`` each look the entry
 up once: a translation keeps each pad's face, orientation and size, so it
@@ -565,6 +565,13 @@ def _pivot_edge(obj: ObjectModel, rot: np.ndarray, tz: float,
     return None
 
 
+def finger_axes(obj: ObjectModel, support_face: int, left_face: int,
+                right_face: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per finger, the (horizontal, up) unit axes of its face frame in the grasp
+    mode: the directions a slide and a contact shift move its pad."""
+    return _mode(obj, support_face, left_face, right_face).axes
+
+
 def find_pivot_edge(s: GraspState, obj: ObjectModel) -> PivotEdgeInfo | None:
     """Locate the support edge parallel to the squeeze axis on the +y side.
 
@@ -599,15 +606,17 @@ def _corners_inside(obj: ObjectModel, region: ContactRegion) -> bool:
     return bool(np.all(margins >= -FEAS_TOL))
 
 
-def _shrunk_face(obj: ObjectModel, face_id: int, theta: float, pad_width: float,
-                 pad_height: float) -> tuple[tuple[float, float, float], ...]:
-    """Half-planes (n_u, n_v, b) holding the centres of pads that fit within FEAS_TOL:
-    each face half-plane moved in by the pad's reach, its smallest corner offset
-    along the normal."""
+def shrunk_planes(polygon: ConvexPolygon2, theta: float, pad_width: float, pad_height: float,
+                  slack: float) -> tuple[tuple[float, float, float], ...]:
+    """Half-planes (n_u, n_v, b) holding the centres of the pads, at orientation
+    theta and of the given size, that fit the polygon within ``slack``: each of
+    its half-planes moved in by the pad's reach, its smallest corner offset
+    along the normal.  A face's, at ``FEAS_TOL``, tests where search may place
+    a pad; a goal image's, at the goal tolerance, where the bound may end one."""
     (u0, v0), (u1, v1), (u2, v2), (u3, v3) = corner_offsets(theta, pad_width, pad_height)
     return tuple((n_u, n_v, b - min(n_u * u0 + n_v * v0, n_u * u1 + n_v * v1,
-                                    n_u * u2 + n_v * v2, n_u * u3 + n_v * v3) - FEAS_TOL)
-                 for n_u, n_v, b in obj.face(face_id).polygon._float_tables()[0])
+                                    n_u * u2 + n_v * v2, n_u * u3 + n_v * v3) - slack)
+                 for n_u, n_v, b in polygon._float_tables()[0])
 
 
 def _fit(obj: ObjectModel, planes: tuple, face_id: int, x: float, y: float, theta: float,
@@ -648,13 +657,12 @@ _ORIENTATION_CAP = 64
 
 def _entry(obj: ObjectModel, m: _Mode, left: ContactRegion, right: ContactRegion) -> tuple:
     """Mode m's entry for the two pads' orientations and sizes, built on first
-    use: ``(planes, landings, verdicts)``.
+    use: ``(planes, landings)``.
 
-    planes holds each pad's shrunk half-planes (a translation keeps them);
+    planes holds each pad's shrunk half-planes (a translation keeps them), and
     landings maps each turn kind taken from these pads to its landing (see
-    ``_landing``), and verdicts each turn kind asked about to ``turn_fits``'s
-    answer.  The key holds values only: 0.0 and -0.0 key alike, and both give
-    the same planes and, since no turn shifts by -0.0, the same landings.
+    ``_landing``).  The key holds values only: 0.0 and -0.0 key alike, and both
+    give the same planes and, since no turn shifts by -0.0, the same landings.
     """
     key = (left.orientation, right.orientation, left.pad_width, left.pad_height,
            right.pad_width, right.pad_height)
@@ -663,8 +671,8 @@ def _entry(obj: ObjectModel, m: _Mode, left: ContactRegion, right: ContactRegion
         if len(m.orientations) >= _ORIENTATION_CAP:
             m.orientations.clear()
         e = m.orientations[key] = (
-            tuple(_shrunk_face(obj, pad.face, pad.orientation, pad.pad_width, pad.pad_height)
-                  for pad in (left, right)), {}, {})
+            tuple(shrunk_planes(obj.face(pad.face).polygon, pad.orientation, pad.pad_width,
+                                pad.pad_height, FEAS_TOL) for pad in (left, right)), {})
     return e
 
 
@@ -677,39 +685,52 @@ def _landing(obj: ObjectModel, e: tuple, t: _Turn, left: ContactRegion,
     for pad, (face, x_map, y_map, shift) in zip((left, right), t.fingers):
         theta = math.remainder(pad.orientation + shift, _TWO_PI)
         fingers.append((face, x_map, y_map, theta,
-                        _shrunk_face(obj, face, theta, pad.pad_width, pad.pad_height)))
+                        shrunk_planes(obj.face(face).polygon, theta, pad.pad_width,
+                                      pad.pad_height, FEAS_TOL)))
     landing = e[1][t.action.kind] = (t.pair, t.support, tuple(fingers))
     return landing
 
 
 # Slack, in metres per half-plane, of the turn test: far above the rounding of
 # a centre map, so the test keeps every turn _fit can take.
-_TURN_SLACK = 1e-9
+TURN_SLACK = 1e-9
 
 
-def turn_fits(obj: ObjectModel, e: tuple, t: _Turn, left: ContactRegion,
-              right: ContactRegion) -> bool:
-    """Whether some pair of pad centres fits both faces before turn t and both
-    landing faces after it: the pads of entry e, the verdict kept in e.
+def turns(obj: ObjectModel, support: int, left: ContactRegion, right: ContactRegion,
+          cfg: ResolutionConfig) -> list[tuple]:
+    """Each rotation and pivot of the mode's move table for cfg, in canonical
+    order, from pads of these faces, orientations and sizes (their centres
+    are not read): ``(action, fits, support, left, right)``, the last three
+    the landing support face and landing pads, each centred at its face's
+    origin.
 
-    The constraints are linear in the centres (x_l, y_l, x_r, y_r): each pad's
-    shrunk half-planes before the turn (entry e's), and each landing pad's
-    shrunk half-planes through its affine centre map (``_landing``), each
-    within ``_TURN_SLACK`` (``_turn_rows``).  A pivot's maps are the identity,
-    so its rows split by finger; a rotation couples the fingers through their
-    centres' mean.  One witness is tried first (``_turn_witness``): a point
-    that meets every row meets every combination of them, so it proves the
-    verdict the elimination would give.  Only where it fails does
-    ``halfspaces_feasible`` decide.  Every state that takes the turn in
-    ``successors`` is a witness, so the test never rejects a turn search takes.
+    fits is whether some pair of pad centres fits both faces before the turn
+    and both landing faces after it.  The constraints are linear in the
+    centres (x_l, y_l, x_r, y_r): each pad's shrunk half-planes before the
+    turn (the orientation entry's), and each landing pad's shrunk half-planes
+    through its affine centre map (``_landing``), each within ``TURN_SLACK``
+    (``_turn_rows``).  A pivot's maps are the identity, so its rows split by
+    finger; a rotation couples the fingers through their centres' mean.  One
+    witness is tried first (``_turn_witness``): a point that meets every row
+    meets every combination of them, so it proves the verdict the elimination
+    would give.  Only where it fails does ``halfspaces_feasible`` decide.
+    Every state that takes the turn in ``successors`` is a witness, so the
+    test never rejects a turn search takes.
     """
-    kind = t.action.kind
-    fits = e[2].get(kind)
-    if fits is None:
-        landing = e[1].get(kind) or _landing(obj, e, t, left, right)
-        fits = e[2][kind] = (_turn_witness(obj, e[0], landing, left.face, right.face)
-                             or halfspaces_feasible(_turn_rows(e[0], landing), _TURN_SLACK))
-    return fits
+    m = _mode(obj, support, left.face, right.face)
+    e = _entry(obj, m, left, right)
+    planes, landings = e
+    out = []
+    for op, action in _moves(m, cfg):
+        if type(op) is not _Turn:
+            continue
+        landing = landings.get(action.kind) or _landing(obj, e, op, left, right)
+        fits = (_turn_witness(obj, planes, landing, left.face, right.face)
+                or halfspaces_feasible(_turn_rows(planes, landing), TURN_SLACK))
+        pads = [ContactRegion(face, 0.0, 0.0, theta, pad.pad_width, pad.pad_height)
+                for pad, (face, _, _, theta, _) in zip((left, right), landing[2])]
+        out.append((action, fits, landing[1], *pads))
+    return out
 
 
 def _turn_witness(obj: ObjectModel, planes: tuple, landing: tuple, left_face: int,
@@ -797,7 +818,7 @@ def successors(s: GraspState, obj: ObjectModel,
     left, right = s.left, s.right
     m = _mode(obj, s.support_face, left.face, right.face)
     e = _entry(obj, m, left, right)
-    planes, landings = e[0], e[1]
+    planes, landings = e
     out: list[tuple[Action, GraspState]] = []
     for op, action in _moves(m, cfg):
         if type(op) is _Turn:
@@ -883,8 +904,12 @@ convex_intersection = clip_rows
 def _covered_area(region: ContactRegion, goals: list[GoalRegion]) -> float:
     """Area of the pad covered by the union of same-face goals.
 
-    Inclusion-exclusion over goal subsets; intersections of convex polygons
-    stay convex, and goal counts per face are small.
+    Inclusion-exclusion over the goal subsets that meet the pad: intersections
+    of convex polygons stay convex.  A subset's intersection is the pad
+    clipped by its members in order, and it extends the intersection of the
+    subset without its last member, so only subsets whose every prefix meets
+    the pad are clipped at all, each once.  The subsets are summed in
+    increasing mask order.
     """
     same_face = [g.polygon._float_tables()[0] for g in goals if g.face == region.face]
     if not same_face:
@@ -892,19 +917,14 @@ def _covered_area(region: ContactRegion, goals: list[GoalRegion]) -> float:
     x, y = region.x, region.y
     pad = [[u + x, v + y] for u, v in
            corner_offsets(region.orientation, region.pad_width, region.pad_height)]
+    met = []  # (intersection, member count) of each subset that meets the pad, by mask
+    for planes in same_face:
+        grown = [(convex_intersection(pad, planes), 1)]
+        grown += [(convex_intersection(inter, planes), bits + 1) for inter, bits in met]
+        met += [(inter, bits) for inter, bits in grown if inter is not None]
     total = 0.0
-    n = len(same_face)
-    for mask in range(1, 1 << n):
-        inter = pad
-        bits = 0
-        for i in range(n):
-            if mask >> i & 1:
-                bits += 1
-                inter = convex_intersection(inter, same_face[i])
-                if inter is None:
-                    break
-        if inter is not None:
-            total += (1.0 if bits % 2 == 1 else -1.0) * _signed_area(inter)
+    for inter, bits in met:
+        total += (1.0 if bits % 2 == 1 else -1.0) * _signed_area(inter)
     return total
 
 

@@ -21,7 +21,7 @@ from wihmplan.bench import (
     run_benchmark,
     simulate,
 )
-from wihmplan.planner import CostConfig, evaluate, plan
+from wihmplan.planner import CostConfig, plan
 from wihmplan.transition import ActionKind, ResolutionConfig, state_key
 
 from conftest import load_task
@@ -103,7 +103,7 @@ def _breaking(limit: str, t) -> ResolutionConfig:
                                   "max_length_width_ratio"]))
 def test_rotation_past_a_grip_limit_is_rejected_given_the_config(walk, limit):
     # A walk of search's children whose first rotation breaks a grip limit of
-    # the config given: simulate, evaluate and noise_robustness reject it at
+    # the config given: simulate and noise_robustness reject it at
     # that step; without a config, or with the walk's own, it replays.
     index, plan_ = walk
     obj = _containment_objects()[index]
@@ -120,8 +120,6 @@ def test_rotation_past_a_grip_limit_is_rejected_given_the_config(walk, limit):
         assert simulate(plan_, obj, s0, resolution=given_cfg).executed == len(plan_.actions)
     with pytest.raises(w.InfeasibleActionError, match=plan_.actions[step].kind.name):
         simulate(plan_, obj, s0, resolution=cfg)
-    with pytest.raises(w.InfeasibleActionError, match=plan_.actions[step].kind.name):
-        evaluate(plan_, [], obj, resolution=cfg)
     noisy = noise_robustness(plan_, obj, s0, eta=0.0, trials=2, resolution=cfg)
     assert noisy["failures"] == 2
     assert all(trial["executed"] == step for trial in noisy["per_trial"])

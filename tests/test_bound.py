@@ -19,6 +19,8 @@ from wihmplan.geometry import halfspaces_feasible
 from wihmplan.heuristic import HeuristicCache, total_heuristic
 from wihmplan.planner import _GOAL_SLACK, CostConfig, _abstract_bound, plan, start_bound
 from wihmplan.transition import (
+    TURN_SLACK,
+    ActionKind,
     ContactRegion,
     GoalRegion,
     GraspState,
@@ -28,16 +30,17 @@ from wihmplan.transition import (
     region_cell,
     state_key,
     successors,
-    turn_fits,
+    turns,
 )
 
 from conftest import load_task
 from oracles import enumerate_state_graph, optimal_cost_to_goals
 from test_acceptance import _mini_box, _mini_hex, _mini_rect, criterion_3_instances
 from test_planner import small_instance
-from test_transition import _containment_objects, _walks, mode_states
+from test_transition import _containment_objects, _walks, mode_states, shrunk_face
 
-SLACK = transition_mod._TURN_SLACK
+SLACK = TURN_SLACK
+_TURN_KINDS = (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW, ActionKind.PIVOT)
 
 
 def _instances() -> list:
@@ -127,8 +130,8 @@ def _turn_rows(obj, t, left, right) -> np.ndarray:
     and shrunk faces: (coefficients, bound) rows."""
     rows = []
     for i, pad in enumerate((left, right)):
-        for n_u, n_v, b in transition_mod._shrunk_face(obj, pad.face, pad.orientation,
-                                                       pad.pad_width, pad.pad_height):
+        for n_u, n_v, b in shrunk_face(obj, pad.face, pad.orientation, pad.pad_width,
+                                       pad.pad_height):
             row = np.zeros(5)
             row[2 * i:2 * i + 2] = n_u, n_v
             row[4] = b
@@ -136,8 +139,7 @@ def _turn_rows(obj, t, left, right) -> np.ndarray:
     for pad, (face, x_map, y_map, shift) in zip((left, right), t.fingers):
         theta = math.remainder(pad.orientation + shift, 2.0 * math.pi)
         x_map, y_map = np.array(x_map), np.array(y_map)
-        for n_u, n_v, b in transition_mod._shrunk_face(obj, face, theta, pad.pad_width,
-                                                       pad.pad_height):
+        for n_u, n_v, b in shrunk_face(obj, face, theta, pad.pad_width, pad.pad_height):
             rows.append(np.append(n_u * x_map[:4] + n_v * y_map[:4],
                                   b - n_u * x_map[4] - n_v * y_map[4]))
     return np.array(rows)
@@ -151,8 +153,9 @@ def _tight(obj, face: int) -> float:
 def _reachable_turns(suite_entries):
     """Every turn of every mode and orientation pair reachable from each fixture
     start, with pads of the fixture's size, 6 mm and as wide as the start face
-    (so some feasible sets are thin): (task name, pad size index, model, abstract
-    node, orientation entry, turn, left pad, right pad)."""
+    (so some feasible sets are thin), walked as the bound walks them through
+    ``transition.turns``: (task name, pad size index, model, abstract node,
+    the mode's turn, its verdict, left pad, right pad)."""
     cfg = ResolutionConfig()
     for entry in suite_entries:
         obj, start, _, _, _ = load_task(entry)
@@ -168,17 +171,11 @@ def _reachable_turns(suite_entries):
                 if node in seen:
                     continue
                 seen.add(node)
-                m = transition_mod._mode(obj, support, left.face, right.face)
-                e = transition_mod._entry(obj, m, left, right)
-                for op, _ in transition_mod._moves(m, cfg):
-                    if not isinstance(op, transition_mod._Turn):
-                        continue
-                    yield entry["name"], index, obj, node, e, op, left, right
-                    if turn_fits(obj, e, op, left, right):
-                        _, new_support, landing = e[1][op.action.kind]
-                        queue.append((new_support, *(
-                            ContactRegion(face, 0.0, 0.0, theta, size, size)
-                            for face, _, _, theta, _ in landing)))
+                ops = transition_mod._mode(obj, support, left.face, right.face).ops
+                for action, fits, *landing in turns(obj, support, left, right, cfg):
+                    yield entry["name"], index, obj, node, ops[action.kind], fits, left, right
+                    if fits:
+                        queue.append(tuple(landing))
 
 
 def test_turn_test_matches_an_lp_oracle(suite_entries):
@@ -186,8 +183,7 @@ def test_turn_test_matches_an_lp_oracle(suite_entries):
     # linprog's, the largest common margin of the same constraints at least -SLACK.
     verdicts = {True: 0, False: 0}
     thinnest = math.inf
-    for name, _, obj, node, e, op, left, right in _reachable_turns(suite_entries):
-        fits = turn_fits(obj, e, op, left, right)
+    for name, _, obj, node, op, fits, left, right in _reachable_turns(suite_entries):
         margin = _lp_margin(_turn_rows(obj, op, left, right))
         assert abs(margin + SLACK) > 1e-11, (name, node, op.action.kind)
         assert fits == (margin >= -SLACK), (name, node, op.action.kind, margin)
@@ -204,7 +200,9 @@ def test_turn_witness_never_overrules_the_elimination(suite_entries):
     # sets send some turns to the elimination.
     accepted = [0, 0, 0]  # per pad size: fixture, 6 mm, as wide as the start face
     fallback = [0, 0, 0]
-    for name, index, obj, node, e, op, left, right in _reachable_turns(suite_entries):
+    for name, index, obj, node, op, fits, left, right in _reachable_turns(suite_entries):
+        m = transition_mod._mode(obj, node[0], left.face, right.face)
+        e = transition_mod._entry(obj, m, left, right)
         landing = e[1].get(op.action.kind) or transition_mod._landing(obj, e, op, left, right)
         rows = transition_mod._turn_rows(e[0], landing)
         if transition_mod._turn_witness(obj, e[0], landing, left.face, right.face):
@@ -212,52 +210,52 @@ def test_turn_witness_never_overrules_the_elimination(suite_entries):
             accepted[index] += 1
         else:
             fallback[index] += 1
-        assert turn_fits(obj, e, op, left, right) == halfspaces_feasible(rows, SLACK), (
-            name, node, op.action.kind)
+        assert fits == halfspaces_feasible(rows, SLACK), (name, node, op.action.kind)
     assert min(accepted) > 0 and sum(fallback) > 0
     assert fallback[2] > 0
+
+
+def _assert_turns_taken_fit(obj, state) -> int:
+    """Assert the turn test passes every rotation and pivot successors takes
+    from state; the number of them."""
+    cfg = ResolutionConfig()
+    verdicts = {action: fits for action, fits, *_ in turns(obj, state.support_face, state.left,
+                                                            state.right, cfg)}
+    taken = 0
+    for action, _ in successors(state, obj, cfg):
+        if action.kind in _TURN_KINDS:
+            assert verdicts[action], action.kind
+            taken += 1
+    return taken
 
 
 def test_turn_test_keeps_every_turn_search_takes():
     # From every state of random feasible walks (pads of two sizes), each
     # rotation and pivot successors takes passes the turn test.
-    turns = 0
+    taken = 0
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(_walks())
     def check(walk):
-        nonlocal turns
+        nonlocal taken
         index, plan_ = walk
         obj = _containment_objects()[index]
         for state in plan_.states:
-            m = transition_mod._mode(obj, state.support_face, state.left.face, state.right.face)
-            e = transition_mod._entry(obj, m, state.left, state.right)
-            for action, _ in successors(state, obj, ResolutionConfig()):
-                op = m.ops[action.kind]
-                if isinstance(op, transition_mod._Turn):
-                    assert turn_fits(obj, e, op, state.left, state.right), action.kind
-                    turns += 1
+            taken += _assert_turns_taken_fit(obj, state)
 
     check()
-    assert turns > 100
+    assert taken > 100
 
 
 def test_turn_test_keeps_the_turns_of_pads_as_wide_as_a_face():
     # Centred pads as wide as a face's narrower extent fit it with no room to
     # spare, so the centre pairs that can take their turns are few.
-    turns = 0
+    taken = 0
     for obj in _containment_objects():
         for size in sorted({_tight(obj, f.id) for f in obj.faces}):
             for state in mode_states(obj, pad=size):
-                m = transition_mod._mode(obj, state.support_face, state.left.face,
-                                         state.right.face)
-                e = transition_mod._entry(obj, m, state.left, state.right)
-                for action, _ in successors(state, obj, ResolutionConfig()):
-                    op = m.ops[action.kind]
-                    if isinstance(op, transition_mod._Turn):
-                        assert turn_fits(obj, e, op, state.left, state.right), action.kind
-                        turns += 1
-    assert turns > 20
+                taken += _assert_turns_taken_fit(obj, state)
+    assert taken > 20
 
 
 @settings(max_examples=200, deadline=None)
@@ -273,6 +271,31 @@ def test_halfspaces_feasible_matches_an_lp_oracle(planes):
     margin = _lp_margin(np.array([[a, b, 0.0, 0.0, c] for a, b, c in rows] + unused))
     if abs(margin + SLACK) > 1e-9:
         assert halfspaces_feasible(rows, SLACK) == (margin >= -SLACK)
+
+
+def _graph_summary(obj, task) -> list:
+    """The abstract graph of a search from the task's start on obj, as the plan
+    fingerprint records it: node count, then the finite exit costs sorted."""
+    _, start, goals, resolution, cost = task
+    bound, _ = _abstract_bound(obj, start, state_key(start), HeuristicCache(obj, goals),
+                               resolution, cost, {})
+    if bound is None:
+        return []
+    return [len(bound.exits)] + sorted(c for c in bound.exits.values() if math.isfinite(c))
+
+
+def test_abstract_graph_on_warm_tables_matches_a_fresh_model(suite_entries):
+    # A second build on one model reads the mode and orientation tables the
+    # first filled; every turn verdict is decided again, as on a fresh model.
+    built = 0
+    for entry in suite_entries:
+        task = load_task(entry)
+        obj = task[0]
+        first = _graph_summary(obj, task)
+        assert _graph_summary(obj, task) == first == _graph_summary(load_task(entry)[0], task), (
+            entry["name"])
+        built += bool(first)
+    assert built == len(suite_entries) == 12
 
 
 def test_cell_turn_keeps_face_and_orientation_only():

@@ -1,8 +1,10 @@
 """The package depends on numpy alone (``pyproject.toml``): a fresh interpreter
-that imports it and plans a fixture task loads no other third-party module."""
+that imports it and plans a fixture task loads no other third-party module.
+And the heuristic reads the transition model through its public names only."""
 
 from __future__ import annotations
 
+import ast
 import json
 import subprocess
 import sys
@@ -39,3 +41,13 @@ def test_planning_loads_numpy_as_the_only_third_party_module():
     top = {name.partition(".")[0] for name in report["modules"]}
     assert "wihmplan" in top and "numpy" in top
     assert top - set(sys.stdlib_module_names) - {"__main__", "wihmplan", "numpy"} == set()
+
+
+def test_heuristic_imports_no_private_name_from_transition():
+    # The bound asks transition for turns and axes; the tables behind them stay private.
+    tree = ast.parse((SRC / "wihmplan" / "heuristic.py").read_text(encoding="utf-8"))
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "transition"
+             for alias in node.names]
+    assert "turns" in names
+    assert [name for name in names if name.startswith("_")] == []

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import wihmplan as w
 from wihmplan import geometry as geometry_mod
 from wihmplan import io as io_mod
+from wihmplan import transition as transition_mod
 from wihmplan.geometry import (
     FACE_COORD_LIMIT,
     GEOM_TOL,
@@ -405,6 +406,29 @@ class TestClipKernel:
             pad_r.corners(), [g.polygon.vertices for g in goals_r])
         assert region_outside_goal(state, goals_l + goals_r) == pytest.approx(
             max(0.0, want), abs=1e-12)
+
+    def test_many_goals_on_a_face_clip_only_subsets_that_meet_the_pad(self, monkeypatch):
+        # 18 stripes span a face, each overlapping its neighbours; a tilted pad
+        # meets a few.  The covered area is the hull oracle's over the stripes
+        # the pad meets, and the overlap metric clips each stripe with the pad
+        # and with the subsets met before it, where clipping every subset of
+        # the 18 takes over 2**18 clips.
+        stripes = [GoalRegion(0, ConvexPolygon2([(0.0, 0.005 * k), (0.04, 0.005 * k),
+                                                 (0.04, 0.005 * k + 0.007),
+                                                 (0.0, 0.005 * k + 0.007)])) for k in range(18)]
+        pad = ContactRegion(0, 0.02, 0.05, 0.3, 0.02, 0.02)
+        other = ContactRegion(2, 0.02, 0.05, 0.0, 0.02, 0.02)
+        real = transition_mod.convex_intersection
+        clips = []
+        monkeypatch.setattr(transition_mod, "convex_intersection",
+                            lambda *args: clips.append(args) or real(*args))
+        got = region_outside_goal(GraspState(pad, other, 0, 4), stripes)
+        met = [g.polygon.vertices for g in stripes
+               if hull_clip_area(pad.corners(), g.polygon.vertices) > 0.0]
+        assert 4 <= len(met) < len(stripes)
+        want = pad.area() + other.area() - hull_covered_area(pad.corners(), met)
+        assert got == pytest.approx(want, abs=1e-12)
+        assert len(clips) < len(stripes) * (1 + 2 * len(met))
 
 
 class TestRigidTransform:

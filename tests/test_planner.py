@@ -14,7 +14,8 @@ import pytest
 import wihmplan as w
 from wihmplan import planner as planner_mod
 from wihmplan.heuristic import HeuristicCache, total_heuristic
-from wihmplan.planner import CostConfig, Plan, action_cost, evaluate, plan
+from wihmplan.bench import simulate
+from wihmplan.planner import CostConfig, Plan, action_cost, plan
 from wihmplan.transition import (
     Action,
     ActionKind,
@@ -22,6 +23,7 @@ from wihmplan.transition import (
     GraspState,
     ResolutionConfig,
     derive_resolutions,
+    region_outside_goal,
     state_key,
     world_context,
 )
@@ -176,6 +178,15 @@ class TestPlanBasics:
         with pytest.raises(w.InvalidInputError):
             plan(obj, s0, [], res, cost)
 
+    @pytest.mark.parametrize("face", [99, -1])
+    def test_goal_on_a_face_the_object_lacks_rejected(self, face, monkeypatch):
+        # Named by its index and face, before the search keys its first state.
+        obj, s0, goals, res, cost = small_instance("slide")
+        monkeypatch.setattr(planner_mod, "state_key", None)
+        bad = goals + [GoalRegion(face, goals[0].polygon)]
+        with pytest.raises(w.InvalidInputError, match=rf"goal {len(goals)} is on face {face},"):
+            plan(obj, s0, bad, res, cost)
+
     def test_infeasible_start_rejected(self):
         obj, s0, goals, res, cost = small_instance("slide")
         bad = GraspState(
@@ -230,26 +241,29 @@ class TestPlanBasics:
             state = transition(state, act, obj)
             assert state_key(state) == state_key(recorded)
 
-    def test_evaluate_matches_objective(self):
+    def test_simulated_objective_matches_the_plan(self):
+        # The objective recomputed from a noiseless replay's final state.
         obj, s0, goals, res, cost = small_instance("rotate")
         p = plan(obj, s0, goals, res, cost)
-        assert evaluate(p, goals, obj) == pytest.approx(p.objective, abs=1e-12)
+        final = simulate(p, obj, s0).final_state
+        objective = region_outside_goal(final, goals) + p.tradeoff_weight * math.fsum(p.step_costs)
+        assert objective == pytest.approx(p.objective, abs=1e-12)
 
-    def test_evaluate_rejects_tampered_plan(self):
+    def test_simulate_rejects_tampered_plan(self):
         obj, s0, goals, res, cost = small_instance("slide")
         p = plan(obj, s0, goals, res, cost)
         assert len(p.actions) >= 2
         p.actions[-1] = Action(ActionKind.MOVE_CONTACT_DOWN, p.actions[-1].magnitude)
         with pytest.raises(w.CorruptedPlanError):
-            evaluate(p, goals, obj)
+            simulate(p, obj, s0)
 
-    def test_evaluate_rejects_missing_state(self):
+    def test_simulate_rejects_missing_state(self):
         obj, s0, goals, res, cost = small_instance("slide")
         p = plan(obj, s0, goals, res, cost)
         assert len(p.actions) >= 1
         del p.states[-1]
         with pytest.raises(w.CorruptedPlanError, match="states"):
-            evaluate(p, goals, obj)
+            simulate(p, obj, s0)
 
 
 class TestPivotRequired:

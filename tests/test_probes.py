@@ -24,8 +24,10 @@ from conftest import load_task
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import layers  # noqa: E402 - needs perfbench on the path
 
-# Second homes the probes list for functions that live elsewhere.
-ABSENT_BY_DESIGN = {("wihmplan.cli", "full_pivot_trajectory"), ("wihmplan.io", "emit_report")}
+# Second homes the probes list for functions that live elsewhere.  The planner
+# no longer replays plans: bench alone carries calls into transition.transition.
+ABSENT_BY_DESIGN = {("wihmplan.cli", "full_pivot_trajectory"), ("wihmplan.io", "emit_report"),
+                    ("wihmplan.planner", "transition")}
 
 
 @pytest.mark.parametrize("metric", sorted(layers.PROBES))

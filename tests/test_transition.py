@@ -527,10 +527,15 @@ def _threshold_pad(face, theta, width, height, edge, along, nudges) -> ContactRe
     return ContactRegion(face.id, *center, theta, width, height)
 
 
+def shrunk_face(obj, face_id: int, theta: float, pad_width: float, pad_height: float) -> tuple:
+    """The face's half-planes holding the centres of pads that fit it within FEAS_TOL."""
+    return transition_mod.shrunk_planes(obj.face(face_id).polygon, theta, pad_width, pad_height,
+                                        FEAS_TOL)
+
+
 def _place_matches_oracle(obj, pad: ContactRegion) -> bool:
     x, y = pad.center.tolist()
-    planes = transition_mod._shrunk_face(obj, pad.face, pad.orientation, pad.pad_width,
-                                         pad.pad_height)
+    planes = shrunk_face(obj, pad.face, pad.orientation, pad.pad_width, pad.pad_height)
     placed = transition_mod._fit(obj, planes, pad.face, x, y, pad.orientation, pad)
     if placed is not None:
         assert placed.center.tolist() == [x, y]
@@ -714,8 +719,8 @@ class TestOrientationTable:
             planes_lr = m.orientations[(left.orientation, right.orientation, left.pad_width,
                                         left.pad_height, right.pad_width, right.pad_height)][0]
             for pad, planes in zip((left, right), planes_lr):
-                assert planes == transition_mod._shrunk_face(
-                    obj, pad.face, pad.orientation, pad.pad_width, pad.pad_height)
+                assert planes == shrunk_face(obj, pad.face, pad.orientation, pad.pad_width,
+                                             pad.pad_height)
         assert outcomes[0] != outcomes[1] != outcomes[2] != outcomes[0]
 
     def test_table_stays_within_its_cap(self):
@@ -793,10 +798,16 @@ class TestOrientationTable:
         # no rotation and builds planes for the parent pads and the pivot only.
         cfg = ResolutionConfig(pad_width=0.01, pad_height=0.01, max_length_width_ratio=0.01)
         obj = io_mod.load_object(FIXTURES / "square_prism.json")
-        real = transition_mod._shrunk_face
+        face_of = {id(f.polygon): f.id for f in obj.faces}
+        real = transition_mod.shrunk_planes
         built = []
-        monkeypatch.setattr(transition_mod, "_shrunk_face",
-                            lambda *args: built.append(args[1:]) or real(*args))
+
+        def shrunk_planes(polygon, *shape):
+            assert shape[-1] == FEAS_TOL
+            built.append((face_of[id(polygon)], *shape[:-1]))
+            return real(polygon, *shape)
+
+        monkeypatch.setattr(transition_mod, "shrunk_planes", shrunk_planes)
         pivots = 0
         for state in mode_states(obj):
             m = transition_mod._mode(obj, state.support_face, state.left.face, state.right.face)
