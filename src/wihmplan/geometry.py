@@ -8,10 +8,10 @@ clip, and each ``Face``'s centre and outline, computed on first use.  Units
 are meters and radians throughout.
 
 Float contract: the two queries search and replay make of a polygon, point
-distances (``corner_distance_sum``) and clipping (``clip_rows``), run on
-Python floats over those tables.  numpy only builds and validates polygons,
-transforms and object models, and serves array callers
-(``contains_points``).
+distances (``corner_distance_sum``) and clipping (``clip_rows``, over the raw
+``clip_ring``), run on Python floats over those tables.  numpy only builds
+and validates polygons, transforms and object models, and serves array
+callers (``contains_points``).
 """
 
 from __future__ import annotations
@@ -235,22 +235,20 @@ def _edge_distance(x: float, y: float, edges: list) -> float:
     return math.sqrt(best)
 
 
-def clip_rows(rows: list, planes: list) -> list | None:
-    """The convex polygon ``rows`` clipped to the half-planes ``planes``, as rows.
+def clip_ring(rows: list, planes) -> list:
+    """The convex polygon ``rows`` clipped to the half-planes ``planes``, as
+    raw Sutherland-Hodgman output: its vertices in ``rows``' order, with
+    nothing merged or dropped, so some may repeat; empty when nothing is left.
 
-    ``rows`` are a convex polygon's ``[x, y]`` vertices, counterclockwise;
-    ``planes`` are another's ``(n0, n1, off)`` half-planes (its
-    ``_float_tables()[0]``).  Sutherland-Hodgman clipping on Python floats:
-    each half-plane keeps the vertices with ``n0 * x + n1 * y - off >= 0``
-    and adds the points where an edge crosses its line.  The result is
-    canonical as a ``ConvexPolygon2``'s vertices, or None when fewer than 3
-    vertices stay 1e-12 apart, its area is at most 1e-16 m^2, or it is
-    degenerate once collinear vertices are gone.
+    ``rows`` are a convex polygon's ``[x, y]`` vertices; ``planes`` are
+    ``(n0, n1, off)`` half-planes.  Each half-plane keeps the vertices with
+    ``n0 * x + n1 * y - off >= 0`` and adds the points where an edge crosses
+    its line.
     """
     out = rows
     for n0, n1, off in planes:
         if not out:
-            return None
+            return out
         inp, out = out, []
         px, py = inp[-1]
         d_prev = n0 * px + n1 * py - off
@@ -263,6 +261,20 @@ def clip_rows(rows: list, planes: list) -> list | None:
             if d_cur >= 0.0:
                 out.append(cur)
             px, py, d_prev = cx, cy, d_cur
+    return out
+
+
+def clip_rows(rows: list, planes: list) -> list | None:
+    """The convex polygon ``rows`` clipped to the half-planes ``planes``, as rows.
+
+    ``rows`` are a convex polygon's ``[x, y]`` vertices, counterclockwise;
+    ``planes`` are another's ``(n0, n1, off)`` half-planes (its
+    ``_float_tables()[0]``).  Sutherland-Hodgman clipping on Python floats
+    (``clip_ring``).  The result is canonical as a ``ConvexPolygon2``'s
+    vertices, or None when fewer than 3 vertices stay 1e-12 apart, its area
+    is at most 1e-16 m^2, or it is degenerate once collinear vertices are gone.
+    """
+    out = clip_ring(rows, planes)
     if len(out) < 3:
         return None
     pts = _dedupe(out)
@@ -357,6 +369,50 @@ def _keep_row(live: dict, coeffs, b: float) -> bool:
     if bound > live.get(key, -math.inf):
         live[key] = bound
     return True
+
+
+def opposed_rows(rows: list, slack: float) -> bool:
+    """Whether two of the half-plane rows ``(n0, n1, b)``, each met as
+    ``n0 * x + n1 * y >= b - slack``, have exactly opposite normals and
+    offsets whose sum passes ``2 * slack``: added up they read
+    ``0 >= b + d - 2 * slack``, so no point meets both.  A cheap certificate
+    that the rows are infeasible, tried before ``halfspaces_feasible``."""
+    tightest: dict[tuple[float, float], float] = {}
+    for n0, n1, b in rows:
+        d = tightest.get((-n0, -n1))
+        if d is not None and b + d > 2.0 * slack:
+            return True
+        if b > tightest.get((n0, n1), -math.inf):
+            tightest[(n0, n1)] = b
+    return False
+
+
+def polygon_l1_distance(verts: list, ph: float, pz: float, w_h: float, w_z: float) -> float:
+    """The weighted L1 distance ``w_h * |dh| + w_z * |dz|`` from (ph, pz) to the
+    boundary of the polygon with vertices ``verts`` (rows (h, z), in ring order).
+
+    The distance is piecewise linear along each edge, with breaks only where
+    the edge crosses the line h = ph or z = pz through the point; so its
+    minimum lies at a vertex or at such a crossing, and one pass over the
+    edges finds it.  For a point outside the polygon it is the distance to
+    the polygon.
+    """
+    best = math.inf
+    ah, az = verts[-1]
+    for bh, bz in verts:
+        d = w_h * abs(bh - ph) + w_z * abs(bz - pz)
+        if d < best:
+            best = d
+        if (az < pz) != (bz < pz):
+            d = w_h * abs(ah + (pz - az) / (bz - az) * (bh - ah) - ph)
+            if d < best:
+                best = d
+        if (ah < ph) != (bh < ph):
+            d = w_z * abs(az + (ph - ah) / (bh - ah) * (bz - az) - pz)
+            if d < best:
+                best = d
+        ah, az = bh, bz
+    return best
 
 
 def rotation_x(angle: float) -> np.ndarray:

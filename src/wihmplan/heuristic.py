@@ -25,9 +25,10 @@ the total never decreases, so that goal cannot win, and the result is the
 
 The search also takes the abstract-graph lower bound (``AbstractBound``):
 the cheapest cost of the turns a plan still needs, planned over grasp modes,
-pad orientations and feasible turns, plus the translations left in the last
-mode.  While the bound is on it alone orders the search, f = g + bound, and
-h serves the goal test; without it f = g + heuristic_scale * h.
+pad orientations and feasible turns, plus the translations it needs in the
+mode it ends in, measured from the pads' centres, carried through the first
+turn when it takes one.  While the bound is on it alone orders the search,
+f = g + bound, and h serves the goal test; without it f = g + heuristic_scale * h.
 """
 
 from __future__ import annotations
@@ -42,9 +43,12 @@ from .geometry import (
     GEOM_TOL,
     ConvexPolygon2,
     ObjectModel,
+    clip_ring,
     corner_distance_sum,
     halfspaces_feasible,
+    opposed_rows,
     polygon_area,
+    polygon_l1_distance,
     unfold,
 )
 from .transition import (
@@ -184,35 +188,113 @@ def goals_can_hold(goals: list[GoalRegion], pads: tuple[ContactRegion, ContactRe
     return all(any(area >= pad.area() * (1.0 - 1e-9) for area in areas) for pad in pads)
 
 
+# Relative slack the exact in-mode distance is shrunk by: far above the
+# rounding of a fit polygon's vertices and of the distance sums.
+_STAY_SLACK = 1e-9
+
+
+def fit_polygon(image: ConvexPolygon2, fit: tuple, tau: float) -> list:
+    """The vertices of the polygon the fit half-planes ``fit`` of a goal image,
+    shrunk by a pad and widened by at most ``tau``, cut out: a box around the
+    image, 1 m plus ``tau`` wider on each side, clipped by them (``clip_ring``,
+    so no vertex is merged or dropped).  Empty where rounding leaves nothing."""
+    (x0, y0), (x1, y1) = image.vertices.min(axis=0).tolist(), image.vertices.max(axis=0).tolist()
+    m = tau + 1.0
+    return clip_ring([[x0 - m, y0 - m], [x1 + m, y0 - m], [x1 + m, y1 + m], [x0 - m, y1 + m]],
+                     fit)
+
+
+def finger_table(axes: tuple, fits: list, w_h: float, w_z: float) -> tuple:
+    """One finger's goal images in the metric its translations pay:
+    ``(h_u, h_v, z_u, z_v, images)``, its (horizontal, up) unit axes and per
+    goal image of ``fits`` (fit half-planes, fit polygon vertices) the rows
+    (n0, n1, b, 1 / dual norm) and the vertices as rows (h, z)."""
+    (h_u, h_v), (z_u, z_v) = (axis.tolist() for axis in axes)
+    return (h_u, h_v, z_u, z_v, [
+        ([(n0, n1, b, 1.0 / max(abs(n0 * h_u + n1 * h_v) / w_h, abs(n0 * z_u + n1 * z_v) / w_z))
+          for n0, n1, b in fit],
+         [(h_u * x + h_v * y, z_u * x + z_v * y) for x, y in verts])
+        for fit, verts in fits])
+
+
+def pad_stay(finger: tuple, x: float, y: float, w_h: float, w_z: float) -> float:
+    """One pad's h_stay at centre (x, y): the least, over its goal images, of the
+    weighted L1 distance to the image's fit polygon (see ``AbstractBound``).
+
+    ``finger`` is ``(h_u, h_v, z_u, z_v, images)``: the finger's (horizontal,
+    up) axes in face coordinates, and per image its fit half-planes as rows
+    (n0, n1, b, 1 / dual norm) and its fit polygon's vertices in (h, z).
+    """
+    h_u, h_v, z_u, z_v, images = finger
+    best = math.inf
+    for rows, verts in images:
+        worst = 0.0
+        for n0, n1, b, scale in rows:
+            gap = (b - n0 * x - n1 * y) * scale
+            if gap > worst:
+                worst = gap
+        if worst <= 0.0:
+            return 0.0
+        if worst >= best:
+            continue
+        if verts:
+            exact = polygon_l1_distance(verts, h_u * x + h_v * y, z_u * x + z_v * y,
+                                        w_h, w_z) * (1.0 - _STAY_SLACK)
+            if exact > worst:
+                worst = exact
+        if worst < best:
+            best = worst
+    return best
+
+
 class AbstractBound:
     """The abstract-graph lower bound of one search: ``bound(s, key)``.
 
     A node is goal-capable when each pad, at the node's face and orientation,
     fits inside the face and inside some goal image (the ones h measures
-    against), within the goal test's tolerance.  A reverse Dijkstra from the
-    goal-capable nodes over the turns' action costs gives h_abs.  A state's
-    bound is min(h_stay, h_exit): h_exit is the cheapest turn out of its node
-    plus h_abs where it lands, and h_stay, finite in goal-capable nodes only,
-    bounds the translations that carry both pads into goal images they fit.
+    against), within the goal tolerance.  A reverse Dijkstra from the
+    goal-capable nodes over the turns' action costs gives h_abs, and X, a
+    node's position-free exit, is its cheapest turn e plus h_abs where e
+    lands (``exits``).
+
+    A state's bound is min(h_stay, h_exit).  h_stay, finite in goal-capable
+    nodes only, is the translation cost still needed to carry both pads into
+    goal images they fit: per pad, the least over its images of the weighted
+    L1 distance from its centre to the image's fit polygon (the image's
+    half-planes moved in by the pad's corner offsets and out by the goal
+    tolerance), with slides at ``slide_weight`` per metre along the face's
+    horizontal axis and contact shifts at ``shift_weight`` per metre along its
+    up axis.  The distance is shrunk by a relative ``_STAY_SLACK`` (1e-9) for
+    rounding, and never taken below the largest fit half-plane violation over
+    its dual norm, a weaker bound on the same distance.  h_exit is the min
+    over turns e out of the node, landing in node B, of c_e + r_e(s) with
+    r_e(s) = min(h_stay_B(T_e(s)) / L_e, X_B): T_e(s) is s's pads carried
+    through e's centre maps (``transition.turns``), h_stay_B counts only when
+    B is goal-capable (it is infinite otherwise), and L_e = max(1, the largest
+    translation cost in B of T_e's linear part applied to a unit-cost move in
+    the node: one pad along one axis).  h_exit is never below X, so it is
+    computed only where h_stay exceeds X.
 
     It is admissible and consistent.  The abstract graph relaxes the state
     graph: ``_fit`` only removes edges, and ``turns`` keeps every turn some
-    state can take, so h_abs and h_exit never exceed the cost of a turn
-    sequence a state can run.  h_stay lower-bounds the in-mode cost: a slide
-    moves one pad along its face's horizontal axis at ``slide_unit_cost /
-    slide_step`` per metre (1 without it), a contact shift both pads along
-    their up axes at ``scale_z`` per metre, so each pad pays at least
-    ``scale_z / 2``.  Per pad and goal image, the largest violation of the
-    image's fit half-planes (each moved in by the pad's corner offsets, and out
-    by the goal tolerance) over its dual norm is at most the weighted L1
-    distance left to cover, and h_stay sums the minimum over images per pad.
-    It is 1-Lipschitz in the norm translations pay, so consistent on them;
-    a turn's cost plus the bound where it lands is at least h_exit.  The
-    minimum and maximum of consistent bounds are consistent.
+    state can take, so h_abs and X never exceed the cost of a turn sequence a
+    state can run.  A slide moves one pad along its face's horizontal axis at
+    ``slide_unit_cost / slide_step`` per metre (1 without it), a contact
+    shift both pads along their up axes at ``scale_z`` per metre, so each pad
+    pays at least ``scale_z / 2``; h_stay, a sum of distances in those norms,
+    lower-bounds the in-mode cost and is 1-Lipschitz in it.  A plan that
+    translates s to some p, then turns at e and lands at q = T_e(p), pays at
+    least d(s, p) + c_e + min(h_stay_B(q), X_B), and h_stay_B(q) >=
+    h_stay_B(T_e(s)) - L_e * d(s, p), so with L_e >= 1 it pays at least
+    c_e + r_e(s).  r_e is 1-Lipschitz in the node's norm, and at a turn it is
+    at most the bound where the turn lands; the minimum of consistent bounds
+    is consistent.
 
     Per-search memos (not thread-safe): the goal images a pad fits at a cell
-    and size (``_goal_fits``), each finger's rows of them at a support face and
-    cell (``_goal_images``), and h_stay per support face and pad cell.
+    and size with their fit polygons' vertices (``_goal_fits``), each finger's
+    rows of them at a support face and cell (``_goal_images``), h_stay per
+    support face and pad cell, and each node's turn exits (``_turn_exits``),
+    built the first time a state of the node needs them.
     """
 
     def __init__(self, obj: ObjectModel, cache: HeuristicCache, resolution: ResolutionConfig,
@@ -223,6 +305,9 @@ class AbstractBound:
         self.tau = max(tolerance, GEOM_TOL)
         self.weights = (slide_weight, shift_weight)
         self.exits: dict[tuple, float] = {}
+        self._nodes: dict[tuple, tuple] = {}
+        self._edges: dict[tuple, tuple] = {}
+        self._turn_exits: dict[tuple, list] = {}
         self._images: tuple[dict, dict] = ({}, {})
         self._fits: dict[tuple, list] = {}
         self._stay: tuple[dict, dict] = ({}, {})
@@ -233,12 +318,12 @@ class AbstractBound:
               shift_weight: float, step_cost: Callable[[Action], float]) -> AbstractBound | None:
         """The bound for searches from s0, or None when the graph passes ``_GRAPH_CAP`` nodes."""
         bound = cls(obj, cache, resolution, tolerance, slide_weight, shift_weight)
-        edges = bound._graph(s0, step_cost)
-        if edges is None:
+        if not bound._graph(s0, step_cost):
             return None
+        edges = bound._edges
         reverse: dict[tuple, list] = {node: [] for node in edges}
         for node, (out, _) in edges.items():
-            for cost, child in out:
+            for cost, child, _ in out:
                 reverse[child].append((cost, node))
         dist = {node: 0.0 for node, (_, capable) in edges.items() if capable}
         heap = [(0.0, i, node) for i, node in enumerate(dist)]
@@ -252,86 +337,97 @@ class AbstractBound:
                     dist[parent] = d + cost
                     count += 1
                     heapq.heappush(heap, (d + cost, count, parent))
-        bound.exits = {node: min((cost + dist.get(child, math.inf) for cost, child in out),
+        bound.exits = {node: min((cost + dist.get(child, math.inf) for cost, child, _ in out),
                                  default=math.inf)
                        for node, (out, _) in edges.items()}
         return bound
 
-    def _graph(self, s0: GraspState, step_cost) -> dict | None:
-        """Abstract node -> (turn edges as (cost, node), goal-capable), from s0's node."""
+    def _graph(self, s0: GraspState, step_cost) -> bool:
+        """Fill ``_edges`` (abstract node -> (turn edges as (cost, node, centre
+        maps), goal-capable)) and ``_nodes`` (its pads) from s0's node; False
+        past ``_GRAPH_CAP`` nodes."""
         obj, resolution = self.obj, self.resolution
         start = (s0.support_face, cell_turn(region_cell(s0.left)),
                  cell_turn(region_cell(s0.right)))
-        pads = {start: (s0.support_face, s0.left, s0.right)}
+        pads = self._nodes
+        pads[start] = (s0.support_face, s0.left, s0.right)
         queue = [start]
-        edges = {}
+        edges = self._edges
         while queue:
             node = queue.pop()
             support, left, right = pads[node]
             out = []
-            for action, fits, new_support, new_left, new_right in turns(obj, support, left,
-                                                                        right, resolution):
+            for action, fits, new_support, new_left, new_right, maps in turns(
+                    obj, support, left, right, resolution):
                 if not fits:
                     continue
                 child = (new_support, cell_turn(region_cell(new_left)),
                          cell_turn(region_cell(new_right)))
                 if child not in pads:
                     if len(pads) >= _GRAPH_CAP:
-                        return None
+                        return False
                     pads[child] = (new_support, new_left, new_right)
                     queue.append(child)
-                out.append((step_cost(action), child))
-            axes = finger_axes(obj, support, left.face, right.face)
-            capable = all(self._goal_images(i, support, axes[i], pad, node[1 + i])
-                          for i, pad in enumerate((left, right)))
-            edges[node] = (out, capable)
-        return edges
+                out.append((step_cost(action), child, maps))
+            edges[node] = (out, all(self._finger(i, node)[4] for i in (0, 1)))
+        return True
+
+    def _finger(self, i: int, node: tuple) -> tuple:
+        """Finger i's ``_goal_images`` at a graph node."""
+        support, left, right = self._nodes[node]
+        return self._goal_images(i, support, finger_axes(self.obj, support, left.face,
+                                                         right.face)[i], (left, right)[i],
+                                 node[1 + i])
 
     def _goal_images(self, i: int, support: int, axes: tuple, pad: ContactRegion,
-                     cell: int) -> list:
-        """Finger i's goal images a pad at its face and orientation fits in, each
-        within the goal tolerance and inside the face, as rows (n0, n1, b, 1 / dual
-        norm) of their fit half-planes; memoized per support face and cell.
+                     cell: int) -> tuple:
+        """Finger i's ``finger_table`` of the goal images a pad at its face and
+        orientation fits in, each within the goal tolerance and inside the face,
+        memoized per support face and cell.
 
-        Which images the pad fits in, and their fit half-planes, depend on the
-        cell and the pad's size alone, so they are memoized per cell and size,
-        for both fingers; the dual norms depend on the finger's (horizontal, up)
-        axes in the mode (``finger_axes``)."""
+        Which images the pad fits in, their fit half-planes and their fit
+        polygons depend on the cell and the pad's size alone, so they are
+        memoized per cell and size, for both fingers; the dual norms and the
+        (h, z) coordinates depend on the finger's axes in the mode
+        (``finger_axes``)."""
         key = (support, cell)
-        images = self._images[i].get(key)
-        if images is None:
+        finger = self._images[i].get(key)
+        if finger is None:
             fit_key = (cell, pad.pad_width, pad.pad_height)
             fits = self._fits.get(fit_key)
             if fits is None:
                 fits = self._fits[fit_key] = self._goal_fits(pad)
-            (h_u, h_v), (z_u, z_v) = (axis.tolist() for axis in axes)
-            w_h, w_z = self.weights
-            images = self._images[i][key] = [
-                [(n0, n1, b, 1.0 / max(abs(n0 * h_u + n1 * h_v) / w_h,
-                                       abs(n0 * z_u + n1 * z_v) / w_z)) for n0, n1, b in fit]
-                for fit in fits]
-        return images
+            finger = self._images[i][key] = finger_table(axes, fits, *self.weights)
+        return finger
 
     def _goal_fits(self, pad: ContactRegion) -> list:
         """The fit half-planes (n0, n1, b) of each goal image the pad, at its face,
-        orientation and size, fits in within the goal tolerance and inside the face."""
+        orientation and size, fits in within the goal tolerance and inside the
+        face, each with its fit polygon's vertices (``fit_polygon``).
+        ``opposed_rows`` rejects most images that do not fit before the
+        elimination runs."""
         shape = (pad.orientation, pad.pad_width, pad.pad_height)
         face = shrunk_planes(self.obj.face(pad.face).polygon, *shape, FEAS_TOL)
         fits = []
         for g in range(len(self.cache.goals)):
-            fit = shrunk_planes(self.cache.goal_image(pad.face, g), *shape, self.tau)
-            if halfspaces_feasible(face + fit, TURN_SLACK):
-                fits.append(fit)
+            image = self.cache.goal_image(pad.face, g)
+            fit = shrunk_planes(image, *shape, self.tau)
+            rows = face + fit
+            if not opposed_rows(rows, TURN_SLACK) and halfspaces_feasible(rows, TURN_SLACK):
+                fits.append((fit, fit_polygon(image, fit, self.tau)))
         return fits
 
     def __call__(self, s: GraspState, key: tuple) -> float:
         """The bound at s, whose state key is key; 0 off the graph."""
         support = key[0]
-        exit_cost = self.exits.get((support, cell_turn(key[1]), cell_turn(key[2])))
+        node = (support, cell_turn(key[1]), cell_turn(key[2]))
+        exit_cost = self.exits.get(node)
         if exit_cost is None:
             return 0.0
         stay = self._stay_cost(0, s, support, key[1]) + self._stay_cost(1, s, support, key[2])
-        return stay if stay < exit_cost else exit_cost
+        if stay <= exit_cost:
+            return stay
+        return self._exit(s, node, stay)
 
     def _stay_cost(self, i: int, s: GraspState, support: int, code: int) -> float:
         """h_stay of finger i's pad in s, memoized per support face and cell code."""
@@ -339,16 +435,63 @@ class AbstractBound:
         value = memo.get((support, code))
         if value is None:
             pad = s[i]
-            axes = finger_axes(self.obj, support, s.left.face, s.right.face)[i]
-            x, y = pad.x, pad.y
-            value = math.inf
-            for rows in self._goal_images(i, support, axes, pad, cell_turn(code)):
-                worst = 0.0
-                for n0, n1, b, scale in rows:
-                    gap = (b - n0 * x - n1 * y) * scale
-                    if gap > worst:
-                        worst = gap
-                if worst < value:
-                    value = worst
-            memo[(support, code)] = value
+            finger = self._goal_images(i, support,
+                                       finger_axes(self.obj, support, s.left.face,
+                                                   s.right.face)[i], pad, cell_turn(code))
+            value = memo[(support, code)] = pad_stay(finger, pad.x, pad.y, *self.weights)
         return value
+
+    def _exit(self, s: GraspState, node: tuple, best: float) -> float:
+        """min(best, h_exit(s)) for a state s of node: the turns are tried in
+        order of cost, until one costs at least the best so far."""
+        table = self._turn_exits.get(node)
+        if table is None:
+            table = self._turn_exits[node] = self._exit_table(node)
+        w_h, w_z = self.weights
+        xl, yl, xr, yr = s.left.x, s.left.y, s.right.x, s.right.y
+        for cost, rest, lipschitz, maps, fingers in table:
+            if cost >= best:
+                break
+            if fingers is not None:
+                stay = 0.0
+                for ((a, b, c, d, e), (f, g, h, i, j)), finger in zip(maps, fingers):
+                    stay += pad_stay(finger, a * xl + b * yl + c * xr + d * yr + e,
+                                      f * xl + g * yl + h * xr + i * yr + j, w_h, w_z)
+                stay /= lipschitz
+                if stay < rest:
+                    rest = stay
+            if cost + rest < best:
+                best = cost + rest
+        return best
+
+    def _exit_table(self, node: tuple) -> list:
+        """A node's turns as (c_e, X_B, L_e, centre maps, B's two fingers or None
+        when B is not goal-capable), sorted by cost."""
+        w_h, w_z = self.weights
+        support, left, right = self._nodes[node]
+        axes = finger_axes(self.obj, support, left.face, right.face)
+        # The four unit-cost moves: one pad along one of its axes, as
+        # (x_l, y_l, x_r, y_r) steps.
+        moves = []
+        for i, finger in enumerate(axes):
+            for (u, v), weight in zip((axis.tolist() for axis in finger), (w_h, w_z)):
+                move = [0.0] * 4
+                move[2 * i:2 * i + 2] = u / weight, v / weight
+                moves.append(move)
+        table = []
+        out, _ = self._edges[node]
+        for cost, child, maps in out:
+            fingers = (self._finger(0, child), self._finger(1, child)) \
+                if self._edges[child][1] else None
+            lipschitz = 1.0
+            if fingers is not None:
+                for move in moves:
+                    moved = 0.0
+                    for (x_map, y_map), (h_u, h_v, z_u, z_v, _) in zip(maps, fingers):
+                        dx = sum(m * k for m, k in zip(move, x_map))
+                        dy = sum(m * k for m, k in zip(move, y_map))
+                        moved += w_h * abs(h_u * dx + h_v * dy) + w_z * abs(z_u * dx + z_v * dy)
+                    lipschitz = max(lipschitz, moved)
+            table.append((cost, self.exits[child], lipschitz, maps, fingers))
+        table.sort(key=lambda row: row[0])
+        return table

@@ -700,9 +700,10 @@ def turns(obj: ObjectModel, support: int, left: ContactRegion, right: ContactReg
           cfg: ResolutionConfig) -> list[tuple]:
     """Each rotation and pivot of the mode's move table for cfg, in canonical
     order, from pads of these faces, orientations and sizes (their centres
-    are not read): ``(action, fits, support, left, right)``, the last three
-    the landing support face and landing pads, each centred at its face's
-    origin.
+    are not read): ``(action, fits, support, left, right, maps)``: the
+    landing support face and landing pads, each centred at its face's origin,
+    and per finger the (x map, y map) that place its landing centre, each a
+    5-tuple of coefficients over (x_l, y_l, x_r, y_r, 1).
 
     fits is whether some pair of pad centres fits both faces before the turn
     and both landing faces after it.  The constraints are linear in the
@@ -729,7 +730,8 @@ def turns(obj: ObjectModel, support: int, left: ContactRegion, right: ContactReg
                 or halfspaces_feasible(_turn_rows(planes, landing), TURN_SLACK))
         pads = [ContactRegion(face, 0.0, 0.0, theta, pad.pad_width, pad.pad_height)
                 for pad, (face, _, _, theta, _) in zip((left, right), landing[2])]
-        out.append((action, fits, landing[1], *pads))
+        maps = tuple((x_map, y_map) for _, x_map, y_map, _, _ in landing[2])
+        out.append((action, fits, landing[1], *pads, maps))
     return out
 
 

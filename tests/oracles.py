@@ -730,3 +730,24 @@ def optimal_cost_to_goals(edges, goal_keys):
                 counter += 1
                 heapq.heappush(heap, (nd, counter, pk))
     return dist
+
+
+def halfplane_bound(bound, s, key) -> float:
+    """The abstract-graph bound at s in its earlier, looser form, on ``bound``'s
+    own tables: min(h_stay, X), X the node's position-free exit (``bound.exits``)
+    and h_stay per pad the least, over its goal images, of the largest fit
+    half-plane violation over its dual norm (the distance to one half-plane)."""
+    from wihmplan.transition import cell_turn, finger_axes
+
+    support = key[0]
+    exit_cost = bound.exits.get((support, cell_turn(key[1]), cell_turn(key[2])))
+    if exit_cost is None:
+        return 0.0
+    stay = 0.0
+    for i, pad in enumerate((s.left, s.right)):
+        axes = finger_axes(bound.obj, support, s.left.face, s.right.face)[i]
+        images = bound._goal_images(i, support, axes, pad, cell_turn(key[1 + i]))[4]
+        stay += min((max([0.0] + [(b - n0 * pad.x - n1 * pad.y) * scale
+                                  for n0, n1, b, scale in rows]) for rows, _ in images),
+                    default=math.inf)
+    return min(stay, exit_cost)

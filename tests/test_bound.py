@@ -15,8 +15,14 @@ from scipy.optimize import linprog
 import wihmplan as w
 from wihmplan import heuristic as heuristic_mod
 from wihmplan import transition as transition_mod
-from wihmplan.geometry import halfspaces_feasible
-from wihmplan.heuristic import HeuristicCache, total_heuristic
+from wihmplan.geometry import FEAS_TOL, GEOM_TOL, halfspaces_feasible, opposed_rows
+from wihmplan.heuristic import (
+    HeuristicCache,
+    finger_table,
+    fit_polygon,
+    pad_stay,
+    total_heuristic,
+)
 from wihmplan.planner import _GOAL_SLACK, CostConfig, _abstract_bound, plan, start_bound
 from wihmplan.transition import (
     TURN_SLACK,
@@ -28,13 +34,14 @@ from wihmplan.transition import (
     cell_turn,
     derive_resolutions,
     region_cell,
+    shrunk_planes,
     state_key,
     successors,
     turns,
 )
 
-from conftest import load_task
-from oracles import enumerate_state_graph, optimal_cost_to_goals
+from conftest import load_task, random_convex_polygon
+from oracles import enumerate_state_graph, halfplane_bound, optimal_cost_to_goals
 from test_acceptance import _mini_box, _mini_hex, _mini_rect, criterion_3_instances
 from test_planner import small_instance
 from test_transition import _containment_objects, _walks, mode_states, shrunk_face
@@ -172,7 +179,7 @@ def _reachable_turns(suite_entries):
                     continue
                 seen.add(node)
                 ops = transition_mod._mode(obj, support, left.face, right.face).ops
-                for action, fits, *landing in turns(obj, support, left, right, cfg):
+                for action, fits, *landing, _ in turns(obj, support, left, right, cfg):
                     yield entry["name"], index, obj, node, ops[action.kind], fits, left, right
                     if fits:
                         queue.append(tuple(landing))
@@ -327,9 +334,201 @@ def test_bound_is_off_when_no_goal_can_hold_a_pad(caplog, monkeypatch):
     assert start_bound(obj, s0, sliver, res, cost) == math.inf
 
 
-@pytest.mark.parametrize("name", ["rc_t2_rotate", "sq_t3_caps", "hs_t1_rotate"])
+# Fixture task -> start bound / the optimal plan cost, to 6 places.
+START_GAPS = {
+    "hs_t1_rotate": 1.0, "ht_t1_shift": 1.0, "ht_t2_rotate": 1.0, "rc_t1_shift": 1.0,
+    "rc_t2_rotate": 0.960136, "rl_t1_shift": 1.0, "rl_t2_rotate": 1.0, "rs_t1_shift": 0.9375,
+    "rs_t2_rotate": 0.95731, "sq_t1_shift": 1.0, "sq_t2_rotate": 1.0, "sq_t3_caps": 1.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(START_GAPS))
 def test_start_bound_is_positive_and_below_the_plan_cost(suite_entries, name):
+    # The fixture plans are optimal, so their cost is C*; a looser (or
+    # tighter) bound changes the pinned gap.
     obj, start, goals, resolution, cost = load_task(
         next(e for e in suite_entries if e["name"] == name))
     bound = start_bound(obj, start, goals, resolution, cost)
-    assert 0.0 < bound <= plan(obj, start, goals, resolution, cost).total_action_cost
+    total = plan(obj, start, goals, resolution, cost).total_action_cost
+    assert 0.0 < bound <= total
+    assert bound / total == pytest.approx(START_GAPS[name], abs=1e-6)
+
+
+def test_bound_is_never_below_the_half_plane_bound():
+    # On each exhaustive state graph the bound is at least its earlier form
+    # (half-plane h_stay, position-free exit: oracles.halfplane_bound) at
+    # every state, and above it at some.
+    tighter = 0
+    for name, (obj, s0, goals, res), cost in _instances():
+        states, _ = enumerate_state_graph(obj, s0, res, cost, max_states=100_000)
+        bound, _ = _abstract_bound(obj, s0, state_key(s0), HeuristicCache(obj, goals), res,
+                                   cost, {})
+        for key, s in states.items():
+            new, old = bound(s, key), halfplane_bound(bound, s, key)
+            assert new >= old - 1e-12, (name, key, new, old)
+            tighter += new > old + 1e-9
+    assert tighter > 1_000
+
+
+def test_turn_exits_are_1_lipschitz_in_the_translation_metric():
+    # h_exit at random pad centres of each node with a goal-capable landing
+    # (the exhaustive instances, where some turn maps a unit move to more
+    # than unit cost in its landing node): it changes by at most the weighted
+    # L1 distance between the centres, and L_e bounds how far the turn's
+    # linear part stretches that distance into the landing node's.
+    rng = np.random.default_rng(23)
+    stretched = pairs = 0
+    for name, (obj, s0, goals, res), cost in _instances():
+        bound, _ = _abstract_bound(obj, s0, state_key(s0), HeuristicCache(obj, goals), res,
+                                   cost, {})
+        w_h, w_z = bound.weights
+        for node in bound._edges:
+            table = bound._exit_table(node)
+            if all(row[4] is None for row in table):
+                continue
+            support, left, right = bound._nodes[node]
+            axes = [[a.tolist() for a in finger] for finger in
+                    transition_mod.finger_axes(obj, support, left.face, right.face)]
+
+            def metric(d, axes=axes):
+                return sum(w_h * abs(h[0] * u + h[1] * v) + w_z * abs(z[0] * u + z[1] * v)
+                           for (h, z), u, v in zip(axes, d[::2], d[1::2]))
+
+            for _, _, lipschitz, maps, fingers in table:
+                if fingers is None:
+                    continue
+                stretched += lipschitz > 1.0 + 1e-9
+                for d in rng.normal(size=(20, 4)).tolist():
+                    moved = [(sum(a * b for a, b in zip(x_map, d)),
+                              sum(a * b for a, b in zip(y_map, d))) for x_map, y_map in maps]
+                    landed = sum(w_h * abs(f[0] * u + f[1] * v) + w_z * abs(f[2] * u + f[3] * v)
+                                 for f, (u, v) in zip(fingers, moved))
+                    assert landed <= lipschitz * metric(d) * (1.0 + 1e-12), (name, node)
+            pair = obj.pair_of_faces(left.face, right.face)
+            lo = min(obj.face(f).polygon.vertices.min() for f in (left.face, right.face))
+            hi = max(obj.face(f).polygon.vertices.max() for f in (left.face, right.face))
+            for _ in range(50):
+                a, b = (rng.uniform(lo, hi, size=4).tolist() for _ in range(2))
+                states = [GraspState(left._replace(x=c[0], y=c[1]), right._replace(x=c[2], y=c[3]),
+                                     pair, support) for c in (a, b)]
+                gap = abs(bound._exit(states[0], node, math.inf)
+                          - bound._exit(states[1], node, math.inf))
+                assert gap <= metric([x - y for x, y in zip(a, b)]) + 1e-12, (name, node)
+                pairs += 1
+    assert stretched > 0 and pairs > 1_000
+
+
+def _lp_l1_distance(rows, x, y, axes, w_h, w_z) -> float:
+    """min w_h * |dh| + w_z * |dz| over the moves (dh, dz) along the axes that
+    carry (x, y) into every row (n0, n1, b, _) as n0 * x + n1 * y >= b, by
+    linprog on split variables (dh+, dh-, dz+, dz-)."""
+    (h_u, h_v), (z_u, z_v) = axes
+    a_ub, b_ub = [], []
+    for n0, n1, b, _ in rows:
+        nh, nz = n0 * h_u + n1 * h_v, n0 * z_u + n1 * z_v
+        a_ub.append([-nh, nh, -nz, nz])
+        b_ub.append(n0 * x + n1 * y - b)
+    res = linprog(np.array([w_h, w_h, w_z, w_z]), A_ub=np.array(a_ub), b_ub=np.array(b_ub),
+                  bounds=[(0.0, None)] * 4, method="highs",
+                  options={"primal_feasibility_tolerance": 1e-10,
+                           "dual_feasibility_tolerance": 1e-10})
+    assert res.status == 0, res.message
+    return res.fun
+
+
+def test_exact_stay_matches_an_lp_oracle():
+    # One pad and one goal image of unit scale, the finger's axes turned by
+    # phi: pad_stay is the LP's weighted L1 distance to the fit polygon
+    # (within 1e-12 for the LP's rounding), shrunk by at most the relative
+    # 1e-9 slack, and never below the largest half-plane violation over its
+    # dual norm.  Centres lie inside the polygon, in a vertex's outer region,
+    # beyond an edge, and flush with an edge.
+    outside = {"vertex": 0, "edge": 0}
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), theta=st.floats(-math.pi, math.pi),
+           size=st.tuples(st.floats(0.05, 0.4), st.floats(0.05, 0.4)),
+           phi=st.floats(-math.pi, math.pi),
+           weights=st.tuples(st.floats(0.5, 3.0), st.floats(0.25, 2.0)),
+           where=st.sampled_from(["inside", "vertex", "edge", "flush"]),
+           t=st.tuples(st.floats(0.0, 1.0), st.floats(1e-6, 0.3)))
+    def check(seed, theta, size, phi, weights, where, t):
+        polygon = random_convex_polygon(np.random.default_rng(seed))
+        fit = shrunk_planes(polygon, theta, *size, GEOM_TOL)
+        verts = fit_polygon(polygon, fit, GEOM_TOL)
+        if len(verts) < 3:
+            return
+        axes = ((math.cos(phi), math.sin(phi)), (-math.sin(phi), math.cos(phi)))
+        finger = finger_table([np.array(a) for a in axes], [(fit, verts)], *weights)
+        ring = np.array(verts)
+        centre = ring.mean(axis=0)
+        k = int(t[0] * len(verts)) % len(verts)
+        a, b = ring[k], ring[(k + 1) % len(verts)]
+        edge = b - a
+        normal = np.array([edge[1], -edge[0]]) / np.linalg.norm(edge)  # outward: ccw ring
+        point = {"inside": centre + t[0] * (a - centre),
+                 "vertex": a + t[1] * (a - centre) / np.linalg.norm(a - centre),
+                 "edge": a + t[0] * edge + t[1] * normal,
+                 "flush": a + t[0] * edge}[where]
+        x, y = point.tolist()
+        value = pad_stay(finger, x, y, *weights)
+        rows = finger[4][0][0]
+        exact = _lp_l1_distance(rows, x, y, axes, *weights)
+        assert exact * (1.0 - 1e-9) - 1e-12 <= value <= exact + 1e-12, (where, value, exact)
+        assert value >= max([0.0] + [(b - n0 * x - n1 * y) * s for n0, n1, b, s in rows])
+        if where == "inside":
+            assert value == 0.0
+        elif where in outside and exact > 1e-6:
+            outside[where] += 1
+
+    check()
+    assert min(outside.values()) > 20
+
+
+def test_goal_fit_certificate_agrees_with_the_elimination(suite_entries, monkeypatch):
+    # Every goal-fit test the fixture suite's bounds make: wherever two
+    # opposed rows certify infeasible, the elimination finds the rows
+    # infeasible too, and the certificate decides most infeasible tests.
+    tests = []
+
+    def recorded(rows, slack):
+        tests.append((rows, slack, opposed_rows(rows, slack)))
+        return tests[-1][2]
+
+    monkeypatch.setattr(heuristic_mod, "opposed_rows", recorded)
+    for entry in suite_entries:
+        plan(*load_task(entry))
+    certified = infeasible = 0
+    for rows, slack, certificate in tests:
+        feasible = halfspaces_feasible(rows, slack)
+        assert not (certificate and feasible), rows
+        certified += certificate
+        infeasible += not feasible
+    assert len(tests) > 400 and certified > 0.9 * infeasible
+
+
+def test_goal_fit_certificate_agrees_with_the_elimination_on_drawn_pads():
+    # A rectangular goal on a box's side face and a pad: wherever two opposed
+    # rows certify the fit infeasible, the elimination agrees.
+    face = w.build_prism(w.ConvexPolygon2([(0, 0), (0.03, 0), (0.03, 0.03), (0, 0.03)]),
+                         0.05).face(0).polygon
+    certified = 0
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(theta=st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2, 0.3]),
+           pad=st.tuples(st.floats(0.002, 0.03), st.floats(0.002, 0.03)),
+           goal=st.tuples(st.floats(0.0, 0.03), st.floats(0.0, 0.05), st.floats(0.001, 0.03),
+                          st.floats(0.001, 0.05)),
+           tau=st.sampled_from([GEOM_TOL, 1e-4]))
+    def check(theta, pad, goal, tau):
+        nonlocal certified
+        x0, y0, gw, gh = goal
+        image = w.ConvexPolygon2([(x0, y0), (x0 + gw, y0), (x0 + gw, y0 + gh), (x0, y0 + gh)])
+        rows = (shrunk_planes(face, theta, *pad, FEAS_TOL)
+                + shrunk_planes(image, theta, *pad, tau))
+        if opposed_rows(rows, SLACK):
+            assert not halfspaces_feasible(rows, SLACK)
+            certified += 1
+
+    check()
+    assert certified > 30

@@ -35,18 +35,19 @@ UP, CW, CCW = "MOVE_CONTACT_UP", "ROTATE_CW", "ROTATE_CCW"
 # Fixture task -> (expansions, action kinds, total action cost) of its plan.
 PINNED_PLANS = {
     "sq_t1_shift": (14, [UP] * 14, 0.14),
-    "sq_t2_rotate": (83, [UP, CW, UP, UP], 0.1242477796076938),
+    "sq_t2_rotate": (9, [UP, CW, UP, UP], 0.1242477796076938),
     "sq_t3_caps": (2, ["PIVOT", CW], 0.25132741228718347),
-    "rc_t2_rotate": (1932, ["PIVOT", CW, "PIVOT", "PIVOT", UP, CW]
-                     + ["SLIDE_LEFT_DOWN", "SLIDE_RIGHT_DOWN"] * 2, 0.7525663103256525),
+    "rc_t2_rotate": (986, ["PIVOT", CW, "PIVOT", "SLIDE_LEFT_DOWN", "SLIDE_RIGHT_DOWN", "PIVOT",
+                           CW] + ["SLIDE_LEFT_DOWN", "SLIDE_RIGHT_DOWN"] * 2, 0.7525663103256525),
     "rc_t1_shift": (8, [UP] * 8, 0.08),
-    "rl_t1_shift": (523, [UP] * 12 + ["SLIDE_LEFT_DOWN", "SLIDE_RIGHT_DOWN", UP] * 2, 0.16),
-    "rl_t2_rotate": (679, [UP] * 8 + [CW], 0.1742477796076938),
+    "rl_t1_shift": (134, ["SLIDE_LEFT_DOWN", "SLIDE_RIGHT_DOWN"] + [UP] * 13
+                    + ["SLIDE_LEFT_DOWN", "SLIDE_RIGHT_DOWN", UP], 0.16),
+    "rl_t2_rotate": (25, [UP] * 8 + [CW], 0.1742477796076938),
     "ht_t1_shift": (12, [UP] * 12, 0.12),
-    "ht_t2_rotate": (95, [UP] * 8 + [CCW], 0.16162097139053988),
+    "ht_t2_rotate": (17, [UP] * 8 + [CCW], 0.16162097139053988),
     "rs_t1_shift": (40, [UP] * 8, 0.08),
-    "rs_t2_rotate": (110, [UP] * 5 + [CW] + [UP] * 2, 0.1171238898038469),
-    "hs_t1_rotate": (45, [UP, UP, UP, CW, UP], 0.1216209713905397),
+    "rs_t2_rotate": (77, [UP] * 2 + [CW] + [UP] * 5, 0.1171238898038469),
+    "hs_t1_rotate": (8, [CW, UP, UP, UP, UP], 0.1216209713905397),
 }
 
 

@@ -31,7 +31,9 @@ them.  A changed turn verdict or turn map changes the graph.
 
 The second form prints which exact fields differ (expansions, statuses,
 state keys, actions, step costs, totals, successor lists, replay outcomes,
-the benchmark report, start bounds, abstract graphs) and how many plan-state
+the benchmark report, start bounds, abstract graphs), with the old and new
+value of a changed expansion count or start bound (a start bound also as a
+share of its case's ``total_action_cost``), and how many plan-state
 floats differ and by how much at most: centres in metres, orientations in
 radians as a wrapped angle difference, the final state's pad area outside the
 goals in square metres, and the ``overlap_ratio`` pair of each fixture plan's
@@ -211,6 +213,19 @@ def _gap(field: str, a: str, b: str) -> float:
     return min(d, abs(d - 2.0 * math.pi)) if field == "orientations" else d
 
 
+def _change(field: str, a: dict, b: dict) -> str:
+    """``: old -> new`` for the scalar pins ``expanded`` and ``start_bound``, the
+    bound also as a share of its case's ``total_action_cost``; else empty."""
+    if field == "expanded" and field in a and field in b:
+        return f": {a[field]} -> {b[field]}"
+    if field == "start_bound" and field in a and field in b:
+        old, new = (float.fromhex(case[field][0]) for case in (a, b))
+        ratios = " -> ".join(f"{bound / float.fromhex(case['totals'][0]):.6g}"
+                             for bound, case in ((old, a), (new, b)))
+        return f": {old!r} -> {new!r} (of total_action_cost: {ratios})"
+    return ""
+
+
 def compare(a: dict, b: dict) -> int:
     """Print the differences between two fingerprints; the number of exact fields that differ."""
     mismatches = 0
@@ -222,7 +237,7 @@ def compare(a: dict, b: dict) -> int:
         for field in sorted(set(a[case]) | set(b[case])):
             if (field not in _FLOATS and field not in _DRIFTS
                     and a[case].get(field) != b[case].get(field)):
-                print(f"{case}: {field} differs")
+                print(f"{case}: {field} differs{_change(field, a[case], b[case])}")
                 mismatches += 1
     total = 0
     for field, unit in (_FLOATS | _DRIFTS).items():
