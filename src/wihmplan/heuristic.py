@@ -92,20 +92,20 @@ class HeuristicCache:
                     f"goal {i} is on face {goal.face}, which object {obj.name!r} lacks")
         self.obj = obj
         self.goals = list(goals)
-        self._goal_images: dict[tuple[int, int], ConvexPolygon2] = {}
+        self._unfolded_goals: dict[tuple[int, int], ConvexPolygon2] = {}
         self._finger_memo: dict[tuple, float] = {}
         self._offsets: dict[tuple[float, float, float], tuple] = {}
 
     def goal_image(self, base_face: int, goal_index: int) -> ConvexPolygon2:
         """The goal unfolded into the base face's plane, from the model's unfolded map."""
         key = (base_face, goal_index)
-        image = self._goal_images.get(key)
+        image = self._unfolded_goals.get(key)
         if image is None:
             umap = self.obj.unfolded.get(base_face)
             if umap is None:
                 umap = self.obj.unfolded[base_face] = unfold(self.obj, base_face)
             goal = self.goals[goal_index]
-            image = self._goal_images[key] = ConvexPolygon2(
+            image = self._unfolded_goals[key] = ConvexPolygon2(
                 umap.to_plane(goal.face, goal.polygon.vertices))
         return image
 
@@ -247,6 +247,23 @@ def pad_stay(finger: tuple, x: float, y: float, w_h: float, w_z: float) -> float
     return best
 
 
+class _Node:
+    """An abstract-graph node: support face, pads (left, right), their axes, turn
+    edges (cost, child node, centre maps), and two kinds of table built on first
+    use: each finger's ``finger_table`` and the exit table (``_exit_table``)."""
+
+    __slots__ = ("support", "pads", "axes", "out", "fingers", "table")
+
+    def __init__(self, obj: ObjectModel, support: int, left: ContactRegion,
+                 right: ContactRegion) -> None:
+        self.support = support
+        self.pads = (left, right)
+        self.axes = finger_axes(obj, support, left.face, right.face)
+        self.out: list[tuple] = []
+        self.fingers: list[tuple | None] = [None, None]
+        self.table: list | None = None
+
+
 class AbstractBound:
     """The abstract-graph lower bound of one search: ``bound(s, key)``.
 
@@ -290,11 +307,10 @@ class AbstractBound:
     at most the bound where the turn lands; the minimum of consistent bounds
     is consistent.
 
-    Per-search memos (not thread-safe): the goal images a pad fits at a cell
-    and size with their fit polygons' vertices (``_goal_fits``), each finger's
-    rows of them at a support face and cell (``_goal_images``), h_stay per
-    support face and pad cell, and each node's turn exits (``_turn_exits``),
-    built the first time a state of the node needs them.
+    Per-search memos (not thread-safe): a ``_Node`` per node (``_nodes``), its
+    finger and exit tables built the first time a state needs them; the goal
+    images a pad fits at a cell and size, for both fingers (``_fits``); and
+    h_stay per finger, support face and pad cell (``_stay``).
     """
 
     def __init__(self, obj: ObjectModel, cache: HeuristicCache, resolution: ResolutionConfig,
@@ -305,10 +321,7 @@ class AbstractBound:
         self.tau = max(tolerance, GEOM_TOL)
         self.weights = (slide_weight, shift_weight)
         self.exits: dict[tuple, float] = {}
-        self._nodes: dict[tuple, tuple] = {}
-        self._edges: dict[tuple, tuple] = {}
-        self._turn_exits: dict[tuple, list] = {}
-        self._images: tuple[dict, dict] = ({}, {})
+        self._nodes: dict[tuple, _Node] = {}
         self._fits: dict[tuple, list] = {}
         self._stay: tuple[dict, dict] = ({}, {})
 
@@ -320,12 +333,12 @@ class AbstractBound:
         bound = cls(obj, cache, resolution, tolerance, slide_weight, shift_weight)
         if not bound._graph(s0, step_cost):
             return None
-        edges = bound._edges
-        reverse: dict[tuple, list] = {node: [] for node in edges}
-        for node, (out, _) in edges.items():
-            for cost, child, _ in out:
+        nodes = bound._nodes
+        reverse: dict[tuple, list] = {node: [] for node in nodes}
+        for node, record in nodes.items():
+            for cost, child, _ in record.out:
                 reverse[child].append((cost, node))
-        dist = {node: 0.0 for node, (_, capable) in edges.items() if capable}
+        dist = {node: 0.0 for node in nodes if bound._capable(node)}
         heap = [(0.0, i, node) for i, node in enumerate(dist)]
         count = len(heap)
         while heap:
@@ -337,67 +350,50 @@ class AbstractBound:
                     dist[parent] = d + cost
                     count += 1
                     heapq.heappush(heap, (d + cost, count, parent))
-        bound.exits = {node: min((cost + dist.get(child, math.inf) for cost, child, _ in out),
-                                 default=math.inf)
-                       for node, (out, _) in edges.items()}
+        bound.exits = {node: min((cost + dist.get(child, math.inf) for cost, child, _ in
+                                  record.out), default=math.inf)
+                       for node, record in nodes.items()}
         return bound
 
     def _graph(self, s0: GraspState, step_cost) -> bool:
-        """Fill ``_edges`` (abstract node -> (turn edges as (cost, node, centre
-        maps), goal-capable)) and ``_nodes`` (its pads) from s0's node; False
-        past ``_GRAPH_CAP`` nodes."""
-        obj, resolution = self.obj, self.resolution
+        """Fill ``_nodes`` with a record per abstract node reachable from s0's
+        node, each with its turn edges; False past ``_GRAPH_CAP`` nodes."""
+        obj, resolution, nodes = self.obj, self.resolution, self._nodes
         start = (s0.support_face, cell_turn(region_cell(s0.left)),
                  cell_turn(region_cell(s0.right)))
-        pads = self._nodes
-        pads[start] = (s0.support_face, s0.left, s0.right)
+        nodes[start] = _Node(obj, s0.support_face, s0.left, s0.right)
         queue = [start]
-        edges = self._edges
         while queue:
-            node = queue.pop()
-            support, left, right = pads[node]
-            out = []
-            for action, fits, new_support, new_left, new_right, maps in turns(
-                    obj, support, left, right, resolution):
+            record = nodes[queue.pop()]
+            for action, fits, support, left, right, maps in turns(
+                    obj, record.support, *record.pads, resolution):
                 if not fits:
                     continue
-                child = (new_support, cell_turn(region_cell(new_left)),
-                         cell_turn(region_cell(new_right)))
-                if child not in pads:
-                    if len(pads) >= _GRAPH_CAP:
+                child = (support, cell_turn(region_cell(left)), cell_turn(region_cell(right)))
+                if child not in nodes:
+                    if len(nodes) >= _GRAPH_CAP:
                         return False
-                    pads[child] = (new_support, new_left, new_right)
+                    nodes[child] = _Node(obj, support, left, right)
                     queue.append(child)
-                out.append((step_cost(action), child, maps))
-            edges[node] = (out, all(self._finger(i, node)[4] for i in (0, 1)))
+                record.out.append((step_cost(action), child, maps))
         return True
 
+    def _capable(self, node: tuple) -> bool:
+        """Whether the node is goal-capable: each finger's table has an image."""
+        return all(self._finger(i, node)[4] for i in (0, 1))
+
     def _finger(self, i: int, node: tuple) -> tuple:
-        """Finger i's ``_goal_images`` at a graph node."""
-        support, left, right = self._nodes[node]
-        return self._goal_images(i, support, finger_axes(self.obj, support, left.face,
-                                                         right.face)[i], (left, right)[i],
-                                 node[1 + i])
-
-    def _goal_images(self, i: int, support: int, axes: tuple, pad: ContactRegion,
-                     cell: int) -> tuple:
-        """Finger i's ``finger_table`` of the goal images a pad at its face and
-        orientation fits in, each within the goal tolerance and inside the face,
-        memoized per support face and cell.
-
-        Which images the pad fits in, their fit half-planes and their fit
-        polygons depend on the cell and the pad's size alone, so they are
-        memoized per cell and size, for both fingers; the dual norms and the
-        (h, z) coordinates depend on the finger's axes in the mode
-        (``finger_axes``)."""
-        key = (support, cell)
-        finger = self._images[i].get(key)
+        """Finger i's ``finger_table`` at a node, built on first use from the goal
+        images its pad fits in (``_goal_fits``, memoized per cell and pad size)."""
+        record = self._nodes[node]
+        finger = record.fingers[i]
         if finger is None:
-            fit_key = (cell, pad.pad_width, pad.pad_height)
+            pad = record.pads[i]
+            fit_key = (node[1 + i], pad.pad_width, pad.pad_height)
             fits = self._fits.get(fit_key)
             if fits is None:
                 fits = self._fits[fit_key] = self._goal_fits(pad)
-            finger = self._images[i][key] = finger_table(axes, fits, *self.weights)
+            finger = record.fingers[i] = finger_table(record.axes[i], fits, *self.weights)
         return finger
 
     def _goal_fits(self, pad: ContactRegion) -> list:
@@ -419,34 +415,31 @@ class AbstractBound:
 
     def __call__(self, s: GraspState, key: tuple) -> float:
         """The bound at s, whose state key is key; 0 off the graph."""
-        support = key[0]
-        node = (support, cell_turn(key[1]), cell_turn(key[2]))
+        node = (key[0], cell_turn(key[1]), cell_turn(key[2]))
         exit_cost = self.exits.get(node)
         if exit_cost is None:
             return 0.0
-        stay = self._stay_cost(0, s, support, key[1]) + self._stay_cost(1, s, support, key[2])
+        stay = self._stay_cost(0, s, node, key[1]) + self._stay_cost(1, s, node, key[2])
         if stay <= exit_cost:
             return stay
         return self._exit(s, node, stay)
 
-    def _stay_cost(self, i: int, s: GraspState, support: int, code: int) -> float:
-        """h_stay of finger i's pad in s, memoized per support face and cell code."""
+    def _stay_cost(self, i: int, s: GraspState, node: tuple, code: int) -> float:
+        """h_stay of finger i's pad in s (of node), memoized per support face and cell code."""
         memo = self._stay[i]
-        value = memo.get((support, code))
+        value = memo.get((node[0], code))
         if value is None:
             pad = s[i]
-            finger = self._goal_images(i, support,
-                                       finger_axes(self.obj, support, s.left.face,
-                                                   s.right.face)[i], pad, cell_turn(code))
-            value = memo[(support, code)] = pad_stay(finger, pad.x, pad.y, *self.weights)
+            value = memo[(node[0], code)] = pad_stay(self._finger(i, node), pad.x, pad.y,
+                                                     *self.weights)
         return value
 
     def _exit(self, s: GraspState, node: tuple, best: float) -> float:
         """min(best, h_exit(s)) for a state s of node: the turns are tried in
         order of cost, until one costs at least the best so far."""
-        table = self._turn_exits.get(node)
+        table = self._nodes[node].table
         if table is None:
-            table = self._turn_exits[node] = self._exit_table(node)
+            table = self._nodes[node].table = self._exit_table(node)
         w_h, w_z = self.weights
         xl, yl, xr, yr = s.left.x, s.left.y, s.right.x, s.right.y
         for cost, rest, lipschitz, maps, fingers in table:
@@ -468,21 +461,19 @@ class AbstractBound:
         """A node's turns as (c_e, X_B, L_e, centre maps, B's two fingers or None
         when B is not goal-capable), sorted by cost."""
         w_h, w_z = self.weights
-        support, left, right = self._nodes[node]
-        axes = finger_axes(self.obj, support, left.face, right.face)
+        record = self._nodes[node]
         # The four unit-cost moves: one pad along one of its axes, as
         # (x_l, y_l, x_r, y_r) steps.
         moves = []
-        for i, finger in enumerate(axes):
+        for i, finger in enumerate(record.axes):
             for (u, v), weight in zip((axis.tolist() for axis in finger), (w_h, w_z)):
                 move = [0.0] * 4
                 move[2 * i:2 * i + 2] = u / weight, v / weight
                 moves.append(move)
         table = []
-        out, _ = self._edges[node]
-        for cost, child, maps in out:
+        for cost, child, maps in record.out:
             fingers = (self._finger(0, child), self._finger(1, child)) \
-                if self._edges[child][1] else None
+                if self._capable(child) else None
             lipschitz = 1.0
             if fingers is not None:
                 for move in moves:

@@ -13,7 +13,8 @@ it plans over grasp modes, pad orientations and feasible turns first.  While
 it is on, it alone orders the open list: f = g + bound.  It is off, and f is
 g + heuristic_scale * h, when it is infinite at the start (no exact goal is
 reachable: a pad larger than every goal, ``goals_can_hold``, is decided
-before any graph is built) and when its graph passes its cap.
+before any graph is built) and when its graph passes its cap; each case
+logs one INFO line.
 
 While the bound is on, h is computed only for a state whose bound is at most
 ``_GOAL_SLACK``; every other state stores h as ``None``, meaning "the bound
@@ -44,6 +45,7 @@ import logging
 import math
 from dataclasses import dataclass
 
+from . import heuristic as heuristic_mod
 from .errors import InvalidInputError, InvalidStartError, InvalidStateError
 from .geometry import ObjectModel
 from .heuristic import AbstractBound, HeuristicCache, goals_can_hold, total_heuristic
@@ -189,6 +191,9 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
         log.info("no exact goal is reachable from the start: the abstract-graph bound is "
                  "infinite there; searching without it for the best effort")
         bound, b0 = None, 0.0
+    elif bound is None:
+        log.info("the abstract graph passed its cap of %d nodes; searching without the bound, "
+                 "on heuristic_scale * h", heuristic_mod._GRAPH_CAP)
     h0 = total_heuristic(s0, cache, root_key) if bound is None or b0 <= _GOAL_SLACK else None
     # A search node is a plain tuple (state, g, h, parent node, incoming action).
     root = (s0, 0.0, h0, None, None)
@@ -215,9 +220,6 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
             break
         best_g[key] = _EXPANDED
         expansions += 1
-        if expansions >= cost.node_budget:
-            log.warning("node budget %d exhausted; returning best effort", cost.node_budget)
-            break
 
         # Best-effort tracking: E >= 0, so w*g already exceeding the score
         # means the full objective cannot improve on it.
@@ -226,6 +228,9 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
             if score < best_effort_score:
                 best_effort_score = score
                 best_effort = node
+        if expansions >= cost.node_budget:
+            log.warning("node budget %d exhausted; returning best effort", cost.node_budget)
+            break
 
         for act, child_state in successors(state, obj, resolution):
             step = costs.get(act)

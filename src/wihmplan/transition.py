@@ -911,7 +911,9 @@ def _covered_area(region: ContactRegion, goals: list[GoalRegion]) -> float:
     clipped by its members in order, and it extends the intersection of the
     subset without its last member, so only subsets whose every prefix meets
     the pad are clipped at all, each once.  The subsets are summed in
-    increasing mask order.
+    increasing mask order.  So the work is exponential in the number of
+    same-face goals that overlap one another and the pad: with nested bands
+    on one face a call takes milliseconds at 8 goals and half a second at 16.
     """
     same_face = [g.polygon._float_tables()[0] for g in goals if g.face == region.face]
     if not same_face:

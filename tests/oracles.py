@@ -737,16 +737,15 @@ def halfplane_bound(bound, s, key) -> float:
     own tables: min(h_stay, X), X the node's position-free exit (``bound.exits``)
     and h_stay per pad the least, over its goal images, of the largest fit
     half-plane violation over its dual norm (the distance to one half-plane)."""
-    from wihmplan.transition import cell_turn, finger_axes
+    from wihmplan.transition import cell_turn
 
-    support = key[0]
-    exit_cost = bound.exits.get((support, cell_turn(key[1]), cell_turn(key[2])))
+    node = (key[0], cell_turn(key[1]), cell_turn(key[2]))
+    exit_cost = bound.exits.get(node)
     if exit_cost is None:
         return 0.0
     stay = 0.0
     for i, pad in enumerate((s.left, s.right)):
-        axes = finger_axes(bound.obj, support, s.left.face, s.right.face)[i]
-        images = bound._goal_images(i, support, axes, pad, cell_turn(key[1 + i]))[4]
+        images = bound._finger(i, node)[4]
         stay += min((max([0.0] + [(b - n0 * pad.x - n1 * pad.y) * scale
                                   for n0, n1, b, scale in rows]) for rows, _ in images),
                     default=math.inf)

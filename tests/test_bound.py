@@ -334,6 +334,57 @@ def test_bound_is_off_when_no_goal_can_hold_a_pad(caplog, monkeypatch):
     assert start_bound(obj, s0, sliver, res, cost) == math.inf
 
 
+# Fixture task -> the plan cost its bounded search reaches.
+CAPPED_TOTALS = {"rc_t1_shift": 0.08, "sq_t1_shift": 0.14, "sq_t2_rotate": 0.1242477796076938}
+
+
+@pytest.mark.parametrize("name", sorted(CAPPED_TOTALS))
+def test_graph_past_its_cap_leaves_the_search_on_lambda_h(suite_entries, caplog, monkeypatch,
+                                                          name):
+    # A graph that passes its cap is dropped: the bound reads 0 at the start,
+    # plan() says so in one INFO line, and λ·h alone still finds the plan of
+    # the bounded search's cost.
+    monkeypatch.setattr(heuristic_mod, "_GRAPH_CAP", 5)
+    task = load_task(next(e for e in suite_entries if e["name"] == name))
+    assert start_bound(*task) == 0.0
+    with caplog.at_level(logging.INFO, logger="wihmplan.planner"):
+        p = plan(*task)
+    assert p.status == "exact-goal" and p.total_action_cost == CAPPED_TOTALS[name]
+    assert [r.getMessage() for r in caplog.records if r.levelno == logging.INFO] == [
+        "the abstract graph passed its cap of 5 nodes; searching without the bound, "
+        "on heuristic_scale * h"]
+
+
+def test_node_records_build_each_table_once(suite_entries, monkeypatch):
+    # Over a whole search, one bound runs _goal_fits once per distinct
+    # (cell, pad size) and builds each node's finger table at most once per
+    # finger; the fit lists are shared between fingers and nodes.
+    calls = {"fits": 0, "tables": 0}
+    bounds = []
+    build, goal_fits, table = (heuristic_mod.AbstractBound.build,
+                               heuristic_mod.AbstractBound._goal_fits, heuristic_mod.finger_table)
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        return wrapper
+
+    monkeypatch.setattr(heuristic_mod.AbstractBound, "build",
+                        lambda *args: bounds.append(build(*args)) or bounds[-1])
+    monkeypatch.setattr(heuristic_mod.AbstractBound, "_goal_fits", counted("fits", goal_fits))
+    monkeypatch.setattr(heuristic_mod, "finger_table", counted("tables", table))
+    shared = 0
+    for entry in suite_entries:
+        calls.update(fits=0, tables=0)
+        plan(*load_task(entry))
+        bound = bounds[-1]
+        built = sum(f is not None for record in bound._nodes.values() for f in record.fingers)
+        assert calls == {"fits": len(bound._fits), "tables": built}, entry["name"]
+        shared += built > len(bound._fits)
+    assert len(bounds) == len(suite_entries) == 12 and shared > 0
+
+
 # Fixture task -> start bound / the optimal plan cost, to 6 places.
 START_GAPS = {
     "hs_t1_rotate": 1.0, "ht_t1_shift": 1.0, "ht_t2_rotate": 1.0, "rc_t1_shift": 1.0,
@@ -382,11 +433,11 @@ def test_turn_exits_are_1_lipschitz_in_the_translation_metric():
         bound, _ = _abstract_bound(obj, s0, state_key(s0), HeuristicCache(obj, goals), res,
                                    cost, {})
         w_h, w_z = bound.weights
-        for node in bound._edges:
+        for node, record in bound._nodes.items():
             table = bound._exit_table(node)
             if all(row[4] is None for row in table):
                 continue
-            support, left, right = bound._nodes[node]
+            support, (left, right) = record.support, record.pads
             axes = [[a.tolist() for a in finger] for finger in
                     transition_mod.finger_axes(obj, support, left.face, right.face)]
 

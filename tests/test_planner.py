@@ -305,6 +305,16 @@ class TestPivotRequired:
         assert [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING] == [
             "node budget 3 exhausted; returning best effort"]
 
+    def test_budget_scores_its_last_expansion_for_best_effort(self):
+        # The budget-th pop counts as expanded, so it competes for the best
+        # effort: here the start's one-slide child beats the start.
+        obj, s0, _, res, _ = small_instance("slide")
+        band = [GoalRegion(f, w.ConvexPolygon2([(0.0, 0.02), (0.03, 0.02),
+                                                 (0.03, 0.026), (0.0, 0.026)])) for f in (0, 2)]
+        p = plan(obj, s0, band, res, CostConfig(tradeoff_weight=0.0, node_budget=2))
+        assert p.status == "best-effort" and p.expansions == 2
+        assert len(p) == 1 and p.objective == 0.00027000000000000017
+
     def test_exhausted_open_list_warns_with_its_expansions(self, caplog):
         # A goal band thinner than the pads and a budget above the reachable
         # states: the open list empties first, with every state expanded once.
