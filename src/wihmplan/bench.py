@@ -267,22 +267,27 @@ def _aggregate_record(kind: str, name: str, agg: dict[str, float]) -> dict:
     return record
 
 
+def report_format(path: str | Path, fmt: str | None = None) -> str:
+    """fmt, or else the path's extension; InvalidInputError unless CSV or JSON."""
+    fmt = fmt or Path(path).suffix.lstrip(".").lower()
+    if fmt not in ("csv", "json"):
+        raise InvalidInputError(f"unknown report format {fmt!r}")
+    return fmt
+
+
 def emit_report(report: BenchReport, path: str | Path, fmt: str | None = None) -> None:
-    """Write the report as CSV or JSON (by extension when fmt is omitted)."""
+    """Write the report as CSV or JSON (``report_format``)."""
+    fmt = report_format(path, fmt)
     if not report.rows:
         raise InvalidInputError("cannot emit an empty report")
-    path = Path(path)
-    fmt = fmt or path.suffix.lstrip(".").lower()
     records = report_records(report)
     if fmt == "json":
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(records, fh, sort_keys=True, indent=2)
             fh.write("\n")
-    elif fmt == "csv":
+    else:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=_REPORT_FIELDS)
             writer.writeheader()
             for record in records:
                 writer.writerow(record)
-    else:
-        raise InvalidInputError(f"unknown report format {fmt!r}")

@@ -172,6 +172,7 @@ def _thresholds(data, path: str) -> dict:
 
 def _cmd_benchmark(args) -> int:
     tasks, thresholds = _load_suite(args.suite)
+    bench_mod.report_format(args.out)  # fail before planning, not after
     report = bench_mod.run_benchmark(tasks)
     bench_mod.emit_report(report, args.out)
     if args.json_out:

@@ -371,22 +371,6 @@ def _keep_row(live: dict, coeffs, b: float) -> bool:
     return True
 
 
-def opposed_rows(rows: list, slack: float) -> bool:
-    """Whether two of the half-plane rows ``(n0, n1, b)``, each met as
-    ``n0 * x + n1 * y >= b - slack``, have exactly opposite normals and
-    offsets whose sum passes ``2 * slack``: added up they read
-    ``0 >= b + d - 2 * slack``, so no point meets both.  A cheap certificate
-    that the rows are infeasible, tried before ``halfspaces_feasible``."""
-    tightest: dict[tuple[float, float], float] = {}
-    for n0, n1, b in rows:
-        d = tightest.get((-n0, -n1))
-        if d is not None and b + d > 2.0 * slack:
-            return True
-        if b > tightest.get((n0, n1), -math.inf):
-            tightest[(n0, n1)] = b
-    return False
-
-
 def polygon_l1_distance(verts: list, ph: float, pz: float, w_h: float, w_z: float) -> float:
     """The weighted L1 distance ``w_h * |dh| + w_z * |dz|`` from (ph, pz) to the
     boundary of the polygon with vertices ``verts`` (rows (h, z), in ring order).

@@ -27,8 +27,9 @@ The search also takes the abstract-graph lower bound (``AbstractBound``):
 the cheapest cost of the turns a plan still needs, planned over grasp modes,
 pad orientations and feasible turns, plus the translations it needs in the
 mode it ends in, measured from the pads' centres, carried through the first
-turn when it takes one.  While the bound is on it alone orders the search,
-f = g + bound, and h serves the goal test; without it f = g + heuristic_scale * h.
+turn when it takes one, with each pad fitted to the goals on its own face.
+While the bound is on it alone orders the search, f = g + bound, and h
+serves the goal test; without it f = g + heuristic_scale * h.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .geometry import (
     clip_ring,
     corner_distance_sum,
     halfspaces_feasible,
-    opposed_rows,
     polygon_area,
     polygon_l1_distance,
     unfold,
@@ -193,21 +193,21 @@ def goals_can_hold(goals: list[GoalRegion], pads: tuple[ContactRegion, ContactRe
 _STAY_SLACK = 1e-9
 
 
-def fit_polygon(image: ConvexPolygon2, fit: tuple, tau: float) -> list:
-    """The vertices of the polygon the fit half-planes ``fit`` of a goal image,
+def fit_polygon(goal: ConvexPolygon2, fit: tuple, tau: float) -> list:
+    """The vertices of the polygon the fit half-planes ``fit`` of a goal polygon,
     shrunk by a pad and widened by at most ``tau``, cut out: a box around the
-    image, 1 m plus ``tau`` wider on each side, clipped by them (``clip_ring``,
+    goal, 1 m plus ``tau`` wider on each side, clipped by them (``clip_ring``,
     so no vertex is merged or dropped).  Empty where rounding leaves nothing."""
-    (x0, y0), (x1, y1) = image.vertices.min(axis=0).tolist(), image.vertices.max(axis=0).tolist()
+    (x0, y0), (x1, y1) = goal.vertices.min(axis=0).tolist(), goal.vertices.max(axis=0).tolist()
     m = tau + 1.0
     return clip_ring([[x0 - m, y0 - m], [x1 + m, y0 - m], [x1 + m, y1 + m], [x0 - m, y1 + m]],
                      fit)
 
 
 def finger_table(axes: tuple, fits: list, w_h: float, w_z: float) -> tuple:
-    """One finger's goal images in the metric its translations pay:
-    ``(h_u, h_v, z_u, z_v, images)``, its (horizontal, up) unit axes and per
-    goal image of ``fits`` (fit half-planes, fit polygon vertices) the rows
+    """One finger's goals in the metric its translations pay:
+    ``(h_u, h_v, z_u, z_v, goals)``, its (horizontal, up) unit axes and per
+    goal of ``fits`` (fit half-planes, fit polygon vertices) the rows
     (n0, n1, b, 1 / dual norm) and the vertices as rows (h, z)."""
     (h_u, h_v), (z_u, z_v) = (axis.tolist() for axis in axes)
     return (h_u, h_v, z_u, z_v, [
@@ -218,16 +218,16 @@ def finger_table(axes: tuple, fits: list, w_h: float, w_z: float) -> tuple:
 
 
 def pad_stay(finger: tuple, x: float, y: float, w_h: float, w_z: float) -> float:
-    """One pad's h_stay at centre (x, y): the least, over its goal images, of the
-    weighted L1 distance to the image's fit polygon (see ``AbstractBound``).
+    """One pad's h_stay at centre (x, y): the least, over the goals it fits, of the
+    weighted L1 distance to the goal's fit polygon (see ``AbstractBound``).
 
-    ``finger`` is ``(h_u, h_v, z_u, z_v, images)``: the finger's (horizontal,
-    up) axes in face coordinates, and per image its fit half-planes as rows
+    ``finger`` is ``(h_u, h_v, z_u, z_v, goals)``: the finger's (horizontal,
+    up) axes in face coordinates, and per goal its fit half-planes as rows
     (n0, n1, b, 1 / dual norm) and its fit polygon's vertices in (h, z).
     """
-    h_u, h_v, z_u, z_v, images = finger
+    h_u, h_v, z_u, z_v, goals = finger
     best = math.inf
-    for rows, verts in images:
+    for rows, verts in goals:
         worst = 0.0
         for n0, n1, b, scale in rows:
             gap = (b - n0 * x - n1 * y) * scale
@@ -268,16 +268,19 @@ class AbstractBound:
     """The abstract-graph lower bound of one search: ``bound(s, key)``.
 
     A node is goal-capable when each pad, at the node's face and orientation,
-    fits inside the face and inside some goal image (the ones h measures
-    against), within the goal tolerance.  A reverse Dijkstra from the
+    fits inside the face and inside some goal on that face, within the goal
+    tolerance.  No other goal can hold it: in ``unfold`` of a prism every
+    other face's image meets the face in at most an edge, so a pad fitting
+    both would have a smaller side of at most FEAS_TOL + tau + 2 * TURN_SLACK,
+    which ``planner`` rejects.  A reverse Dijkstra from the
     goal-capable nodes over the turns' action costs gives h_abs, and X, a
     node's position-free exit, is its cheapest turn e plus h_abs where e
     lands (``exits``).
 
     A state's bound is min(h_stay, h_exit).  h_stay, finite in goal-capable
     nodes only, is the translation cost still needed to carry both pads into
-    goal images they fit: per pad, the least over its images of the weighted
-    L1 distance from its centre to the image's fit polygon (the image's
+    goals they fit: per pad, the least over those goals of the weighted L1
+    distance from its centre to the goal's fit polygon (the goal's
     half-planes moved in by the pad's corner offsets and out by the goal
     tolerance), with slides at ``slide_weight`` per metre along the face's
     horizontal axis and contact shifts at ``shift_weight`` per metre along its
@@ -308,15 +311,15 @@ class AbstractBound:
     is consistent.
 
     Per-search memos (not thread-safe): a ``_Node`` per node (``_nodes``), its
-    finger and exit tables built the first time a state needs them; the goal
-    images a pad fits at a cell and size, for both fingers (``_fits``); and
+    finger and exit tables built the first time a state needs them; the goals
+    a pad fits at a cell and size, for both fingers (``_fits``); and
     h_stay per finger, support face and pad cell (``_stay``).
     """
 
-    def __init__(self, obj: ObjectModel, cache: HeuristicCache, resolution: ResolutionConfig,
+    def __init__(self, obj: ObjectModel, goals: list[GoalRegion], resolution: ResolutionConfig,
                  tolerance: float, slide_weight: float, shift_weight: float) -> None:
         self.obj = obj
-        self.cache = cache
+        self.goals = goals
         self.resolution = resolution
         self.tau = max(tolerance, GEOM_TOL)
         self.weights = (slide_weight, shift_weight)
@@ -326,11 +329,11 @@ class AbstractBound:
         self._stay: tuple[dict, dict] = ({}, {})
 
     @classmethod
-    def build(cls, obj: ObjectModel, s0: GraspState, cache: HeuristicCache,
+    def build(cls, obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
               resolution: ResolutionConfig, tolerance: float, slide_weight: float,
               shift_weight: float, step_cost: Callable[[Action], float]) -> AbstractBound | None:
         """The bound for searches from s0, or None when the graph passes ``_GRAPH_CAP`` nodes."""
-        bound = cls(obj, cache, resolution, tolerance, slide_weight, shift_weight)
+        bound = cls(obj, goals, resolution, tolerance, slide_weight, shift_weight)
         if not bound._graph(s0, step_cost):
             return None
         nodes = bound._nodes
@@ -379,12 +382,12 @@ class AbstractBound:
         return True
 
     def _capable(self, node: tuple) -> bool:
-        """Whether the node is goal-capable: each finger's table has an image."""
+        """Whether the node is goal-capable: each finger's table has a goal."""
         return all(self._finger(i, node)[4] for i in (0, 1))
 
     def _finger(self, i: int, node: tuple) -> tuple:
-        """Finger i's ``finger_table`` at a node, built on first use from the goal
-        images its pad fits in (``_goal_fits``, memoized per cell and pad size)."""
+        """Finger i's ``finger_table`` at a node, built on first use from the goals
+        its pad fits in (``_goal_fits``, memoized per cell and pad size)."""
         record = self._nodes[node]
         finger = record.fingers[i]
         if finger is None:
@@ -397,20 +400,18 @@ class AbstractBound:
         return finger
 
     def _goal_fits(self, pad: ContactRegion) -> list:
-        """The fit half-planes (n0, n1, b) of each goal image the pad, at its face,
-        orientation and size, fits in within the goal tolerance and inside the
-        face, each with its fit polygon's vertices (``fit_polygon``).
-        ``opposed_rows`` rejects most images that do not fit before the
-        elimination runs."""
+        """The fit half-planes (n0, n1, b) of each goal on the pad's face (no other
+        holds it, see ``AbstractBound``) that the pad, at its orientation and
+        size, fits in within the goal tolerance and inside the face, each with
+        its fit polygon's vertices (``fit_polygon``)."""
         shape = (pad.orientation, pad.pad_width, pad.pad_height)
         face = shrunk_planes(self.obj.face(pad.face).polygon, *shape, FEAS_TOL)
         fits = []
-        for g in range(len(self.cache.goals)):
-            image = self.cache.goal_image(pad.face, g)
-            fit = shrunk_planes(image, *shape, self.tau)
-            rows = face + fit
-            if not opposed_rows(rows, TURN_SLACK) and halfspaces_feasible(rows, TURN_SLACK):
-                fits.append((fit, fit_polygon(image, fit, self.tau)))
+        for goal in self.goals:
+            if goal.face == pad.face:
+                fit = shrunk_planes(goal.polygon, *shape, self.tau)
+                if halfspaces_feasible(face + fit, TURN_SLACK):
+                    fits.append((fit, fit_polygon(goal.polygon, fit, self.tau)))
         return fits
 
     def __call__(self, s: GraspState, key: tuple) -> float:

@@ -19,12 +19,13 @@ logs one INFO line.
 While the bound is on, h is computed only for a state whose bound is at most
 ``_GOAL_SLACK``; every other state stores h as ``None``, meaning "the bound
 proves this is no goal".  The argument: if h <= goal_tolerance, each pad
-corner lies within goal_tolerance of a goal image, and goal_tolerance is at
-most the bound's fit tolerance, so each fit margin is at least minus that
-tolerance and the bound's stay term is 0 up to rounding; an admissible bound
-is then 0 there.  So a state with a bound above the slack has h above the
-goal tolerance, and the goal test at pop, ``h is not None and h <=
-goal_tolerance``, never skips a goal.
+corner lies within goal_tolerance of a goal image, of a goal on the pad's
+own face for the pads ``_abstract_bound`` accepts (``AbstractBound``), and
+goal_tolerance is at most the bound's fit tolerance, so each fit margin is
+at least minus that tolerance and the bound's stay term is 0 up to rounding;
+an admissible bound is then 0 there.  So a state with a bound above the
+slack has h above the goal tolerance, and the goal test at pop, ``h is not
+None and h <= goal_tolerance``, never skips a goal.
 
 A search node is a plain tuple ``(state, g, h, parent node, incoming
 action)``, and the open list holds ``(f, -g, counter, state key, node)``.
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 
 from . import heuristic as heuristic_mod
 from .errors import InvalidInputError, InvalidStartError, InvalidStateError
-from .geometry import ObjectModel
+from .geometry import FEAS_TOL, ObjectModel
 from .heuristic import AbstractBound, HeuristicCache, goals_can_hold, total_heuristic
 from .transition import (
     _MOVES,
@@ -143,7 +144,13 @@ def _abstract_bound(obj: ObjectModel, s0: GraspState, key: tuple, cache: Heurist
                     costs: dict[Action, float]) -> tuple[AbstractBound | None, float]:
     """The search's abstract-graph bound and its value at s0: (None, inf) when
     no pad fits any goal, (None, 0.0) past the graph's cap.  Step costs go
-    through the search's memo ``costs``."""
+    through the search's memo ``costs``.  InvalidInputError when a start pad's
+    smaller side is at most 2 * (goal_tolerance + FEAS_TOL): only so thin a pad
+    could fit a goal on another face, which the bound does not test."""
+    side = min(s0.left.pad_width, s0.left.pad_height, s0.right.pad_width, s0.right.pad_height)
+    if side <= 2.0 * (cost.goal_tolerance + FEAS_TOL):
+        raise InvalidInputError(f"pad side {side!r} must exceed twice goal_tolerance "
+                                f"{cost.goal_tolerance!r} plus FEAS_TOL {FEAS_TOL!r}")
     if not goals_can_hold(cache.goals, (s0.left, s0.right), cost.goal_tolerance):
         return None, math.inf
 
@@ -155,8 +162,8 @@ def _abstract_bound(obj: ObjectModel, s0: GraspState, key: tuple, cache: Heurist
 
     slide_weight = 1.0 if cost.slide_unit_cost is None else \
         cost.slide_unit_cost / resolution.slide_step
-    bound = AbstractBound.build(obj, s0, cache, resolution, cost.goal_tolerance, slide_weight,
-                                cost.scale_z / 2.0, step_cost)
+    bound = AbstractBound.build(obj, s0, cache.goals, resolution, cost.goal_tolerance,
+                                slide_weight, cost.scale_z / 2.0, step_cost)
     return bound, 0.0 if bound is None else bound(s0, key)
 
 

@@ -23,9 +23,11 @@ from wihmplan.geometry import (
     ObjectModel,
     RigidTransform3,
     corner_distance_sum,
+    halfspaces_feasible,
 )
-from wihmplan.heuristic import HeuristicCache
+from wihmplan.heuristic import HeuristicCache, fit_polygon
 from wihmplan.transition import (
+    TURN_SLACK,
     Action,
     ActionKind,
     ContactRegion,
@@ -33,6 +35,7 @@ from wihmplan.transition import (
     PivotEdgeInfo,
     _object_rotation,
     _Turn,
+    shrunk_planes,
 )
 
 WORLD_DOWN = np.array([0.0, 0.0, -1.0])
@@ -750,3 +753,22 @@ def halfplane_bound(bound, s, key) -> float:
                                   for n0, n1, b, scale in rows]) for rows, _ in images),
                     default=math.inf)
     return min(stay, exit_cost)
+
+
+def all_image_goal_fits(bound, pad: ContactRegion) -> list:
+    """``bound._goal_fits(pad)`` in its earlier form: every goal, on any face,
+    unfolded into the pad's face plane (``HeuristicCache.goal_image``) and
+    tested on the face's shrunk half-planes plus the image's fit rows.
+
+    An exception to the separate routes: it keeps the library's earlier
+    all-image test as the reference its same-face test is held to."""
+    cache = HeuristicCache(bound.obj, bound.goals)
+    shape = (pad.orientation, pad.pad_width, pad.pad_height)
+    face = shrunk_planes(bound.obj.face(pad.face).polygon, *shape, FEAS_TOL)
+    fits = []
+    for g in range(len(bound.goals)):
+        image = cache.goal_image(pad.face, g)
+        fit = shrunk_planes(image, *shape, bound.tau)
+        if halfspaces_feasible(face + fit, TURN_SLACK):
+            fits.append((fit, fit_polygon(image, fit, bound.tau)))
+    return fits

@@ -3,6 +3,7 @@ state graphs, and its turn test against an LP oracle and against search."""
 
 from __future__ import annotations
 
+import dataclasses
 import logging
 import math
 
@@ -15,7 +16,7 @@ from scipy.optimize import linprog
 import wihmplan as w
 from wihmplan import heuristic as heuristic_mod
 from wihmplan import transition as transition_mod
-from wihmplan.geometry import FEAS_TOL, GEOM_TOL, halfspaces_feasible, opposed_rows
+from wihmplan.geometry import GEOM_TOL, halfspaces_feasible
 from wihmplan.heuristic import (
     HeuristicCache,
     finger_table,
@@ -41,7 +42,12 @@ from wihmplan.transition import (
 )
 
 from conftest import load_task, random_convex_polygon
-from oracles import enumerate_state_graph, halfplane_bound, optimal_cost_to_goals
+from oracles import (
+    all_image_goal_fits,
+    enumerate_state_graph,
+    halfplane_bound,
+    optimal_cost_to_goals,
+)
 from test_acceptance import _mini_box, _mini_hex, _mini_rect, criterion_3_instances
 from test_planner import small_instance
 from test_transition import _containment_objects, _walks, mode_states, shrunk_face
@@ -334,6 +340,18 @@ def test_bound_is_off_when_no_goal_can_hold_a_pad(caplog, monkeypatch):
     assert start_bound(obj, s0, sliver, res, cost) == math.inf
 
 
+def test_pads_at_most_twice_the_goal_tolerance_wide_are_rejected():
+    # Only a pad this thin could fit its face and a goal on another face at
+    # once, which the bound's same-face goal test assumes away: plan() and
+    # start_bound reject it, naming the tolerance and the pad side.
+    obj, s0, goals, res, cost = small_instance("slide")
+    cost = dataclasses.replace(cost, goal_tolerance=s0.left.pad_width / 2.0)
+    for call in (plan, start_bound):
+        with pytest.raises(w.InvalidInputError, match="goal_tolerance") as info:
+            call(obj, s0, goals, res, cost)
+        assert f"pad side {s0.left.pad_width!r}" in str(info.value), call.__name__
+
+
 # Fixture task -> the plan cost its bounded search reaches.
 CAPPED_TOTALS = {"rc_t1_shift": 0.08, "sq_t1_shift": 0.14, "sq_t2_rotate": 0.1242477796076938}
 
@@ -536,50 +554,38 @@ def test_exact_stay_matches_an_lp_oracle():
     assert min(outside.values()) > 20
 
 
-def test_goal_fit_certificate_agrees_with_the_elimination(suite_entries, monkeypatch):
-    # Every goal-fit test the fixture suite's bounds make: wherever two
-    # opposed rows certify infeasible, the elimination finds the rows
-    # infeasible too, and the certificate decides most infeasible tests.
-    tests = []
-
-    def recorded(rows, slack):
-        tests.append((rows, slack, opposed_rows(rows, slack)))
-        return tests[-1][2]
-
-    monkeypatch.setattr(heuristic_mod, "opposed_rows", recorded)
+def test_goal_fits_match_the_all_image_test(suite_entries, monkeypatch):
+    # Each pad of every abstract node, on the fixture tasks and the exhaustive
+    # instances, fits the goals, fit rows and fit polygons (compared with ==,
+    # so -0.0 and 0.0 agree) that testing every goal's unfolded image finds
+    # (oracles.all_image_goal_fits): a goal on another face holds no pad.
+    tasks = [(e["name"], load_task(e)) for e in suite_entries] + [
+        (name, (*instance, cost)) for name, instance, cost in _instances()]
+    fitted = pads = 0
+    for name, (obj, s0, goals, res, cost) in tasks:
+        bound, _ = _abstract_bound(obj, s0, state_key(s0), HeuristicCache(obj, goals), res,
+                                   cost, {})
+        for node, record in bound._nodes.items():
+            for pad in record.pads:
+                fits = bound._goal_fits(pad)
+                assert fits == all_image_goal_fits(bound, pad), (name, node)
+                assert any(g.face != pad.face for g in bound.goals), (name, node)
+                fitted += bool(fits)
+                pads += 1
+    assert 0 < fitted < pads
+    # The start bounds need neither goal images nor unfolded maps.
+    expected = {}
     for entry in suite_entries:
-        plan(*load_task(entry))
-    certified = infeasible = 0
-    for rows, slack, certificate in tests:
-        feasible = halfspaces_feasible(rows, slack)
-        assert not (certificate and feasible), rows
-        certified += certificate
-        infeasible += not feasible
-    assert len(tests) > 400 and certified > 0.9 * infeasible
+        task = load_task(entry)
+        expected[entry["name"]] = plan(*task).total_action_cost, start_bound(*task)
 
+    def refuse(*args):
+        raise AssertionError("the bound built a goal image")
 
-def test_goal_fit_certificate_agrees_with_the_elimination_on_drawn_pads():
-    # A rectangular goal on a box's side face and a pad: wherever two opposed
-    # rows certify the fit infeasible, the elimination agrees.
-    face = w.build_prism(w.ConvexPolygon2([(0, 0), (0.03, 0), (0.03, 0.03), (0, 0.03)]),
-                         0.05).face(0).polygon
-    certified = 0
-
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(theta=st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2, 0.3]),
-           pad=st.tuples(st.floats(0.002, 0.03), st.floats(0.002, 0.03)),
-           goal=st.tuples(st.floats(0.0, 0.03), st.floats(0.0, 0.05), st.floats(0.001, 0.03),
-                          st.floats(0.001, 0.05)),
-           tau=st.sampled_from([GEOM_TOL, 1e-4]))
-    def check(theta, pad, goal, tau):
-        nonlocal certified
-        x0, y0, gw, gh = goal
-        image = w.ConvexPolygon2([(x0, y0), (x0 + gw, y0), (x0 + gw, y0 + gh), (x0, y0 + gh)])
-        rows = (shrunk_planes(face, theta, *pad, FEAS_TOL)
-                + shrunk_planes(image, theta, *pad, tau))
-        if opposed_rows(rows, SLACK):
-            assert not halfspaces_feasible(rows, SLACK)
-            certified += 1
-
-    check()
-    assert certified > 30
+    monkeypatch.setattr(HeuristicCache, "goal_image", refuse)
+    monkeypatch.setattr(heuristic_mod, "unfold", refuse)
+    for entry in suite_entries:
+        name = entry["name"]
+        total, bound = expected[name]
+        assert start_bound(*load_task(entry)) == bound, name
+        assert bound / total == pytest.approx(START_GAPS[name], abs=1e-6), name

@@ -65,6 +65,19 @@ class TestPlanCommand:
         assert code == 2
         assert any("goal 0" in rec.message for rec in caplog.records)
 
+    def test_goal_tolerance_of_half_the_pad_exits_2(self, workdir, caplog):
+        # The default pads are 0.02 m square: a 0.01 m goal tolerance is too
+        # coarse for the abstract bound's same-face goal test.
+        config = workdir / "config.json"
+        config.write_text(json.dumps({"cost": {"goal_tolerance": 0.01}}))
+        code = run_cli("plan", "--object", str(workdir / "square_prism.json"),
+                       "--goals", str(workdir / "sq_t1_shift_goals.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"),
+                       "--config", str(config), "--out", str(workdir / "p.json"))
+        assert code == 2
+        assert any("goal_tolerance 0.01" in rec.message and "pad side 0.02" in rec.message
+                   for rec in caplog.records)
+
     def test_start_outside_face_input_error(self, workdir, caplog):
         bad = workdir / "bad_start.json"
         bad.write_text(json.dumps({
@@ -551,6 +564,18 @@ class TestUnfoldCommand:
 
 
 class TestBenchmarkCommand:
+    def test_unknown_report_format_exits_2_before_planning(self, workdir, caplog,
+                                                           monkeypatch):
+        monkeypatch.setattr("wihmplan.bench.run_benchmark",
+                            lambda *a, **k: pytest.fail("planned a suite it cannot report"))
+        suite = workdir / "suite.json"
+        suite.write_text(json.dumps({"tasks": [
+            {"name": "sq_t1", "object": "square_prism.json",
+             "start": "sq_t1_shift_start.json", "goals": "sq_t1_shift_goals.json"}]}))
+        assert run_cli("benchmark", "--suite", str(suite),
+                       "--out", str(workdir / "report.txt")) == 2
+        assert any("unknown report format 'txt'" in rec.message for rec in caplog.records)
+
     def test_threshold_violation_exit_code(self, workdir, tmp_path):
         suite = {
             "tasks": [{"name": "impossible", "object": "square_prism.json",

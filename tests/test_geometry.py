@@ -606,9 +606,44 @@ class TestUnfold:
                     image = umap.to_plane(face.id, face.polygon.vertices)
                     assert image.tobytes() == ConvexPolygon2(image).vertices.tobytes()
 
+    def test_no_face_image_overlaps_the_base_face(self, all_objects):
+        # The abstract bound fits a pad only to goals on its own face: in each
+        # unfolded map every other face's image meets the base face in at
+        # most an edge, on the fixture prisms and on drawn prisms whose cross
+        # section is a convex polygon cut by a strip (so it has a parallel pair).
+        for obj in all_objects:
+            _assert_images_disjoint_from_base(obj)
+
+        @settings(max_examples=100, deadline=None, derandomize=True)
+        @given(seed=st.integers(0, 2**32 - 1), scale=st.sampled_from([0.01, 0.05, 0.3]),
+               phi=st.floats(0.0, math.pi), width=st.floats(0.2, 0.9),
+               height=st.floats(0.2, 3.0))
+        def check(seed, scale, phi, width, height):
+            polygon = random_convex_polygon(np.random.default_rng(seed), n_max=12, scale=scale)
+            n = np.array([math.cos(phi), math.sin(phi)])
+            t = np.array([-n[1], n[0]])
+            reach = polygon.vertices @ n
+            mid, half = 0.5 * (reach.max() + reach.min()), 0.5 * width * np.ptp(reach)
+            lo, hi, far = (mid - half) * n, (mid + half) * n, 10.0 * scale * t
+            strip = ConvexPolygon2([lo - far, lo + far, hi + far, hi - far])
+            _assert_images_disjoint_from_base(
+                build_prism(convex_intersection(polygon, strip), height * scale))
+
+        check()
+
     def test_disconnected_base_rejected(self, unit_cube):
         with pytest.raises(w.InvalidModelError):
             unfold(unit_cube, 99)
+
+
+def _assert_images_disjoint_from_base(obj) -> None:
+    for base in obj.faces:
+        umap = unfold(obj, base.id)
+        for face in obj.faces:
+            if face.id != base.id:
+                image = ConvexPolygon2(umap.to_plane(face.id, face.polygon.vertices))
+                assert convex_intersection(image, base.polygon) is None, (obj.name, base.id,
+                                                                          face.id)
 
 
 def _cyclic_equal(a: np.ndarray, b: np.ndarray, tol=1e-12) -> bool:

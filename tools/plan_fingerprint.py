@@ -27,13 +27,15 @@ Each fixture task also records the planner's abstract-graph bound at its
 start (``planner.start_bound``, field ``start_bound``) and the graph itself
 (field ``abstract_graph``: its node count, then its finite exit costs sorted,
 as ``float.hex``), built on a freshly loaded object, when the checkout has
-them.  A changed turn verdict or turn map changes the graph.
+them, and that graph's bound at every plan state (field ``plan_bounds``, as
+``float.hex``).  A changed turn verdict or turn map changes the graph; a
+changed bound shows along the plan, not only at its start.
 
 The second form prints which exact fields differ (expansions, statuses,
 state keys, actions, step costs, totals, successor lists, replay outcomes,
-the benchmark report, start bounds, abstract graphs), with the old and new
-value of a changed expansion count or start bound (a start bound also as a
-share of its case's ``total_action_cost``), and how many plan-state
+the benchmark report, start bounds, abstract graphs, plan bounds), with the
+old and new value of a changed expansion count or start bound (a start bound
+also as a share of its case's ``total_action_cost``), and how many plan-state
 floats differ and by how much at most: centres in metres, orientations in
 radians as a wrapped angle difference, the final state's pad area outside the
 goals in square metres, and the ``overlap_ratio`` pair of each fixture plan's
@@ -116,19 +118,22 @@ def _report(records) -> list:
             for record in records]
 
 
-def _abstract_graph(wl, task) -> list:
+def _abstract_graph(wl, task, states) -> tuple[list, list]:
     """The abstract-graph bound of a search from the task's start, on a fresh
-    object: its node count, then its finite exit costs sorted, as ``float.hex``;
-    empty when the planner builds none."""
+    object: its node count, then its finite exit costs sorted, and its value at
+    each of ``states``, all as ``float.hex``; both empty when the planner
+    builds none."""
     from wihmplan import heuristic
+    state_key = wl.transition_mod.state_key
     obj = wl.io_mod.load_object(task.object_path)
     bound, _ = wl.planner_mod._abstract_bound(
-        obj, task.start, wl.transition_mod.state_key(task.start),
+        obj, task.start, state_key(task.start),
         heuristic.HeuristicCache(obj, task.goals), task.resolution, task.cost, {})
     if bound is None:
-        return []
+        return [], []
     exits = sorted(cost for cost in bound.exits.values() if math.isfinite(cost))
-    return [len(bound.exits)] + [cost.hex() for cost in exits]
+    return ([len(bound.exits)] + [cost.hex() for cost in exits],
+            [bound(s, state_key(s)).hex() for s in states])
 
 
 def _plan(plan, expanded: int, key_of) -> dict:
@@ -167,7 +172,7 @@ def fingerprint(src: Path) -> dict:
             case["start_bound"] = [wl.planner_mod.start_bound(
                 obj, task.start, task.goals, task.resolution, task.cost).hex()]
         if hasattr(wl.planner_mod, "_abstract_bound"):
-            case["abstract_graph"] = _abstract_graph(wl, task)
+            case["abstract_graph"], case["plan_bounds"] = _abstract_graph(wl, task, plan.states)
         case["successors"] = _branching(obj, plan, task.resolution,
                                         wl.transition_mod.successors, key_of)
         if any(a.kind.name == "PIVOT" for a in plan.actions):
