@@ -75,6 +75,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args) -> None:
+    """Fail before any work on an output path whose directory is missing, or
+    on a benchmark report of unknown format."""
+    for path, fmt in ((args.out, None), (getattr(args, "json_out", None), "json")):
+        if path is None:
+            continue
+        if not Path(path).parent.is_dir():
+            raise InvalidInputError(f"cannot write {path}: its directory does not exist")
+        if args.command == "benchmark":
+            bench_mod.report_format(path, fmt)
+
+
 def _cmd_plan(args) -> int:
     obj = io_mod.load_object(args.object)
     resolution, cost = io_mod.load_configs(args.config)
@@ -172,7 +184,6 @@ def _thresholds(data, path: str) -> dict:
 
 def _cmd_benchmark(args) -> int:
     tasks, thresholds = _load_suite(args.suite)
-    bench_mod.report_format(args.out)  # fail before planning, not after
     report = bench_mod.run_benchmark(tasks)
     bench_mod.emit_report(report, args.out)
     if args.json_out:
@@ -231,6 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
+        _check_outputs(args)
         return _COMMANDS[args.command](args)
     except WihmplanError as exc:
         log.error("%s", exc)

@@ -28,15 +28,20 @@ slack has h above the goal tolerance, and the goal test at pop, ``h is not
 None and h <= goal_tolerance``, never skips a goal.
 
 A search node is a plain tuple ``(state, g, h, parent node, incoming
-action)``, and the open list holds ``(f, -g, counter, state key, node)``.
-Each child's key, three ints, is computed once, from the parent's:
-``state_key`` keeps the cell of the pad a slide leaves in place.  One dict,
-``best_g``, records both the cheapest g pushed per key and which keys were
-expanded: expanding a key sets its entry to ``_EXPANDED`` (-inf), so every
-later path to it is pruned when generated and its stale open-list entries
-are skipped when popped.  Step costs are memoized per search in one dict
-keyed by ``Action`` value: an action is a named tuple, so equal actions of
-different modes' move tables share one ``action_cost`` call.
+action)``, and the open list holds ``(f, -g, counter, state key, node,
+parent f)``.  A node's f is computed when it first reaches the top (Lazy A*,
+Tolpin et al. 2013): it waits keyed on g, at most its f, with the f its
+parent was expanded at as the last slot, and is then expanded if its f still
+comes first, else pushed back with None there.  So states are expanded in
+the order that computing f at push gives, and a node never popped costs no
+bound or h.  Each child's key, three ints, is computed once, from the
+parent's: ``state_key`` keeps the cell of the pad a slide leaves in place.
+One dict, ``best_g``, records both the cheapest g pushed per key and which
+keys were expanded: expanding a key sets its entry to ``_EXPANDED`` (-inf),
+so every later path to it is pruned when generated and its stale open-list
+entries are skipped when popped.  Step costs are memoized per search in one
+dict keyed by ``Action`` value: an action is a named tuple, so equal actions
+of different modes' move tables share one ``action_cost`` call.
 """
 
 from __future__ import annotations
@@ -197,18 +202,18 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
     if b0 == math.inf:
         log.info("no exact goal is reachable from the start: the abstract-graph bound is "
                  "infinite there; searching without it for the best effort")
-        bound, b0 = None, 0.0
+        bound = None
     elif bound is None:
         log.info("the abstract graph passed its cap of %d nodes; searching without the bound, "
                  "on heuristic_scale * h", heuristic_mod._GRAPH_CAP)
-    h0 = total_heuristic(s0, cache, root_key) if bound is None or b0 <= _GOAL_SLACK else None
     # A search node is a plain tuple (state, g, h, parent node, incoming action).
-    root = (s0, 0.0, h0, None, None)
+    root = (s0, 0.0, None, None, None)
     counter = 0
     # Entries carry the state's key, computed once when the state is generated;
-    # -g pops the deeper of two nodes with equal f first.
-    open_heap: list[tuple[float, float, int, tuple, tuple]] = [
-        (lam * h0 if bound is None else b0, -0.0, counter, root_key, root)]
+    # -g pops the deeper of two nodes with equal f first.  The root, too, gets
+    # its f on its first pop.
+    open_heap: list[tuple[float, float, int, tuple, tuple, float | None]] = [
+        (0.0, -0.0, counter, root_key, root, -math.inf)]
     best_g: dict[tuple, float] = {root_key: 0.0}
     heappush, heappop = heapq.heappush, heapq.heappop
 
@@ -218,10 +223,23 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
     goal_node = None
 
     while open_heap:
-        f, _, _, key, node = heappop(open_heap)
+        f, neg_g, count, key, node, parent_f = heappop(open_heap)
         if best_g[key] == _EXPANDED:
             continue
         state, g, h = node[0], node[1], node[2]
+        if parent_f is not None:
+            b = 0.0 if bound is None else bound(state, key)
+            h = total_heuristic(state, cache, key) if b <= _GOAL_SLACK else None
+            f = g + (lam * h if bound is None else b)
+            if f < parent_f - 1e-12:
+                log.debug("inconsistent heuristic: f dropped %.3e -> %.3e", parent_f, f)
+            node = (state, g, h, node[3], node[4])
+            entry = (f, neg_g, count, key, node, None)
+            # Every key in the heap is at most its entry's f, so an f below
+            # the top's key is the least f: expand now, else wait its turn.
+            if open_heap and open_heap[0] < entry:
+                heappush(open_heap, entry)
+                continue
         if h is not None and h <= cost.goal_tolerance:
             goal_node = node
             break
@@ -249,19 +267,9 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
             if seen is not None and seen <= child_g:
                 continue
             best_g[child_key] = child_g
-            if bound is None:
-                child_h = total_heuristic(child_state, cache, child_key)
-                child_f = child_g + lam * child_h
-            else:
-                child_b = bound(child_state, child_key)
-                child_h = total_heuristic(child_state, cache, child_key) \
-                    if child_b <= _GOAL_SLACK else None
-                child_f = child_g + child_b
-            if child_f < f - 1e-12:
-                log.debug("inconsistent heuristic: f dropped %.3e -> %.3e", f, child_f)
             counter += 1
-            heappush(open_heap, (child_f, -child_g, counter, child_key,
-                                 (child_state, child_g, child_h, node, act)))
+            heappush(open_heap, (child_g, -child_g, counter, child_key,
+                                 (child_state, child_g, None, node, act), f))
     else:
         log.warning("open list exhausted after %d expansions without reaching the goal; "
                     "returning best effort", expansions)

@@ -11,6 +11,7 @@ to, or write out the float arithmetic the library must reproduce.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from wihmplan.geometry import (
     corner_distance_sum,
     halfspaces_feasible,
 )
-from wihmplan.heuristic import HeuristicCache, fit_polygon
+from wihmplan.heuristic import HeuristicCache, fit_polygon, total_heuristic
 from wihmplan.transition import (
     TURN_SLACK,
     Action,
@@ -36,6 +37,7 @@ from wihmplan.transition import (
     _object_rotation,
     _Turn,
     shrunk_planes,
+    successors,
 )
 
 WORLD_DOWN = np.array([0.0, 0.0, -1.0])
@@ -711,7 +713,6 @@ def enumerate_state_graph(obj, s0, resolution, cost_cfg, max_states=100_000):
 
 def optimal_cost_to_goals(edges, goal_keys):
     """Dijkstra on the reversed graph from every goal state."""
-    import heapq
     from collections import defaultdict
 
     reverse = defaultdict(list)
@@ -772,3 +773,92 @@ def all_image_goal_fits(bound, pad: ContactRegion) -> list:
         if halfspaces_feasible(face + fit, TURN_SLACK):
             fits.append((fit, fit_polygon(image, fit, bound.tau)))
     return fits
+
+
+# ---------------------------------------------------------------------------
+# Search
+
+def eager_plan(obj, s0, goals, resolution, cost):
+    """``planner.plan`` as it was before delayed evaluation: each child's f
+    (its bound, and h where the bound allows a goal, or lambda * h with the
+    bound off) is computed when it is pushed, and the open list holds
+    ``(f, -g, counter, state key, node)``.
+
+    An exception to the separate routes: it keeps the library's earlier
+    push-time loop as the reference its pop-time evaluation is held to, so
+    it calls ``heapq``, ``successors`` and ``total_heuristic`` through this
+    module, where a test can wrap them."""
+    from wihmplan import planner as planner_mod
+    from wihmplan.transition import region_outside_goal, state_key
+
+    expanded_mark, slack = planner_mod._EXPANDED, planner_mod._GOAL_SLACK
+    cost.validate()
+    resolution.validate()
+    cache = HeuristicCache(obj, goals)
+    lam, w = cost.heuristic_scale, cost.tradeoff_weight
+    costs: dict = {}
+    root_key = state_key(s0)
+    bound, b0 = planner_mod._abstract_bound(obj, s0, root_key, cache, resolution, cost, costs)
+    if b0 == math.inf:
+        bound, b0 = None, 0.0
+    h0 = total_heuristic(s0, cache, root_key) if bound is None or b0 <= slack else None
+    root = (s0, 0.0, h0, None, None)
+    counter = 0
+    open_heap = [(lam * h0 if bound is None else b0, -0.0, counter, root_key, root)]
+    best_g = {root_key: 0.0}
+    best_effort, best_effort_score = root, region_outside_goal(s0, goals)
+    expansions = 0
+    goal_node = None
+    while open_heap:
+        f, _, _, key, node = heapq.heappop(open_heap)
+        if best_g[key] == expanded_mark:
+            continue
+        state, g, h = node[0], node[1], node[2]
+        if h is not None and h <= cost.goal_tolerance:
+            goal_node = node
+            break
+        best_g[key] = expanded_mark
+        expansions += 1
+        if w * g < best_effort_score:
+            score = region_outside_goal(state, goals) + w * g
+            if score < best_effort_score:
+                best_effort_score, best_effort = score, node
+        if expansions >= cost.node_budget:
+            break
+        for act, child_state in successors(state, obj, resolution):
+            step = costs.get(act)
+            if step is None:
+                step = costs[act] = planner_mod.action_cost(act, cost, resolution.slide_step)
+            child_g = g + step
+            child_key = state_key(child_state, state, key)
+            seen = best_g.get(child_key)
+            if seen is not None and seen <= child_g:
+                continue
+            best_g[child_key] = child_g
+            if bound is None:
+                child_h = total_heuristic(child_state, cache, child_key)
+                child_f = child_g + lam * child_h
+            else:
+                child_b = bound(child_state, child_key)
+                child_h = total_heuristic(child_state, cache, child_key) \
+                    if child_b <= slack else None
+                child_f = child_g + child_b
+            counter += 1
+            heapq.heappush(open_heap, (child_f, -child_g, counter, child_key,
+                                       (child_state, child_g, child_h, node, act)))
+    chosen = goal_node if goal_node is not None else best_effort
+    actions, states, node = [], [chosen[0]], chosen
+    while node[3] is not None:
+        actions.append(node[4])
+        node = node[3]
+        states.append(node[0])
+    actions.reverse()
+    states.reverse()
+    step_costs = [costs[a] for a in actions]
+    total = math.fsum(step_costs)
+    outside = region_outside_goal(chosen[0], goals)
+    return planner_mod.Plan(actions=actions, states=states, step_costs=step_costs,
+                            total_action_cost=total, terminal_outside_area=outside,
+                            objective=outside + w * total,
+                            status="exact-goal" if goal_node is not None else "best-effort",
+                            tradeoff_weight=w, expansions=expansions)

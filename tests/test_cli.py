@@ -576,6 +576,20 @@ class TestBenchmarkCommand:
                        "--out", str(workdir / "report.txt")) == 2
         assert any("unknown report format 'txt'" in rec.message for rec in caplog.records)
 
+    def test_missing_json_out_directory_exits_2_before_planning(self, workdir, caplog,
+                                                                monkeypatch):
+        monkeypatch.setattr("wihmplan.bench.run_benchmark",
+                            lambda *a, **k: pytest.fail("planned a suite it cannot report"))
+        suite = workdir / "suite.json"
+        suite.write_text(json.dumps({"tasks": [
+            {"name": "sq_t1", "object": "square_prism.json",
+             "start": "sq_t1_shift_start.json", "goals": "sq_t1_shift_goals.json"}]}))
+        report, missing = workdir / "report.csv", workdir / "missing_dir" / "r.json"
+        assert run_cli("benchmark", "--suite", str(suite), "--out", str(report),
+                       "--json-out", str(missing)) == 2
+        assert not report.exists()
+        assert any(str(missing) in rec.message for rec in caplog.records)
+
     def test_threshold_violation_exit_code(self, workdir, tmp_path):
         suite = {
             "tasks": [{"name": "impossible", "object": "square_prism.json",
@@ -607,3 +621,30 @@ class TestBenchmarkCommand:
                        "--json-out", str(workdir / "report.json"))
         assert code == 0
         assert (workdir / "report.json").exists()
+
+
+class TestOutputPaths:
+    def test_missing_out_directory_exits_2_before_planning(self, workdir, caplog, monkeypatch):
+        monkeypatch.setattr("wihmplan.cli.run_planner",
+                            lambda *a: pytest.fail("planned a plan it cannot save"))
+        out = workdir / "missing_dir" / "plan.json"
+        assert run_cli("plan", "--object", str(workdir / "square_prism.json"),
+                       "--goals", str(workdir / "sq_t1_shift_goals.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"),
+                       "--out", str(out)) == 2
+        assert any(str(out) in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("command, inputs", [
+        ("plan", ["--object", "o.json", "--goals", "g.json", "--start", "s.json"]),
+        ("simulate", ["--plan", "p.json", "--object", "o.json", "--start", "s.json"]),
+        ("benchmark", ["--suite", "suite.json"]),
+        ("trajectory", ["--plan", "p.json", "--object", "o.json", "--chain", "c.json"]),
+        ("unfold", ["--object", "o.json", "--face", "0"]),
+    ])
+    def test_every_command_checks_its_out_path_before_reading_inputs(
+            self, workdir, caplog, monkeypatch, command, inputs):
+        monkeypatch.setattr("wihmplan.io.read_json",
+                            lambda path: pytest.fail(f"read {path} for an output it cannot write"))
+        out = workdir / "missing_dir" / "out.json"
+        assert run_cli(command, *inputs, "--out", str(out)) == 2
+        assert any(str(out) in rec.message for rec in caplog.records)

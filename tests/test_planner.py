@@ -6,12 +6,17 @@ import heapq
 import json
 import logging
 import math
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import oracles
 import wihmplan as w
+from wihmplan import heuristic as heuristic_mod
+from wihmplan import io as io_mod
 from wihmplan import planner as planner_mod
 from wihmplan.heuristic import HeuristicCache, total_heuristic
 from wihmplan.bench import simulate
@@ -30,6 +35,9 @@ from wihmplan.transition import (
 
 from conftest import load_task
 from oracles import enumerate_state_graph, optimal_cost_to_goals, state_graph
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402 - needs perfbench on the path
 
 UP, CW, CCW = "MOVE_CONTACT_UP", "ROTATE_CW", "ROTATE_CCW"
 # Fixture task -> (expansions, action kinds, total action cost) of its plan.
@@ -401,16 +409,26 @@ def test_heuristic_scale_does_not_steer_a_bounded_search(suite_entries, name):
     assert len(runs) == 1
 
 
+def _sliver_task(lam):
+    """Goal bands thinner than the pads on a small box, so the bound is off:
+    a search on lam * h of at most 400 expansions."""
+    obj, s0, _, res, _ = small_instance("slide")
+    sliver = [GoalRegion(f, w.ConvexPolygon2([(0.0, 0.044), (0.03, 0.044),
+                                               (0.03, 0.05), (0.0, 0.05)])) for f in (0, 2)]
+    return obj, s0, sliver, res, CostConfig(heuristic_scale=lam, node_budget=400)
+
+
 def test_expanded_key_reached_again_more_cheaply_is_pruned(monkeypatch):
     # Goal bands thinner than the pads keep the bound off, so f = g + h, and h
     # at heuristic_scale 1.0 is inconsistent: an expanded key can be generated
     # again at a lower g.  Its best_g is -inf, so that path is pruned and no
     # key is expanded twice.
-    obj, s0, _, res, _ = small_instance("slide")
-    sliver = [GoalRegion(f, w.ConvexPolygon2([(0.0, 0.044), (0.03, 0.044),
-                                               (0.03, 0.05), (0.0, 0.05)])) for f in (0, 2)]
-    cost = CostConfig(heuristic_scale=1.0, node_budget=400)
-    popped, expanded_at, cheaper = [], {}, []
+    obj, s0, sliver, res, cost = _sliver_task(1.0)
+    popped, pushed, expanded_at, cheaper = [], set(), {}, []
+
+    def push(heap, entry):
+        pushed.add(entry[2])  # its counter: an entry pushed back keeps its own
+        heapq.heappush(heap, entry)
 
     def pop(heap):
         popped.append(heapq.heappop(heap))
@@ -419,7 +437,7 @@ def test_expanded_key_reached_again_more_cheaply_is_pruned(monkeypatch):
     real = planner_mod.successors
 
     def successors(state, *args):
-        _, neg_g, _, key, _ = popped[-1]  # the entry being expanded
+        neg_g, key = popped[-1][1], popped[-1][3]  # the entry being expanded
         assert key not in expanded_at
         expanded_at[key] = -neg_g
         pairs = list(real(state, *args))
@@ -429,14 +447,111 @@ def test_expanded_key_reached_again_more_cheaply_is_pruned(monkeypatch):
                 cheaper.append(act)
         return pairs
 
-    calls = []
-    heuristic = planner_mod.total_heuristic
-    monkeypatch.setattr(planner_mod, "heapq", SimpleNamespace(heappush=heapq.heappush,
-                                                              heappop=pop))
+    monkeypatch.setattr(planner_mod, "heapq", SimpleNamespace(heappush=push, heappop=pop))
     monkeypatch.setattr(planner_mod, "successors", successors)
-    monkeypatch.setattr(planner_mod, "total_heuristic",
-                        lambda *args: calls.append(None) or heuristic(*args))
     p = plan(obj, s0, sliver, res, cost)
     assert p.status == "best-effort"
     assert len(cheaper) > 0
-    assert (p.expansions, len(calls) - 1, len(cheaper), _plan_digest(p)) == PRUNED_PLAN
+    assert (p.expansions, len(pushed), len(cheaper), _plan_digest(p)) == PRUNED_PLAN
+
+
+def _search(monkeypatch, module, search, task):
+    """``search(*task)``, run with ``module``'s heap and successors wrapped: its
+    plan, and the (-g, counter, state key) of each entry it expands, in order
+    (but a last expansion that spends the node budget, which generates none).
+
+    h is memoized per pad, not per lattice cell: the shipped memo keeps the h
+    of the first state of a cell that is evaluated, and the two searches
+    evaluate states in different orders, so their h could differ in the last
+    bits and break an exact f-tie the other way."""
+    popped, expanded = [], []
+
+    def pop(heap):
+        popped.append(heapq.heappop(heap))
+        return popped[-1]
+
+    real = module.successors
+
+    def successors(state, *args):
+        expanded.append(popped[-1][1:4])
+        return real(state, *args)
+
+    def per_pad_h(s, cache, key=None):
+        return total_heuristic(s, cache, (None, s.left, s.right))  # the pads as memo cells
+
+    with monkeypatch.context() as m:
+        m.setattr(module, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=pop))
+        m.setattr(module, "successors", successors)
+        m.setattr(module, "total_heuristic", per_pad_h)
+        return search(*task), expanded
+
+
+def _fixture_task(entry, lam):
+    """A fixture suite entry as plan() arguments, at heuristic_scale lam."""
+    obj, s0, goals, res, cost = load_task(entry)
+    return obj, s0, goals, res, dataclasses.replace(cost, heuristic_scale=lam)
+
+
+def _budget_task(task, lam=None):
+    """A ``budget`` workload task as plan() arguments, on a freshly loaded object."""
+    cost = task.cost if lam is None else dataclasses.replace(task.cost, heuristic_scale=lam)
+    return io_mod.load_object(task.object_path), task.start, task.goals, task.resolution, cost
+
+
+class TestDelayedEvaluation:
+    """A child's f is computed when it first reaches the top of the open list.
+
+    Its key until then, g, is at most its f, so the search expands the same
+    entries in the same (f, -g, counter) order as one that computes f at
+    push (``oracles.eager_plan``), and returns the same plan."""
+
+    @staticmethod
+    def _same_search(monkeypatch, make_task):
+        for lam in (0.0, 0.125, 1.0):
+            delayed = _search(monkeypatch, planner_mod, plan, make_task(lam))
+            eager = _search(monkeypatch, oracles, oracles.eager_plan, make_task(lam))
+            assert delayed == eager, lam
+
+    def test_fixture_tasks(self, suite_entries, monkeypatch):
+        for entry in suite_entries:
+            self._same_search(monkeypatch, lambda lam: _fixture_task(entry, lam))
+
+    def test_budget_tasks(self, monkeypatch):
+        for task in workloads.BudgetWorkload(3).prepare():
+            self._same_search(monkeypatch, lambda lam: _budget_task(task, lam))
+
+    def test_bound_off_sliver_search(self, monkeypatch):
+        self._same_search(monkeypatch, _sliver_task)
+
+    def test_graph_past_its_cap(self, suite_entries, monkeypatch):
+        monkeypatch.setattr(heuristic_mod, "_GRAPH_CAP", 5)
+        entry = next(e for e in suite_entries if e["name"] == "sq_t2_rotate")
+        self._same_search(monkeypatch, lambda lam: _fixture_task(entry, lam))
+
+    def test_inconsistent_heuristic_is_logged_where_f_is_computed(self, caplog):
+        # At heuristic_scale 1.0 the sliver search's h is inconsistent: some
+        # child's f, computed on its first pop, is below its parent's.
+        with caplog.at_level(logging.DEBUG, logger="wihmplan.planner"):
+            plan(*_sliver_task(1.0))
+        assert any(r.getMessage().startswith("inconsistent heuristic: f dropped")
+                   for r in caplog.records)
+
+    def test_bound_off_search_computes_h_only_for_entries_it_pops(self, monkeypatch):
+        pushed, popped, calls = set(), set(), []
+
+        def push(heap, entry):
+            pushed.add(entry[2])
+            heapq.heappush(heap, entry)
+
+        def pop(heap):
+            entry = heapq.heappop(heap)
+            popped.add(entry[2])
+            return entry
+
+        monkeypatch.setattr(planner_mod, "heapq", SimpleNamespace(heappush=push, heappop=pop))
+        monkeypatch.setattr(planner_mod, "total_heuristic",
+                            lambda *args: calls.append(None) or total_heuristic(*args))
+        obj, s0, goals, res, cost = _budget_task(workloads.BudgetWorkload(3).prepare()[0])
+        p = plan(obj, s0, goals, res, cost)
+        assert p.expansions == cost.node_budget
+        assert len(calls) <= len(popped) < len(pushed)

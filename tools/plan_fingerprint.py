@@ -29,11 +29,17 @@ start (``planner.start_bound``, field ``start_bound``) and the graph itself
 as ``float.hex``), built on a freshly loaded object, when the checkout has
 them, and that graph's bound at every plan state (field ``plan_bounds``, as
 ``float.hex``).  A changed turn verdict or turn map changes the graph; a
-changed bound shows along the plan, not only at its start.
+changed bound shows along the plan, not only at its start.  Each fixture and
+budget search also records the order it expanded states in (field
+``expansion_order``): a digest of the expanded states' key ordinals in pop
+order, keys numbered as the search first meets them (each expanded state,
+then its successors), so two searches that expand as many states, but other
+ones or in another order, differ there.
 
-The second form prints which exact fields differ (expansions, statuses,
-state keys, actions, step costs, totals, successor lists, replay outcomes,
-the benchmark report, start bounds, abstract graphs, plan bounds), with the
+The second form prints which exact fields differ (expansions, expansion
+orders, statuses, state keys, actions, step costs, totals, successor lists,
+replay outcomes, the benchmark report, start bounds, abstract graphs, plan
+bounds), with the
 old and new value of a changed expansion count or start bound (a start bound
 also as a share of its case's ``total_action_cost``), and how many plan-state
 floats differ and by how much at most: centres in metres, orientations in
@@ -50,6 +56,7 @@ field differs, 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import logging
 import math
@@ -89,6 +96,31 @@ def _states(states, key_of) -> dict:
 def _add_states(case: dict, states, key_of) -> None:
     for field, values in _states(states, key_of).items():
         case[field] += values
+
+
+def _planned(wl, task, obj):
+    """The task's plan, with a digest of the states its search expanded, in
+    pop order: each as its key's ordinal, keys numbered as the search first
+    meets them (each expanded state, then its successors).  An expansion that
+    spends the node budget generates no successors and is not seen."""
+    planner = wl.planner_mod
+    key_of = _key_ordinals(wl.transition_mod.state_key)
+    order = []
+    real = planner.successors
+
+    def successors(state, *args):
+        order.append(key_of(state))
+        pairs = list(real(state, *args))
+        for _, child in pairs:
+            key_of(child)
+        return pairs
+
+    planner.successors = successors
+    try:
+        plan = planner.plan(obj, task.start, task.goals, task.resolution, task.cost)
+    finally:
+        planner.successors = real
+    return plan, hashlib.sha256(json.dumps(order).encode()).hexdigest()[:20]
 
 
 def _heuristics(obj, plan, goals) -> list:
@@ -163,9 +195,10 @@ def fingerprint(src: Path) -> dict:
         specs.append(bench.TaskSpec(task.name, wl.io_mod.load_object(task.object_path),
                                     task.start, task.goals, task.resolution, task.cost))
         obj = wl.io_mod.load_object(task.object_path)
-        plan = wl.planner_mod.plan(obj, task.start, task.goals, task.resolution, task.cost)
+        plan, order = _planned(wl, task, obj)
         key_of = _key_ordinals(state_key)
         case = out[f"fixture/{task.name}"] = _plan(plan, wl.expanded_count(plan), key_of)
+        case["expansion_order"] = order
         case["overlaps"] = [x.hex() for x in overlap_ratio(plan.states[-1], task.goals)]
         case["heuristic"] = _heuristics(obj, plan, task.goals)
         if hasattr(wl.planner_mod, "start_bound"):
@@ -185,9 +218,10 @@ def fingerprint(src: Path) -> dict:
         objects = {p: wl.io_mod.load_object(p) for p in dict.fromkeys(t.object_path for t in tasks)}
         for i, task in enumerate(tasks):
             obj = objects[task.object_path]
-            plan = wl.planner_mod.plan(obj, task.start, task.goals, task.resolution, task.cost)
+            plan, order = _planned(wl, task, obj)
             case = out[f"budget{seed}/{i}_{task.name}"] = _plan(
                 plan, wl.expanded_count(plan), _key_ordinals(state_key))
+            case["expansion_order"] = order
             case["heuristic"] = _heuristics(obj, plan, task.goals)
     walks, _ = wl.ReplayWorkload(REPLAY_SEED).prepare()
     for walk in walks:
