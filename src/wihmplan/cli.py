@@ -146,44 +146,8 @@ def _load_plan(path: str, obj: ObjectModel, resolution: ResolutionConfig | None 
     return plan_, result
 
 
-def _load_suite(path: str) -> tuple[list[bench_mod.TaskSpec], dict]:
-    data = io_mod.read_json(path)
-    base = Path(path).parent
-    tasks = []
-    for i, entry in enumerate(io_mod.json_list(io_mod.json_field(data, "tasks", path, []),
-                                               "tasks", path)):
-        where = f"{path}: task {i}"
-        name, object_path, start_path, goals_path = (
-            io_mod.json_field(entry, key, where) for key in ("name", "object", "start", "goals"))
-        obj = io_mod.load_object(base / object_path)
-        config_path = io_mod.json_field(entry, "config", where, None)
-        resolution, cost = io_mod.load_configs(base / config_path if config_path else None)
-        start = io_mod.load_state(base / start_path, obj, resolution)
-        goals = io_mod.load_goals(base / goals_path, obj)
-        tasks.append(bench_mod.TaskSpec(
-            name=name, obj=obj, start=start, goals=goals, resolution=resolution, cost=cost))
-    return tasks, _thresholds(io_mod.json_field(data, "thresholds", path, {}), path)
-
-
-def _thresholds(data, path: str) -> dict:
-    """The suite's thresholds, checked: each bound a number or None, and a bool."""
-    if not isinstance(data, dict):
-        raise InvalidInputError(f"{path}: field 'thresholds' must be a JSON object, got {data!r}")
-    where = f"{path}: thresholds"
-    out = {}
-    for name in ("min_mean_overlap", "max_task_planning_time_s"):
-        value = io_mod.json_field(data, name, where, None)
-        out[name] = None if value is None else io_mod._number(value, name, where)
-    solved = io_mod.json_field(data, "require_all_solved", where, False)
-    if not isinstance(solved, bool):
-        raise InvalidInputError(
-            f"{where}: field 'require_all_solved' must be true or false, got {solved!r}")
-    out["require_all_solved"] = solved
-    return out
-
-
 def _cmd_benchmark(args) -> int:
-    tasks, thresholds = _load_suite(args.suite)
+    tasks, thresholds = io_mod.load_suite(args.suite)
     report = bench_mod.run_benchmark(tasks)
     bench_mod.emit_report(report, args.out)
     if args.json_out:

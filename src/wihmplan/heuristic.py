@@ -126,6 +126,11 @@ def finger_heuristic(region: ContactRegion, cache: HeuristicCache,
     Values repeat heavily across the search lattice (slides move one finger
     at a time), so results are memoized per lattice cell and pad size;
     ``cell`` is ``region_cell(region)`` when the caller already has it.
+    Pads that differ by less than the cell quantum share one cell, and the
+    memo keeps the value of whichever of them is evaluated first: so h, and
+    the order of lambda * h ties while the abstract bound is off, depend on
+    the order of evaluation.  A ``budget`` unit (seed 3) looks up 6,413
+    cells that hold 8,196 distinct pads.
     """
     if cell is None:
         cell = region_cell(region)

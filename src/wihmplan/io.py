@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .bench import TaskSpec
 from .errors import CorruptedPlanError, InvalidGeometryError, InvalidInputError, WihmplanError
 from .geometry import ConvexPolygon2, ObjectModel, UnfoldedMap, build_prism
 from .kinematics import PivotChain, Waypoint, rotation_to_quaternion
@@ -39,23 +40,61 @@ def read_json(path: str | Path):
         raise InvalidInputError(f"{path}: malformed JSON ({exc})")
 
 
-_REQUIRED = object()
+_REQUIRED = object()  # a table default: the field must be present
+
+_NOUNS = {bool: "true or false", str: "a string", list: "a list"}
 
 
-def json_field(data, field: str, where, default=_REQUIRED):
-    """``data[field]``, or ``default`` when the field is missing and has one.
+def _noun(kind) -> str:
+    if isinstance(kind, dict):
+        return "a JSON object with fields " + ", ".join(f"'{field}'" for field in kind)
+    return _NOUNS[kind]
 
-    Anything but a JSON object as ``data``, or a missing field without a
-    default, raises InvalidInputError naming ``where`` and the field.
+
+def _where(path, context: str) -> str:
+    return f"{path}: {context}" if context else str(path)
+
+
+def _fields(data, table: dict, path, context: str = "") -> dict:
+    """The fields of the JSON object ``data``, each read as ``table`` says.
+
+    ``table`` maps each field to ``(kind, default)``.  The kind is bool, str,
+    list, float or int (a number read by _number), or another table, which
+    reads a nested object the same way; the default fills a missing field
+    unless it is _REQUIRED, and a field whose default is None may be null.
+    Anything but an object, a field the table lacks, a missing required field
+    or a value of the wrong kind raises InvalidInputError naming ``path``,
+    the ``context`` in the file (``task 3``, ``state 1 left``) and the field.
     """
+    where = _where(path, context)
     if not isinstance(data, dict):
-        raise InvalidInputError(
-            f"{where}: expected a JSON object with field '{field}', got {data!r}")
-    if field in data:
-        return data[field]
-    if default is _REQUIRED:
-        raise InvalidInputError(f"{where}: missing required field '{field}'")
-    return default
+        raise InvalidInputError(f"{where}: expected {_noun(table)}, got {data!r}")
+    for field in data:
+        if field not in table:
+            raise InvalidInputError(f"{where}: unknown field '{field}'")
+    out = {}
+    for field, (kind, default) in table.items():
+        value = data.get(field, default)
+        if value is _REQUIRED:
+            raise InvalidInputError(f"{where}: missing required field '{field}'")
+        if value is None and default is None:
+            out[field] = None
+        elif isinstance(kind, dict):
+            out[field] = _fields(_value(value, kind, field, where), kind, path,
+                                 f"{context} {field}".lstrip())
+        else:
+            out[field] = _value(value, kind, field, where)
+    return out
+
+
+def _value(value, kind, field: str, where):
+    """value as kind: a number read by _number, else value itself once it is of
+    the kind (a JSON object for a table), or InvalidInputError naming the field."""
+    if kind is float or kind is int:
+        return _number(value, field, where, kind)
+    if not isinstance(value, dict if isinstance(kind, dict) else kind):
+        raise InvalidInputError(f"{where}: field '{field}' must be {_noun(kind)}, got {value!r}")
+    return value
 
 
 def _number(value, field: str, where, kind: type = float):
@@ -71,34 +110,29 @@ def _number(value, field: str, where, kind: type = float):
     return kind(value)
 
 
-def json_list(value, field: str, where) -> list:
-    """value if it is a JSON list, else InvalidInputError naming where and the field."""
-    if not isinstance(value, list):
-        raise InvalidInputError(f"{where}: field '{field}' must be a list, got {value!r}")
-    return value
-
-
 def _numbers(value, field: str, where, depth: int = 1) -> list:
     """A JSON list of numbers (depth 1) or of number lists (depth 2), each read by _number."""
-    json_list(value, field, where)
+    _value(value, list, field, where)
     if depth == 1:
         return [_number(v, field, where) for v in value]
     return [_numbers(v, field, where, depth - 1) for v in value]
 
 
-def _center(data, where) -> list[float]:
-    """The entry's field 'center': exactly 2 numbers."""
-    xy = _numbers(json_field(data, "center", where), "center", where)
-    if len(xy) != 2:
-        raise InvalidInputError(f"{where}: field 'center' must hold 2 numbers, got {xy!r}")
-    return xy
+# A pad as a plan state records it; a start file may omit its orientation and size.
+_PAD = {"face": (int, _REQUIRED), "center": (list, _REQUIRED), "orientation": (float, _REQUIRED),
+        "pad_width": (float, _REQUIRED), "pad_height": (float, _REQUIRED)}
 
 
-def _pad_size(value, field: str, where) -> float:
-    size = _number(value, field, where)
-    if size <= 0.0:
-        raise InvalidInputError(f"{where}: field '{field}' must be positive, got {size!r}")
-    return size
+def _pad(pad: dict, where) -> dict:
+    """A pad's fields, once 'center' holds 2 numbers and both pad sizes are positive."""
+    center = _numbers(pad["center"], "center", where)
+    if len(center) != 2:
+        raise InvalidInputError(f"{where}: field 'center' must hold 2 numbers, got {center!r}")
+    for field in ("pad_width", "pad_height"):
+        if pad[field] <= 0.0:
+            raise InvalidInputError(
+                f"{where}: field '{field}' must be positive, got {pad[field]!r}")
+    return {**pad, "center": center}
 
 
 def dump_json(payload, path: str | Path) -> None:
@@ -107,22 +141,27 @@ def dump_json(payload, path: str | Path) -> None:
         fh.write("\n")
 
 
+_OBJECT = {"name": (str, None), "units": (str, "m"), "cross_section": (list, _REQUIRED),
+           "height": (float, _REQUIRED)}
+
+
 def load_object(path: str | Path) -> ObjectModel:
-    data = read_json(path)
-    name = str(json_field(data, "name", path, Path(path).stem))
-    units = json_field(data, "units", path, "m")
-    if units != "m":
-        raise InvalidInputError(f"{path}: field 'units' must be 'm', got {units!r}")
+    data = _fields(read_json(path), _OBJECT, path)
+    if data["units"] != "m":
+        raise InvalidInputError(f"{path}: field 'units' must be 'm', got {data['units']!r}")
     try:
         cross_section = ConvexPolygon2(
-            _numbers(json_field(data, "cross_section", path), "cross_section", path, depth=2))
+            _numbers(data["cross_section"], "cross_section", path, depth=2))
     except InvalidGeometryError as exc:
         raise InvalidInputError(f"{path}: field 'cross_section' invalid: {exc}")
-    height = _number(json_field(data, "height", path), "height", path)
+    name = Path(path).stem if data["name"] is None else data["name"]
     try:
-        return build_prism(cross_section, height, name=name)
+        return build_prism(cross_section, data["height"], name=name)
     except WihmplanError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+
+
+_GOAL = {"face": (int, _REQUIRED), "polygon": (list, _REQUIRED)}
 
 
 def load_goals(path: str | Path, obj: ObjectModel) -> list[GoalRegion]:
@@ -132,105 +171,105 @@ def load_goals(path: str | Path, obj: ObjectModel) -> list[GoalRegion]:
     goals = []
     for i, entry in enumerate(data):
         where = f"{path}: goal {i}"
-        face = _number(json_field(entry, "face", where), "face", where, int)
+        goal = _fields(entry, _GOAL, path, f"goal {i}")
+        face = goal["face"]
         if face < 0 or face >= len(obj.faces):
-            raise InvalidInputError(f"{path}: goal {i} field 'face' = {face} does not exist")
+            raise InvalidInputError(f"{where} field 'face' = {face} does not exist")
         try:
-            poly = ConvexPolygon2(_numbers(json_field(entry, "polygon", where), "polygon", where,
-                                           depth=2))
+            poly = ConvexPolygon2(_numbers(goal["polygon"], "polygon", where, depth=2))
         except InvalidGeometryError as exc:
-            raise InvalidInputError(f"{path}: goal {i} field 'polygon' invalid: {exc}")
+            raise InvalidInputError(f"{where} field 'polygon' invalid: {exc}")
         for v in poly.vertices:
             if not obj.face(face).polygon.contains_point(v, tol=1e-6):
-                raise InvalidInputError(
-                    f"{path}: goal {i} polygon leaves face {face}")
+                raise InvalidInputError(f"{where} polygon leaves face {face}")
         goals.append(GoalRegion(face, poly))
     return goals
 
 
 def load_state(path: str | Path, obj: ObjectModel, resolution: ResolutionConfig) -> GraspState:
-    data = read_json(path)
-    sides = {}
-    for side in ("left", "right"):
-        entry = json_field(data, side, path)
-        where = f"{path}: {side}"
-        face = _number(json_field(entry, "face", where), "face", where, int)
-        orientation = json_field(entry, "orientation", where, None)
-        sides[side] = {
-            "face": face,
-            "center": _center(entry, where),
-            "orientation": None if orientation is None else _number(orientation, "orientation",
-                                                                    where),
-            "pad_width": _pad_size(json_field(entry, "pad_width", where, resolution.pad_width),
-                                   "pad_width", where),
-            "pad_height": _pad_size(json_field(entry, "pad_height", where, resolution.pad_height),
-                                    "pad_height", where),
-        }
-    support = _number(json_field(data, "support_face", path), "support_face", path, int)
-    if sides["left"]["pad_width"] != sides["right"]["pad_width"] or \
-            sides["left"]["pad_height"] != sides["right"]["pad_height"]:
+    """The start state a file records.  A pad's orientation defaults to the
+    canonical one, and its size to the resolution config's."""
+    side = dict(_PAD, orientation=(float, None), pad_width=(float, resolution.pad_width),
+                pad_height=(float, resolution.pad_height))
+    data = _fields(read_json(path),
+                   {"left": (side, _REQUIRED), "right": (side, _REQUIRED),
+                    "support_face": (int, _REQUIRED)}, path)
+    left, right = (_pad(data[s], _where(path, s)) for s in ("left", "right"))
+    if (left["pad_width"], left["pad_height"]) != (right["pad_width"], right["pad_height"]):
         raise InvalidInputError(f"{path}: left/right pad dimensions must match")
     try:
         return GraspState.create(
             obj,
-            left_face=sides["left"]["face"],
-            right_face=sides["right"]["face"],
-            support_face=support,
-            left_center=sides["left"]["center"],
-            right_center=sides["right"]["center"],
-            pad_width=sides["left"]["pad_width"],
-            pad_height=sides["left"]["pad_height"],
-            left_orientation=sides["left"]["orientation"],
-            right_orientation=sides["right"]["orientation"],
+            left_face=left["face"],
+            right_face=right["face"],
+            support_face=data["support_face"],
+            left_center=left["center"],
+            right_center=right["center"],
+            pad_width=left["pad_width"],
+            pad_height=left["pad_height"],
+            left_orientation=left["orientation"],
+            right_orientation=right["orientation"],
         )
     except WihmplanError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
 
-def _config(cls, data: dict, section: str, path):
-    """The file's config section as a validated cls.  A field whose default is an
-    int is read as an int, any other as a float; one whose default is None may be null."""
-    fields = json_field(data, section, path, {})
-    if not isinstance(fields, dict):
-        raise InvalidInputError(f"{path}: field '{section}' must be a JSON object, got {fields!r}")
-    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    values = {}
-    for key, value in fields.items():
-        if key not in defaults:
-            raise InvalidInputError(f"{path}: unknown {section} field '{key}'")
-        if not (value is None and defaults[key] is None):
-            kind = int if isinstance(defaults[key], int) else float
-            value = _number(value, key, f"{path}: {section}", kind)
-        values[key] = value
-    cfg = cls(**values)
-    try:
-        cfg.validate()
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from exc
-    return cfg
+def _config_table(cls) -> dict:
+    """cls's fields: one whose default is an int reads as an int, any other as a
+    float; one whose default is None may be null."""
+    return {f.name: (int if isinstance(f.default, int) else float, f.default)
+            for f in dataclasses.fields(cls)}
 
 
 def load_configs(path: str | Path | None) -> tuple[ResolutionConfig, CostConfig]:
     """The resolution and cost configs a file overrides, each validated."""
     if path is None:
         return ResolutionConfig(), CostConfig()
-    data = read_json(path)
-    return (_config(ResolutionConfig, data, "resolution", path),
-            _config(CostConfig, data, "cost", path))
+    data = _fields(read_json(path), {"resolution": (_config_table(ResolutionConfig), {}),
+                                     "cost": (_config_table(CostConfig), {})}, path)
+    configs = ResolutionConfig(**data["resolution"]), CostConfig(**data["cost"])
+    for cfg in configs:
+        try:
+            cfg.validate()
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"{path}: {exc}") from exc
+    return configs
+
+
+_CHAIN = {"d1": (float, _REQUIRED), "theta_finger": (float, _REQUIRED), "d2": (float, _REQUIRED),
+          "d3": (float, _REQUIRED), "theta_contact": (float, 0.0)}
 
 
 def load_chain(path: str | Path) -> PivotChain:
-    data = read_json(path)
-    kwargs = {}
-    for name in ("d1", "theta_finger", "d2", "d3"):
-        kwargs[name] = _number(json_field(data, name, path), name, path)
-    # d4 (contact-to-edge distance) is normally derived from the plan state
-    for name in ("d4", "theta_contact", "theta_pivot"):
-        kwargs[name] = _number(json_field(data, name, path, 0.0), name, path)
+    data = _fields(read_json(path), _CHAIN, path)
     try:
-        return PivotChain(**kwargs)
+        # plan_waypoints sets d4 (contact to edge) and theta_pivot per pivot
+        return PivotChain(**data, d4=0.0)
     except WihmplanError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
+
+
+_TASK = {"name": (str, _REQUIRED), "object": (str, _REQUIRED), "start": (str, _REQUIRED),
+         "goals": (str, _REQUIRED), "config": (str, None)}
+_THRESHOLDS = {"min_mean_overlap": (float, None), "max_task_planning_time_s": (float, None),
+               "require_all_solved": (bool, False)}
+
+
+def load_suite(path: str | Path) -> tuple[list[TaskSpec], dict]:
+    """The suite's tasks, loaded from the files each entry names (relative to
+    the suite file), and its thresholds, one entry per ``_THRESHOLDS`` field."""
+    data = _fields(read_json(path), {"tasks": (list, []), "thresholds": (_THRESHOLDS, {})}, path)
+    base = Path(path).parent
+    tasks = []
+    for i, entry in enumerate(data["tasks"]):
+        task = _fields(entry, _TASK, path, f"task {i}")
+        obj = load_object(base / task["object"])
+        resolution, cost = load_configs(base / task["config"] if task["config"] else None)
+        tasks.append(TaskSpec(name=task["name"], obj=obj,
+                              start=load_state(base / task["start"], obj, resolution),
+                              goals=load_goals(base / task["goals"], obj),
+                              resolution=resolution, cost=cost))
+    return tasks, data["thresholds"]
 
 
 # ---------------------------------------------------------------------------
@@ -255,26 +294,24 @@ def state_to_dict(state: GraspState) -> dict:
     }
 
 
-def region_from_dict(data: dict, where: str = "region") -> ContactRegion:
-    x, y = _center(data, where)
-    return ContactRegion(
-        face=_number(json_field(data, "face", where), "face", where, int),
-        x=x,
-        y=y,
-        orientation=_number(json_field(data, "orientation", where), "orientation", where),
-        pad_width=_pad_size(json_field(data, "pad_width", where), "pad_width", where),
-        pad_height=_pad_size(json_field(data, "pad_height", where), "pad_height", where),
-    )
+# Plan files written before states stopped storing horizontal_axis still carry it.
+_STATE = {"left": (_PAD, _REQUIRED), "right": (_PAD, _REQUIRED), "grasp_pair": (int, _REQUIRED),
+          "support_face": (int, _REQUIRED), "horizontal_axis": (list, None)}
 
 
-def state_from_dict(data: dict, where: str = "state") -> GraspState:
-    """The state a dict records; ``where`` prefixes errors.  Plan files written
-    before states stopped storing ``horizontal_axis`` still carry it; it is ignored."""
+def state_from_dict(data: dict, path: str = "state", context: str = "") -> GraspState:
+    """The state a dict records; ``path`` and ``context`` prefix errors.  A
+    legacy ``horizontal_axis`` is accepted and dropped."""
+    data = _fields(data, _STATE, path, context)
+    left, right = (_pad(data[s], _where(path, f"{context} {s}".lstrip()))
+                   for s in ("left", "right"))
     return GraspState(
-        left=region_from_dict(json_field(data, "left", where), f"{where} left"),
-        right=region_from_dict(json_field(data, "right", where), f"{where} right"),
-        grasp_pair=_number(json_field(data, "grasp_pair", where), "grasp_pair", where, int),
-        support_face=_number(json_field(data, "support_face", where), "support_face", where, int),
+        left=ContactRegion(left["face"], *left["center"], left["orientation"],
+                           left["pad_width"], left["pad_height"]),
+        right=ContactRegion(right["face"], *right["center"], right["orientation"],
+                            right["pad_width"], right["pad_height"]),
+        grasp_pair=data["grasp_pair"],
+        support_face=data["support_face"],
     )
 
 
@@ -286,14 +323,16 @@ def action_to_dict(action: Action) -> dict:
     }
 
 
-def action_from_dict(data: dict, where: str = "action") -> Action:
-    kind = str(json_field(data, "kind", where))
-    if kind not in ActionKind.__members__:
-        raise InvalidInputError(f"{where}: field 'kind' = {kind!r} is not an action kind")
-    magnitude = _number(json_field(data, "magnitude", where), "magnitude", where)
-    arc_radius = _number(json_field(data, "arc_radius", where, 0.0), "arc_radius", where)
+_ACTION = {"kind": (str, _REQUIRED), "magnitude": (float, _REQUIRED), "arc_radius": (float, 0.0)}
+
+
+def action_from_dict(data: dict, path: str = "action", context: str = "") -> Action:
+    data = _fields(data, _ACTION, path, context)
+    where = _where(path, context)
+    if data["kind"] not in ActionKind.__members__:
+        raise InvalidInputError(f"{where}: field 'kind' = {data['kind']!r} is not an action kind")
     try:
-        return Action(ActionKind[kind], magnitude, arc_radius)
+        return Action(ActionKind[data["kind"]], data["magnitude"], data["arc_radius"])
     except InvalidInputError as exc:  # a magnitude or arc radius out of range
         raise InvalidInputError(f"{where}: {exc}") from exc
 
@@ -313,6 +352,10 @@ def plan_to_dict(plan_: Plan) -> dict:
 
 
 _PLAN_STATUSES = ("exact-goal", "best-effort")  # the statuses planner.plan returns
+_PLAN = {"status": (str, _REQUIRED), "actions": (list, _REQUIRED), "states": (list, _REQUIRED),
+         "step_costs": (list, _REQUIRED), "total_action_cost": (float, _REQUIRED),
+         "terminal_outside_area": (float, _REQUIRED), "objective": (float, _REQUIRED),
+         "tradeoff_weight": (float, _REQUIRED), "expansions": (int, 0)}
 
 
 def plan_from_dict(data: dict, where: str = "plan") -> Plan:
@@ -325,22 +368,13 @@ def plan_from_dict(data: dict, where: str = "plan") -> Plan:
     ``terminal_outside_area + tradeoff_weight * total_action_cost``.  Floats
     round-trip exactly through JSON, so both equalities are exact.
     """
-    actions, states = (json_list(json_field(data, field, where), field, where)
-                       for field in ("actions", "states"))
-    plan_ = Plan(
-        actions=[action_from_dict(a, f"{where}: action {i}") for i, a in enumerate(actions)],
-        states=[state_from_dict(s, f"{where}: state {i}") for i, s in enumerate(states)],
-        step_costs=_numbers(json_field(data, "step_costs", where), "step_costs", where),
-        total_action_cost=_number(json_field(data, "total_action_cost", where),
-                                  "total_action_cost", where),
-        terminal_outside_area=_number(json_field(data, "terminal_outside_area", where),
-                                      "terminal_outside_area", where),
-        objective=_number(json_field(data, "objective", where), "objective", where),
-        status=str(json_field(data, "status", where)),
-        tradeoff_weight=_number(json_field(data, "tradeoff_weight", where), "tradeoff_weight",
-                                where),
-        expansions=_number(json_field(data, "expansions", where, 0), "expansions", where, int),
-    )
+    data = _fields(data, _PLAN, where)  # one field per Plan field
+    plan_ = Plan(**dict(
+        data,
+        actions=[action_from_dict(a, where, f"action {i}") for i, a in enumerate(data["actions"])],
+        states=[state_from_dict(s, where, f"state {i}") for i, s in enumerate(data["states"])],
+        step_costs=_numbers(data["step_costs"], "step_costs", where),
+    ))
     n = len(plan_.actions)
     for field, count, expected in (("states", len(plan_.states), n + 1),
                                    ("step_costs", len(plan_.step_costs), n)):

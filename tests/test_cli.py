@@ -536,6 +536,8 @@ class TestMalformedInput:
                      id="min-mean-overlap-not-a-number"),
         pytest.param({"require_all_solved": "yes"}, "require_all_solved",
                      id="require-all-solved-not-a-bool"),
+        pytest.param({"max_task_planning_time": 0.001}, "max_task_planning_time",
+                     id="misspelled-threshold"),
     ])
     def test_bad_threshold_exits_2_before_planning(self, workdir, caplog, monkeypatch,
                                                    thresholds, field):
@@ -549,6 +551,31 @@ class TestMalformedInput:
         assert run_cli("benchmark", "--suite", str(suite), "--out", str(workdir / "r.csv")) == 2
         assert any(str(suite) in rec.message and f"'{field}'" in rec.message
                    for rec in caplog.records)
+
+    @pytest.mark.parametrize("corrupt, field", [
+        pytest.param(lambda suite: suite.update(threshold=suite.pop("thresholds")), "threshold",
+                     id="misspelled-thresholds"),
+        pytest.param(lambda suite: suite["tasks"][0].update(confg="config.json"), "confg",
+                     id="misspelled-task-config"),
+        pytest.param(lambda suite: suite["tasks"][0].update(object=5), "object",
+                     id="task-object-not-a-string"),
+        pytest.param(lambda suite: suite["tasks"][0].update(name=["sq_t1"]), "name",
+                     id="task-name-not-a-string"),
+    ])
+    def test_bad_suite_field_exits_2_before_planning(self, workdir, caplog, monkeypatch,
+                                                     corrupt, field):
+        monkeypatch.setattr("wihmplan.bench.run_benchmark",
+                            lambda *a, **k: pytest.fail("planned a suite with a bad field"))
+        data = {"tasks": [{"name": "sq_t1", "object": "square_prism.json",
+                           "start": "sq_t1_shift_start.json", "goals": "sq_t1_shift_goals.json"}],
+                "thresholds": {"max_task_planning_time_s": 0.001}}
+        corrupt(data)
+        suite = workdir / "suite.json"
+        suite.write_text(json.dumps(data))
+        assert run_cli("benchmark", "--suite", str(suite), "--out", str(workdir / "r.csv")) == 2
+        errors = [rec.message for rec in caplog.records if rec.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].count(str(suite)) == 1
+        assert f"'{field}'" in errors[0]
 
 
 class TestUnfoldCommand:

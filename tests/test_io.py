@@ -86,6 +86,7 @@ class TestStateRoundTrip:
         path = tmp_path / "plan.json"
         io_mod.save_plan(p, path)
         loaded = io_mod.load_plan(path)
+        assert loaded == p
         assert loaded.status == p.status
         assert loaded.total_action_cost == p.total_action_cost
         assert [a.kind for a in loaded.actions] == [a.kind for a in p.actions]
@@ -125,6 +126,17 @@ class TestStateRoundTrip:
                                        resolution.pad_width, resolution.pad_height)
         assert state_key(s) == state_key(explicit)
 
+    @pytest.mark.parametrize("field", ["orientaton", "pad_widht"])
+    def test_misspelled_side_field_rejected(self, tmp_path, field):
+        obj = io_mod.load_object(FIXTURES / "square_prism.json")
+        data = json.loads((FIXTURES / "sq_t1_shift_start.json").read_text())
+        data["left"][field] = 0.01
+        path = tmp_path / "start.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(w.InvalidInputError) as err:
+            io_mod.load_state(path, obj, w.ResolutionConfig())
+        assert str(err.value) == f"{path}: left: unknown field '{field}'"
+
 
 @pytest.fixture(scope="module")
 def sq_t1_plan(suite_entries):
@@ -139,6 +151,11 @@ class TestMalformedPlanFile:
          "state 1 left: missing required field 'orientation'"),
         (lambda data: data["actions"][0].update(kind="TELEPORT"),
          "action 0: field 'kind' = 'TELEPORT' is not an action kind"),
+        (lambda data: data["actions"][0].update(speed=1.0), "action 0: unknown field 'speed'"),
+        (lambda data: data["states"][1].update(grasp_width=0.04),
+         "state 1: unknown field 'grasp_width'"),
+        (lambda data: data["states"][1]["left"].update(force=3.0),
+         "state 1 left: unknown field 'force'"),
     ])
     def test_error_names_file_and_field(self, tmp_path, sq_t1_plan, corrupt, message):
         data = io_mod.plan_to_dict(sq_t1_plan[1])
@@ -167,8 +184,16 @@ class TestConfigLoader:
         # Removed settings: the geometry fixes both angles, and the clearance test was a no-op.
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"resolution": {field: 0.5}}))
-        with pytest.raises(w.InvalidInputError, match=f"unknown resolution field '{field}'"):
+        with pytest.raises(w.InvalidInputError) as err:
             io_mod.load_configs(path)
+        assert str(err.value) == f"{path}: resolution: unknown field '{field}'"
+
+    def test_misspelled_section_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"resolutoin": {"slide_step": 0.01}}))
+        with pytest.raises(w.InvalidInputError) as err:
+            io_mod.load_configs(path)
+        assert str(err.value) == f"{path}: unknown field 'resolutoin'"
 
     def test_grip_limits_out_of_order_name_the_file(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -217,3 +242,14 @@ class TestChainLoader:
         path.write_text(json.dumps(data))
         with pytest.raises(w.InvalidInputError, match="d3"):
             io_mod.load_chain(path)
+
+    @pytest.mark.parametrize("field", ["theta_contct", "d4", "theta_pivot"])
+    def test_unknown_field_rejected(self, tmp_path, field):
+        # plan_waypoints sets d4 and theta_pivot per pivot, so a file cannot.
+        data = json.loads((FIXTURES / "chain.json").read_text())
+        data[field] = 0.3
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(w.InvalidInputError) as err:
+            io_mod.load_chain(path)
+        assert str(err.value) == f"{path}: unknown field '{field}'"
