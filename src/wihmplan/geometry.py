@@ -2,16 +2,17 @@
 
 Every operation here is a pure function, and values are immutable after
 construction apart from caches: ``ObjectModel.scratch`` and
-``ObjectModel.unfolded`` (see there), each ``ConvexPolygon2``'s
-plain-float half-plane and edge tables, filled on its first distance query or
-clip, and each ``Face``'s centre and outline, computed on first use.  Units
-are meters and radians throughout.
+``ObjectModel.unfolded`` (see there), each ``ConvexPolygon2``'s half-plane
+arrays, built from its float tables on first use, and each ``Face``'s centre
+and outline, computed on first use.  Units are meters and radians throughout.
 
-Float contract: the two queries search and replay make of a polygon, point
+Float contract: each ``ConvexPolygon2`` holds its half-planes and edges as
+tuples of Python floats (``planes`` and ``edges``), built once at
+construction.  The two queries search and replay make of a polygon, point
 distances (``corner_distance_sum``) and clipping (``clip_rows``, over the raw
-``clip_ring``), run on Python floats over those tables.  numpy only builds
-and validates polygons, transforms and object models, and serves array
-callers (``contains_points``).
+``clip_ring``), run on those tables.  numpy only builds and validates
+polygons, transforms and object models, and serves array callers
+(``contains_points``).
 """
 
 from __future__ import annotations
@@ -47,13 +48,15 @@ class ConvexPolygon2:
 
     Construction canonicalizes the vertex list (orientation, duplicate and
     collinear removal, on Python floats: ``_canonical``) and rejects
-    non-convex or degenerate input.  The first distance query or clip
-    against the polygon fills ``_tables``: the half-planes ``(n0, n1, off)``
-    and the edges ``(sx, sy, dx, dy, len2)`` as Python floats, so polygons
-    that are only tested for containment never build them.
+    non-convex or degenerate input.  It then builds the polygon's two float
+    tables in one pass over the vertices, edge i running from vertex i to
+    vertex i+1: ``planes``, the inward half-planes ``(n0, n1, off)``, inside
+    iff ``n0 * x + n1 * y - off >= 0`` for all of them, and ``edges``, the
+    rows ``(x, y, dx, dy, dx * dx + dy * dy)``.  The numpy form of the
+    half-planes (``halfplanes``) is built from ``planes`` on first use.
     """
 
-    __slots__ = ("vertices", "_normals", "_offsets", "_tables")
+    __slots__ = ("vertices", "planes", "edges", "_arrays")
 
     def __init__(self, vertices) -> None:
         pts = np.asarray(vertices, dtype=float)
@@ -64,18 +67,21 @@ class ConvexPolygon2:
         rows = _dedupe(pts.tolist())
         if len(rows) < 3:
             raise InvalidGeometryError("polygon needs at least 3 distinct vertices")
-        pts = np.array(_canonical(rows, _signed_area(rows)))
+        rows = _canonical(rows, _signed_area(rows))
+        pts = np.array(rows)
         pts.setflags(write=False)
         self.vertices = pts
-        # Inward half-plane form: inside iff normals @ p - offsets >= 0 for all edges.
-        edges = np.roll(pts, -1, axis=0) - pts
-        normals = np.stack([-edges[:, 1], edges[:, 0]], axis=1)
-        normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-        self._normals = normals
-        self._offsets = np.einsum("ij,ij->i", normals, pts)
-        self._normals.setflags(write=False)
-        self._offsets.setflags(write=False)
-        self._tables = None
+        planes, edges = [], []
+        for (x, y), (u, v) in zip(rows, rows[1:] + rows[:1]):
+            dx = u - x
+            dy = v - y
+            norm = math.sqrt(dy * dy + dx * dx)
+            n0, n1 = -dy / norm, dx / norm
+            planes.append((n0, n1, n0 * x + n1 * y))
+            edges.append((x, y, dx, dy, dx * dx + dy * dy))
+        self.planes = tuple(planes)
+        self.edges = tuple(edges)
+        self._arrays = None
 
     def __repr__(self) -> str:
         return f"ConvexPolygon2({self.vertices.tolist()})"
@@ -84,30 +90,27 @@ class ConvexPolygon2:
         return self.vertices.shape[0]
 
     def contains_point(self, p, tol: float = GEOM_TOL) -> bool:
-        p = np.asarray(p, dtype=float)
-        return bool(np.all(self._normals @ p - self._offsets >= -tol))
+        normals, offsets = self.halfplanes()
+        return bool(np.all(normals @ np.asarray(p, dtype=float) - offsets >= -tol))
 
     def contains_points(self, pts, tol: float = GEOM_TOL) -> np.ndarray:
         """Vectorized containment for an (m, 2) point array."""
-        pts = np.asarray(pts, dtype=float)
-        margins = pts @ self._normals.T - self._offsets
+        normals, offsets = self.halfplanes()
+        margins = np.asarray(pts, dtype=float) @ normals.T - offsets
         return np.all(margins >= -tol, axis=1)
 
     def halfplanes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Inward unit normals and offsets: inside iff N @ p - b >= 0."""
-        return self._normals, self._offsets
+        """Inward unit normals and offsets: inside iff N @ p - b >= 0.
 
-    def _float_tables(self) -> tuple[list, list]:
-        if self._tables is None:
-            starts = self.vertices
-            dirs = np.roll(starts, -1, axis=0) - starts
-            len2 = np.einsum("ij,ij->i", dirs, dirs)
-            planes = [(n0, n1, off) for (n0, n1), off in
-                      zip(self._normals.tolist(), self._offsets.tolist())]
-            edges = [(sx, sy, dx, dy, d2) for (sx, sy), (dx, dy), d2 in
-                     zip(starts.tolist(), dirs.tolist(), len2.tolist())]
-            self._tables = (planes, edges)
-        return self._tables
+        Read-only C-contiguous arrays of ``planes``' floats, built on first use.
+        """
+        if self._arrays is None:
+            normals = np.array([(n0, n1) for n0, n1, _ in self.planes])
+            offsets = np.array([off for _, _, off in self.planes])
+            normals.setflags(write=False)
+            offsets.setflags(write=False)
+            self._arrays = (normals, offsets)
+        return self._arrays
 
     @property
     def centroid(self) -> np.ndarray:
@@ -202,7 +205,7 @@ def corner_distance_sum(rows: list, p: ConvexPolygon2, bound: float = math.inf) 
     once, and the points after it are never tested.  A result below
     ``bound`` is exact.
     """
-    planes, edges = p._float_tables()
+    planes, edges = p.planes, p.edges
     total = 0.0
     for x, y in rows:
         for n0, n1, off in planes:
@@ -269,7 +272,7 @@ def clip_rows(rows: list, planes: list) -> list | None:
 
     ``rows`` are a convex polygon's ``[x, y]`` vertices, counterclockwise;
     ``planes`` are another's ``(n0, n1, off)`` half-planes (its
-    ``_float_tables()[0]``).  Sutherland-Hodgman clipping on Python floats
+    ``ConvexPolygon2.planes``).  Sutherland-Hodgman clipping on Python floats
     (``clip_ring``).  The result is canonical as a ``ConvexPolygon2``'s
     vertices, or None when fewer than 3 vertices stay 1e-12 apart, its area
     is at most 1e-16 m^2, or it is degenerate once collinear vertices are gone.
@@ -290,9 +293,9 @@ def clip_rows(rows: list, planes: list) -> list | None:
 
 
 def convex_intersection(a: ConvexPolygon2, b: ConvexPolygon2) -> ConvexPolygon2 | None:
-    """Clip a against b's half-planes (``clip_rows``, which builds b's float
-    tables); returns None when the overlap is empty or degenerate."""
-    rows = clip_rows(a.vertices.tolist(), b._float_tables()[0])
+    """Clip a against b's half-planes (``clip_rows``); returns None when the
+    overlap is empty or degenerate."""
+    rows = clip_rows(a.vertices.tolist(), b.planes)
     return None if rows is None else ConvexPolygon2(rows)
 
 

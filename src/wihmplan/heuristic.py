@@ -94,7 +94,7 @@ class HeuristicCache:
         self.goals = list(goals)
         self._unfolded_goals: dict[tuple[int, int], ConvexPolygon2] = {}
         self._finger_memo: dict[tuple, float] = {}
-        self._offsets: dict[tuple[float, float, float], tuple] = {}
+        self._corner_offsets: dict[tuple[float, float, float], tuple] = {}
 
     def goal_image(self, base_face: int, goal_index: int) -> ConvexPolygon2:
         """The goal unfolded into the base face's plane, from the model's unfolded map."""
@@ -112,9 +112,9 @@ class HeuristicCache:
     def corner_rows(self, region: ContactRegion) -> list:
         """``region.corners().tolist()``, bit for bit, from the cached offsets."""
         key = (region.orientation, region.pad_width, region.pad_height)
-        offsets = self._offsets.get(key)
+        offsets = self._corner_offsets.get(key)
         if offsets is None:
-            offsets = self._offsets[key] = corner_offsets(*key)
+            offsets = self._corner_offsets[key] = corner_offsets(*key)
         x, y = region.x, region.y
         return [[u + x, v + y] for u, v in offsets]
 
@@ -185,7 +185,7 @@ def goals_can_hold(goals: list[GoalRegion], pads: tuple[ContactRegion, ContactRe
     tau = max(tolerance, GEOM_TOL) + TURN_SLACK
     areas = []
     for goal in goals:
-        planes, edges = goal.polygon._float_tables()
+        planes, edges = goal.polygon.planes, goal.polygon.edges
         area = polygon_area(goal.polygon) + tau * math.fsum(math.sqrt(e[4]) for e in edges)
         for (a0, a1, _), (b0, b1, _) in zip(planes, planes[1:] + planes[:1]):
             area += tau * tau * abs(a0 * b1 - a1 * b0) / (1.0 + a0 * b0 + a1 * b1)
@@ -214,7 +214,7 @@ def finger_table(axes: tuple, fits: list, w_h: float, w_z: float) -> tuple:
     ``(h_u, h_v, z_u, z_v, goals)``, its (horizontal, up) unit axes and per
     goal of ``fits`` (fit half-planes, fit polygon vertices) the rows
     (n0, n1, b, 1 / dual norm) and the vertices as rows (h, z)."""
-    (h_u, h_v), (z_u, z_v) = (axis.tolist() for axis in axes)
+    (h_u, h_v), (z_u, z_v) = axes
     return (h_u, h_v, z_u, z_v, [
         ([(n0, n1, b, 1.0 / max(abs(n0 * h_u + n1 * h_v) / w_h, abs(n0 * z_u + n1 * z_v) / w_z))
           for n0, n1, b in fit],
@@ -472,7 +472,7 @@ class AbstractBound:
         # (x_l, y_l, x_r, y_r) steps.
         moves = []
         for i, finger in enumerate(record.axes):
-            for (u, v), weight in zip((axis.tolist() for axis in finger), (w_h, w_z)):
+            for (u, v), weight in zip(finger, (w_h, w_z)):
                 move = [0.0] * 4
                 move[2 * i:2 * i + 2] = u / weight, v / weight
                 moves.append(move)

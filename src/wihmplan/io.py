@@ -257,14 +257,20 @@ _THRESHOLDS = {"min_mean_overlap": (float, None), "max_task_planning_time_s": (f
 
 def load_suite(path: str | Path) -> tuple[list[TaskSpec], dict]:
     """The suite's tasks, loaded from the files each entry names (relative to
-    the suite file), and its thresholds, one entry per ``_THRESHOLDS`` field."""
+    the suite file), and its thresholds, one entry per ``_THRESHOLDS`` field.
+    Every file name must be non-empty; only an absent or null ``config``
+    means the default configs."""
     data = _fields(read_json(path), {"tasks": (list, []), "thresholds": (_THRESHOLDS, {})}, path)
     base = Path(path).parent
     tasks = []
     for i, entry in enumerate(data["tasks"]):
         task = _fields(entry, _TASK, path, f"task {i}")
+        for field in ("object", "start", "goals", "config"):
+            if task[field] == "":
+                raise InvalidInputError(
+                    f"{_where(path, f'task {i}')}: field '{field}' must name a file, got ''")
         obj = load_object(base / task["object"])
-        resolution, cost = load_configs(base / task["config"] if task["config"] else None)
+        resolution, cost = load_configs(None if task["config"] is None else base / task["config"])
         tasks.append(TaskSpec(name=task["name"], obj=obj,
                               start=load_state(base / task["start"], obj, resolution),
                               goals=load_goals(base / task["goals"], obj),

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import InvalidInputError, WihmplanError
 from .geometry import RigidTransform3
-from .transition import ActionKind, find_pivot_edge, world_context
+from .transition import ActionKind, pivot_lever
 
 _MOUNT_ANGLE = 3.0 * math.pi / 4.0  # fixed palm yaw relative to the arm flange
 
@@ -252,12 +252,9 @@ def plan_waypoints(plan_, obj, chain: PivotChain, steps_per_stage: int = 25) -> 
             current = current[:9] + tuple(t + d for t, d in zip(current[9:], delta))
             out.append(Waypoint(len(out), _pose(current)))
         elif action.kind == ActionKind.PIVOT:
-            info = find_pivot_edge(state, obj)
-            if info is None:
+            d4 = pivot_lever(state, obj)
+            if d4 is None:
                 raise WihmplanError("plan contains a pivot that is infeasible in its state")
-            ctx = world_context(state, obj)
-            d4 = math.hypot(ctx.left_center_world[1] - info.edge_point_world[1],
-                            ctx.left_center_world[2] - info.edge_point_world[2])
             pivot_chain = PivotChain(
                 d1=chain.d1, theta_finger=chain.theta_finger, d2=chain.d2,
                 d3=chain.d3, d4=d4, theta_contact=chain.theta_contact,

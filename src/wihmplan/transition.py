@@ -220,7 +220,8 @@ class GraspState(NamedTuple):
     """Both finger contacts plus which faces are gripped and rested on.
 
     The grasp mode (support and gripped faces) fixes the world-horizontal
-    direction on each face: ``world_context(s, obj).left_axes[0]``.
+    direction on each face: ``finger_axes(obj, support, left, right)[0][0]``
+    on the left one.
     """
 
     left: ContactRegion
@@ -330,16 +331,6 @@ def derive_resolutions(obj: ObjectModel, base: ResolutionConfig) -> ResolutionCo
 # ---------------------------------------------------------------------------
 # World-frame derivation
 
-class WorldContext(NamedTuple):
-    """World-frame quantities implied by a state's support/grasp alignment."""
-
-    rotation: np.ndarray      # object -> world rotation
-    left_axes: tuple[np.ndarray, np.ndarray]   # (horizontal, up) in left face frame
-    right_axes: tuple[np.ndarray, np.ndarray]
-    left_center_world: np.ndarray
-    right_center_world: np.ndarray
-
-
 def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
     return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
@@ -360,15 +351,16 @@ def _object_rotation(obj: ObjectModel, support_face: int, left_face: int) -> np.
     return _BASIS_WORLD @ basis_obj.T
 
 
-def _face_axes(rot: np.ndarray, obj: ObjectModel, face_id: int) -> tuple[np.ndarray, np.ndarray]:
+def _face_axes(rot: np.ndarray, obj: ObjectModel,
+               face_id: int) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The face's (horizontal, up) unit axes in its frame, ``((h_u, h_v), (z_u, z_v))``,
+    under object rotation rot."""
     rw = rot @ obj.face(face_id).frame.rotation
     # Row y of rw is world-y along the face u/v axes, row z world-z.
     axes = []
     for u, v in rw[1:, :2].tolist():
         norm = math.sqrt(u ** 2 + v ** 2)
-        axis = np.array([u / norm, v / norm])
-        axis.setflags(write=False)
-        axes.append(axis)
+        axes.append((u / norm, v / norm))
     return axes[0], axes[1]
 
 
@@ -436,11 +428,10 @@ class _Mode:
         self.rot = rot = _object_rotation(obj, support_face, left_face)
         rot.setflags(write=False)
         self.tz = tz = -float(rot[2] @ obj.face(support_face).frame.translation)
-        self.axes = (_face_axes(rot, obj, left_face), _face_axes(rot, obj, right_face))
-        dirs = [[axis.tolist() for axis in finger] for finger in self.axes]
+        self.axes = axes = (_face_axes(rot, obj, left_face), _face_axes(rot, obj, right_face))
         self.width = obj.pair_width(pair)
         self.ops: dict[ActionKind, tuple | _Turn | None] = {
-            kind: tuple((i, sign * dirs[i][axis][0], sign * dirs[i][axis][1]) for i in fingers)
+            kind: tuple((i, sign * axes[i][axis][0], sign * axes[i][axis][1]) for i in fingers)
             for kind, (fingers, axis, sign) in _TRANSLATIONS.items()}
         self.ops.update(zip(_ROTATIONS, _rotations(obj, self)))
         self.pivot_edge = edge = _pivot_edge(obj, rot, tz, support_face)
@@ -542,6 +533,12 @@ def _rotations(obj: ObjectModel, m: _Mode) -> list[_Turn | None]:
 
 def _pivot_edge(obj: ObjectModel, rot: np.ndarray, tz: float,
                 support_face: int) -> PivotEdgeInfo | None:
+    """The forward pivot of the mode with object rotation rot and height tz:
+    over the support edge parallel to the squeeze axis on the +y side, or None.
+
+    Tipping is only defined over such an edge: the grasp axis must coincide
+    with the rotation axis so the gripped faces stay vertical.
+    """
     support = obj.face(support_face)
     rot_support = rot @ support.frame.rotation
     t_support = rot @ support.frame.translation + np.array([0.0, 0.0, tz])
@@ -566,22 +563,15 @@ def _pivot_edge(obj: ObjectModel, rot: np.ndarray, tz: float,
 
 
 def finger_axes(obj: ObjectModel, support_face: int, left_face: int,
-                right_face: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+                right_face: int) -> tuple[tuple[tuple[float, float], tuple[float, float]], ...]:
     """Per finger, the (horizontal, up) unit axes of its face frame in the grasp
-    mode: the directions a slide and a contact shift move its pad."""
+    mode, ``((h_u, h_v), (z_u, z_v))`` as floats: the directions a slide and a
+    contact shift move its pad."""
     return _mode(obj, support_face, left_face, right_face).axes
 
 
-def find_pivot_edge(s: GraspState, obj: ObjectModel) -> PivotEdgeInfo | None:
-    """Locate the support edge parallel to the squeeze axis on the +y side.
-
-    Tipping is only defined over such an edge: the grasp axis must coincide
-    with the rotation axis so the gripped faces stay vertical.
-    """
-    return _mode(obj, s.support_face, s.left.face, s.right.face).pivot_edge
-
-
 def _world_center(obj: ObjectModel, m: _Mode, region: ContactRegion) -> np.ndarray:
+    """The pad's centre in world coordinates, in mode m."""
     frame = obj.face(region.face).frame
     p = m.rot @ (frame.rotation[:, 0] * region.x + frame.rotation[:, 1] * region.y
                  + frame.translation)
@@ -589,15 +579,15 @@ def _world_center(obj: ObjectModel, m: _Mode, region: ContactRegion) -> np.ndarr
     return p
 
 
-def world_context(s: GraspState, obj: ObjectModel) -> WorldContext:
+def pivot_lever(s: GraspState, obj: ObjectModel) -> float | None:
+    """The world (y, z) distance from the left pad's centre to the point on the
+    support edge a pivot tips the object over, or None when the state's mode
+    has no pivot (see ``_pivot_edge``)."""
     m = _mode(obj, s.support_face, s.left.face, s.right.face)
-    return WorldContext(
-        rotation=m.rot,
-        left_axes=m.axes[0],
-        right_axes=m.axes[1],
-        left_center_world=_world_center(obj, m, s.left),
-        right_center_world=_world_center(obj, m, s.right),
-    )
+    if m.pivot_edge is None:
+        return None
+    centre, edge = _world_center(obj, m, s.left), m.pivot_edge.edge_point_world
+    return math.hypot(centre[1] - edge[1], centre[2] - edge[2])
 
 
 def _corners_inside(obj: ObjectModel, region: ContactRegion) -> bool:
@@ -616,7 +606,7 @@ def shrunk_planes(polygon: ConvexPolygon2, theta: float, pad_width: float, pad_h
     (u0, v0), (u1, v1), (u2, v2), (u3, v3) = corner_offsets(theta, pad_width, pad_height)
     return tuple((n_u, n_v, b - min(n_u * u0 + n_v * v0, n_u * u1 + n_v * v1,
                                     n_u * u2 + n_v * v2, n_u * u3 + n_v * v3) - slack)
-                 for n_u, n_v, b in polygon._float_tables()[0])
+                 for n_u, n_v, b in polygon.planes)
 
 
 def _fit(obj: ObjectModel, planes: tuple, face_id: int, x: float, y: float, theta: float,
@@ -915,7 +905,7 @@ def _covered_area(region: ContactRegion, goals: list[GoalRegion]) -> float:
     same-face goals that overlap one another and the pad: with nested bands
     on one face a call takes milliseconds at 8 goals and half a second at 16.
     """
-    same_face = [g.polygon._float_tables()[0] for g in goals if g.face == region.face]
+    same_face = [g.polygon.planes for g in goals if g.face == region.face]
     if not same_face:
         return 0.0
     x, y = region.x, region.y

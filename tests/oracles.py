@@ -524,8 +524,8 @@ def _oracle_face_axes(rot: np.ndarray, obj: ObjectModel, face_id: int):
     rw = rot @ obj.face(face_id).frame.rotation
     horiz = rw[1, :2]
     up = rw[2, :2]
-    return (horiz / math.sqrt(horiz[0] ** 2 + horiz[1] ** 2),
-            up / math.sqrt(up[0] ** 2 + up[1] ** 2))
+    return (tuple((horiz / math.sqrt(horiz[0] ** 2 + horiz[1] ** 2)).tolist()),
+            tuple((up / math.sqrt(up[0] ** 2 + up[1] ** 2)).tolist()))
 
 
 def _oracle_turn(obj, rot, faces, action, pair, support, rot_new, new_faces, centres):

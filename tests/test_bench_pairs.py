@@ -59,3 +59,31 @@ def test_bytecode_caches_are_cleared_under_src_only(bench_pairs, tmp_path):
     bench_pairs.clear_bytecode(tmp_path)
     assert not any(cache.exists() for cache in caches)
     assert kept.exists() and (tmp_path / "src" / "pkg" / "mod.py").exists()
+
+
+def _traced(**values) -> dict:
+    """A traced run's result with the given metric values, the unit read off each name."""
+    units = {"expanded": "count", "hit_ratio": "ratio", "plan_s": "s", "key_us": "us",
+             "trace.overhead_frac": "ratio"}
+    return {"correct": True, "absent": [],
+            "metrics": {name: {"value": v, "unit": units[name]} for name, v in values.items()}}
+
+
+def test_counter_comparison_of_synthetic_records(bench_pairs):
+    base = dict(expanded=10, hit_ratio=0.5, plan_s=1.0, key_us=3.0, **{"trace.overhead_frac": 0.2})
+    # Timings and the tracing overhead may differ between runs; counts and ratios may not.
+    assert bench_pairs.compare_counters(
+        _traced(**base), _traced(**dict(base, plan_s=2.0, key_us=9.0,
+                                        **{"trace.overhead_frac": 0.4}))) == []
+    assert bench_pairs.compare_counters(_traced(**base), _traced(**dict(base, expanded=11))) == [
+        "expanded: parent 10 change 11"]
+    assert bench_pairs.compare_counters(_traced(**base), _traced(**dict(base, hit_ratio=0.25))) \
+        == ["hit_ratio: parent 0.5 change 0.25"]
+    lacking = {k: v for k, v in base.items() if k != "hit_ratio"}
+    assert bench_pairs.compare_counters(_traced(**base), _traced(**lacking)) == [
+        "hit_ratio: absent in change"]
+    absent, failed = _traced(**base), _traced(**base)
+    absent["absent"] = ["geometry.unfold"]
+    failed["correct"] = False
+    assert bench_pairs.compare_counters(absent, failed) == [
+        "parent: absent trace target geometry.unfold", "change: a correctness check failed"]

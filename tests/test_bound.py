@@ -456,8 +456,7 @@ def test_turn_exits_are_1_lipschitz_in_the_translation_metric():
             if all(row[4] is None for row in table):
                 continue
             support, (left, right) = record.support, record.pads
-            axes = [[a.tolist() for a in finger] for finger in
-                    transition_mod.finger_axes(obj, support, left.face, right.face)]
+            axes = transition_mod.finger_axes(obj, support, left.face, right.face)
 
             def metric(d, axes=axes):
                 return sum(w_h * abs(h[0] * u + h[1] * v) + w_z * abs(z[0] * u + z[1] * v)

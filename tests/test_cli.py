@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import argparse
 import json
 import math
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
 from wihmplan import bench as bench_mod
-from wihmplan.cli import main
+from wihmplan.cli import _build_parser, main
 
 from conftest import FIXTURES
 
@@ -23,6 +25,30 @@ def workdir(tmp_path: Path) -> Path:
 
 def run_cli(*argv: str) -> int:
     return main(list(argv))
+
+
+def readme_cli_options() -> dict[str, set[str]]:
+    """Per command in README's CLI block, the options its lines name (comments excluded)."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    out: dict[str, set[str]] = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        words = line.split("#", 1)[0].split()
+        command = next(word for word in words[1:] if not word.startswith("-"))
+        out.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", " ".join(words)))
+    return out
+
+
+def test_readme_cli_block_names_every_option():
+    parser = _build_parser()
+    named = readme_cli_options()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    missing = [flag for a in parser._actions for flag in a.option_strings
+               if flag not in ("-h", "--help") and not any(flag in n for n in named.values())]
+    for command, sub in commands.choices.items():
+        missing += [f"{command} {flag}" for a in sub._actions for flag in a.option_strings
+                    if flag not in ("-h", "--help") and flag not in named.get(command, ())]
+    assert not missing
 
 
 class TestPlanCommand:
@@ -561,6 +587,8 @@ class TestMalformedInput:
                      id="task-object-not-a-string"),
         pytest.param(lambda suite: suite["tasks"][0].update(name=["sq_t1"]), "name",
                      id="task-name-not-a-string"),
+        *(pytest.param(lambda suite, field=field: suite["tasks"][0].update({field: ""}), field,
+                       id=f"task-{field}-empty") for field in ("object", "start", "goals", "config")),
     ])
     def test_bad_suite_field_exits_2_before_planning(self, workdir, caplog, monkeypatch,
                                                      corrupt, field):

@@ -385,7 +385,7 @@ class TestClipKernel:
             for i, goal in enumerate(goals):
                 if not mask >> i & 1:
                     continue
-                got = clip_rows(rows, goal.polygon._float_tables()[0])
+                got = clip_rows(rows, goal.polygon.planes)
                 want = array_convex_intersection(ref, goal.polygon)
                 wrapped = convex_intersection(ConvexPolygon2(rows), goal.polygon)
                 assert (got is None) == (want is None) == (wrapped is None)

@@ -134,7 +134,7 @@ class TestMissPath:
         for cx, cy in ((x, y), (x2, y2)):  # a miss on the offsets, then a hit
             pad = ContactRegion(0, cx, cy, theta, width, height)
             assert _hex_rows(cache.corner_rows(pad)) == _hex_rows(pad.corners().tolist())
-        assert list(cache._offsets) == [(theta, width, height)]
+        assert list(cache._corner_offsets) == [(theta, width, height)]
 
     @pytest.mark.parametrize("index", range(len(OBJECT_FILES)), ids=OBJECT_FILES)
     @settings(max_examples=40, deadline=None)
@@ -166,8 +166,8 @@ class TestMissPath:
         planner_mod.plan(obj, start, goals, resolution, cost)
         [cache] = caches
         assert missed
-        assert set(cache._offsets) == missed
-        for key, offsets in cache._offsets.items():
+        assert set(cache._corner_offsets) == missed
+        for key, offsets in cache._corner_offsets.items():
             assert _hex_rows(offsets) == _hex_rows(corner_offsets(*key))
 
 

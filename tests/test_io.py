@@ -8,7 +8,7 @@ import wihmplan as w
 from wihmplan import io as io_mod
 from wihmplan.bench import simulate
 from wihmplan.planner import plan
-from wihmplan.transition import derive_resolutions, state_key, world_context
+from wihmplan.transition import derive_resolutions, finger_axes, state_key
 
 from conftest import FIXTURES, load_task
 
@@ -104,7 +104,8 @@ class TestStateRoundTrip:
         assert all("horizontal_axis" not in s for s in data["states"])
         # Older plan files also record each state's horizontal direction on its left face.
         for s, state in zip(data["states"], p.states):
-            s["horizontal_axis"] = world_context(state, obj).left_axes[0].tolist()
+            s["horizontal_axis"] = finger_axes(obj, state.support_face, state.left.face,
+                                               state.right.face)[0][0]
         old = tmp_path / "old_plan.json"
         old.write_text(json.dumps(data))
         loaded = io_mod.load_plan(old)
@@ -213,6 +214,18 @@ class TestConfigLoader:
         assert resolution.z_step == 0.005
         assert cost.node_budget == 1000 and isinstance(cost.node_budget, int)
         assert cost.slide_unit_cost == 0.004
+
+
+class TestSuiteLoader:
+    def test_absent_or_null_config_means_the_defaults(self, tmp_path):
+        task = {"name": "sq_t1", "object": str(FIXTURES / "square_prism.json"),
+                "start": str(FIXTURES / "sq_t1_shift_start.json"),
+                "goals": str(FIXTURES / "sq_t1_shift_goals.json")}
+        path = tmp_path / "suite.json"
+        path.write_text(json.dumps({"tasks": [task, dict(task, config=None)]}))
+        tasks, _ = io_mod.load_suite(path)
+        defaults = io_mod.load_configs(None)
+        assert [(t.resolution, t.cost) for t in tasks] == [defaults, defaults]
 
 
 class TestChainLoader:

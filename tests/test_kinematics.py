@@ -24,7 +24,7 @@ from wihmplan.kinematics import (
     rotation_to_quaternion,
 )
 from wihmplan.planner import plan
-from wihmplan.transition import ActionKind, successors
+from wihmplan.transition import Action, ActionKind, successors
 
 from conftest import FIXTURES, load_task
 from oracles import chain_oracle, dh_oracle_matrix
@@ -336,3 +336,14 @@ class TestPlanWaypoints:
                                       anchor @ RigidTransform3.rot_z(-half))[0].pose
             assert np.max(np.abs(end1.rotation - start2.rotation)) <= 1e-12
             assert np.max(np.abs(end1.translation - start2.translation)) <= 1e-12
+
+    def test_a_pivot_where_the_mode_has_none_is_rejected(self, hex_prism):
+        # A standing hexagonal prism has no support edge along the squeeze axis.
+        left, right = hex_prism.parallel_pairs[0]
+        centres = [hex_prism.face(f).polygon.vertices.mean(axis=0) for f in (left, right)]
+        s = w.GraspState.create(hex_prism, left, right, hex_prism.lateral_count, *centres,
+                                0.02, 0.02)
+        plan_ = SimpleNamespace(actions=[Action(ActionKind.PIVOT, math.pi / 2.0)], states=[s, s])
+        chain = io_mod.load_chain(FIXTURES / "chain.json")
+        with pytest.raises(w.WihmplanError, match="pivot that is infeasible in its state"):
+            plan_waypoints(plan_, hex_prism, chain)

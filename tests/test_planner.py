@@ -28,9 +28,9 @@ from wihmplan.transition import (
     GraspState,
     ResolutionConfig,
     derive_resolutions,
+    finger_axes,
     region_outside_goal,
     state_key,
-    world_context,
 )
 
 from conftest import load_task
@@ -221,7 +221,7 @@ class TestPlanBasics:
         res = derive_resolutions(obj, ResolutionConfig(
             slide_step=0.005, z_step=0.005, pad_width=0.01, pad_height=0.01))
         s0 = GraspState.create(obj, 0, 2, 4, (0.02, 0.02), (0.015, 0.02), 0.01, 0.01)
-        h = world_context(s0, obj).left_axes[0]
+        h = finger_axes(obj, 4, 0, 2)[0][0]
         target_u = 0.02 + 2 * 0.005 * h[0]
         lo, hi = sorted([target_u - 0.006, target_u + 0.006])
         left_goal = GoalRegion(0, w.ConvexPolygon2(

@@ -24,14 +24,13 @@ from wihmplan.transition import (
     GraspState,
     ResolutionConfig,
     derive_resolutions,
-    find_pivot_edge,
+    finger_axes,
     overlap_ratio,
     region_cell,
     region_outside_goal,
     state_key,
     successors,
     transition,
-    world_context,
 )
 
 from conftest import FIXTURES, OBJECT_FILES, load_task, random_feasible_state
@@ -53,6 +52,16 @@ def centered_state(obj, pad=0.02):
 
     return GraspState.create(obj, pair[0], pair[1], obj.lateral_count,
                              bbox_center(pair[0]), bbox_center(pair[1]), pad, pad)
+
+
+def state_axes(s, obj):
+    """Per finger of s, its face's (horizontal, up) axes as arrays."""
+    return [np.array(finger) for finger in
+            finger_axes(obj, s.support_face, s.left.face, s.right.face)]
+
+
+def state_mode(s, obj):
+    return transition_mod._mode(obj, s.support_face, s.left.face, s.right.face)
 
 
 def mode_states(obj, pad=0.01):
@@ -105,7 +114,7 @@ class TestDeriveResolutions:
             caps = {obj.lateral_count, obj.lateral_count + 1}
             tips = {}
             for s in mode_states(obj):
-                info = find_pivot_edge(s, obj)
+                info = state_mode(s, obj).pivot_edge
                 if info is None:
                     continue
                 angle = abs(info.angle)
@@ -180,6 +189,39 @@ class TestValidActions:
             pad_width=0.01, pad_height=0.01, max_length_width_ratio=10.0))
         assert ActionKind.ROTATE_CW in {a.kind for a, _ in successors(s, obj, loose)}
 
+    def test_grip_limits_hold_to_feas_tol_in_search_and_replay(self, all_objects):
+        # Each grip limit set 0.5 * FEAS_TOL inside a rotation's value keeps the
+        # rotation, and 1.5 * FEAS_TOL outside it drops it: in successors and in
+        # transition given the config alike.  The other limits are loose.
+        loose = ResolutionConfig(min_grasp_width=1e-9, max_grasp_width=1e3,
+                                 max_length_width_ratio=1e6, pad_width=0.01, pad_height=0.01)
+        verdicts = []
+        for obj in all_objects:
+            for s in mode_states(obj):
+                for kind in (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW):
+                    t = state_mode(s, obj).ops[kind]
+                    if t is None:
+                        continue
+                    try:
+                        transition(s, t.action, obj)
+                    except w.InfeasibleActionError:
+                        continue  # the landing does not fit
+                    ratio = t.extent / t.width
+                    for inside, margin in ((True, 0.5 * FEAS_TOL), (False, 1.5 * FEAS_TOL)):
+                        for edit in (dict(max_grasp_width=t.width - margin),
+                                     dict(min_grasp_width=t.width + margin),
+                                     dict(max_length_width_ratio=ratio - margin)):
+                            cfg = dataclasses.replace(loose, **edit)
+                            kept = kind in {a.kind for a, _ in successors(s, obj, cfg)}
+                            try:
+                                transition(s, t.action, obj, cfg)
+                                accepted = True
+                            except w.InfeasibleActionError:
+                                accepted = False
+                            assert kept == accepted == inside, (obj.name, s, kind, edit)
+                            verdicts.append(inside)
+        assert verdicts.count(True) == verdicts.count(False) == 888
+
     def test_hexagon_has_no_standing_pivot(self, hex_prism):
         cfg = derive_resolutions(hex_prism, ResolutionConfig())
         s = centered_state(hex_prism)
@@ -193,7 +235,7 @@ class TestSlides:
         act = Action(ActionKind.SLIDE_LEFT_UP, 0.01)
         nxt = transition(s, act, square_prism)
         assert np.allclose(nxt.left.center,
-                           s.left.center + 0.01 * world_context(s, square_prism).left_axes[0],
+                           s.left.center + 0.01 * state_axes(s, square_prism)[0][0],
                            atol=1e-15)
         assert np.allclose(nxt.right.center, s.right.center)
         assert nxt.support_face == s.support_face
@@ -201,11 +243,11 @@ class TestSlides:
 
     def test_slide_right_moves_right_only(self, square_prism):
         s = centered_state(square_prism)
-        ctx = world_context(s, square_prism)
+        axes = state_axes(s, square_prism)
         act = Action(ActionKind.SLIDE_RIGHT_DOWN, 0.005)
         nxt = transition(s, act, square_prism)
         assert np.allclose(nxt.right.center,
-                           s.right.center - 0.005 * ctx.right_axes[0], atol=1e-15)
+                           s.right.center - 0.005 * axes[1][0], atol=1e-15)
         assert np.allclose(nxt.left.center, s.left.center)
 
     def test_slide_inverse_restores_exactly(self, all_objects):
@@ -227,15 +269,15 @@ class TestSlides:
 class TestMoves:
     def test_move_shifts_both_contacts_vertically(self, square_prism):
         s = centered_state(square_prism)
-        ctx = world_context(s, square_prism)
+        axes = state_axes(s, square_prism)
         nxt = transition(s, Action(ActionKind.MOVE_CONTACT_UP, 0.01), square_prism)
-        assert np.allclose(nxt.left.center, s.left.center + 0.01 * ctx.left_axes[1])
-        assert np.allclose(nxt.right.center, s.right.center + 0.01 * ctx.right_axes[1])
+        assert np.allclose(nxt.left.center, s.left.center + 0.01 * axes[0][1])
+        assert np.allclose(nxt.right.center, s.right.center + 0.01 * axes[1][1])
         # the up axis points to world +z on both faces
-        rot = ctx.rotation
-        for region, axes in ((s.left, ctx.left_axes), (s.right, ctx.right_axes)):
+        rot = state_mode(s, square_prism).rot
+        for region, finger in zip((s.left, s.right), axes):
             frame = square_prism.face(region.face).frame.rotation
-            world_dir = rot @ frame @ np.array([axes[1][0], axes[1][1], 0.0])
+            world_dir = rot @ frame @ np.array([finger[1][0], finger[1][1], 0.0])
             assert np.allclose(world_dir, [0, 0, 1], rtol=0.0, atol=1e-12)
 
 
@@ -290,15 +332,17 @@ class TestRotation:
             for act, child in successors(s, square_prism, cfg):
                 if act.kind not in (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW):
                     continue
-                z_before = world_context(s, square_prism).left_center_world[2]
-                z_after = world_context(child, square_prism).left_center_world[2]
+                z_before = transition_mod._world_center(
+                    square_prism, state_mode(s, square_prism), s.left)[2]
+                z_after = transition_mod._world_center(
+                    square_prism, state_mode(child, square_prism), child.left)[2]
                 assert z_after == pytest.approx(z_before, abs=1e-9)
 
 
 class TestPivot:
     def test_standing_box_pivot(self, square_prism):
         s = centered_state(square_prism)
-        info = find_pivot_edge(s, square_prism)
+        info = state_mode(s, square_prism).pivot_edge
         assert info is not None
         assert abs(info.angle) == pytest.approx(math.pi / 2.0, abs=1e-12)
         nxt = transition(s, Action(ActionKind.PIVOT, abs(info.angle)), square_prism)
@@ -327,7 +371,7 @@ class TestPivot:
         cur = s
         supports = [s.support_face]
         for _ in range(4):
-            info = find_pivot_edge(cur, square_prism)
+            info = state_mode(cur, square_prism).pivot_edge
             cur = transition(cur, Action(ActionKind.PIVOT, abs(info.angle)), square_prism)
             supports.append(cur.support_face)
         assert supports[-1] == supports[0]

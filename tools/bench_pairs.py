@@ -2,6 +2,7 @@
 
     python tools/bench_pairs.py PARENT CHANGE --workload W [--pairs 10]
         [--seconds 40] [--seed 3] [--out pairs.json]
+    python tools/bench_pairs.py PARENT CHANGE --counters [--workload W] [--seed 3]
 
 PARENT and CHANGE are the roots of two source checkouts.  Each pair runs
 ``perfbench/run.py --workload W --seed N --seconds S --trace 0`` once in each
@@ -18,6 +19,15 @@ prints both sides' medians and quartiles over the pairs, and in how many
 pairs the change is better (ties count for neither side).  ``--out`` writes
 the raw pairs and that summary as JSON.  It exits 1 when a run fails its
 correctness check, after all runs.
+
+The second form compares the per-layer counters instead.  Per workload
+(every one, or ``--workload``'s), it runs one traced unit in each checkout
+(``--seconds 0 --trace 1``, bytecode caches cleared as above) and compares
+every per-layer metric whose unit is ``count`` or ``ratio``, except
+``trace.overhead_frac``: the metrics a traced run repeats exactly, where the
+``s`` and ``us`` timings and the tracing overhead do not.  It prints each
+metric that differs or that one side lacks, each absent trace target and
+each failed correctness check, and exits 1 if there is any.
 """
 
 from __future__ import annotations
@@ -32,6 +42,11 @@ import sys
 from pathlib import Path
 
 SIDES = ("parent", "change")
+WORKLOADS = ("suite", "budget", "replay")
+# Units of the metrics a traced run repeats exactly, and the one such metric
+# that is a timing ratio.
+COUNTER_UNITS = ("count", "ratio")
+UNREPEATED = ("trace.overhead_frac",)
 
 
 def run_order(pair: int) -> tuple[str, str]:
@@ -44,18 +59,65 @@ def clear_bytecode(checkout: Path) -> None:
         shutil.rmtree(cache)
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced run in ``checkout``: its result line (``correct`` and ``metrics``)."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
+    """One run in ``checkout``: its result line (``correct`` and ``metrics``),
+    plus ``absent``, the trace targets its stderr reports absent."""
     clear_bytecode(checkout)
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, env=env, capture_output=True, text=True, check=False)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode not in (0, 1) or not lines:
         raise SystemExit(f"{checkout}: perfbench/run.py exited {proc.returncode}\n{proc.stderr}")
-    return json.loads(lines[-1])
+    absent = [target for line in proc.stderr.splitlines()
+              if line.startswith("absent trace targets: ")
+              for target in line.split(": ", 1)[1].split(", ")]
+    return {**json.loads(lines[-1]), "absent": absent}
+
+
+def is_counter(name: str, metric: dict) -> bool:
+    """Whether a traced run repeats the metric exactly: its unit is in
+    ``COUNTER_UNITS`` and it is not in ``UNREPEATED``."""
+    return metric["unit"] in COUNTER_UNITS and name not in UNREPEATED
+
+
+def compare_counters(parent: dict, change: dict) -> list[str]:
+    """Each difference between two traced runs' results, as a line: a counter
+    (``is_counter``) whose values differ or that one side lacks, an absent trace target, or a
+    failed correctness check.  Empty when the runs agree."""
+    runs = {"parent": parent, "change": change}
+    problems = []
+    for side, run in runs.items():
+        if not run["correct"]:
+            problems.append(f"{side}: a correctness check failed")
+        problems += [f"{side}: absent trace target {target}" for target in run["absent"]]
+    counters = sorted({name for run in runs.values() for name, m in run["metrics"].items()
+                       if is_counter(name, m)})
+    for name in counters:
+        values = {side: run["metrics"].get(name, {}).get("value") for side, run in runs.items()}
+        missing = [side for side, value in values.items() if value is None]
+        if missing:
+            problems.append(f"{name}: absent in {' and '.join(missing)}")
+        elif values["parent"] != values["change"]:
+            problems.append(f"{name}: parent {values['parent']!r} change {values['change']!r}")
+    return problems
+
+
+def counters_main(checkouts: dict, workloads: list[str], seed: int) -> int:
+    """Compare the traced counters of each workload; 1 if any differ."""
+    differ = False
+    for workload in workloads:
+        runs = {side: run_once(checkouts[side], workload, seed, 0.0, trace=1) for side in SIDES}
+        problems = compare_counters(runs["parent"], runs["change"])
+        count = sum(is_counter(name, m) for name, m in runs["change"]["metrics"].items())
+        print(f"{workload} seed {seed}: {count} counters, {len(problems)} differences")
+        for problem in problems:
+            print(f"  {problem}")
+        differ = differ or bool(problems)
+    return 1 if differ else 0
 
 
 def quartiles(values: list[float]) -> tuple[float, float]:
@@ -102,7 +164,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True, choices=["suite", "budget", "replay"])
+    parser.add_argument("--workload", choices=WORKLOADS, default=None)
+    parser.add_argument("--counters", action="store_true",
+                        help="compare one traced run's counters per workload instead")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=40.0)
     parser.add_argument("--seed", type=int, default=3)
@@ -110,9 +174,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    checkouts = {"parent": args.parent, "change": args.change}
+    if args.counters:
+        return counters_main(checkouts, [args.workload] if args.workload else list(WORKLOADS),
+                             args.seed)
+    if args.workload is None:
+        parser.error("--workload is required without --counters")
     declared = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {metric["name"]: metric["better"] for metric in declared["end_to_end"]}
-    checkouts = {"parent": args.parent, "change": args.change}
 
     pairs, correct = [], True
     for i in range(args.pairs):
