@@ -23,7 +23,6 @@ from .geometry import ObjectModel
 from .planner import CostConfig, Plan, plan as run_planner
 from .transition import (
     _TRANSLATIONS,
-    Action,
     GoalRegion,
     GraspState,
     ResolutionConfig,
@@ -76,27 +75,25 @@ def simulate(plan_: Plan, obj: ObjectModel, s0: GraspState,
     """Replay a plan from s0; exact in noiseless mode, perturbed otherwise.
 
     Given ``resolution``, a rotation outside its grip limits is infeasible, as
-    in search (``transition``).  A noisy replay draws all its step offsets, one
-    per translational action, in one call: the same values, in the same order,
-    as one draw per action.
+    in search (``transition``).  A noisy replay draws one offset per action
+    in a single ``uniform`` call, and its translational steps take them in
+    order: a numpy Generator fills the array sequentially, so these are the
+    values, in the order, of a draw of one offset per translational action.
+    Each step hands ``transition`` the plan's own action and its offset (0.0
+    for a turn or a noiseless replay); a noisy step whose applied magnitude
+    is not positive and finite fails the trial, as an infeasible one does.
     """
-    deltas = None
+    offsets = None
     if noise is not None:
-        count = sum(1 for action in plan_.actions if action.kind in _TRANSLATIONS)
-        deltas = iter(np.random.default_rng(noise.seed).uniform(
-            -noise.eta, noise.eta, size=count).tolist())
+        offsets = iter(np.random.default_rng(noise.seed).uniform(
+            -noise.eta, noise.eta, size=len(plan_.actions)).tolist())
     state = s0
     trace = [state]
     for i, action in enumerate(plan_.actions):
-        applied = action
-        if deltas is not None and action.kind in _TRANSLATIONS:
-            magnitude = action.magnitude + next(deltas)
-            if magnitude <= 0.0:
-                return SimulationResult(state, trace, i, failed=True, failure_step=i)
-            applied = Action(action.kind, magnitude, action.arc_radius)
+        offset = next(offsets) if offsets is not None and action.kind in _TRANSLATIONS else 0.0
         try:
-            state = transition(state, applied, obj, resolution)
-        except InfeasibleActionError:
+            state = transition(state, action, obj, resolution, offset)
+        except (InfeasibleActionError, InvalidInputError):
             if noise is None:
                 raise
             return SimulationResult(state, trace, i, failed=True, failure_step=i)

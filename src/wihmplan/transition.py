@@ -29,21 +29,23 @@ holds them, so each primitive is a few float operations in one of two
 kernels.  A turn (rotation or pivot) is rigid: each pad's new centre is an
 affine map of the two old centres and its orientation shifts by a constant,
 stored per mode as a ``_Turn`` and applied by ``_turn``.  A translation
-(slide or contact shift) adds per-finger steps to the pad centres, in
-``_shift``: the mode's signed unit rows ``(finger, sign * h_u, sign * h_v)``
-(``_Mode.ops``) times the step, exact since the sign is +-1.
+(slide or contact shift) moves the pad centres in ``_shift``, given the
+mode's signed unit rows ``(finger, sign * h_u, sign * h_v)`` (``_Mode.ops``)
+and a step: each moved centre gains ``step * u`` and ``step * v``, exact
+scalings of the face axes since the sign is +-1.
 
 Each mode entry also holds its move table for the last ResolutionConfig it
 served: every primitive as (op, action) in canonical kind order, op a
-``_Turn`` or a translation's steps, with the ``Action`` objects built once.
-Search (``successors``) walks the table; replay (``transition``) scales the
-unit rows by the action's own magnitude, so both run the same kernels on the
-same floats.  A rotation or pivot turns by the angle its mode's geometry
-fixes: replay rejects a magnitude more than ``FEAS_TOL`` away from it.  The
-table holds only the rotations onto a pair within the ResolutionConfig
-grip-width and length/width limits (``_grips``); replay given the config
-rejects the others too, so search, replay and the planner's lower bound
-share one definition of feasible.
+``_Turn`` or a translation's unit rows, with the ``Action`` objects built
+once.  Search (``successors``) walks the table and replay (``transition``)
+reads the mode's ops; both hand ``_shift`` the unit rows and a step (the
+table action's magnitude, or the replayed action's plus its offset), so both
+run the same kernels on the same floats.  A rotation or pivot turns by the
+angle its mode's geometry fixes: replay rejects a magnitude more than
+``FEAS_TOL`` away from it.  The table holds only the rotations onto a pair
+within the ResolutionConfig grip-width and length/width limits (``_grips``);
+replay given the config rejects the others too, so search, replay and the
+planner's lower bound share one definition of feasible.
 
 A state (``GraspState``) is a named tuple: two pads, grasp pair, support
 face.  A pad (``ContactRegion``) is a flat record of plain numbers: face,
@@ -411,7 +413,7 @@ class _Mode:
     """Everything the primitives need that depends on the grasp mode alone: pose,
     per-finger (horizontal, up) face axes, grasp width, the pivot edge, ``ops``:
     per action kind, a translation's signed unit rows ``(finger, sign * h_u,
-    sign * h_v)`` (scaled by the step, exactly: the sign is +-1), a turn's
+    sign * h_v)`` (``_shift`` scales them by the step), a turn's
     ``_Turn``, or None for a turn the mode lacks, ``orientations``: the
     orientation table (see ``_entry``), and ``moves``: the last ResolutionConfig
     served with its move table (see ``_moves``)."""
@@ -762,26 +764,21 @@ def _turn_rows(planes: tuple, landing: tuple) -> list:
     return rows
 
 
-def _scaled(rows: tuple, step: float) -> list:
-    """A translation's per-finger (finger, du, dv) steps: its unit rows times step."""
-    return [(i, step * u, step * v) for i, u, v in rows]
-
-
 def _moves(m: _Mode, cfg: ResolutionConfig) -> tuple:
     """Mode m's move table for cfg: (op, action) pairs in canonical kind order,
-    op a _Turn or a translation's (finger, du, dv) steps.  Kept with the last
-    config served (compared by identity), so a model holds one table per mode.
-    The two are read and replaced as one tuple, so a table is never paired with
-    another config."""
+    op a _Turn or a translation's unit rows (``_Mode.ops``), which ``_shift``
+    scales by the action's magnitude.  Kept with the last config served
+    (compared by identity), so a model holds one table per mode.  The two are
+    read and replaced as one tuple, so a table is never paired with another
+    config."""
     served, table = m.moves
     if served is not cfg:
-        table = [(_scaled(m.ops[kind], cfg.slide_step), Action(kind, cfg.slide_step))
-                 for kind in _SLIDES]
+        table = [(m.ops[kind], Action(kind, cfg.slide_step)) for kind in _SLIDES]
         for kind in _ROTATIONS:
             t = m.ops[kind]
             if t is not None and _grips(t, cfg):
                 table.append((t, t.action))
-        table += [(_scaled(m.ops[kind], cfg.z_step), Action(kind, cfg.z_step)) for kind in _MOVES]
+        table += [(m.ops[kind], Action(kind, cfg.z_step)) for kind in _MOVES]
         t = m.ops[ActionKind.PIVOT]
         if t is not None:
             table.append((t, t.action))
@@ -816,17 +813,21 @@ def successors(s: GraspState, obj: ObjectModel,
         if type(op) is _Turn:
             nxt = _turn(obj, s, landings.get(action.kind) or _landing(obj, e, op, left, right))
         else:
-            nxt = _shift(obj, s, op, planes)
+            nxt = _shift(obj, s, op, action.magnitude, planes)
         if nxt is not None:
             out.append((action, nxt))
     return out
 
 
 def transition(s: GraspState, a: Action, obj: ObjectModel,
-               resolution: ResolutionConfig | None = None) -> GraspState:
-    """Apply one primitive; raises InfeasibleActionError.
+               resolution: ResolutionConfig | None = None, offset: float = 0.0) -> GraspState:
+    """Apply one primitive by the magnitude ``a.magnitude + offset``; raises
+    InfeasibleActionError.
 
-    A rotation or pivot must turn by its mode's angle, within FEAS_TOL.  Given
+    The offset lets a noisy replay perturb the plan's own action without
+    building a new one.  A translation's applied magnitude must be positive
+    and finite, else InvalidInputError, as ``Action`` raises.  A rotation or
+    pivot must turn by its mode's angle, within FEAS_TOL.  Given
     ``resolution``, a rotation must also meet its grip limits, as in search's
     move table (``_grips``); without it no ResolutionConfig limit applies.  It
     reads the same orientation entry as search, once.
@@ -836,29 +837,36 @@ def transition(s: GraspState, a: Action, obj: ObjectModel,
     e = _entry(obj, m, left, right)
     kind = a.kind
     op = m.ops[kind]
+    magnitude = a.magnitude + offset
     if op is None:
         nxt = None
     elif type(op) is _Turn:
-        fits = abs(op.action.magnitude - a.magnitude) <= FEAS_TOL and (
+        fits = abs(op.action.magnitude - magnitude) <= FEAS_TOL and (
             resolution is None or kind == ActionKind.PIVOT or _grips(op, resolution))
         nxt = _turn(obj, s, e[1].get(kind) or _landing(obj, e, op, left, right)) if fits else None
+    elif 0.0 < magnitude < math.inf:
+        nxt = _shift(obj, s, op, magnitude, e[0])
     else:
-        nxt = _shift(obj, s, _scaled(op, a.magnitude), e[0])
+        raise InvalidInputError(
+            f"{kind.name} magnitude must be positive and finite, got {magnitude!r}")
     if nxt is None:
-        raise InfeasibleActionError(f"{kind.name} (magnitude {a.magnitude:g}) is infeasible here")
+        raise InfeasibleActionError(f"{kind.name} (magnitude {magnitude:g}) is infeasible here")
     return nxt
 
 
-def _shift(obj: ObjectModel, s: GraspState, steps: list, planes: tuple) -> GraspState | None:
-    """The one translation kernel: each listed finger's pad moved by its (du, dv).
+def _shift(obj: ObjectModel, s: GraspState, rows: tuple, step: float,
+           planes: tuple) -> GraspState | None:
+    """The one translation kernel: each listed finger's pad moved by step
+    along its unit row (finger, u, v), its centre gaining ``step * u`` and
+    ``step * v``.
 
     planes holds each finger's shrunk half-planes: a move keeps them.
     """
     pads = [s.left, s.right]
-    for i, du, dv in steps:
+    for i, u, v in rows:
         pad = pads[i]
-        face, theta = pad.face, pad.orientation
-        pads[i] = _fit(obj, planes[i], face, pad.x + du, pad.y + dv, theta, pad)
+        pads[i] = _fit(obj, planes[i], pad.face, pad.x + step * u, pad.y + step * v,
+                       pad.orientation, pad)
         if pads[i] is None:
             return None
     return _new(GraspState, (pads[0], pads[1], s.grasp_pair, s.support_face))

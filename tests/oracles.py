@@ -17,6 +17,7 @@ import math
 import numpy as np
 from scipy.spatial import ConvexHull
 
+from wihmplan.errors import InfeasibleActionError
 from wihmplan.geometry import (
     FEAS_TOL,
     GEOM_TOL,
@@ -28,6 +29,7 @@ from wihmplan.geometry import (
 )
 from wihmplan.heuristic import HeuristicCache, fit_polygon, total_heuristic
 from wihmplan.transition import (
+    _TRANSLATIONS,
     TURN_SLACK,
     Action,
     ActionKind,
@@ -38,6 +40,7 @@ from wihmplan.transition import (
     _Turn,
     shrunk_planes,
     successors,
+    transition,
 )
 
 WORLD_DOWN = np.array([0.0, 0.0, -1.0])
@@ -862,3 +865,34 @@ def eager_plan(obj, s0, goals, resolution, cost):
                             objective=outside + w * total,
                             status="exact-goal" if goal_node is not None else "best-effort",
                             tradeoff_weight=w, expansions=expansions)
+
+
+# ---------------------------------------------------------------------------
+# Replay
+
+def noisy_replay(plan_, obj: ObjectModel, s0: GraspState, eta: float, seed: int,
+                 resolution=None) -> tuple:
+    """``bench.simulate`` under noise as it was before it handed ``transition``
+    an offset: ``(trace, executed, failed, failure_step)``.
+
+    An exception to the separate routes: it keeps the library's earlier loop
+    as the reference the current one is held to.  It counts the translational
+    actions, draws that many offsets in one ``uniform`` call, and replays each
+    translation as a new ``Action`` of the perturbed magnitude; a magnitude
+    that is not positive, or an infeasible step, fails the trial there."""
+    count = sum(1 for action in plan_.actions if action.kind in _TRANSLATIONS)
+    deltas = iter(np.random.default_rng(seed).uniform(-eta, eta, size=count).tolist())
+    state, trace = s0, [s0]
+    for i, action in enumerate(plan_.actions):
+        applied = action
+        if action.kind in _TRANSLATIONS:
+            magnitude = action.magnitude + next(deltas)
+            if magnitude <= 0.0:
+                return trace, i, True, i
+            applied = Action(action.kind, magnitude, action.arc_radius)
+        try:
+            state = transition(state, applied, obj, resolution)
+        except InfeasibleActionError:
+            return trace, i, True, i
+        trace.append(state)
+    return trace, len(plan_.actions), False, None

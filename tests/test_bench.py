@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -21,11 +23,12 @@ from wihmplan.bench import (
     run_benchmark,
     simulate,
 )
-from wihmplan.planner import CostConfig, plan
-from wihmplan.transition import ActionKind, ResolutionConfig, state_key
+from wihmplan.planner import CostConfig, Plan, plan
+from wihmplan.transition import ActionKind, ResolutionConfig, state_key, successors
 
 from conftest import load_task
-from test_transition import _containment_objects, _walks
+from oracles import noisy_replay
+from test_transition import _containment_objects, _state_bits, _walks
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +142,43 @@ class TestNoiseRobustness:
         assert a == b
         c = noise_robustness(plan_, obj, start, eta=0.002, trials=40, seed=6)
         assert a["per_trial"] != c["per_trial"]
+
+
+def _random_walk(obj, start, resolution, rng, steps=20) -> Plan:
+    """A walk of up to ``steps`` of search's children from start, as a plan."""
+    states, actions = [start], []
+    for _ in range(steps):
+        children = successors(states[-1], obj, resolution)
+        if not children:
+            break
+        action, child = children[int(rng.integers(len(children)))]
+        actions.append(action)
+        states.append(child)
+    return Plan(actions, states, [0.0] * len(actions), 0.0, 0.0, 0.0, "best-effort", 0.0)
+
+
+def test_noisy_replays_match_the_counted_draw_oracle(suite_entries):
+    # The 12 fixture plans and a 20-step walk from each fixture start, each
+    # replayed under several seeds: simulate's per-action draw and offsets give
+    # the trace, executed count and failure step of one draw per translation
+    # and a rebuilt Action per perturbed step.  At 6 mm a 5 mm step's
+    # magnitude can reach zero or below.
+    rng = np.random.default_rng(17)
+    outcomes = set()
+    for entry in suite_entries:
+        obj, start, goals, resolution, cost = load_task(entry)
+        for plan_ in (plan(obj, start, goals, resolution, cost),
+                      _random_walk(obj, start, resolution, rng)):
+            for eta, seed in itertools.product((0.002, 0.006), range(5)):
+                got = simulate(plan_, obj, start, noise=NoiseModel(eta, seed),
+                               resolution=resolution)
+                trace, executed, failed, failure_step = noisy_replay(
+                    plan_, obj, start, eta, seed, resolution)
+                assert [_state_bits(s) for s in got.trace] == [_state_bits(s) for s in trace]
+                assert (got.executed, got.failed, got.failure_step) == \
+                    (executed, failed, failure_step), (entry["name"], eta, seed)
+                outcomes.add(failed)
+    assert outcomes == {True, False}
 
 
 class TestRunBenchmark:

@@ -927,9 +927,56 @@ def test_walks_replay_bit_for_bit_on_shared_and_fresh_tables():
     assert kinds == set(ActionKind)
 
 
+def _outcome(step) -> tuple | None:
+    """The bits of the state step() returns, or None if it is infeasible."""
+    try:
+        return _state_bits(step())
+    except w.InfeasibleActionError:
+        return None
+
+
+def test_transition_applies_its_offset_to_the_magnitude():
+    # Along random walks: a translation given an offset lands where an Action
+    # of the summed magnitude does, and rejects a sum that is not positive and
+    # finite; a turn keeps its mode's angle within FEAS_TOL and rejects more.
+    kinds = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_walks(), st.lists(st.floats(-0.004, 0.004), min_size=20, max_size=20))
+    def check(walk, offsets):
+        index, plan_ = walk
+        obj = _containment_objects()[index]
+        for state, action, d in zip(plan_.states, plan_.actions, offsets):
+            kinds.add(action.kind)
+            if action.kind in transition_mod._TRANSLATIONS:
+                summed = Action(action.kind, action.magnitude + d, action.arc_radius)
+                assert _outcome(lambda: transition(state, action, obj, offset=d)) == \
+                    _outcome(lambda: transition(state, summed, obj)), (action, d)
+                for bad in (-action.magnitude, -2.0 * action.magnitude, -math.inf, math.inf,
+                            math.nan):
+                    with pytest.raises(w.InvalidInputError, match="magnitude"):
+                        transition(state, action, obj, offset=bad)
+            else:
+                landed = _state_bits(transition(state, action, obj))
+                for nudge in (0.5 * FEAS_TOL, -0.5 * FEAS_TOL):
+                    assert _state_bits(transition(state, action, obj, offset=nudge)) == landed
+                for nudge in (2.0 * FEAS_TOL, -2.0 * FEAS_TOL):
+                    with pytest.raises(w.InfeasibleActionError):
+                        transition(state, action, obj, offset=nudge)
+
+    check()
+    assert kinds == set(ActionKind)
+
+
 def _is_shift(op) -> bool:
-    """Whether a move-table op is a translation's deltas (not a turn)."""
+    """Whether a move-table op is a translation's unit rows (not a turn)."""
     return not isinstance(op, transition_mod._Turn)
+
+
+def _steps(op, action) -> list:
+    """A translation's per-finger (finger, du, dv) steps: its unit rows scaled
+    by the action's magnitude."""
+    return [(i, action.magnitude * u, action.magnitude * v) for i, u, v in op]
 
 
 class TestExpansionKernels:
@@ -961,8 +1008,8 @@ class TestExpansionKernels:
                                           int(rng.integers(len(face.polygon))),
                                           float(rng.random()), rng.integers(-4, 5, size=2).tolist())
                     # The edge pad itself, then each translation's parent that lands on it.
-                    lands = [(0.0, 0.0)] + [(du, dv) for op, _ in table if _is_shift(op)
-                                            for i, du, dv in op if i == finger]
+                    lands = [(0.0, 0.0)] + [(du, dv) for op, action in table if _is_shift(op)
+                                            for i, du, dv in _steps(op, action) if i == finger]
                     for du, dv in lands:
                         moved = edge._replace(x=edge.x - du, y=edge.y - dv)
                         parent = base._replace(**{("left", "right")[finger]: moved})
@@ -979,7 +1026,7 @@ class TestExpansionKernels:
             if not _is_shift(op):
                 continue
             moved = [parent[i]._replace(x=parent[i].x + du, y=parent[i].y + dv)
-                     for i, du, dv in op]
+                     for i, du, dv in _steps(op, action)]
             fits = all(pad_corners_inside(obj, pad) for pad in moved)
             assert (action.kind in kinds) == fits, action
             verdicts.add(fits)
