@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -137,20 +137,21 @@ class TaskResult:
 
 @dataclass
 class BenchReport:
-    rows: list[TaskResult]
-    per_object: dict[str, dict[str, float]] = field(default_factory=dict)
-    overall: dict[str, float] = field(default_factory=dict)
+    """A benchmark's task rows.  Its aggregates are derived from them on each read."""
 
-    def recompute_aggregates(self) -> None:
-        if not self.rows:
-            raise InvalidInputError("cannot aggregate an empty report")
-        self.per_object = {}
+    rows: list[TaskResult]
+
+    @property
+    def per_object(self) -> dict[str, dict[str, float]]:
+        """The aggregates of each object's rows, by object name in sorted order."""
         by_object: dict[str, list[TaskResult]] = {}
         for row in self.rows:
             by_object.setdefault(row.object_name, []).append(row)
-        for name, rows in sorted(by_object.items()):
-            self.per_object[name] = _aggregate(rows)
-        self.overall = _aggregate(self.rows)
+        return {name: _aggregate(rows) for name, rows in sorted(by_object.items())}
+
+    @property
+    def overall(self) -> dict[str, float]:
+        return _aggregate(self.rows)
 
 
 # A report row's number columns, in report order.  An aggregate row reports the
@@ -161,6 +162,8 @@ _MEANS = tuple(column for column in _NUMBERS if column != "outside_area")
 
 
 def _aggregate(rows: list[TaskResult]) -> dict[str, float]:
+    if not rows:
+        raise InvalidInputError("cannot aggregate an empty report")
     n = len(rows)
     agg = {
         "tasks": float(n),
@@ -206,9 +209,7 @@ def run_benchmark(suite: list[TaskSpec]) -> BenchReport:
         except WihmplanError as exc:  # a bad task must not sink the suite
             row = TaskResult(task.name, task.obj.name, f"failed: {type(exc).__name__}")
         rows.append(row)
-    report = BenchReport(rows=rows)
-    report.recompute_aggregates()
-    return report
+    return BenchReport(rows=rows)
 
 
 def noise_robustness(plan_: Plan, obj: ObjectModel, s0: GraspState,

@@ -76,11 +76,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_outputs(args) -> None:
-    """Fail before any work on an output path whose directory is missing, or
-    on a benchmark report of unknown format."""
+    """Fail before any work on an output path that is a directory or whose
+    directory is missing, or on a benchmark report of unknown format."""
     for path, fmt in ((args.out, None), (getattr(args, "json_out", None), "json")):
         if path is None:
             continue
+        if Path(path).is_dir():
+            raise InvalidInputError(f"cannot write {path}: it is a directory")
         if not Path(path).parent.is_dir():
             raise InvalidInputError(f"cannot write {path}: its directory does not exist")
         if args.command == "benchmark":
@@ -105,6 +107,10 @@ def _cmd_simulate(args) -> int:
     start = io_mod.load_state(args.start, obj, resolution)
     plan_, result = _load_plan(args.plan, obj, resolution)
     # plan.json records no config: a plan priced under another one fails here.
+    if plan_.tradeoff_weight != cost.tradeoff_weight:
+        raise CorruptedPlanError(f"{args.plan}: field 'tradeoff_weight' = "
+                                 f"{plan_.tradeoff_weight!r}, the config gives "
+                                 f"{cost.tradeoff_weight!r}")
     for i, (act, recorded) in enumerate(zip(plan_.actions, plan_.step_costs)):
         expected = action_cost(act, cost, resolution.slide_step)
         if recorded != expected:

@@ -89,10 +89,6 @@ class ConvexPolygon2:
     def __len__(self) -> int:
         return self.vertices.shape[0]
 
-    def contains_point(self, p, tol: float = GEOM_TOL) -> bool:
-        normals, offsets = self.halfplanes()
-        return bool(np.all(normals @ np.asarray(p, dtype=float) - offsets >= -tol))
-
     def contains_points(self, pts, tol: float = GEOM_TOL) -> np.ndarray:
         """Vectorized containment for an (m, 2) point array."""
         normals, offsets = self.halfplanes()

@@ -179,9 +179,8 @@ def load_goals(path: str | Path, obj: ObjectModel) -> list[GoalRegion]:
             poly = ConvexPolygon2(_numbers(goal["polygon"], "polygon", where, depth=2))
         except InvalidGeometryError as exc:
             raise InvalidInputError(f"{where} field 'polygon' invalid: {exc}")
-        for v in poly.vertices:
-            if not obj.face(face).polygon.contains_point(v, tol=1e-6):
-                raise InvalidInputError(f"{where} polygon leaves face {face}")
+        if not obj.face(face).polygon.contains_points(poly.vertices, tol=1e-6).all():
+            raise InvalidInputError(f"{where} polygon leaves face {face}")
         goals.append(GoalRegion(face, poly))
     return goals
 
@@ -369,7 +368,8 @@ def plan_from_dict(data: dict, where: str = "plan") -> Plan:
 
     A plan must agree with itself, or CorruptedPlanError names the field: a
     status ``plan()`` returns, one more state than actions, one non-negative
-    step cost per action, a non-negative expansion count, ``total_action_cost``
+    step cost per action, a non-negative expansion count, outside area and
+    tradeoff weight (``plan()`` writes no negative one), ``total_action_cost``
     the ``math.fsum`` of the step costs, and ``objective`` equal to
     ``terminal_outside_area + tradeoff_weight * total_action_cost``.  Floats
     round-trip exactly through JSON, so both equalities are exact.
@@ -390,9 +390,10 @@ def plan_from_dict(data: dict, where: str = "plan") -> Plan:
     if plan_.status not in _PLAN_STATUSES:
         raise CorruptedPlanError(
             f"{where}: field 'status' = {plan_.status!r} is not one of {_PLAN_STATUSES}")
-    if plan_.expansions < 0:
-        raise CorruptedPlanError(
-            f"{where}: field 'expansions' = {plan_.expansions} is negative")
+    for field in ("expansions", "terminal_outside_area", "tradeoff_weight"):
+        if getattr(plan_, field) < 0:
+            raise CorruptedPlanError(
+                f"{where}: field '{field}' = {getattr(plan_, field)!r} is negative")
     if any(c < 0.0 for c in plan_.step_costs):
         raise CorruptedPlanError(f"{where}: field 'step_costs' holds a negative cost")
     total = math.fsum(plan_.step_costs)

@@ -25,7 +25,8 @@ A grasp mode is the triple (support face, left face, right face).  The
 object pose, the slide and shift axes, the grasp width, and where a rotation
 or pivot takes the gripped faces depend on the mode alone.  The mode table
 (``_Mode``, one entry per mode in ``ObjectModel.scratch``, built on first use)
-holds them, so each primitive is a few float operations in one of two
+holds what the primitives read of them, as floats (the pose only serves its
+construction), so each primitive is a few float operations in one of two
 kernels.  A turn (rotation or pivot) is rigid: each pad's new centre is an
 affine map of the two old centres and its orientation shifts by a constant,
 stored per mode as a ``_Turn`` and applied by ``_turn``.  A translation
@@ -59,14 +60,14 @@ rectangles on their faces), and ``create``, ``plan()`` and the CLI's plan
 loader call it.
 
 Float contract: the primitives, the centre containment test and goal
-overlap run on Python floats.  numpy builds the mode table and serves the
-corner test (``_corners_inside``), which defines whether a pad fits: all 4
-corners within ``FEAS_TOL`` of the face's half-planes.  Search tests the
-centre instead, against the face shrunk by the rotated pad (by its corner
-offsets), with half-planes computed once per orientation entry (see
-below).  The two round differently, by a few ulps of the face coordinates,
-so a centre margin within ``_GUARD`` of the threshold is decided by the
-corner test: the verdicts agree.
+overlap run on Python floats.  numpy builds the mode table, which keeps only
+floats, and serves the corner test (``_corners_inside``), which defines
+whether a pad fits: all 4 corners within ``FEAS_TOL`` of the face's
+half-planes.  Search tests the centre instead, against the face shrunk by
+the rotated pad (by its corner offsets), with half-planes computed once per
+orientation entry (see below).  The two round differently, by a few ulps
+of the face coordinates, so a centre margin within ``_GUARD`` of the
+threshold is decided by the corner test: the verdicts agree.
 
 One expansion reads each parent fact once.  The pads' orientations and
 sizes, with the mode, fix every half-plane an expansion tests: each mode
@@ -366,15 +367,6 @@ def _face_axes(rot: np.ndarray, obj: ObjectModel,
     return axes[0], axes[1]
 
 
-class PivotEdgeInfo(NamedTuple):
-    """The forward pivot available in a state: tipping angle, landing face,
-    and a world point on the support edge being tipped over."""
-
-    angle: float  # signed world rotation about +x that lays the new face flat
-    new_support: int
-    edge_point_world: np.ndarray
-
-
 class _Turn(NamedTuple):
     """A rotation or pivot of one mode.  The object turns rigidly, so each pad's
     new centre is affine in the old centres and its orientation shifts by a constant."""
@@ -388,15 +380,15 @@ class _Turn(NamedTuple):
     extent: float  # world-y extent of the left face after the turn
 
 
-def _turn_entry(obj: ObjectModel, m: _Mode, action: Action, pair: int, support: int,
-                rot_new: np.ndarray, new_faces: tuple[int, int], frames: tuple,
+def _turn_entry(obj: ObjectModel, m: _Mode, rot: np.ndarray, action: Action, pair: int,
+                support: int, rot_new: np.ndarray, new_faces: tuple[int, int], frames: tuple,
                 maps: tuple) -> _Turn:
-    """The mode's turn onto object rotation rot_new.  Per finger, frames holds
-    ``rot_new`` times the new face's frame rotation and maps the x and y maps
-    of the pad centre, as 5-tuples of floats."""
+    """Mode m's turn from object rotation rot onto rot_new.  Per finger, frames
+    holds ``rot_new`` times the new face's frame rotation and maps the x and y
+    maps of the pad centre, as 5-tuples of floats."""
     fingers = []
     for old, new, frame, (x_map, y_map) in zip(m.faces[1:], new_faces, frames, maps):
-        cos, sin = (frame.T @ m.rot @ obj.face(old).frame.rotation)[:2, 0].tolist()
+        cos, sin = (frame.T @ rot @ obj.face(old).frame.rotation)[:2, 0].tolist()
         # + 0.0 turns a -0.0 shift into 0.0, so a zero turn lands a +-0.0 pad on 0.0.
         fingers.append((new, x_map, y_map, math.atan2(sin, cos) + 0.0))
     verts_y = (rot_new @ obj.face(new_faces[0]).outline)[1].tolist()
@@ -410,16 +402,17 @@ _STAY = (((1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 1.0, 0.0, 0.0, 0.0)),
 
 
 class _Mode:
-    """Everything the primitives need that depends on the grasp mode alone: pose,
-    per-finger (horizontal, up) face axes, grasp width, the pivot edge, ``ops``:
-    per action kind, a translation's signed unit rows ``(finger, sign * h_u,
-    sign * h_v)`` (``_shift`` scales them by the step), a turn's
+    """Everything the primitives need that depends on the grasp mode alone, as
+    floats: per-finger (horizontal, up) face axes, grasp width, ``lever``: the
+    pivot lever rows (see ``pivot_lever``), or None for a mode with no pivot,
+    ``ops``: per action kind, a translation's signed unit rows ``(finger,
+    sign * h_u, sign * h_v)`` (``_shift`` scales them by the step), a turn's
     ``_Turn``, or None for a turn the mode lacks, ``orientations``: the
     orientation table (see ``_entry``), and ``moves``: the last ResolutionConfig
-    served with its move table (see ``_moves``)."""
+    served with its move table (see ``_moves``).  The object pose that fixes
+    them (rotation and height) is built here and not kept."""
 
-    __slots__ = ("faces", "rot", "tz", "axes", "width", "pivot_edge", "ops", "orientations",
-                 "moves")
+    __slots__ = ("faces", "axes", "width", "lever", "ops", "orientations", "moves")
 
     def __init__(self, obj: ObjectModel, support_face: int, left_face: int, right_face: int):
         try:
@@ -427,25 +420,28 @@ class _Mode:
         except InvalidModelError as exc:
             raise InvalidStateError(str(exc)) from exc
         self.faces = (support_face, left_face, right_face)
-        self.rot = rot = _object_rotation(obj, support_face, left_face)
-        rot.setflags(write=False)
-        self.tz = tz = -float(rot[2] @ obj.face(support_face).frame.translation)
+        rot = _object_rotation(obj, support_face, left_face)
+        tz = -float(rot[2] @ obj.face(support_face).frame.translation)
         self.axes = axes = (_face_axes(rot, obj, left_face), _face_axes(rot, obj, right_face))
         self.width = obj.pair_width(pair)
         self.ops: dict[ActionKind, tuple | _Turn | None] = {
             kind: tuple((i, sign * axes[i][axis][0], sign * axes[i][axis][1]) for i in fingers)
             for kind, (fingers, axis, sign) in _TRANSLATIONS.items()}
-        self.ops.update(zip(_ROTATIONS, _rotations(obj, self)))
-        self.pivot_edge = edge = _pivot_edge(obj, rot, tz, support_face)
-        if edge is None:
-            self.ops[ActionKind.PIVOT] = None
-        else:
-            rot_new = rotation_x(edge.angle) @ rot
+        self.ops.update(zip(_ROTATIONS, _rotations(obj, self, rot, tz)))
+        edge = _pivot_edge(obj, rot, tz, support_face)
+        self.ops[ActionKind.PIVOT] = self.lever = None
+        if edge is not None:
+            angle, new_support, (_, edge_y, edge_z) = edge
+            rot_new = rotation_x(angle) @ rot
             self.ops[ActionKind.PIVOT] = _turn_entry(
-                obj, self, Action(ActionKind.PIVOT, abs(edge.angle), arc_radius=self.width / 2.0),
-                pair, edge.new_support, rot_new, (left_face, right_face),
+                obj, self, rot, Action(ActionKind.PIVOT, abs(angle), arc_radius=self.width / 2.0),
+                pair, new_support, rot_new, (left_face, right_face),
                 tuple(rot_new @ obj.face(f).frame.rotation for f in (left_face, right_face)),
                 _STAY)
+            frame = obj.face(left_face).frame
+            (a, b, _), (d, e, _) = (rot @ frame.rotation)[1:].tolist()
+            _, t_y, t_z = (rot @ frame.translation).tolist()
+            self.lever = ((a, b, t_y - edge_y), (d, e, t_z + tz - edge_z))
         self.orientations: dict[tuple, tuple] = {}
         self.moves: tuple[ResolutionConfig | None, tuple] = (None, ())
 
@@ -459,9 +455,10 @@ def _mode(obj: ObjectModel, support_face: int, left_face: int, right_face: int) 
     return m
 
 
-def _rotations(obj: ObjectModel, m: _Mode) -> list[_Turn | None]:
-    """Per rotation kind (CW, CCW), the smallest spin of mode m about vertical
-    that lands the pads on another pair, or None if none does.
+def _rotations(obj: ObjectModel, m: _Mode, rot: np.ndarray, tz: float) -> list[_Turn | None]:
+    """Per rotation kind (CW, CCW), the smallest spin of mode m, with object
+    rotation rot and height tz, about vertical that lands the pads on another
+    pair, or None if none does.
 
     One pass over the candidate left faces serves both kinds: each candidate's
     spin angle is measured once, then taken the positive way round for CW and
@@ -474,7 +471,7 @@ def _rotations(obj: ObjectModel, m: _Mode) -> list[_Turn | None]:
         for k, candidate_left in enumerate(pair):
             if candidate_left == left_face:
                 continue
-            n_x, n_y, n_z = (m.rot @ obj.face(candidate_left).outward_normal).tolist()
+            n_x, n_y, n_z = (rot @ obj.face(candidate_left).outward_normal).tolist()
             if abs(n_z) > FEAS_TOL:
                 continue  # spinning about vertical keeps normals' z; must already be horizontal
             turn = math.atan2(n_x * _LEFT_XY[1] - n_y * _LEFT_XY[0],
@@ -496,14 +493,14 @@ def _rotations(obj: ObjectModel, m: _Mode) -> list[_Turn | None]:
         return best
     # The pads keep their world points while the object spins about their
     # centroid: each pad's world point as a 3x5 map over (x_l, y_l, x_r, y_r, 1).
-    offset = np.array([0.0, 0.0, m.tz])
+    offset = np.array([0.0, 0.0, tz])
     origins = {}  # face -> its frame origin in world coordinates
     world = []
     for i, face_id in enumerate((left_face, right_face)):
         frame = obj.face(face_id).frame
         p = np.zeros((3, 5))
-        p[:, 2 * i:2 * i + 2] = m.rot @ frame.rotation[:, :2]
-        p[:, 4] = origins[face_id] = m.rot @ frame.translation + offset
+        p[:, 2 * i:2 * i + 2] = rot @ frame.rotation[:, :2]
+        p[:, 4] = origins[face_id] = rot @ frame.translation + offset
         world.append(p)
     centroid = (world[0] + world[1]) / 2.0
     turns = []
@@ -513,7 +510,7 @@ def _rotations(obj: ObjectModel, m: _Mode) -> list[_Turn | None]:
             continue
         magnitude, pair_idx, *new_faces = spin
         rz = rotation_z(-magnitude if kind == ActionKind.ROTATE_CCW else magnitude)
-        rot_new = rz @ m.rot
+        rot_new = rz @ rot
         spun = rz @ centroid
         frames, maps = [], []
         for p, new in zip(world, new_faces):
@@ -521,22 +518,25 @@ def _rotations(obj: ObjectModel, m: _Mode) -> list[_Turn | None]:
             rel = p + spun - centroid  # the pad less the spun face origin
             origin = origins.get(new)
             if origin is None:
-                origin = origins[new] = m.rot @ frame.translation + offset
+                origin = origins[new] = rot @ frame.translation + offset
             rel[:, 4] -= rz @ origin
             frames.append(rot_new @ frame.rotation)
             # Row 2, along the face normal, is the pad's world-x offset: it drops out.
             x_map, y_map = (frames[-1].T @ rel)[:2].tolist()
             maps.append((tuple(x_map), tuple(y_map)))
-        turns.append(_turn_entry(obj, m, Action(kind, magnitude, arc_radius=m.width / 2.0),
+        turns.append(_turn_entry(obj, m, rot, Action(kind, magnitude, arc_radius=m.width / 2.0),
                                  pair_idx, support_face, rot_new, tuple(new_faces), frames,
                                  maps))
     return turns
 
 
 def _pivot_edge(obj: ObjectModel, rot: np.ndarray, tz: float,
-                support_face: int) -> PivotEdgeInfo | None:
+                support_face: int) -> tuple[float, int, tuple[float, ...]] | None:
     """The forward pivot of the mode with object rotation rot and height tz:
-    over the support edge parallel to the squeeze axis on the +y side, or None.
+    over the support edge parallel to the squeeze axis on the +y side, as
+    ``(angle, landing face, edge point)``: the signed world rotation about +x
+    that lays the landing face flat and the edge's world midpoint.  None if
+    the mode has no such edge.
 
     Tipping is only defined over such an edge: the grasp axis must coincide
     with the rotation axis so the gripped faces stay vertical.
@@ -560,7 +560,7 @@ def _pivot_edge(obj: ObjectModel, rot: np.ndarray, tz: float,
             n_new_w[1] * _WORLD_DOWN[2] - n_new_w[2] * _WORLD_DOWN[1],
             float(n_new_w[1:] @ _WORLD_DOWN[1:]),
         )
-        return PivotEdgeInfo(chi, neighbor, mid_w)
+        return chi, neighbor, tuple(mid_w.tolist())
     return None
 
 
@@ -572,24 +572,19 @@ def finger_axes(obj: ObjectModel, support_face: int, left_face: int,
     return _mode(obj, support_face, left_face, right_face).axes
 
 
-def _world_center(obj: ObjectModel, m: _Mode, region: ContactRegion) -> np.ndarray:
-    """The pad's centre in world coordinates, in mode m."""
-    frame = obj.face(region.face).frame
-    p = m.rot @ (frame.rotation[:, 0] * region.x + frame.rotation[:, 1] * region.y
-                 + frame.translation)
-    p[2] += m.tz
-    return p
-
-
 def pivot_lever(s: GraspState, obj: ObjectModel) -> float | None:
     """The world (y, z) distance from the left pad's centre to the point on the
     support edge a pivot tips the object over, or None when the state's mode
-    has no pivot (see ``_pivot_edge``)."""
-    m = _mode(obj, s.support_face, s.left.face, s.right.face)
-    if m.pivot_edge is None:
+    has no pivot (see ``_pivot_edge``).
+
+    The mode's lever rows ``((a, b, c), (d, e, f))`` give that offset's y and
+    z over the pad centre (x, y, 1)."""
+    lever = _mode(obj, s.support_face, s.left.face, s.right.face).lever
+    if lever is None:
         return None
-    centre, edge = _world_center(obj, m, s.left), m.pivot_edge.edge_point_world
-    return math.hypot(centre[1] - edge[1], centre[2] - edge[2])
+    (a, b, c), (d, e, f) = lever
+    x, y = s.left.x, s.left.y
+    return math.hypot(a * x + b * y + c, d * x + e * y + f)
 
 
 def _corners_inside(obj: ObjectModel, region: ContactRegion) -> bool:

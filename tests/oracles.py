@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.spatial import ConvexHull
@@ -35,7 +36,6 @@ from wihmplan.transition import (
     ActionKind,
     ContactRegion,
     GraspState,
-    PivotEdgeInfo,
     _object_rotation,
     _Turn,
     shrunk_planes,
@@ -590,6 +590,15 @@ def _oracle_rotation(obj, rot, tz, faces, width, kind):
                         pair_idx, support_face, rot_new, tuple(new_faces), centres)
 
 
+class OraclePivotEdge(NamedTuple):
+    """A mode's forward pivot: tipping angle, landing face, and the world
+    midpoint of the support edge tipped over."""
+
+    angle: float
+    new_support: int
+    edge_point_world: np.ndarray
+
+
 def _oracle_pivot_edge(obj, rot, tz, support_face):
     support = obj.face(support_face)
     rot_support = rot @ support.frame.rotation
@@ -607,7 +616,7 @@ def _oracle_pivot_edge(obj, rot, tz, support_face):
         n_new_w = rot @ obj.face(neighbor).outward_normal
         chi = math.atan2(n_new_w[1] * WORLD_DOWN[2] - n_new_w[2] * WORLD_DOWN[1],
                          float(n_new_w[1:] @ WORLD_DOWN[1:]))
-        return PivotEdgeInfo(chi, neighbor, mid_w)
+        return OraclePivotEdge(chi, neighbor, mid_w)
     return None
 
 
@@ -631,6 +640,24 @@ def mode_table_oracle(obj: ObjectModel, support_face: int, left_face: int,
     return {"width": width, "axes": (_oracle_face_axes(rot, obj, left_face),
                                      _oracle_face_axes(rot, obj, right_face)),
             "pivot_edge": edge, "turns": turns}
+
+
+def old_pivot_lever(obj: ObjectModel, s: GraspState) -> float | None:
+    """The pivot lever of s's mode the way the mode table once gave it: the
+    left pad's centre taken to the world by the object rotation and height,
+    then its (y, z) distance to the oracle's pivot edge point; None when the
+    mode has no pivot."""
+    rot = _object_rotation(obj, s.support_face, s.left.face)
+    tz = -float(rot[2] @ obj.face(s.support_face).frame.translation)
+    edge = _oracle_pivot_edge(obj, rot, tz, s.support_face)
+    if edge is None:
+        return None
+    frame = obj.face(s.left.face).frame
+    centre = rot @ (frame.rotation[:, 0] * s.left.x + frame.rotation[:, 1] * s.left.y
+                    + frame.translation)
+    centre[2] += tz
+    point = edge.edge_point_world
+    return math.hypot(centre[1] - point[1], centre[2] - point[2])
 
 
 # ---------------------------------------------------------------------------

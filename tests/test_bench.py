@@ -199,19 +199,20 @@ class TestRunBenchmark:
         with pytest.raises(w.InvalidInputError):
             run_benchmark([])
 
-    def test_aggregates_recomputable(self, solved_task):
+    def test_aggregates_follow_the_rows(self, solved_task):
         obj, start, goals, resolution, cost, _ = solved_task
         tasks = [TaskSpec(name=f"t{i}", obj=obj, start=start, goals=goals,
-                          resolution=resolution, cost=cost) for i in range(3)]
+                          resolution=resolution, cost=cost) for i in range(2)]
         report = run_benchmark(tasks)
-        stored_overall = dict(report.overall)
-        stored_objects = {k: dict(v) for k, v in report.per_object.items()}
-        report.recompute_aggregates()
-        for key, value in stored_overall.items():
-            assert report.overall[key] == pytest.approx(value, abs=1e-12)
-        for name, agg in stored_objects.items():
-            for key, value in agg.items():
-                assert report.per_object[name][key] == pytest.approx(value, abs=1e-12)
+        assert report.overall["tasks"] == 2.0
+        assert list(report.per_object) == [obj.name]
+        solved = report.overall["solved_fraction"]
+        report.rows.append(TaskResult("added", "other", "failed: InvalidInputError"))
+        assert report.overall["tasks"] == 3.0
+        assert report.overall["solved_fraction"] == pytest.approx(2.0 * solved / 3.0)
+        assert list(report.per_object) == sorted([obj.name, "other"])
+        assert report.per_object["other"]["solved_fraction"] == 0.0
+        assert report.per_object[obj.name]["solved_fraction"] == solved
 
     def test_failed_task_recorded_not_raised(self, solved_task):
         obj, start, goals, resolution, cost, _ = solved_task
@@ -258,7 +259,6 @@ class TestEmitReport:
         report = BenchReport(rows=[row("a", "box", 1.0, 0.5, 6, 6),
                                    row("b", "box", 0.75, 0.25, 4, 1),
                                    row("c", "hex", 0.5, 0.0, 2, 2)])
-        report.recompute_aggregates()
         records = {(r["kind"], r["object"]): r for r in report_records(report)}
         box = records[("object_mean", "box")]
         assert (box["overlap_left"], box["overlap_right"]) == (0.875, 0.375)

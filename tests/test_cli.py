@@ -237,6 +237,24 @@ class TestSimulateCommand:
         errors = [rec.message for rec in caplog.records if rec.levelname == "ERROR"]
         assert errors and errors[0].startswith(f"{plan_path}: step 3 (MOVE_CONTACT_UP) ")
 
+    def test_plan_weighed_under_another_tradeoff_exits_2_naming_the_field(self, workdir,
+                                                                          caplog):
+        config = workdir / "light.json"
+        config.write_text(json.dumps({"cost": {"tradeoff_weight": 0.5}}))
+        plan_path = workdir / "plan.json"
+        assert run_cli("plan", "--object", str(workdir / "square_prism.json"),
+                       "--goals", str(workdir / "sq_t1_shift_goals.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"),
+                       "--config", str(config), "--out", str(plan_path)) == 0
+        out = workdir / "sim.json"
+        assert run_cli("simulate", "--plan", str(plan_path),
+                       "--object", str(workdir / "square_prism.json"),
+                       "--start", str(workdir / "sq_t1_shift_start.json"),
+                       "--out", str(out)) == 2
+        assert not out.exists()
+        errors = [rec.message for rec in caplog.records if rec.levelname == "ERROR"]
+        assert errors and errors[0].startswith(f"{plan_path}: field 'tradeoff_weight' = 0.5")
+
     def test_plan_is_checked_against_the_config_it_was_made_under(self, workdir, caplog):
         config = workdir / "pricey.json"
         config.write_text(json.dumps({"cost": {"scale_z": 3.0}}))
@@ -524,6 +542,17 @@ class TestMalformedInput:
                      lambda data: data.update(
                          objective=math.nextafter(data["objective"], math.inf)),
                      "objective", id="plan-objective-one-ulp-off"),
+        pytest.param("plan.json",
+                     lambda data: data.update(
+                         terminal_outside_area=-1.0,
+                         objective=-1.0 + data["tradeoff_weight"] * data["total_action_cost"]),
+                     "terminal_outside_area", id="plan-outside-area-negative"),
+        pytest.param("plan.json",
+                     lambda data: data.update(
+                         tradeoff_weight=-2.0,
+                         objective=data["terminal_outside_area"]
+                         + -2.0 * data["total_action_cost"]),
+                     "tradeoff_weight", id="plan-tradeoff-weight-negative"),
     ])
     def test_bad_field_exits_2_naming_file_and_field(self, workdir, caplog, name, corrupt, field):
         (workdir / "config.json").write_text(json.dumps({"resolution": {"slide_step": 0.005}}))
@@ -688,6 +717,26 @@ class TestOutputPaths:
                        "--start", str(workdir / "sq_t1_shift_start.json"),
                        "--out", str(out)) == 2
         assert any(str(out) in rec.message for rec in caplog.records)
+
+    @pytest.mark.parametrize("command, out_name", [("plan", "plan.json"),
+                                                   ("benchmark", "r.csv")])
+    def test_out_path_that_is_a_directory_exits_2_before_planning(
+            self, workdir, caplog, monkeypatch, command, out_name):
+        for target in ("wihmplan.cli.run_planner", "wihmplan.bench.run_planner"):
+            monkeypatch.setattr(target, lambda *a: pytest.fail("planned into a directory"))
+        out = workdir / out_name
+        out.mkdir()
+        suite = workdir / "suite.json"
+        suite.write_text(json.dumps({"tasks": [
+            {"name": "sq_t1", "object": "square_prism.json",
+             "start": "sq_t1_shift_start.json", "goals": "sq_t1_shift_goals.json"}]}))
+        inputs = {"plan": ["--object", str(workdir / "square_prism.json"),
+                           "--goals", str(workdir / "sq_t1_shift_goals.json"),
+                           "--start", str(workdir / "sq_t1_shift_start.json")],
+                  "benchmark": ["--suite", str(suite)]}[command]
+        assert run_cli(command, *inputs, "--out", str(out)) == 2
+        assert any(str(out) in rec.message and "is a directory" in rec.message
+                   for rec in caplog.records)
 
     @pytest.mark.parametrize("command, inputs", [
         ("plan", ["--object", "o.json", "--goals", "g.json", "--start", "s.json"]),

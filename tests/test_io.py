@@ -55,6 +55,15 @@ class TestGoalLoader:
             {"face": 0, "polygon": [[0, 0], [0.2, 0], [0.2, 0.2], [0, 0.2]]}]))
         with pytest.raises(w.InvalidInputError, match="goal 0"):
             io_mod.load_goals(path, obj)
+        # Face 0 spans [0, 0.04] x [0, 0.1]; a vertex may leave it by up to 1e-6 m.
+        for beyond, loads in ((0.5e-6, True), (2e-6, False)):
+            path.write_text(json.dumps([
+                {"face": 0, "polygon": [[0, 0], [0.04 + beyond, 0], [0.04, 0.1], [0, 0.1]]}]))
+            if loads:
+                assert len(io_mod.load_goals(path, obj)) == 1
+            else:
+                with pytest.raises(w.InvalidInputError, match="goal 0 polygon leaves face 0"):
+                    io_mod.load_goals(path, obj)
 
     def test_unknown_face_rejected(self, tmp_path):
         obj = io_mod.load_object(FIXTURES / "square_prism.json")

@@ -36,10 +36,13 @@ from wihmplan.transition import (
 from conftest import FIXTURES, OBJECT_FILES, load_task, random_feasible_state
 from oracles import (
     mode_table_oracle,
+    object_placement,
+    old_pivot_lever,
     oracle_pivot,
     oracle_rotate,
     pad_corners_inside,
     reference_cell,
+    region_world_corners,
 )
 
 
@@ -114,15 +117,15 @@ class TestDeriveResolutions:
             caps = {obj.lateral_count, obj.lateral_count + 1}
             tips = {}
             for s in mode_states(obj):
-                info = state_mode(s, obj).pivot_edge
-                if info is None:
+                pivot = state_mode(s, obj).ops[ActionKind.PIVOT]
+                if pivot is None:
                     continue
-                angle = abs(info.angle)
+                angle = pivot.action.magnitude
                 normals = (obj.face(s.support_face).outward_normal,
-                           obj.face(info.new_support).outward_normal)
+                           obj.face(pivot.support).outward_normal)
                 assert angle == pytest.approx(math.acos(float(normals[0] @ normals[1])),
                                               abs=1e-12)
-                over_cap = bool(caps & {s.support_face, info.new_support})
+                over_cap = bool(caps & {s.support_face, pivot.support})
                 tips.setdefault(over_cap, set()).add(round(angle, 9))
                 pivots = [a for a, _ in successors(s, obj, cfg) if a.kind == ActionKind.PIVOT]
                 assert all(a.magnitude == angle for a in pivots)
@@ -273,12 +276,12 @@ class TestMoves:
         nxt = transition(s, Action(ActionKind.MOVE_CONTACT_UP, 0.01), square_prism)
         assert np.allclose(nxt.left.center, s.left.center + 0.01 * axes[0][1])
         assert np.allclose(nxt.right.center, s.right.center + 0.01 * axes[1][1])
-        # the up axis points to world +z on both faces
-        rot = state_mode(s, square_prism).rot
-        for region, finger in zip((s.left, s.right), axes):
-            frame = square_prism.face(region.face).frame.rotation
-            world_dir = rot @ frame @ np.array([finger[1][0], finger[1][1], 0.0])
-            assert np.allclose(world_dir, [0, 0, 1], rtol=0.0, atol=1e-12)
+        # both pads move 0.01 m straight up in the world
+        placement = object_placement(square_prism, s)
+        for before, after in ((s.left, nxt.left), (s.right, nxt.right)):
+            lift = (region_world_corners(square_prism, after, placement)
+                    - region_world_corners(square_prism, before, placement))
+            assert np.allclose(lift, [0.0, 0.0, 0.01], rtol=0.0, atol=1e-12)
 
 
 class TestRotation:
@@ -332,21 +335,21 @@ class TestRotation:
             for act, child in successors(s, square_prism, cfg):
                 if act.kind not in (ActionKind.ROTATE_CW, ActionKind.ROTATE_CCW):
                     continue
-                z_before = transition_mod._world_center(
-                    square_prism, state_mode(s, square_prism), s.left)[2]
-                z_after = transition_mod._world_center(
-                    square_prism, state_mode(child, square_prism), child.left)[2]
+                z_before, z_after = (
+                    region_world_corners(square_prism, state.left,
+                                         object_placement(square_prism, state))[:, 2].mean()
+                    for state in (s, child))
                 assert z_after == pytest.approx(z_before, abs=1e-9)
 
 
 class TestPivot:
     def test_standing_box_pivot(self, square_prism):
         s = centered_state(square_prism)
-        info = state_mode(s, square_prism).pivot_edge
-        assert info is not None
-        assert abs(info.angle) == pytest.approx(math.pi / 2.0, abs=1e-12)
-        nxt = transition(s, Action(ActionKind.PIVOT, abs(info.angle)), square_prism)
-        assert nxt.support_face == info.new_support
+        pivot = state_mode(s, square_prism).ops[ActionKind.PIVOT]
+        assert pivot is not None
+        assert pivot.action.magnitude == pytest.approx(math.pi / 2.0, abs=1e-12)
+        nxt = transition(s, Action(ActionKind.PIVOT, pivot.action.magnitude), square_prism)
+        assert nxt.support_face == pivot.support
         assert nxt.support_face != s.support_face
         assert nxt.grasp_pair == s.grasp_pair
         assert np.allclose(nxt.left.center, s.left.center, rtol=0.0, atol=1e-12)
@@ -371,8 +374,8 @@ class TestPivot:
         cur = s
         supports = [s.support_face]
         for _ in range(4):
-            info = state_mode(cur, square_prism).pivot_edge
-            cur = transition(cur, Action(ActionKind.PIVOT, abs(info.angle)), square_prism)
+            pivot = state_mode(cur, square_prism).ops[ActionKind.PIVOT]
+            cur = transition(cur, pivot.action, square_prism)
             supports.append(cur.support_face)
         assert supports[-1] == supports[0]
         assert len(set(supports[:4])) == 4
@@ -637,9 +640,10 @@ class TestModeTable:
         assert len(corner_calls) > 1000
 
     def test_mode_tables_match_the_old_construction_bit_for_bit(self):
-        # Every valid grasp mode of the 6 fixture objects: each turn, the width,
-        # the face axes and the pivot edge equal the old numpy construction's,
-        # floats compared by their bits; the invalid triples fail in both.
+        # Every valid grasp mode of the 6 fixture objects: each turn, the width
+        # and the face axes equal the old numpy construction's, floats compared
+        # by their bits, and a mode has lever rows exactly when it has a pivot
+        # edge; the invalid triples fail in both.
         def bits(value):
             if isinstance(value, float):
                 return value.hex()
@@ -663,10 +667,37 @@ class TestModeTable:
                 modes += 1
                 assert bits(m.width) == bits(old["width"]), (name, triple)
                 assert bits(m.axes) == bits(old["axes"]), (name, triple)
-                assert bits(m.pivot_edge) == bits(old["pivot_edge"]), (name, triple)
+                assert (m.lever is None) == (old["pivot_edge"] is None), (name, triple)
                 for kind, turn in old["turns"].items():
                     assert bits(m.ops[kind]) == bits(turn), (name, triple, kind)
         assert modes == 148
+
+    def test_pivot_lever_matches_the_old_world_centre_route(self):
+        # Every valid grasp mode of the 6 fixture objects, at 20 random left-pad
+        # centres each: the lever rows give the old world-centre distance to
+        # the pivot edge, but for rounding, and None exactly where it does.
+        rng = np.random.default_rng(11)
+        levers = 0
+        for name in OBJECT_FILES:
+            obj = io_mod.load_object(FIXTURES / name)
+            for support, left, right in itertools.product(range(len(obj.faces)), repeat=3):
+                try:
+                    transition_mod._mode(obj, support, left, right)
+                except w.InvalidStateError:
+                    continue
+                pair = obj.pair_of_faces(left, right)
+                vertices = obj.face(left).polygon.vertices
+                for x, y in rng.uniform(vertices.min(axis=0), vertices.max(axis=0),
+                                        size=(20, 2)).tolist():
+                    s = GraspState(ContactRegion(left, x, y, 0.0, 0.01, 0.01),
+                                   ContactRegion(right, 0.0, 0.0, 0.0, 0.01, 0.01),
+                                   pair, support)
+                    got, want = transition_mod.pivot_lever(s, obj), old_pivot_lever(obj, s)
+                    assert (got is None) == (want is None), (name, support, left, right)
+                    if got is not None:
+                        assert abs(got - want) <= 1e-15, (name, support, left, right)
+                        levers += 1
+        assert levers > 1000
 
     def test_replay_matches_search_bit_for_bit(self, suite_entries):
         rng = np.random.default_rng(7)
