@@ -1,10 +1,11 @@
 """Convex-polygon primitives, prismatic object models, and surface unfolding.
 
 Every operation here is a pure function, and values are immutable after
-construction apart from caches: ``ObjectModel.scratch`` and
-``ObjectModel.unfolded`` (see there), each ``ConvexPolygon2``'s half-plane
-arrays, built from its float tables on first use, and each ``Face``'s centre
-and outline, computed on first use.  Units are meters and radians throughout.
+construction apart from caches: ``ObjectModel.scratch``,
+``ObjectModel.fit_planes`` and ``ObjectModel.unfolded`` (see there), each
+``ConvexPolygon2``'s half-plane arrays, built from its float tables on first
+use, and each ``Face``'s centre and outline, computed on first use.  Units
+are meters and radians throughout.
 
 Float contract: each ``ConvexPolygon2`` holds its half-planes and edges as
 tuples of Python floats (``planes`` and ``edges``), built once at
@@ -537,9 +538,15 @@ class ObjectModel:
     each entry keeps the move table of one resolution config, the last served,
     and a bounded table keyed by the two pads' orientations and sizes: their
     planes and the landings of the turns taken from them.
+    `fit_planes` is the transition module's fit-plane table, kept beside
+    `scratch` so that `scratch` keeps one entry per grasp mode: per face,
+    pad orientation and pad size, the half-planes that hold the centre of a
+    pad fitting that face (``transition.face_planes``).  Search, replay and
+    the planner's bound all read it; it is cleared when it reaches
+    ``transition._PLANE_CAP`` entries.
     `unfolded` holds the heuristic's unfolded map per base face, at most one
-    per face.  Both are filled without a lock, as are the pair widths and the
-    faces' rims (``rims``), computed on first use.
+    per face.  All three are filled without a lock, as are the pair widths
+    and the faces' rims (``rims``), computed on first use.
     """
 
     name: str
@@ -550,6 +557,7 @@ class ObjectModel:
     height: float
     lateral_count: int
     scratch: dict = field(default_factory=dict, repr=False, compare=False)
+    fit_planes: dict = field(default_factory=dict, repr=False, compare=False)
     unfolded: dict = field(default_factory=dict, repr=False, compare=False)
 
     def face(self, face_id: int) -> Face:
@@ -603,7 +611,11 @@ class ObjectModel:
 
     def validate(self) -> None:
         """Cross-check adjacency and parallel-pair invariants (1e-9 tolerances),
-        and that every face lies within FACE_COORD_LIMIT of its frame origin."""
+        and that every face lies within FACE_COORD_LIMIT of its frame origin.
+
+        Each shared edge's endpoint rows are checked on Python floats: both
+        faces must lift each to the same object point, and give the edge
+        the same length."""
         for f in self.faces:
             reach = float(np.max(np.abs(f.polygon.vertices)))
             if not reach <= FACE_COORD_LIMIT:
@@ -611,18 +623,24 @@ class ObjectModel:
                     f"{self.name}: face {f.id} reaches {reach:g} m from its origin, beyond "
                     f"the {FACE_COORD_LIMIT:g} m face coordinate limit")
         for (i, j), edge in self.adjacency.items():
-            pi = self.faces[i].to_object(edge.endpoints_in(i))
-            pj = self.faces[j].to_object(edge.endpoints_in(j))
-            if np.max(np.abs(pi - pj)) > GEOM_TOL:
+            rows_i, rows_j = edge.endpoints_in(i).tolist(), edge.endpoints_in(j).tolist()
+            pi, pj = _lift(self.faces[i].frame, rows_i), _lift(self.faces[j].frame, rows_j)
+            if any(abs(a - b) > GEOM_TOL for p, q in zip(pi, pj) for a, b in zip(p, q)):
                 raise InvalidModelError(f"shared edge ({i},{j}) does not coincide in 3D")
-            li = np.linalg.norm(np.diff(edge.endpoints_in(i), axis=0))
-            lj = np.linalg.norm(np.diff(edge.endpoints_in(j), axis=0))
-            if abs(li - lj) > GEOM_TOL:
+            (ai, bi), (ci, di) = rows_i
+            (aj, bj), (cj, dj) = rows_j
+            if abs(math.hypot(ci - ai, di - bi) - math.hypot(cj - aj, dj - bj)) > GEOM_TOL:
                 raise InvalidModelError(f"shared edge ({i},{j}) length mismatch")
         for i, j in self.parallel_pairs:
             dot = float(self.faces[i].outward_normal @ self.faces[j].outward_normal)
             if abs(dot + 1.0) > GEOM_TOL:
                 raise InvalidModelError(f"pair ({i},{j}) normals are not opposing")
+
+
+def _lift(frame: RigidTransform3, rows: list) -> list:
+    """Face-local points ``[u, v]`` in object coordinates, as float rows."""
+    rot, origin = frame.rotation.tolist(), frame.translation.tolist()
+    return [[a * u + b * v + t for (a, b, _), t in zip(rot, origin)] for u, v in rows]
 
 
 def build_prism(cross_section: ConvexPolygon2, height: float, name: str = "prism") -> ObjectModel:

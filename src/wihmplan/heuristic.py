@@ -28,8 +28,9 @@ the cheapest cost of the turns a plan still needs, planned over grasp modes,
 pad orientations and feasible turns, plus the translations it needs in the
 mode it ends in, measured from the pads' centres, carried through the first
 turn when it takes one, with each pad fitted to the goals on its own face.
-While the bound is on it alone orders the search, f = g + bound, and h
-serves the goal test; without it f = g + heuristic_scale * h.
+While the bound is on it alone orders the search, f = g + bound, and the
+goal test reads h on the pads' own faces (``AbstractBound.goal_distance``);
+without it f = g + heuristic_scale * h.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from collections.abc import Callable
 
 from .errors import InvalidInputError
 from .geometry import (
-    FEAS_TOL,
     GEOM_TOL,
     ConvexPolygon2,
     ObjectModel,
@@ -60,6 +60,7 @@ from .transition import (
     ResolutionConfig,
     cell_turn,
     corner_offsets,
+    face_planes,
     finger_axes,
     region_cell,
     shrunk_planes,
@@ -207,6 +208,17 @@ def fit_polygon(goal: ConvexPolygon2, fit: tuple, tau: float) -> list:
     m = tau + 1.0
     return clip_ring([[x0 - m, y0 - m], [x1 + m, y0 - m], [x1 + m, y1 + m], [x0 - m, y1 + m]],
                      fit)
+
+
+def _fit_witness(goal: ConvexPolygon2, rows: tuple) -> bool:
+    """Whether a pad centred on the goal's vertex mean meets every half-plane
+    ``(n0, n1, b)`` of rows at a margin of at least 0: then it proves the
+    verdict ``halfspaces_feasible`` would give, as ``transition``'s turn
+    witness does."""
+    edges = goal.edges
+    x = sum(edge[0] for edge in edges) / len(edges)
+    y = sum(edge[1] for edge in edges) / len(edges)
+    return all(n0 * x + n1 * y - b >= 0.0 for n0, n1, b in rows)
 
 
 def finger_table(axes: tuple, fits: list, w_h: float, w_z: float) -> tuple:
@@ -410,14 +422,41 @@ class AbstractBound:
         size, fits in within the goal tolerance and inside the face, each with
         its fit polygon's vertices (``fit_polygon``)."""
         shape = (pad.orientation, pad.pad_width, pad.pad_height)
-        face = shrunk_planes(self.obj.face(pad.face).polygon, *shape, FEAS_TOL)
+        face = face_planes(self.obj, pad.face, *shape)
         fits = []
         for goal in self.goals:
             if goal.face == pad.face:
                 fit = shrunk_planes(goal.polygon, *shape, self.tau)
-                if halfspaces_feasible(face + fit, TURN_SLACK):
+                rows = face + fit
+                if _fit_witness(goal.polygon, rows) or halfspaces_feasible(rows, TURN_SLACK):
                     fits.append((fit, fit_polygon(goal.polygon, fit, self.tau)))
         return fits
+
+    def goal_distance(self, s: GraspState) -> float:
+        """h at s, read on each pad's own face: per pad, the least
+        ``corner_distance_sum`` of its corners to the goals on its face, in
+        face coordinates, summed over the two pads.
+
+        Wherever it or ``total_heuristic(s)`` is at most the goal tolerance,
+        the two are equal bit for bit.  A pad's corner sum to another face's
+        goal image is at most the tolerance only if the pad's smaller side is
+        at most 2 * (tolerance + FEAS_TOL), which ``planner`` rejects; and a
+        goal's image on its own face is the goal itself.  So no unfolded map,
+        goal image or finger memo is built.
+        """
+        total = 0.0
+        for pad in (s.left, s.right):
+            x, y = pad.x, pad.y
+            rows = [[u + x, v + y] for u, v in
+                    corner_offsets(pad.orientation, pad.pad_width, pad.pad_height)]
+            best = math.inf
+            for goal in self.goals:
+                if goal.face == pad.face:
+                    value = corner_distance_sum(rows, goal.polygon, best)
+                    if value < best:
+                        best = value
+            total += best
+        return total
 
     def __call__(self, s: GraspState, key: tuple) -> float:
         """The bound at s, whose state key is key; 0 off the graph."""

@@ -25,7 +25,10 @@ goal_tolerance is at most the bound's fit tolerance, so each fit margin is
 at least minus that tolerance and the bound's stay term is 0 up to rounding;
 an admissible bound is then 0 there.  So a state with a bound above the
 slack has h above the goal tolerance, and the goal test at pop, ``h is not
-None and h <= goal_tolerance``, never skips a goal.
+None and h <= goal_tolerance``, never skips a goal.  For the same reason h
+is read on the pads' own faces there (``AbstractBound.goal_distance``),
+which equals ``total_heuristic`` bit for bit wherever either is at most
+the goal tolerance: a bound-on search builds no unfolded map or goal image.
 
 A search node is a plain tuple ``(state, g, h, parent node, incoming
 action)``, and the open list holds ``(f, -g, counter, state key, node,
@@ -228,9 +231,13 @@ def plan(obj: ObjectModel, s0: GraspState, goals: list[GoalRegion],
             continue
         state, g, h = node[0], node[1], node[2]
         if parent_f is not None:
-            b = 0.0 if bound is None else bound(state, key)
-            h = total_heuristic(state, cache, key) if b <= _GOAL_SLACK else None
-            f = g + (lam * h if bound is None else b)
+            if bound is None:
+                h = total_heuristic(state, cache, key)
+                f = g + lam * h
+            else:
+                b = bound(state, key)
+                h = bound.goal_distance(state) if b <= _GOAL_SLACK else None
+                f = g + b
             if f < parent_f - 1e-12:
                 log.debug("inconsistent heuristic: f dropped %.3e -> %.3e", parent_f, f)
             node = (state, g, h, node[3], node[4])

@@ -75,8 +75,11 @@ keeps one orientation table (``_Mode.orientations``, read through
 ``_entry``) keyed by those six values, and an entry holds both pads' shrunk
 half-planes and, per turn kind taken from them, the landing pads' faces,
 centre maps, orientations and half-planes (``_landing``, built the first
-time the turn is taken).  ``turns`` reads the same entry for the planner's
-bound: each turn's landing and whether some pair of pad centres can take it.
+time the turn is taken).  Every such half-plane set comes from the model's
+fit-plane table (``face_planes``), which the planner's bound reads too, so
+a model shrinks each face for an orientation and pad size once.  ``turns``
+reads the same entry for the planner's bound: each turn's landing and
+whether some pair of pad centres can take it.
 No turn shifts an orientation by -0.0, so an orientation of 0.0 and one of
 -0.0 share an entry.  ``successors`` and ``transition`` each look the entry
 up once: a translation keeps each pad's face, orientation and size, so it
@@ -606,6 +609,30 @@ def shrunk_planes(polygon: ConvexPolygon2, theta: float, pad_width: float, pad_h
                  for n_u, n_v, b in polygon.planes)
 
 
+# Entries a model's fit-plane table (``ObjectModel.fit_planes``) holds before
+# it is cleared.  A fixture search meets a few dozen (face, orientation, size)
+# keys; noisy or hand-made orientations could otherwise grow it without bound.
+_PLANE_CAP = 1024
+
+
+def face_planes(obj: ObjectModel, face_id: int, theta: float, pad_width: float,
+                pad_height: float) -> tuple[tuple[float, float, float], ...]:
+    """``shrunk_planes`` of the face at ``FEAS_TOL``: the half-planes holding
+    the centres of the pads, at orientation theta and of the given size, that
+    fit the face.  Read from the model's fit-plane table, built on first use:
+    the same floats as a fresh call.  0.0 and -0.0 key alike, and give the
+    same planes."""
+    table = obj.fit_planes
+    key = (face_id, theta, pad_width, pad_height)
+    planes = table.get(key)
+    if planes is None:
+        if len(table) >= _PLANE_CAP:
+            table.clear()
+        planes = table[key] = shrunk_planes(obj.face(face_id).polygon, theta, pad_width,
+                                            pad_height, FEAS_TOL)
+    return planes
+
+
 def _fit(obj: ObjectModel, planes: tuple, face_id: int, x: float, y: float, theta: float,
          pad: ContactRegion) -> ContactRegion | None:
     """The pad moved to centre (x, y), orientation theta on a face; None if it
@@ -658,8 +685,8 @@ def _entry(obj: ObjectModel, m: _Mode, left: ContactRegion, right: ContactRegion
         if len(m.orientations) >= _ORIENTATION_CAP:
             m.orientations.clear()
         e = m.orientations[key] = (
-            tuple(shrunk_planes(obj.face(pad.face).polygon, pad.orientation, pad.pad_width,
-                                pad.pad_height, FEAS_TOL) for pad in (left, right)), {})
+            tuple(face_planes(obj, pad.face, pad.orientation, pad.pad_width, pad.pad_height)
+                  for pad in (left, right)), {})
     return e
 
 
@@ -672,8 +699,7 @@ def _landing(obj: ObjectModel, e: tuple, t: _Turn, left: ContactRegion,
     for pad, (face, x_map, y_map, shift) in zip((left, right), t.fingers):
         theta = math.remainder(pad.orientation + shift, _TWO_PI)
         fingers.append((face, x_map, y_map, theta,
-                        shrunk_planes(obj.face(face).polygon, theta, pad.pad_width,
-                                      pad.pad_height, FEAS_TOL)))
+                        face_planes(obj, face, theta, pad.pad_width, pad.pad_height)))
     landing = e[1][t.action.kind] = (t.pair, t.support, tuple(fingers))
     return landing
 

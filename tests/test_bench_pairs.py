@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -87,3 +89,65 @@ def test_counter_comparison_of_synthetic_records(bench_pairs):
     failed["correct"] = False
     assert bench_pairs.compare_counters(absent, failed) == [
         "parent: absent trace target geometry.unfold", "change: a correctness check failed"]
+
+
+def _rows(bench_pairs, walls, better="lower"):
+    pairs = [{"parent": {"m": p}, "change": {"m": c}} for p, c in walls]
+    return bench_pairs.summarize(pairs, {"m": better})["m"]
+
+
+def test_gain_rule_on_synthetic_pairs(bench_pairs):
+    parent = [0.50, 0.51, 0.49, 0.52, 0.50, 0.48, 0.51, 0.50, 0.49, 0.50]  # quartiles 0.49, 0.51
+    nine = [0.45] * 9 + [0.55]
+    assert _rows(bench_pairs, list(zip(parent, nine)))["gain"]
+    eight = [0.45] * 8 + [0.55, 0.55]
+    assert not _rows(bench_pairs, list(zip(parent, eight)))["gain"]  # wins 8 of 10
+    close = [p - 0.001 for p in parent]  # wins all 10, median gap 0.001 < 0.02
+    row = _rows(bench_pairs, list(zip(parent, close)))
+    assert row["change_wins"] == 10 and not row["gain"]
+    higher = _rows(bench_pairs, [(p, 1.0 - c) for p, c in zip(parent, nine)], better="higher")
+    assert higher["change_wins"] == 9 and higher["gain"]
+    lines = bench_pairs.format_summary({"m": row})
+    assert lines[1] == "  gain rule fails"
+
+
+def _result(wall: float, cpu: str) -> dict:
+    return {"correct": True, "absent": [],
+            "metrics": {"wall_s": {"value": wall, "unit": "s"}},
+            "machine_line": {"machine": {"cpu_model": cpu}, "seed": 3, "inputs": {"tasks": 12}}}
+
+
+def test_out_records_the_machine_line_and_merges(bench_pairs, tmp_path, monkeypatch, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for root in (parent, change):
+        root.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "wall_s", "better": "lower"}]}), encoding="utf-8")
+    walls = {parent: 0.5, change: 0.4}
+    monkeypatch.setattr(bench_pairs, "run_once",
+                        lambda root, *args, **kwargs: _result(walls[root], root.name))
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps({"notes": ["kept"]}), encoding="utf-8")
+    for workload in ("suite", "replay"):
+        assert bench_pairs.main([str(parent), str(change), "--workload", workload,
+                                 "--pairs", "2", "--seconds", "1", "--out", str(out)]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["notes"] == ["kept"]
+    assert record["machine"] == {"cpu_model": "change"}
+    assert sorted(record["workloads"]) == ["replay_seed3", "suite_seed3"]
+    suite = record["workloads"]["suite_seed3"]
+    assert suite["machine_lines"]["parent"]["machine"] == {"cpu_model": "parent"}
+    assert suite["pairs"] == 2 and len(suite["runs"]) == 2
+    assert suite["summary"]["wall_s"]["change_wins"] == 2
+    assert "gain rule" in capsys.readouterr().out
+
+
+def test_run_once_reads_the_machine_line(bench_pairs, tmp_path, monkeypatch):
+    machine = {"machine": {"nproc": 2}, "seed": 3, "inputs": {"tasks": 12}}
+    result = {"correct": True, "metrics": {}}
+    stdout = json.dumps(machine) + "\n" + json.dumps(result) + "\n"
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **k: SimpleNamespace(
+        returncode=0, stdout=stdout, stderr="absent trace targets: a.b, c.d\n"))
+    (tmp_path / "src").mkdir()
+    got = bench_pairs.run_once(tmp_path, "suite", 3, 1.0)
+    assert got == {**result, "absent": ["a.b", "c.d"], "machine_line": machine}

@@ -4,8 +4,11 @@ state graphs, and its turn test against an LP oracle and against search."""
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import logging
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +17,9 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import wihmplan as w
+from wihmplan import cli as cli_mod
 from wihmplan import heuristic as heuristic_mod
+from wihmplan import planner as planner_mod
 from wihmplan import transition as transition_mod
 from wihmplan.geometry import GEOM_TOL, halfspaces_feasible
 from wihmplan.heuristic import (
@@ -588,3 +593,135 @@ def test_goal_fits_match_the_all_image_test(suite_entries, monkeypatch):
         total, bound = expected[name]
         assert start_bound(*load_task(entry)) == bound, name
         assert bound / total == pytest.approx(START_GAPS[name], abs=1e-6), name
+
+
+def _per_pad_h(s: GraspState, cache: HeuristicCache) -> float:
+    """``total_heuristic(s)`` memoized per pad, not per lattice cell, so no
+    other state of the cell lends s its value."""
+    return total_heuristic(s, cache, (None, s.left, s.right))
+
+
+def test_own_face_goal_test_matches_h(suite_entries, monkeypatch):
+    # At every state the 12 fixture searches pop and every state of the
+    # exhaustive instances, the bound-on goal test (AbstractBound.goal_distance,
+    # on the pads' own faces) gives h's verdict, and the two values are equal
+    # bit for bit wherever either is at most the goal tolerance.
+    popped: list = []
+
+    def pop(heap):
+        entry = heapq.heappop(heap)
+        popped.append(entry[4][0])
+        return entry
+
+    monkeypatch.setattr(planner_mod, "heapq",
+                        SimpleNamespace(heappush=heapq.heappush, heappop=pop))
+    cases = []
+    for entry in suite_entries:
+        obj, s0, goals, res, cost = load_task(entry)
+        popped.clear()
+        assert plan(obj, s0, goals, res, cost).status == "exact-goal", entry["name"]
+        cases.append((entry["name"], obj, s0, goals, res, cost, list(popped)))
+    for name, (obj, s0, goals, res), cost in _instances():
+        states, _ = enumerate_state_graph(obj, s0, res, cost, max_states=100_000)
+        cases.append((name, obj, s0, goals, res, cost, list(states.values())))
+    checked = at_goal = 0
+    for name, obj, s0, goals, res, cost, states in cases:
+        bound, _ = _abstract_bound(obj, s0, state_key(s0), HeuristicCache(obj, goals), res,
+                                   cost, {})
+        cache = HeuristicCache(obj, goals)
+        tol = cost.goal_tolerance
+        for s in states:
+            own, h = bound.goal_distance(s), _per_pad_h(s, cache)
+            assert (own <= tol) == (h <= tol), (name, s)
+            if min(own, h) <= tol:
+                assert own.hex() == h.hex(), (name, s)
+                at_goal += 1
+            checked += 1
+    assert checked > 10_000
+    assert at_goal > 1_000
+
+
+def test_bound_on_search_builds_no_goal_image(suite_entries, monkeypatch):
+    # The fixture searches run with the bound on and plan as before without
+    # an unfolded map, a goal image or a finger memo entry.
+    expected = {e["name"]: plan(*load_task(e)) for e in suite_entries}
+
+    def refuse(*args):
+        raise AssertionError("the search built a goal image")
+
+    monkeypatch.setattr(HeuristicCache, "goal_image", refuse)
+    monkeypatch.setattr(heuristic_mod, "unfold", refuse)
+    monkeypatch.setattr(planner_mod, "total_heuristic", refuse)
+    for entry in suite_entries:
+        assert plan(*load_task(entry)) == expected[entry["name"]], entry["name"]
+
+
+def test_suite_pass_shrinks_each_plane_set_once(tmp_path, monkeypatch):
+    # One `wihmplan benchmark` pass over the fixture suite, one freshly loaded
+    # model per task, shrinks at most 418 polygons (every (polygon,
+    # orientation, pad size) it needs once: the search, replay and the bound
+    # share the model's fit-plane table), and a goal fit runs the elimination
+    # only where its witness fails.
+    real_shrunk, real_witness = transition_mod.shrunk_planes, heuristic_mod._fit_witness
+    real_feasible = heuristic_mod.halfspaces_feasible
+    shrunk, witnessed = [], []
+
+    def counting_shrunk(*args):
+        shrunk.append(args)
+        return real_shrunk(*args)
+
+    def recording_witness(*args):
+        witnessed.append(real_witness(*args))
+        return witnessed[-1]
+
+    def elimination(*args):
+        assert witnessed and not witnessed[-1], "an elimination after a witness that held"
+        return real_feasible(*args)
+
+    monkeypatch.setattr(transition_mod, "shrunk_planes", counting_shrunk)
+    monkeypatch.setattr(heuristic_mod, "shrunk_planes", counting_shrunk)
+    monkeypatch.setattr(heuristic_mod, "_fit_witness", recording_witness)
+    monkeypatch.setattr(heuristic_mod, "halfspaces_feasible", elimination)
+    suite = Path(w.__file__).parent / "fixtures" / "suite.json"
+    assert cli_mod.main(["benchmark", "--suite", str(suite), "--out", str(tmp_path / "r.csv"),
+                         "--json-out", str(tmp_path / "r.json")]) == 0
+    assert 0 < len(shrunk) <= 418
+    assert witnessed
+
+
+def test_goal_fit_witness_never_overrules_the_elimination(all_objects):
+    # Drawn goals on each fixture face and drawn pads, some larger than their
+    # goals: wherever the vertex-mean witness accepts a goal fit, the
+    # elimination on the same rows accepts it too, and the goals a pad fits
+    # are the ones the elimination alone finds.  Both verdicts occur, and
+    # some feasible fits reach the elimination.
+    rng = np.random.default_rng(32)
+    counts = {"witness": 0, "elimination": 0, "infeasible": 0}
+    for obj in all_objects:
+        for face in obj.faces:
+            lo, hi = face.polygon.vertices.min(axis=0), face.polygon.vertices.max(axis=0)
+            size = float(min(hi - lo))
+            goals = []
+            for _ in range(3):
+                goal = random_convex_polygon(rng, scale=size * rng.uniform(0.05, 0.4))
+                centre = lo + (hi - lo) * rng.uniform(0.2, 0.8, size=2)
+                goals.append(GoalRegion(face.id, w.ConvexPolygon2(goal.vertices + centre)))
+            bound = heuristic_mod.AbstractBound(obj, goals, ResolutionConfig(), 1e-9, 1.0, 1.0)
+            for _ in range(20):
+                pad = ContactRegion(face.id, 0.0, 0.0, rng.uniform(-math.pi, math.pi),
+                                    *(size * rng.uniform(0.02, 0.5, size=2)).tolist())
+                shape = (pad.orientation, pad.pad_width, pad.pad_height)
+                face_rows = transition_mod.face_planes(obj, face.id, *shape)
+                expected = []
+                for goal in goals:
+                    fit = shrunk_planes(goal.polygon, *shape, bound.tau)
+                    feasible = halfspaces_feasible(face_rows + fit, TURN_SLACK)
+                    if heuristic_mod._fit_witness(goal.polygon, face_rows + fit):
+                        assert feasible, (obj.name, face.id, pad)
+                        counts["witness"] += 1
+                    else:
+                        counts["elimination" if feasible else "infeasible"] += 1
+                    if feasible:
+                        expected.append((fit, fit_polygon(goal.polygon, fit, bound.tau)))
+                assert bound._goal_fits(pad) == expected, (obj.name, face.id, pad)
+    assert min(counts.values()) > 0, counts

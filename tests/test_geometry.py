@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import math
@@ -487,6 +488,45 @@ class TestBuildPrism:
             build_prism(oversized, 0.1, name="long_bar")
         with pytest.raises(w.InvalidModelError, match="face 0 reaches 1000.5 m"):
             build_prism(UNIT_SQUARE, side + 0.5)
+
+    @staticmethod
+    def _with_edge(obj, pair, rows_by_face):
+        """obj with the shared edge ``pair``'s endpoint rows replaced per face."""
+        edge = obj.adjacency[pair]
+        endpoints = {f: np.array(rows_by_face.get(f, edge.endpoints_in(f))) for f in pair}
+        adjacency = dict(obj.adjacency)
+        adjacency[pair] = dataclasses.replace(edge, endpoints=endpoints)
+        return dataclasses.replace(obj, adjacency=adjacency)
+
+    def test_displaced_shared_edge_endpoint_rejected(self, square_prism):
+        pair = (0, 1)
+        rows = square_prism.adjacency[pair].endpoints_in(0).tolist()
+        rows[1][1] += 2e-9  # the top endpoint, 2 nm up on face 0 only
+        with pytest.raises(w.InvalidModelError, match=r"shared edge \(0,1\) does not coincide"):
+            self._with_edge(square_prism, pair, {0: rows}).validate()
+        rows[1][1] -= 1e-9  # within GEOM_TOL
+        self._with_edge(square_prism, pair, {0: rows}).validate()
+
+    def test_mismatched_shared_edge_length_rejected(self):
+        # A diamond's cap edges run at 45 degrees: moving an endpoint 0.6 nm
+        # out along the edge on one face and in on the other parts the lifted
+        # points by 0.85 nm per coordinate, within GEOM_TOL, while the two
+        # lengths differ by 1.2 nm.
+        diamond = build_prism(ConvexPolygon2([(0.03, 0), (0, 0.03), (-0.03, 0), (0, -0.03)]),
+                              0.05)
+        i, j = pair = (0, diamond.lateral_count + 1)  # a lateral face and the top cap
+        moved = {}
+        for face, step in ((i, 6e-10), (j, -6e-10)):
+            (a, b), (c, d) = diamond.adjacency[pair].endpoints_in(face).tolist()
+            length = math.hypot(c - a, d - b)
+            moved[face] = [(a, b), (c + step * (c - a) / length, d + step * (d - b) / length)]
+        with pytest.raises(w.InvalidModelError, match=r"shared edge \(0,5\) length mismatch"):
+            self._with_edge(diamond, pair, moved).validate()
+
+    def test_pair_normals_that_do_not_oppose_rejected(self, square_prism):
+        bad = dataclasses.replace(square_prism, parallel_pairs=((0, 1),))
+        with pytest.raises(w.InvalidModelError, match=r"pair \(0,1\) normals are not opposing"):
+            bad.validate()
 
     def test_scalene_triangle_rejected(self):
         tri = ConvexPolygon2([(0, 0), (0.05, 0), (0.01, 0.03)])

@@ -772,6 +772,10 @@ def _outcomes(obj, state, cfg) -> tuple:
     return children, replays
 
 
+def _plane_bits(planes) -> list:
+    return [[v.hex() for v in row] for row in planes]
+
+
 class TestOrientationTable:
     """One entry per value of a mode's two pad orientations and sizes: the pads'
     planes and the landings of the turns taken from them."""
@@ -816,6 +820,33 @@ class TestOrientationTable:
             sizes.append(len(m.orientations))
         assert max(sizes) == transition_mod._ORIENTATION_CAP < len(pairs)
         assert sizes[-1] < sizes[transition_mod._ORIENTATION_CAP - 1]  # cleared on the way
+
+    def test_plane_table_stays_within_its_cap_and_holds_fresh_planes(self):
+        # Over 300 random orientation pairs the model's fit-plane table never
+        # passes its cap, is cleared on the way, gives the moves a model with
+        # an emptied table gives, and holds in each entry the floats a fresh
+        # shrunk_planes call returns.
+        rng = np.random.default_rng(32)
+        cfg = ResolutionConfig(pad_width=0.01, pad_height=0.01)
+        obj, ref = (io_mod.load_object(FIXTURES / "square_prism.json") for _ in range(2))
+        base = mode_states(obj)[0]
+        checked: dict[tuple, list] = {}
+        sizes = []
+        for theta_l, theta_r in rng.uniform(-math.pi, math.pi, size=(300, 2)).tolist():
+            state = base._replace(left=base.left._replace(orientation=theta_l),
+                                  right=base.right._replace(orientation=theta_r))
+            ref.fit_planes.clear()
+            for fresh in ref.scratch.values():
+                fresh.orientations.clear()
+            assert _outcomes(obj, state, cfg) == _outcomes(ref, state, cfg)
+            for key, planes in obj.fit_planes.items():
+                expected = checked.get(key)
+                if expected is None:
+                    expected = checked[key] = _plane_bits(shrunk_face(obj, *key))
+                assert _plane_bits(planes) == expected, key
+            sizes.append(len(obj.fit_planes))
+        assert max(sizes) <= transition_mod._PLANE_CAP < len(checked)
+        assert any(after < before for before, after in zip(sizes, sizes[1:]))  # cleared
 
     def test_a_zero_turn_lands_both_zero_signs_on_zero(self, monkeypatch):
         # Rotations shift some pads' orientations by exactly 0.0.  Reading that
@@ -871,9 +902,11 @@ class TestOrientationTable:
     def test_filtered_rotations_build_no_landings(self, monkeypatch):
         # No pair is short enough for this length/width limit, so search offers
         # no rotation and builds planes for the parent pads and the pivot only.
+        # Each state gets a freshly loaded model: the model's fit-plane table
+        # would otherwise serve planes another state's search built.
         cfg = ResolutionConfig(pad_width=0.01, pad_height=0.01, max_length_width_ratio=0.01)
-        obj = io_mod.load_object(FIXTURES / "square_prism.json")
-        face_of = {id(f.polygon): f.id for f in obj.faces}
+        path = FIXTURES / "square_prism.json"
+        face_of = {}
         real = transition_mod.shrunk_planes
         built = []
 
@@ -884,7 +917,10 @@ class TestOrientationTable:
 
         monkeypatch.setattr(transition_mod, "shrunk_planes", shrunk_planes)
         pivots = 0
-        for state in mode_states(obj):
+        for i in range(len(mode_states(io_mod.load_object(path)))):
+            obj = io_mod.load_object(path)
+            state = mode_states(obj)[i]
+            face_of = {id(f.polygon): f.id for f in obj.faces}
             m = transition_mod._mode(obj, state.support_face, state.left.face, state.right.face)
             pivot = m.ops[ActionKind.PIVOT]
             assert all(m.ops[kind] is not None for kind in transition_mod._ROTATIONS)
