@@ -438,18 +438,6 @@ class RigidTransform3:
         object.__setattr__(self, "translation", tr)
 
     @classmethod
-    def _unchecked(cls, rotation: np.ndarray, translation: np.ndarray) -> RigidTransform3:
-        """A transform from float arrays its caller composed from rigid
-        transforms, without the orthonormality check; the arrays become
-        read-only."""
-        rotation.setflags(write=False)
-        translation.setflags(write=False)
-        out = object.__new__(cls)
-        object.__setattr__(out, "rotation", rotation)
-        object.__setattr__(out, "translation", translation)
-        return out
-
-    @classmethod
     def rot_x(cls, angle: float, translation=(0.0, 0.0, 0.0)) -> RigidTransform3:
         return cls(rotation_x(angle), translation)
 
@@ -546,7 +534,9 @@ class ObjectModel:
     ``transition._PLANE_CAP`` entries.
     `unfolded` holds the heuristic's unfolded map per base face, at most one
     per face.  All three are filled without a lock, as are the pair widths
-    and the faces' rims (``rims``), computed on first use.
+    and the faces' rims (``rims``), computed on first use.  None of the
+    three is a constructor argument, so a ``dataclasses.replace`` copy
+    starts with empty tables of its own.
     """
 
     name: str
@@ -556,9 +546,9 @@ class ObjectModel:
     cross_section: ConvexPolygon2
     height: float
     lateral_count: int
-    scratch: dict = field(default_factory=dict, repr=False, compare=False)
-    fit_planes: dict = field(default_factory=dict, repr=False, compare=False)
-    unfolded: dict = field(default_factory=dict, repr=False, compare=False)
+    scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    fit_planes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    unfolded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def face(self, face_id: int) -> Face:
         return self.faces[face_id]

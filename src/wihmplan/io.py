@@ -423,8 +423,9 @@ def load_plan(path: str | Path) -> Plan:
 def write_trajectory_csv(waypoints: list[Waypoint], path: str | Path) -> None:
     lines = ["step,x,y,z,qw,qx,qy,qz"]
     for wp in waypoints:
-        x, y, z = (float(v) for v in wp.pose.translation)
-        qw, qx, qy, qz = rotation_to_quaternion(wp.pose.rotation)
+        m = wp.affine
+        x, y, z = m[9:]
+        qw, qx, qy, qz = rotation_to_quaternion((m[0:3], m[3:6], m[6:9]))
         lines.append(f"{wp.index},{x!r},{y!r},{z!r},{qw!r},{qx!r},{qy!r},{qz!r}")
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -71,16 +71,21 @@ class PivotChain:
 
 @dataclass(frozen=True)
 class Waypoint:
-    """One time-indexed end-effector pose in the world frame."""
+    """One time-indexed end-effector pose in the world frame, as kernel floats."""
 
     index: int
-    pose: RigidTransform3
+    affine: tuple[float, ...]
+
+    @property
+    def pose(self) -> RigidTransform3:
+        """The pose as a rigid transform, built and checked on each read."""
+        return _pose(self.affine)
 
 
 # Float kernel: a rigid transform as a 3x4 affine matrix, 12 Python floats in
 # row-major order: the rotation rows r00..r22, then the translation t0..t2.
-# Every pose here is composed on it; only returned poses become
-# RigidTransform3s (``_pose``).
+# Every pose here is composed on it and waypoints keep it; only the public
+# boundary (``Waypoint.pose``, the DH wrappers) builds checked RigidTransform3s.
 _IDENTITY = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0)
 
 
@@ -131,10 +136,8 @@ def _floats(pose: RigidTransform3) -> tuple:
 
 
 def _pose(m: tuple) -> RigidTransform3:
-    """A kernel transform as a RigidTransform3; the kernel only composes
-    rigid transforms, so the constructor's orthonormality check is skipped."""
-    arr = np.array(m)
-    return RigidTransform3._unchecked(arr[:9].reshape(3, 3), arr[9:])
+    """A kernel transform as a RigidTransform3."""
+    return RigidTransform3((m[0:3], m[3:6], m[6:9]), m[9:])
 
 
 def _check_steps(steps: int) -> None:
@@ -165,7 +168,7 @@ def _stage_poses(chain: PivotChain, stage: int, sweep: float, steps: int,
 
 
 def _waypoints(poses: list[tuple]) -> list[Waypoint]:
-    return [Waypoint(k, _pose(m)) for k, m in enumerate(poses)]
+    return [Waypoint(k, m) for k, m in enumerate(poses)]
 
 
 def dh_transform(row: DHRow) -> RigidTransform3:
@@ -244,13 +247,13 @@ def plan_waypoints(plan_, obj, chain: PivotChain, steps_per_stage: int = 25) -> 
     """
     _check_steps(steps_per_stage)
     current = _IDENTITY
-    out: list[Waypoint] = [Waypoint(0, _pose(current))]
+    out: list[Waypoint] = [Waypoint(0, current)]
     for action, state in zip(plan_.actions, plan_.states[:-1]):
         if action.kind in (ActionKind.MOVE_CONTACT_UP, ActionKind.MOVE_CONTACT_DOWN):
             direction = "up" if action.kind == ActionKind.MOVE_CONTACT_UP else "down"
             delta = contact_shift_displacement(direction, action.magnitude).tolist()
             current = current[:9] + tuple(t + d for t, d in zip(current[9:], delta))
-            out.append(Waypoint(len(out), _pose(current)))
+            out.append(Waypoint(len(out), current))
         elif action.kind == ActionKind.PIVOT:
             d4 = pivot_lever(state, obj)
             if d4 is None:
@@ -262,8 +265,8 @@ def plan_waypoints(plan_, obj, chain: PivotChain, steps_per_stage: int = 25) -> 
             anchor = _mul(current, _ee_to_pivot(pivot_chain))
             for wp in full_pivot_trajectory(pivot_chain, action.magnitude,
                                             steps_per_stage, world_pivot=_pose(anchor))[1:]:
-                out.append(Waypoint(len(out), wp.pose))
-            current = _floats(out[-1].pose)
+                out.append(Waypoint(len(out), wp.affine))
+            current = out[-1].affine
     return out
 
 

@@ -547,6 +547,45 @@ class TestBuildPrism:
         assert square_prism.pair_width(2) == pytest.approx(0.10, abs=1e-12)
 
 
+def _centred_state(obj, pad=0.01) -> GraspState:
+    """Pads centred on the first parallel pair's faces, standing on the bottom cap."""
+    left, right = obj.parallel_pairs[0]
+    centres = [obj.face(f).polygon.vertices.mean(axis=0) for f in (left, right)]
+    return GraspState.create(obj, left, right, obj.lateral_count, *centres, pad, pad)
+
+
+class TestReplacedModel:
+    """``dataclasses.replace`` gives the new model memo tables of its own."""
+
+    MEMOS = ("scratch", "fit_planes", "unfolded")
+
+    def test_a_replaced_model_shares_no_memo_table(self):
+        source = io_mod.load_object(FIXTURES / "square_prism.json")
+        state = _centred_state(source)
+        transition_mod.successors(state, source, w.derive_resolutions(source, w.ResolutionConfig()))
+        HeuristicCache(source, [GoalRegion(state.left.face, state.left.polygon())]).goal_image(
+            state.left.face, 0)
+        assert all(getattr(source, memo) for memo in self.MEMOS)
+        renamed = dataclasses.replace(source, name="renamed")
+        for memo in self.MEMOS:
+            assert getattr(renamed, memo) is not getattr(source, memo)
+            assert getattr(renamed, memo) == {}
+
+    def test_a_model_replaced_with_other_geometry_builds_its_own_grasp_modes(self):
+        source = io_mod.load_object(FIXTURES / "square_prism.json")
+        other = io_mod.load_object(FIXTURES / "rect_prism_large.json")
+        resolution = w.derive_resolutions(other, w.ResolutionConfig())
+        state = _centred_state(other)
+        # The same grasp mode on the source: its faces carry the same ids.
+        transition_mod.successors(_centred_state(source), source, resolution)
+        geometry = ("faces", "adjacency", "parallel_pairs", "cross_section", "height",
+                    "lateral_count")
+        moved = dataclasses.replace(source, name="moved",
+                                    **{name: getattr(other, name) for name in geometry})
+        assert (transition_mod.successors(state, moved, resolution)
+                == transition_mod.successors(state, other, resolution))
+
+
 class TestUnfold:
     def test_cube_adjacent_face_center_distance(self, unit_cube):
         bottom = unit_cube.lateral_count  # bottom cap id

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -23,11 +25,14 @@ from wihmplan.kinematics import (
     plan_waypoints,
     rotation_to_quaternion,
 )
-from wihmplan.planner import plan
+from wihmplan.planner import Plan, plan
 from wihmplan.transition import Action, ActionKind, successors
 
 from conftest import FIXTURES, load_task
 from oracles import chain_oracle, dh_oracle_matrix
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import workloads  # noqa: E402 - needs perfbench on the path
 
 STEPS = 25
 
@@ -296,11 +301,11 @@ class TestPlanWaypoints:
             calls.clear()
             wps = plan_waypoints(plan_, obj, chain, steps_per_stage=STEPS)
             assert len(calls) == sum(a.kind == ActionKind.PIVOT for a in plan_.actions)
-            poses = [wp.pose for wp in wps]
+            affines = [wp.affine for wp in wps]
             for pivot_chain, total, anchor, pivot_wps in calls:
-                start = next(i for i, p in enumerate(poses) if p is pivot_wps[1].pose)
+                start = affines.index(pivot_wps[1].affine)
                 assert len(pivot_wps) == 2 * STEPS + 1
-                assert all(p is wp.pose for p, wp in zip(poses[start:], pivot_wps[1:]))
+                assert all(m == wp.affine for m, wp in zip(affines[start:], pivot_wps[1:]))
                 half = total / 2.0
                 edge2 = anchor @ RigidTransform3.rot_z(-half)
                 for k in range(STEPS + 1):
@@ -323,6 +328,28 @@ class TestPlanWaypoints:
                     expected = expected @ np.linalg.inv(chain_oracle(chain_rows(stepped)[:4]))
                     assert np.max(np.abs(pose.rotation - expected[:3, :3])) <= 1e-12
                     assert np.max(np.abs(pose.translation - expected[:3, 3])) <= 1e-12
+
+    def test_trajectory_csv_matches_the_pose_rendering(self, pivoting_plans, tmp_path):
+        # The CSV is written from each waypoint's 12 floats; it must read as
+        # it did when written from the RigidTransform3 each waypoint held.
+        chain = io_mod.load_chain(FIXTURES / "chain.json")
+        cases = [(obj, p) for obj, p in pivoting_plans if isinstance(p, Plan)]
+        walk = next(walk for walk in workloads.ReplayWorkload(3).prepare()[0]
+                    if any(a.kind == ActionKind.PIVOT for a in walk.plan.actions))
+        cases.append((io_mod.load_object(walk.object_path), walk.plan))
+        for obj, plan_ in cases:
+            wps = plan_waypoints(plan_, obj, chain, steps_per_stage=STEPS)
+            lines = ["step,x,y,z,qw,qx,qy,qz"]
+            for wp in wps:
+                pose = wp.pose
+                assert not pose.rotation.flags.writeable and not pose.translation.flags.writeable
+                assert tuple(pose.rotation.ravel().tolist() + pose.translation.tolist()) == wp.affine
+                x, y, z = (float(v) for v in pose.translation)
+                qw, qx, qy, qz = rotation_to_quaternion(pose.rotation)
+                lines.append(f"{wp.index},{x!r},{y!r},{z!r},{qw!r},{qx!r},{qy!r},{qz!r}")
+            path = tmp_path / "trajectory.csv"
+            io_mod.write_trajectory_csv(wps, path)
+            assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
 
     def test_stage_seam_is_continuous(self, rng):
         for _ in range(20):

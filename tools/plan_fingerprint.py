@@ -138,9 +138,12 @@ def _branching(obj, plan, resolution, successors, key_of) -> list:
 
 
 def _poses(waypoints) -> list:
-    """Each waypoint pose as 12 floats: the rotation row by row, then the translation."""
-    return [x.hex() for wp in waypoints
-            for x in wp.pose.rotation.ravel().tolist() + wp.pose.translation.tolist()]
+    """Each waypoint pose as 12 floats: the rotation row by row, then the
+    translation, as ``Waypoint.affine`` holds them (read from ``pose`` in a
+    checkout whose waypoints hold a ``RigidTransform3``)."""
+    return [x.hex() for wp in waypoints for x in (
+        wp.affine if hasattr(wp, "affine")
+        else wp.pose.rotation.ravel().tolist() + wp.pose.translation.tolist())]
 
 
 def _report(records) -> list:
